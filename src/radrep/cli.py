@@ -29,9 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
     shared.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for extraction")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="reserved for test fixtures; production paths "
-                             "are deterministic and ignore it")
     parser = _Parser(prog="radrep",
                      description="Radiomics extraction and test-retest "
                                  "repeatability analysis")

@@ -14,23 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import RadrepError
-from .volume_io import RoiMask, VolumeGrid, check_geometry
+from .volume_io import (EmptyMask, GeometryMismatch, RoiMask, VolumeGrid,
+                        check_geometry)
 
 # Texture analysis guidance: keep the gray-level count in [8, 128].
 GRAY_LEVEL_COUNT_RANGE = (8, 128)
-
-
-class DiscretizeError(RadrepError):
-    pass
-
-
-class GeometryMismatch(DiscretizeError):
-    """Image and mask grids disagree in dims or spacing."""
-
-
-class EmptyMask(DiscretizeError):
-    """The mask selects no voxel."""
 
 
 class GrayLevelCountWarning(UserWarning):

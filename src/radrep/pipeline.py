@@ -1,11 +1,11 @@
 """Batch extraction over a run manifest and the analysis report driver.
 
 ``extract_run`` executes the configuration matrix (normalization modes x
-bin widths, at one texture dimensionality) over every cohort entry and
-writes one feature CSV per (image type, configuration cell). Outputs are
-deterministic: fixed column order, rows sorted by (study, series,
-structure), and 17-significant-digit float formatting, so identical
-inputs produce byte-identical files. Per-row failures go to an errors
+bin widths, at one texture dimensionality) over the cohort, one entry at
+a time, and writes one feature CSV per (image type, configuration cell).
+Outputs are deterministic: fixed column order, rows sorted by (study,
+series, structure), and 17-significant-digit float formatting, so
+identical inputs produce byte-identical files. Per-row failures go to an errors
 sidecar and never abort the run.
 
 ``analyze_run`` parses extraction CSVs back into repeatability tables
@@ -19,9 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,14 @@ import scipy
 from scipy import ndimage
 
 from . import RadrepError, __version__
-from .discretize import DiscretizationSpec, GeometryMismatch, discretize_roi
+from .discretize import DiscretizationSpec, discretize_roi
 from .features import (FEATURE_ROSTER, firstorder_features,
                        glcm_features, glrlm_features, glszm_features,
                        shape_features)
 from .preprocess import (LOG_SIGMAS_MM, WAVELET_SUBBANDS_2D,
                          WAVELET_SUBBANDS_3D, FilterKind, FilterSpec,
-                         NormalizationSpec, apply_filter, filter_wavelet,
-                         normalize)
+                         MissingReferenceMask, NormalizationSpec,
+                         apply_filter, filter_wavelet, normalize)
 from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             DegenerateSamples, InsufficientFeatures,
                             InsufficientSubjects, MIN_SUBJECTS,
@@ -45,11 +45,19 @@ from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             rank_distribution, split_feature_key,
                             top_k_per_class)
 from .texture_matrices import build_glcm, build_glrlm, build_glszm
-from .volume_io import (RoiMask, Structure, VolumeGrid, check_geometry,
-                        read_mask, read_volume)
+from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
+                        check_geometry, read_mask, read_volume)
 
 IMAGE_TYPES = ("T2AX", "ADC", "SUB")
-NORMALIZATION_MODES = ("none", "wholeImage", "referenceRegion")
+# Normalization mode -> its code word. CSV names leave wholeImage unmarked;
+# bin-width report names spell it out. parse_config_from_name takes the
+# first code word a name contains, in this order.
+NORMALIZATION_CODES = {"none": "noNormalization",
+                       "referenceRegion": "MuscleRefNorm",
+                       "wholeImage": "wholeImageNorm"}
+FILTER_CATALOG = ("original", "log", "wavelet", "square", "squareroot",
+                  "logarithm", "exponential")
+_WAVELET_DIMS = {FilterKind.WAVELET_2D: "2D", FilterKind.WAVELET_3D: "3D"}
 META_COLUMNS = ("study", "series", "canonicalType", "segmentedStructure")
 GENERAL_INFO_COLUMNS = (
     "general_info_BoundingBox", "general_info_EnabledImageTypes",
@@ -125,19 +133,6 @@ class RunManifest:
     settings: RunSettings
 
 
-def default_filters(dimensionality: str) -> tuple[FilterSpec, ...]:
-    """The full filter catalog at the given texture dimensionality."""
-    subbands = WAVELET_SUBBANDS_2D if dimensionality == "2D" else WAVELET_SUBBANDS_3D
-    wavelet_kind = (FilterKind.WAVELET_2D if dimensionality == "2D"
-                    else FilterKind.WAVELET_3D)
-    specs = [FilterSpec(FilterKind.ORIGINAL)]
-    specs += [FilterSpec(FilterKind.LOG, sigma_mm=s) for s in LOG_SIGMAS_MM]
-    specs += [FilterSpec(wavelet_kind, subband=b) for b in subbands]
-    specs += [FilterSpec(k) for k in (FilterKind.SQUARE, FilterKind.SQUARE_ROOT,
-                                      FilterKind.LOGARITHM, FilterKind.EXPONENTIAL)]
-    return tuple(specs)
-
-
 def _expand_filter_names(names, dimensionality: str) -> tuple[FilterSpec, ...]:
     subbands = WAVELET_SUBBANDS_2D if dimensionality == "2D" else WAVELET_SUBBANDS_3D
     wavelet_kind = (FilterKind.WAVELET_2D if dimensionality == "2D"
@@ -162,6 +157,11 @@ def _expand_filter_names(names, dimensionality: str) -> tuple[FilterSpec, ...]:
     return tuple(unique)
 
 
+def default_filters(dimensionality: str) -> tuple[FilterSpec, ...]:
+    """The full filter catalog at the given texture dimensionality."""
+    return _expand_filter_names(FILTER_CATALOG, dimensionality)
+
+
 def load_manifest(path) -> RunManifest:
     """Parse and validate a JSON run manifest."""
     path = Path(path)
@@ -177,11 +177,15 @@ def load_manifest(path) -> RunManifest:
         raise ManifestError(f"dimensionality must be 2D or 3D, got {dimensionality!r}")
     modes = tuple(settings_doc.get("normalizationModes", ["none"]))
     for mode in modes:
-        if mode not in NORMALIZATION_MODES:
+        if mode not in NORMALIZATION_CODES:
             raise ManifestError(f"unknown normalization mode {mode!r}")
+    if len(set(modes)) != len(modes):
+        raise ManifestError(f"normalization modes repeat: {list(modes)}")
     bin_widths = tuple(float(w) for w in settings_doc.get("binWidths", [15.0]))
     if any(w <= 0 for w in bin_widths):
         raise ManifestError("bin widths must be > 0")
+    if len(set(bin_widths)) != len(bin_widths):
+        raise ManifestError(f"bin widths repeat: {list(bin_widths)}")
     filter_names = settings_doc.get("filters")
     if filter_names is None:
         filters = default_filters(dimensionality)
@@ -251,10 +255,8 @@ def config_csv_name(image_type: str, normalization: str, bin_width: float,
                     settings: RunSettings) -> str:
     """Filename encoding the configuration cell via its code words."""
     parts = ["FullStudySettings"]
-    if normalization == "none":
-        parts.append("noNormalization")
-    elif normalization == "referenceRegion":
-        parts.append("MuscleRefNorm")
+    if normalization != "wholeImage":
+        parts.append(NORMALIZATION_CODES[normalization])
     parts.append(settings.dimensionality)
     if settings.bias_corrected:
         parts.append("biasCorrected")
@@ -274,69 +276,6 @@ def feature_columns(filters: tuple[FilterSpec, ...]) -> list[str]:
     return columns
 
 
-class _VolumeCache:
-    """Memoizes loaded, normalized, and filtered volumes across tasks.
-
-    All cached transforms are pure functions of immutable inputs, so a
-    duplicated computation under thread contention would be harmless;
-    the lock just avoids wasted work.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._store: dict = {}
-
-    def _get(self, key, compute):
-        with self._lock:
-            if key in self._store:
-                return self._store[key]
-        value = compute()
-        with self._lock:
-            self._store.setdefault(key, value)
-            return self._store[key]
-
-    def image(self, path: Path) -> VolumeGrid:
-        return self._get(("image", str(path)), lambda: read_volume(path))
-
-    def mask(self, path: Path, structure: Structure) -> RoiMask:
-        return self._get(("mask", str(path), structure.value),
-                         lambda: read_mask(path, structure))
-
-    def normalized(self, entry: CohortEntry, mode: str) -> VolumeGrid:
-        def compute():
-            image = self.image(entry.image_path)
-            if mode == "none":
-                return image
-            if mode == "wholeImage":
-                return normalize(image, NormalizationSpec.whole_image())
-            if entry.reference_mask_path is None:
-                from .preprocess import MissingReferenceMask
-                raise MissingReferenceMask(
-                    f"{entry.study}: referenceRegion normalization requires "
-                    "referenceMaskPath"
-                )
-            reference = self.mask(entry.reference_mask_path,
-                                  Structure.MUSCLE_REFERENCE)
-            return normalize(image, NormalizationSpec.reference_region(reference))
-        return self._get(("norm", str(entry.image_path),
-                          str(entry.reference_mask_path), mode), compute)
-
-    def filtered(self, entry: CohortEntry, mode: str,
-                 spec: FilterSpec) -> VolumeGrid:
-        base_key = ("filt", str(entry.image_path), str(entry.reference_mask_path),
-                    mode, spec.name)
-        if spec.kind in (FilterKind.WAVELET_2D, FilterKind.WAVELET_3D):
-            dim = "2D" if spec.kind is FilterKind.WAVELET_2D else "3D"
-            def compute_all():
-                return filter_wavelet(self.normalized(entry, mode), dim)
-            bands = self._get(("wavelet", str(entry.image_path),
-                               str(entry.reference_mask_path), mode, dim),
-                              compute_all)
-            return bands[spec.subband]
-        return self._get(base_key,
-                         lambda: apply_filter(self.normalized(entry, mode), spec))
-
-
 @dataclass
 class ExtractionFailure:
     study: str
@@ -346,27 +285,67 @@ class ExtractionFailure:
     detail: str
 
 
-def _filter_task(cache: _VolumeCache, entry: CohortEntry, mask: RoiMask,
-                 mode: str, spec: FilterSpec, bin_width: float,
-                 dimensionality: str):
-    """Feature values for one (image, mask, filter) cell.
+def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
+    if mode == "none":
+        return image
+    if mode == "wholeImage":
+        return normalize(image, NormalizationSpec.whole_image())
+    if entry.reference_mask_path is None:
+        raise MissingReferenceMask(
+            f"{entry.study}: referenceRegion normalization requires "
+            "referenceMaskPath"
+        )
+    reference = read_mask(entry.reference_mask_path, Structure.MUSCLE_REFERENCE)
+    return normalize(image, NormalizationSpec.reference_region(reference))
+
+
+def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
+                      filters: tuple[FilterSpec, ...]):
+    """Yield (spec, filtered grid or the exception that prevented it).
+
+    Each wavelet kind is transformed once, at the dimensionality its kind
+    names, and hands out all of its subbands.
+    """
+    try:
+        volume = _normalized(image, entry, mode)
+    except Exception as exc:
+        for spec in filters:
+            yield spec, exc
+        return
+    wavelets: dict[str, dict[str, VolumeGrid]] = {}
+    for spec in filters:
+        dim = _WAVELET_DIMS.get(spec.kind)
+        try:
+            if dim is None:
+                filtered = apply_filter(volume, spec)
+            else:
+                if dim not in wavelets:
+                    wavelets[dim] = filter_wavelet(volume, dim)
+                filtered = wavelets[dim][spec.subband]
+        except Exception as exc:
+            filtered = exc
+        yield spec, filtered
+
+
+def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
+                 spec: FilterSpec, bin_width: float, dimensionality: str):
+    """Feature values for one (image, mask, filter, bin width) cell.
 
     Returns (column -> value, failures); a failing feature class blanks
-    its columns and is reported, other classes still compute.
+    its columns and is reported, other classes still compute. A volume
+    that could not be produced blanks and reports all classes.
     """
     values: dict[str, float | None] = {}
     failures: list[ExtractionFailure] = []
 
     def record(exc: Exception, cls: str):
         failures.append(ExtractionFailure(
-            study=entry.study, structure=mask.structure.value,
+            study=study, structure=mask.structure.value,
             filter_name=spec.name, error=type(exc).__name__,
             detail=f"{cls}: {exc}"))
 
-    try:
-        volume = cache.filtered(entry, mode, spec)
-    except Exception as exc:  # filter itself failed: all classes blank
-        record(exc, "all")
+    if isinstance(volume, Exception):
+        record(volume, "all")
         return values, failures
 
     disc_spec = DiscretizationSpec(bin_width)
@@ -402,21 +381,15 @@ def _bounding_box(mask: RoiMask) -> str:
     return " ".join(str(int(v)) for v in (*lo, *hi))
 
 
-def _general_info(entry: CohortEntry, image: VolumeGrid, mask: RoiMask,
-                  mode: str, bin_width: float, settings: RunSettings) -> dict:
-    general_settings = (
-        f"normalization={mode};binWidth={bin_width:g};"
-        f"dimensionality={settings.dimensionality};"
-        f"registeredMasks={str(settings.registered_masks).lower()};"
-        f"biasCorrected={str(settings.bias_corrected).lower()}"
-    )
+def _general_info(image: VolumeGrid, mask: RoiMask,
+                  settings: RunSettings) -> dict:
+    """General info shared by all configuration cells (all but GeneralSettings)."""
     volume_num = int(ndimage.label(mask.labels > 0,
                                    structure=np.ones((3, 3, 3), dtype=bool))[1])
     return {
         "general_info_BoundingBox": _bounding_box(mask),
         "general_info_EnabledImageTypes":
             ";".join(s.name for s in settings.filters),
-        "general_info_GeneralSettings": general_settings,
         "general_info_ImageHash": image.payload_hash(),
         "general_info_ImageSpacing":
             " ".join(format_value(s) for s in image.spacing),
@@ -428,106 +401,126 @@ def _general_info(entry: CohortEntry, image: VolumeGrid, mask: RoiMask,
     }
 
 
+def _general_settings(mode: str, bin_width: float, settings: RunSettings) -> str:
+    return (
+        f"normalization={mode};binWidth={bin_width:g};"
+        f"dimensionality={settings.dimensionality};"
+        f"registeredMasks={str(settings.registered_masks).lower()};"
+        f"biasCorrected={str(settings.bias_corrected).lower()}"
+    )
+
+
+def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
+    """One cohort entry's (mode, bin width) -> (rows, failures).
+
+    The image and masks are read once; shape and general info are computed
+    once per mask and each filter once per mode. A failure that blanks a
+    whole row or filter is recorded once in every cell it blanks.
+    """
+    cells = {(mode, bin_width): ([], [])
+             for mode in settings.normalization_modes
+             for bin_width in settings.bin_widths}
+
+    def fail_row(structure: Structure, exc: Exception):
+        for _, failures in cells.values():
+            failures.append(ExtractionFailure(
+                study=entry.study, structure=structure.value, filter_name="*",
+                error=type(exc).__name__, detail=str(exc)))
+
+    try:
+        image = read_volume(entry.image_path)
+    except Exception as exc:
+        for mask_ref in entry.masks:
+            fail_row(mask_ref.structure, exc)
+        return cells
+    masks: list[RoiMask] = []
+    for mask_ref in entry.masks:
+        try:
+            mask = read_mask(mask_ref.path, mask_ref.structure)
+            if not check_geometry(image, mask):
+                raise GeometryMismatch(
+                    f"mask {mask_ref.path.name} does not match image grid")
+        except Exception as exc:
+            fail_row(mask_ref.structure, exc)
+            continue
+        masks.append(mask)
+
+    for mask in masks:
+        shape, info = {}, None
+        try:
+            shape = {f"original_shape_{name}": v
+                     for (_, name), v in shape_features(mask).entries.items()}
+            info = _general_info(image, mask, settings)
+        except Exception as exc:
+            fail_row(mask.structure, exc)
+        meta = dict(zip(META_COLUMNS, (entry.study, entry.image_path.stem,
+                                       entry.image_type, mask.structure.value)))
+        for (mode, bin_width), (rows, _) in cells.items():
+            row = {**shape, **meta}
+            if info is not None:
+                row.update(info, general_info_GeneralSettings=_general_settings(
+                    mode, bin_width, settings))
+            rows.append(row)
+
+    for mode in settings.normalization_modes:
+        for spec, volume in _filtered_volumes(image, entry, mode,
+                                              settings.filters):
+            for i, mask in enumerate(masks):
+                for bin_width in settings.bin_widths:
+                    rows, failures = cells[(mode, bin_width)]
+                    values, task_failures = _filter_task(
+                        entry.study, volume, mask, spec, bin_width,
+                        settings.dimensionality)
+                    rows[i].update(values)
+                    failures.extend(task_failures)
+    return cells
+
+
 def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
                 ) -> tuple[list[Path], list[ExtractionFailure]]:
     """Run the full configuration matrix; returns (csv paths, failures).
 
-    One CSV per (image type, normalization mode, bin width); rows per
-    (cohort entry, structure) sorted by (study, series, structure).
-    Failures are also written to ``extraction_errors.csv`` when any occur.
+    Works one cohort entry at a time: its image and masks are read once,
+    then each normalization mode, filter, mask and bin width is visited in
+    turn. With ``jobs > 1`` a thread pool extracts that many entries at
+    once, so memory is bounded by ``jobs`` images rather than the cohort.
+    Rows are gathered into one CSV per (image type, normalization mode,
+    bin width) and sorted by (study, series, structure), so the worker
+    count never changes the output bytes. Failures are also written to
+    ``extraction_errors.csv`` when any occur.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     settings = manifest.settings
-    cache = _VolumeCache()
-    all_failures: list[ExtractionFailure] = []
-    csv_paths: list[Path] = []
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_extract_entry, manifest.cohort,
+                                    repeat(settings)))
+    else:
+        results = [_extract_entry(entry, settings) for entry in manifest.cohort]
 
-    image_types = sorted({e.image_type for e in manifest.cohort})
     columns = (list(GENERAL_INFO_COLUMNS) + feature_columns(settings.filters)
                + list(META_COLUMNS))
-
-    for image_type in image_types:
-        entries = [e for e in manifest.cohort if e.image_type == image_type]
-        for mode in settings.normalization_modes:
-            for bin_width in settings.bin_widths:
-                rows, failures = _extract_cell(
-                    cache, entries, mode, bin_width, settings, jobs)
-                all_failures.extend(failures)
-                name = config_csv_name(image_type, mode, bin_width, settings)
-                path = out_dir / name
-                _write_feature_csv(path, columns, rows)
-                csv_paths.append(path)
+    csv_paths: list[Path] = []
+    all_failures: list[ExtractionFailure] = []
+    for image_type, mode, bin_width in product(
+            sorted({e.image_type for e in manifest.cohort}),
+            settings.normalization_modes, settings.bin_widths):
+        rows: list[dict] = []
+        for entry, cells in zip(manifest.cohort, results):
+            if entry.image_type == image_type:
+                cell_rows, failures = cells[(mode, bin_width)]
+                rows += cell_rows
+                all_failures += failures
+        rows.sort(key=lambda row: (row["study"], row["series"],
+                                   row["segmentedStructure"]))
+        path = out_dir / config_csv_name(image_type, mode, bin_width, settings)
+        _write_feature_csv(path, columns, rows)
+        csv_paths.append(path)
 
     if all_failures:
         _write_failures(out_dir / "extraction_errors.csv", all_failures)
     return csv_paths, all_failures
-
-
-def _extract_cell(cache: _VolumeCache, entries: list[CohortEntry], mode: str,
-                  bin_width: float, settings: RunSettings, jobs: int):
-    """All rows of one configuration cell (one output CSV)."""
-    failures: list[ExtractionFailure] = []
-    row_specs = []  # (sort key, entry, mask or None)
-    for entry in entries:
-        for mask_ref in entry.masks:
-            sort_key = (entry.study, entry.image_path.stem,
-                        mask_ref.structure.value)
-            try:
-                image = cache.image(entry.image_path)
-                mask = cache.mask(mask_ref.path, mask_ref.structure)
-                if not check_geometry(image, mask):
-                    raise GeometryMismatch(
-                        f"mask {mask_ref.path.name} does not match image grid")
-            except Exception as exc:
-                failures.append(ExtractionFailure(
-                    study=entry.study, structure=mask_ref.structure.value,
-                    filter_name="*", error=type(exc).__name__, detail=str(exc)))
-                continue
-            row_specs.append((sort_key, entry, mask))
-    row_specs.sort(key=lambda item: item[0])
-
-    tasks = [(i, spec) for i, (_, entry, mask) in enumerate(row_specs)
-             for spec in settings.filters]
-
-    def run_task(task):
-        i, spec = task
-        _, entry, mask = row_specs[i]
-        return i, _filter_task(cache, entry, mask, mode, spec, bin_width,
-                               settings.dimensionality)
-
-    results: dict[int, dict[str, float | None]] = {i: {} for i in
-                                                   range(len(row_specs))}
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run_task, tasks))
-    else:
-        outputs = [run_task(t) for t in tasks]
-    for i, (values, task_failures) in outputs:
-        results[i].update(values)
-        failures.extend(task_failures)
-
-    rows = []
-    for i, (sort_key, entry, mask) in enumerate(row_specs):
-        study, series, structure = sort_key
-        row = dict(results[i])
-        try:
-            shape_map = shape_features(mask)
-            for (_, name), v in shape_map.entries.items():
-                row[f"original_shape_{name}"] = v
-            image = cache.image(entry.image_path)
-            row.update(_general_info(entry, image, mask, mode, bin_width,
-                                     settings))
-        except Exception as exc:
-            failures.append(ExtractionFailure(
-                study=study, structure=structure, filter_name="*",
-                error=type(exc).__name__, detail=str(exc)))
-        row["study"] = study
-        row["series"] = series
-        row["canonicalType"] = entry.image_type
-        row["segmentedStructure"] = structure
-        rows.append(row)
-    return rows, failures
 
 
 def _write_feature_csv(path: Path, columns: list[str], rows: list[dict]):
@@ -641,11 +634,8 @@ class ParsedConfig:
 def parse_config_from_name(path) -> ParsedConfig:
     stem = Path(path).stem
     tokens = stem.split("_")
-    normalization = "wholeImage"
-    if "noNormalization" in tokens:
-        normalization = "none"
-    elif "MuscleRefNorm" in tokens:
-        normalization = "referenceRegion"
+    normalization = next((mode for mode, code in NORMALIZATION_CODES.items()
+                          if code in tokens), "wholeImage")
     dimensionality = "2D" if ("2D" in tokens or "2d" in tokens) else "3D"
     bin_width = None
     image_type = None
@@ -819,9 +809,7 @@ def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:
             continue
         image_type, normalization, dimensionality, registered = group
         code = "_".join([
-            image_type,
-            {"none": "noNormalization", "wholeImage": "wholeImageNorm",
-             "referenceRegion": "MuscleRefNorm"}[normalization],
+            image_type, NORMALIZATION_CODES[normalization],
             dimensionality] + (["TP2Registered"] if registered else []))
 
         feature_sets = [set(t.rows) for _, t in by_width.values()]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from . import RadrepError
-from .volume_io import RoiMask, VolumeGrid, check_geometry
+from .volume_io import GeometryMismatch, RoiMask, VolumeGrid, check_geometry
 
 LOG_SIGMAS_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
 WAVELET_SUBBANDS_2D = ("LL", "LH", "HL", "HH")
@@ -176,7 +176,6 @@ def normalize(volume: VolumeGrid, spec: NormalizationSpec) -> VolumeGrid:
         if spec.reference_mask is None:
             raise MissingReferenceMask("reference mask required")
         if not check_geometry(volume, spec.reference_mask):
-            from .discretize import GeometryMismatch
             raise GeometryMismatch(
                 f"reference mask grid {spec.reference_mask.dims} does not "
                 f"match the volume grid {volume.dims}")

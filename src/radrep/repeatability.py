@@ -108,16 +108,6 @@ class ConfigKey:
     dimensionality: str
     registered: bool = False
 
-    def code(self) -> str:
-        norm = {"none": "noNormalization",
-                "wholeImage": "wholeImageNorm",
-                "referenceRegion": "MuscleRefNorm"}[self.normalization]
-        parts = [self.image_type, self.structure, norm, self.dimensionality,
-                 f"bin{self.bin_width:g}"]
-        if self.registered:
-            parts.append("TP2Registered")
-        return "_".join(parts)
-
 
 @dataclass(frozen=True)
 class SubjectRow:

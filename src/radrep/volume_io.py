@@ -62,6 +62,10 @@ class EmptyMask(VolumeIoError):
     """A mask contains no labeled voxel."""
 
 
+class GeometryMismatch(VolumeIoError):
+    """Image and mask grids disagree in dims or spacing."""
+
+
 class NonBinaryLabel(VolumeIoError):
     """A mask payload contains values outside {0, 1}."""
 

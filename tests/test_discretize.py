@@ -80,8 +80,8 @@ def test_geometry_mismatch():
 
 
 def test_empty_mask_unreachable_via_constructor():
-    # RoiMask itself refuses empty masks; the discretizer re-raises its
-    # own EmptyMask only for masks emptied through other channels
+    # RoiMask itself refuses empty masks; the discretizer raises the same
+    # EmptyMask only for masks emptied through other channels
     from radrep import volume_io
     with pytest.raises(volume_io.EmptyMask):
         make_mask(np.zeros((2, 2, 2)))

@@ -51,6 +51,19 @@ def test_manifest_rejects_unknown_mode(tmp_path):
         load_manifest(manifest_path)
 
 
+@pytest.mark.parametrize("settings", [
+    {"normalizationModes": ["none", "wholeImage", "none"]},
+    {"binWidths": [10, 10.0]},
+])
+def test_manifest_rejects_repeated_cells(tmp_path, settings):
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    doc["settings"].update(settings)
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError):
+        load_manifest(manifest_path)
+
+
 def test_manifest_default_filter_catalog(tmp_path):
     manifest_path = build_cohort(tmp_path, n_subjects=1)
     doc = json.loads(manifest_path.read_text())
@@ -113,15 +126,50 @@ def test_extraction_deterministic(tmp_path):
 
 
 def test_extraction_parallel_matches_serial(tmp_path):
-    settings = {"normalizationModes": ["none"], "binWidths": [15],
-                "dimensionality": "2D",
-                "filters": ["original", "wavelet", "square"]}
-    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
-                                          settings=settings))
-    serial, _ = extract_run(manifest, tmp_path / "serial", jobs=1)
+    from radrep.volume_io import write_nrrd
+    settings = {"normalizationModes": ["none", "wholeImage", "referenceRegion"],
+                "binWidths": [10, 20], "dimensionality": "2D"}
+    manifest_path = build_cohort(tmp_path / "in", n_subjects=2,
+                                 settings=settings, with_reference=True)
+    labels = np.zeros((4, 4, 2))
+    labels[1, 1, 1] = 1
+    write_nrrd(tmp_path / "in" / "sub01_tp1_Tumor.nrrd", labels, (1, 1, 3),
+               dtype="short")
+    manifest = load_manifest(manifest_path)
+    serial, failures = extract_run(manifest, tmp_path / "serial", jobs=1)
     parallel, _ = extract_run(manifest, tmp_path / "parallel", jobs=4)
-    for a, b in zip(serial, parallel):
+    assert len(serial) == 6
+    assert any(f.error == "GeometryMismatch" for f in failures)
+    for a, b in zip(serial + [tmp_path / "serial" / "extraction_errors.csv"],
+                    parallel + [tmp_path / "parallel" / "extraction_errors.csv"]):
+        assert a.name == b.name
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
+    import radrep.pipeline
+    calls = {"read_volume": 0, "shape_features": 0}
+
+    def counting(name):
+        original = getattr(radrep.pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(radrep.pipeline, name, counting(name))
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [10, 20], "dimensionality": "2D",
+                "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                          settings=settings,
+                                          structures=("Tumor", "WholeGland")))
+    csv_paths, failures = extract_run(manifest, tmp_path / "out")
+    assert not failures and len(csv_paths) == 4
+    entries = len(manifest.cohort)
+    assert calls == {"read_volume": entries, "shape_features": 2 * entries}
 
 
 def test_configuration_matrix_filenames(tmp_path):
