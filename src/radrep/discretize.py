@@ -3,8 +3,11 @@
 Binning considers only intensities inside the region of interest; bin
 edges are anchored at the ROI minimum, which makes the resulting levels
 invariant to global intensity shifts (and to shifts by integer multiples
-of the bin width). Out-of-ROI voxels get level 0 and never influence the
-level range.
+of the bin width). The level grid covers only the ROI's bounding box;
+out-of-ROI voxels inside the box get level 0 and never influence the
+level range. Level 0 ends runs, pairs and zones just as the box edge
+does, so texture matrices built on the box equal those built on the
+whole image.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volume_io import (EmptyMask, GeometryMismatch, RoiMask, VolumeGrid,
-                        check_geometry)
+from .volume_io import GeometryMismatch, RoiMask, VolumeGrid, check_geometry
 
 # Texture analysis guidance: keep the gray-level count in [8, 128].
 GRAY_LEVEL_COUNT_RANGE = (8, 128)
@@ -38,7 +40,10 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class DiscretizedRoi:
-    """Integer gray-level grid: 0 outside the ROI, 1..Ng inside."""
+    """Integer gray-level grid over the ROI bounding box.
+
+    ``levels`` (shape ``dims``) holds 0 outside the ROI and 1..Ng inside.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
@@ -62,21 +67,21 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     The ROI maximum maps into the top occupied bin, so
     Ng == floor((max - min)/width) + 1 exactly and no phantom overflow
     level is created. Emits :class:`GrayLevelCountWarning` when Ng falls
-    outside [8, 128].
+    outside [8, 128]. The returned grid is cropped to the mask's
+    :attr:`~radrep.volume_io.RoiMask.bounding_box`.
     """
     if not check_geometry(volume, mask):
         raise GeometryMismatch(
             f"image {volume.dims}/{volume.spacing} vs mask {mask.dims}/{mask.spacing}"
         )
-    inside = mask.labels > 0
-    if not inside.any():
-        raise EmptyMask("mask selects no voxel")
-    roi_values = volume.values[inside]
+    box = mask.bounding_box
+    inside = mask.labels[box] > 0
+    roi_values = volume.values[box][inside]
     roi_min = float(roi_values.min())
     roi_max = float(roi_values.max())
     width = spec.bin_width
     ng = int(np.floor((roi_max - roi_min) / width)) + 1
-    levels = np.zeros(volume.dims, dtype=np.int32)
+    levels = np.zeros(inside.shape, dtype=np.int32)
     binned = np.floor((roi_values - roi_min) / width).astype(np.int64) + 1
     levels[inside] = np.minimum(binned, ng)
     lo, hi = GRAY_LEVEL_COUNT_RANGE
@@ -88,7 +93,7 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
             stacklevel=2,
         )
     return DiscretizedRoi(
-        dims=volume.dims,
+        dims=levels.shape,
         spacing=volume.spacing,
         levels=levels,
         num_gray_levels=ng,

@@ -22,6 +22,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -374,20 +375,15 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
     return values, failures
 
 
-def _bounding_box(mask: RoiMask) -> str:
-    idx = np.argwhere(mask.labels > 0)
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    return " ".join(str(int(v)) for v in (*lo, *hi))
-
-
 def _general_info(image: VolumeGrid, mask: RoiMask,
                   settings: RunSettings) -> dict:
     """General info shared by all configuration cells (all but GeneralSettings)."""
     volume_num = int(ndimage.label(mask.labels > 0,
                                    structure=np.ones((3, 3, 3), dtype=bool))[1])
+    box = mask.bounding_box
     return {
-        "general_info_BoundingBox": _bounding_box(mask),
+        "general_info_BoundingBox": " ".join(
+            str(v) for v in (*(s.start for s in box), *(s.stop - 1 for s in box))),
         "general_info_EnabledImageTypes":
             ";".join(s.name for s in settings.filters),
         "general_info_ImageHash": image.payload_hash(),
@@ -658,7 +654,10 @@ _INFO_PREFIXES = ("general_info_", "diagnostics_")
 
 def read_feature_csv(path, timepoint_map: dict | None = None,
                      ) -> dict[str, list[SubjectRow]]:
-    """Parse an extraction CSV into rows grouped by structure."""
+    """Parse an extraction CSV into rows grouped by structure.
+
+    Empty cells become None; a NaN or infinite cell raises SchemaMismatch.
+    """
     by_structure: dict[str, list[SubjectRow]] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -683,7 +682,14 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
             values: dict[str, float | None] = {}
             for column in feature_cols:
                 cell = record[column]
-                values[column] = float(cell) if cell not in ("", None) else None
+                if cell in ("", None):
+                    values[column] = None
+                    continue
+                value = values[column] = float(cell)
+                if not isfinite(value):
+                    raise SchemaMismatch(
+                        f"{path}: study {record['study']!r}, column {column!r}: "
+                        f"non-finite value {cell!r}")
             structure = record.get("segmentedStructure", "")
             by_structure.setdefault(structure, []).append(
                 SubjectRow(subject=subject, timepoint=timepoint, values=values))

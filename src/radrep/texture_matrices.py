@@ -210,41 +210,30 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> GlrlMatrix:
     )
 
 
-def _zone_sizes(binary: np.ndarray, structure: np.ndarray) -> list[int]:
-    labeled, n = ndimage.label(binary, structure=structure)
-    if n == 0:
-        return []
-    return ndimage.sum_labels(
-        np.ones_like(labeled), labeled, index=np.arange(1, n + 1)
-    ).astype(np.int64).tolist()
-
-
 def build_glszm(disc: DiscretizedRoi, dim: str) -> GlszMatrix:
     """Size-zone matrix: connected zones of equal nonzero level.
 
     Connectivity is 26-neighborhood in 3D and 8-neighborhood per axial
-    slice in 2D (slices are independent).
+    slice in 2D (slices are independent: the 2D structure's two outer
+    slice planes are empty). One labeling runs per level present in the
+    grid; absent levels keep all-zero rows.
     """
-    if dim not in ("2D", "3D"):
-        raise ValueError("dim must be '2D' or '3D'")
-    ng = disc.num_gray_levels
-    sizes_per_level: list[list[int]] = []
     if dim == "3D":
         structure = np.ones((3, 3, 3), dtype=bool)
-        for level in range(1, ng + 1):
-            sizes_per_level.append(_zone_sizes(disc.levels == level, structure))
+    elif dim == "2D":
+        structure = np.zeros((3, 3, 3), dtype=bool)
+        structure[:, :, 1] = True
     else:
-        structure = np.ones((3, 3), dtype=bool)
-        for level in range(1, ng + 1):
-            sizes: list[int] = []
-            for k in range(disc.dims[2]):
-                sizes.extend(_zone_sizes(disc.levels[:, :, k] == level, structure))
-            sizes_per_level.append(sizes)
-    max_size = max((max(s) for s in sizes_per_level if s), default=1)
+        raise ValueError("dim must be '2D' or '3D'")
+    ng = disc.num_gray_levels
+    zone_sizes = {}
+    for level in np.unique(disc.levels[disc.levels > 0]):
+        labeled, _ = ndimage.label(disc.levels == level, structure=structure)
+        zone_sizes[level] = np.bincount(labeled.ravel())[1:]
+    max_size = max((int(s.max()) for s in zone_sizes.values()), default=1)
     counts = np.zeros((ng, max_size), dtype=np.int64)
-    for level_index, sizes in enumerate(sizes_per_level):
-        for s in sizes:
-            counts[level_index, s - 1] += 1
+    for level, sizes in zone_sizes.items():
+        np.add.at(counts[level - 1], sizes - 1, 1)
     return GlszMatrix(
         ng=ng,
         max_zone_size=max_size,

@@ -130,6 +130,14 @@ class RoiMask:
     def voxel_count(self) -> int:
         return int(np.count_nonzero(self.labels))
 
+    @property
+    def bounding_box(self) -> tuple[slice, slice, slice]:
+        """Per-axis slices of the smallest box that holds every labeled voxel."""
+        index = np.nonzero(self.labels)
+        if index[0].size == 0:
+            raise EmptyMask("mask selects no voxel")
+        return tuple(slice(int(i.min()), int(i.max()) + 1) for i in index)
+
     def payload_hash(self) -> str:
         return hashlib.sha256(
             np.asfortranarray(self.labels).astype(np.uint8).tobytes(order="F")

@@ -49,6 +49,29 @@ def random_levels(rng, shape, ng, roi_fraction=0.8):
     return levels
 
 
+def crop_masks(rng, shape):
+    """Masks for crop-equivalence checks, as boolean grids of ``shape``.
+
+    A sparse random mask, one touching every grid face, a block with
+    holes, a single voxel and the whole grid.
+    """
+    sparse = rng.random(shape) < 0.3
+    sparse.flat[rng.integers(sparse.size)] = True
+    faces = rng.random(shape) < 0.2
+    for axis, n in enumerate(shape):
+        for end in (0, n - 1):
+            voxel = [int(rng.integers(m)) for m in shape]
+            voxel[axis] = end
+            faces[tuple(voxel)] = True
+    block = tuple(slice(1, n - 1) if n > 2 else slice(None) for n in shape)
+    holed = np.zeros(shape, dtype=bool)
+    holed[block] = rng.random(holed[block].shape) < 0.7
+    holed[tuple(s.start or 0 for s in block)] = True
+    single = np.zeros(shape, dtype=bool)
+    single[tuple(int(rng.integers(n)) for n in shape)] = True
+    return [sparse, faces, holed, single, np.ones(shape, dtype=bool)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

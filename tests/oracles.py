@@ -13,6 +13,19 @@ from collections import deque
 import numpy as np
 
 
+def brute_levels(values: np.ndarray, labels: np.ndarray,
+                 width: float) -> np.ndarray:
+    """Full-grid gray levels voxel by voxel: 0 outside the mask."""
+    inside = [float(v) for v, m in zip(values.flat, labels.flat) if m]
+    lo, hi = min(inside), max(inside)
+    ng = math.floor((hi - lo) / width) + 1
+    levels = np.zeros(values.shape, dtype=np.int64)
+    for index in np.ndindex(values.shape):
+        if labels[index]:
+            levels[index] = min(math.floor((values[index] - lo) / width) + 1, ng)
+    return levels
+
+
 def brute_glcm(levels: np.ndarray, offsets) -> np.ndarray:
     """Symmetrized co-occurrence probabilities by exhaustive pair listing."""
     ng = int(levels.max())

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from radrep.discretize import (DiscretizationSpec, GeometryMismatch,
                                GrayLevelCountWarning, discretize_roi)
 
-from conftest import make_mask, make_volume
+from conftest import crop_masks, make_mask, make_volume
+from oracles import brute_levels
 
 
 def disc_of(values, labels, width):
@@ -51,11 +52,31 @@ def test_warning_outside_recommended_range():
 
 
 def test_out_of_roi_levels_are_zero():
-    values = np.array([100.0, 1.0, 2.0, -50.0])
-    labels = np.array([0, 1, 1, 0])
+    # the grid covers the mask's bounding box [1, 4); the gap at 2 lies
+    # inside it, the extremes at 0 and 4 outside it
+    values = np.array([100.0, 1.0, -50.0, 2.0, 500.0])
+    labels = np.array([0, 1, 0, 1, 0])
     disc = disc_of(values, labels, 1.0)
-    assert disc.levels.ravel().tolist() == [0, 1, 2, 0]
+    assert disc.dims == (3, 1, 1)
+    assert disc.levels.ravel().tolist() == [1, 0, 2]
     assert disc.roi_min == 1.0 and disc.roi_max == 2.0
+    assert disc.num_gray_levels == 2
+
+
+@pytest.mark.parametrize("shape", [(7, 6, 1), (7, 6, 3), (6, 5, 4)])
+def test_levels_equal_full_grid_reference_cropped_to_box(rng, shape):
+    for _ in range(4):
+        values = rng.normal(size=shape) * 30 + 100
+        for labels in crop_masks(rng, shape):
+            disc = disc_of(values, labels, 7.0)
+            full = brute_levels(values, labels, 7.0)
+            index = np.argwhere(labels)
+            box = tuple(slice(lo, hi + 1)
+                        for lo, hi in zip(index.min(axis=0), index.max(axis=0)))
+            assert disc.dims == full[box].shape
+            assert np.array_equal(disc.levels, full[box])
+            assert disc.num_gray_levels == full.max()
+            assert disc.num_roi_voxels == np.count_nonzero(labels)
 
 
 def test_out_of_roi_tampering_changes_nothing(rng):
@@ -80,8 +101,9 @@ def test_geometry_mismatch():
 
 
 def test_empty_mask_unreachable_via_constructor():
-    # RoiMask itself refuses empty masks; the discretizer raises the same
-    # EmptyMask only for masks emptied through other channels
+    # RoiMask itself refuses empty masks; its bounding_box, which the
+    # discretizer crops to, raises the same EmptyMask only for masks
+    # emptied through other channels
     from radrep import volume_io
     with pytest.raises(volume_io.EmptyMask):
         make_mask(np.zeros((2, 2, 2)))

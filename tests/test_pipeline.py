@@ -9,7 +9,7 @@ from radrep.features import FEATURE_ROSTER
 from radrep.pipeline import (ManifestError, SchemaMismatch, analyze_run,
                              extract_run, load_manifest,
                              parse_config_from_name, plotdata_run,
-                             validate_feature_csv)
+                             read_feature_csv, validate_feature_csv)
 from radrep.repeatability import InsufficientSubjects
 
 from cohorts import build_cohort
@@ -114,6 +114,15 @@ def test_rows_sorted_and_meta_populated(tmp_path):
     assert all(r["general_info_VoxelNum"] for r in rows)
     assert all(r["general_info_ImageHash"] != r["general_info_MaskHash"]
                for r in rows)
+    # inclusive "lo_x lo_y lo_z hi_x hi_y hi_z" of each subject's block mask
+    boxes = {("sub00", "Tumor"): "1 1 1 3 3 3",
+             ("sub00", "WholeGland"): "2 1 1 4 3 3",
+             ("sub01", "Tumor"): "1 1 1 4 4 4",
+             ("sub01", "WholeGland"): "2 1 1 5 4 4"}
+    for r in rows:
+        subject = r["study"].split("_")[0]
+        assert r["general_info_BoundingBox"] == \
+            boxes[(subject, r["segmentedStructure"])]
 
 
 def test_extraction_deterministic(tmp_path):
@@ -445,6 +454,25 @@ def test_analyze_rejects_unknown_columns(tmp_path):
 def test_analyze_rejects_missing_study_column(tmp_path):
     bad = tmp_path / "FullStudySettings_noNormalization_2D_T2AX_bin15.csv"
     bad.write_text("general_info_VoxelNum,original_shape_Volume\n1,2.0\n")
+    with pytest.raises(SchemaMismatch):
+        analyze_run([bad], tmp_path / "reports")
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_analyze_rejects_non_finite_cells(tmp_path, cell):
+    bad = tmp_path / "FullStudySettings_noNormalization_2D_T2AX_bin15.csv"
+    rows = ["general_info_VoxelNum,original_shape_Volume,original_glcm_Contrast,"
+            "study,series,canonicalType,segmentedStructure"]
+    for subject in range(3):
+        for tp in (1, 2):
+            contrast = cell if (subject, tp) == (1, 2) else "0.5"
+            rows.append(f"8,{8 + subject},{contrast},"
+                        f"sub{subject:02d}_tp{tp},s,T2AX,Tumor")
+    bad.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SchemaMismatch) as info:
+        read_feature_csv(bad)
+    for name in (str(bad), "sub01_tp2", "original_glcm_Contrast"):
+        assert name in str(info.value)
     with pytest.raises(SchemaMismatch):
         analyze_run([bad], tmp_path / "reports")
 

@@ -4,8 +4,10 @@ import pytest
 from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
                                      build_glcm, build_glrlm, build_glszm)
 
-from conftest import make_disc, random_levels
-from oracles import brute_glcm, brute_glrlm, brute_glszm
+from radrep.discretize import DiscretizationSpec, discretize_roi
+
+from conftest import crop_masks, make_disc, make_mask, make_volume, random_levels
+from oracles import brute_glcm, brute_glrlm, brute_glszm, brute_levels
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +68,6 @@ def test_glcm_symmetry_and_mass(rng):
 def test_glcm_invariant_to_out_of_roi_intensities(rng):
     # end-to-end: whatever intensity the out-of-ROI voxels carry, the
     # discretized levels there are 0 and the GLCM cannot see them
-    from radrep.discretize import DiscretizationSpec, discretize_roi
-    from conftest import make_mask, make_volume
-
     values = rng.normal(size=(5, 5, 2)) * 20
     labels = (rng.random((5, 5, 2)) < 0.6).astype(np.uint8)
     labels[2, 2, 0] = 1
@@ -174,6 +173,32 @@ def test_glszm_matches_bruteforce_2d(rng):
         assert np.array_equal(glszm.counts, expected)
 
 
+def test_glszm_absent_middle_level_keeps_zero_row():
+    values = np.zeros((4, 3, 2))
+    values[2:, :, 1] = 25.0
+    disc = discretize_roi(make_volume(values), make_mask(np.ones(values.shape)),
+                          DiscretizationSpec(10.0))
+    assert disc.num_gray_levels == 3
+    assert set(np.unique(disc.levels).tolist()) == {1, 3}
+    for dim in ("2D", "3D"):
+        glszm = build_glszm(disc, dim)
+        assert np.array_equal(glszm.counts, brute_glszm(disc.levels, dim))
+        assert not glszm.counts[1].any()
+
+
+def test_glszm_2d_keeps_adjacent_slices_apart():
+    levels = np.zeros((3, 3, 3), dtype=np.int32)
+    levels[1, 1, :] = 2
+    levels[0, 0, 1] = 1
+    disc = make_disc(levels)
+    glszm_2d = build_glszm(disc, "2D")
+    assert glszm_2d.counts[1].tolist() == [3]  # three one-voxel zones
+    assert np.array_equal(glszm_2d.counts, brute_glszm(levels, "2D"))
+    glszm_3d = build_glszm(disc, "3D")
+    assert glszm_3d.counts[1].tolist() == [0, 0, 1]
+    assert glszm_3d.counts[0].tolist() == [1, 0, 0]
+
+
 def test_glszm_voxel_conservation(rng):
     for dim in ("2D", "3D"):
         levels = random_levels(rng, (6, 5, 3), ng=4)
@@ -201,3 +226,47 @@ def test_single_slice_2d_equals_3d(rng):
     glrlm_2d = build_glrlm(disc, "2D")
     glrlm_3d_restricted = build_glrlm(disc, "3D", directions=OFFSETS_2D)
     assert np.array_equal(glrlm_2d.counts, glrlm_3d_restricted.counts)
+
+
+# ---------------------------------------------------------------------------
+# Builders on the bounding-box crop of discretize_roi
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim, shape", [("2D", (7, 6, 3)), ("3D", (6, 5, 4))])
+def test_cropped_builders_match_full_grid_oracles(rng, dim, shape):
+    offsets = OFFSETS_2D if dim == "2D" else OFFSETS_3D
+    for _ in range(3):
+        values = rng.normal(size=shape) * 30
+        for labels in crop_masks(rng, shape):
+            disc = discretize_roi(make_volume(values), make_mask(labels),
+                                  DiscretizationSpec(7.0))
+            full = brute_levels(values, labels, 7.0)
+            pairs = brute_glcm(full, offsets)
+            if pairs.any():
+                assert np.array_equal(build_glcm(disc, dim).probs,
+                                      pairs / pairs.sum())
+            else:
+                with pytest.raises(NoValidPairs):
+                    build_glcm(disc, dim)
+            assert np.array_equal(build_glrlm(disc, dim).counts,
+                                  brute_glrlm(full, offsets))
+            assert np.array_equal(build_glszm(disc, dim).counts,
+                                  brute_glszm(full, dim))
+
+
+def test_small_roi_builders_work_on_the_crop(rng):
+    values = rng.normal(size=(64, 64, 16)) * 30
+    labels = np.zeros(values.shape, dtype=np.uint8)
+    labels[30:35, 10:14, 7:10] = rng.random((5, 4, 3)) < 0.8
+    labels[30, 10, 7] = labels[34, 13, 9] = 1
+    disc = discretize_roi(make_volume(values), make_mask(labels),
+                          DiscretizationSpec(10.0))
+    assert disc.levels.shape == (5, 4, 3)
+    full = make_disc(brute_levels(values, labels, 10.0))
+    for dim in ("2D", "3D"):
+        assert np.array_equal(build_glcm(disc, dim).probs,
+                              build_glcm(full, dim).probs)
+        assert np.array_equal(build_glrlm(disc, dim).counts,
+                              build_glrlm(full, dim).counts)
+        assert np.array_equal(build_glszm(disc, dim).counts,
+                              build_glszm(full, dim).counts)
