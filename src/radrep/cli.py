@@ -26,21 +26,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for extraction")
     parser = _Parser(prog="radrep",
                      description="Radiomics extraction and test-retest "
                                  "repeatability analysis")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    cmd = commands.add_parser("extract", parents=[shared],
-                              help="run the extraction matrix")
+    cmd = commands.add_parser("extract", help="run the extraction matrix")
     cmd.add_argument("--manifest", required=True, help="run manifest JSON")
     cmd.add_argument("--out", required=True, help="output directory for CSVs")
+    cmd.add_argument("--jobs", type=int, default=1,
+                     help="parallel workers for extraction")
 
-    cmd = commands.add_parser("analyze", parents=[shared],
-                              help="compute repeatability reports")
+    cmd = commands.add_parser("analyze", help="compute repeatability reports")
     cmd.add_argument("--in", dest="inputs", required=True,
                      help="glob of extraction CSVs")
     cmd.add_argument("--reference", default="original_shape_Volume",
@@ -53,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON mapping study -> [subject, timepoint] for "
                           "CSVs whose study column is not '<subject>_tp<N>'")
 
-    cmd = commands.add_parser("plotdata", parents=[shared],
-                              help="emit plot-ready CSVs")
+    cmd = commands.add_parser("plotdata", help="emit plot-ready CSVs")
     cmd.add_argument("--in", dest="inputs", required=True,
                      help="analysis report directory")
     cmd.add_argument("--out", required=True, help="plot-data directory")

@@ -22,7 +22,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
-from math import isfinite
+from math import isfinite, nan
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ from .preprocess import (LOG_SIGMAS_MM, WAVELET_SUBBANDS_2D,
                          apply_filter, filter_wavelet, normalize)
 from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             DegenerateSamples, InsufficientFeatures,
-                            InsufficientSubjects, MIN_SUBJECTS,
                             RepeatabilityTable, SubjectRow, binwidth_spread,
                             build_table, config_delta, filter_frequency, kde,
                             rank_distribution, split_feature_key,
@@ -656,7 +655,8 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
                      ) -> dict[str, list[SubjectRow]]:
     """Parse an extraction CSV into rows grouped by structure.
 
-    Empty cells become None; a NaN or infinite cell raises SchemaMismatch.
+    Empty cells become None; a cell that is not a finite number raises
+    SchemaMismatch.
     """
     by_structure: dict[str, list[SubjectRow]] = {}
     with open(path, newline="") as handle:
@@ -685,28 +685,18 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
                 if cell in ("", None):
                     values[column] = None
                     continue
-                value = values[column] = float(cell)
+                try:
+                    value = values[column] = float(cell)
+                except ValueError:
+                    value = nan
                 if not isfinite(value):
                     raise SchemaMismatch(
                         f"{path}: study {record['study']!r}, column {column!r}: "
-                        f"non-finite value {cell!r}")
+                        f"{cell!r} is not a finite number")
             structure = record.get("segmentedStructure", "")
             by_structure.setdefault(structure, []).append(
                 SubjectRow(subject=subject, timepoint=timepoint, values=values))
     return by_structure
-
-
-def _check_cohort_size(rows: list[SubjectRow], context: str):
-    complete = {
-        subject
-        for subject in {r.subject for r in rows}
-        if {r.timepoint for r in rows if r.subject == subject} >= {1, 2}
-    }
-    if len(complete) < MIN_SUBJECTS:
-        raise InsufficientSubjects(
-            f"{context}: {len(complete)} subject(s) with both timepoints; "
-            f"need >= {MIN_SUBJECTS}"
-        )
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -761,7 +751,6 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
         config = parse_config_from_name(path)
         configs[config.stem] = config
         for structure, rows in sorted(read_feature_csv(path, timepoint_map).items()):
-            _check_cohort_size(rows, f"{config.stem}/{structure}")
             table = build_table(rows, config.key(structure),
                                 reference_feature=reference)
             tables[(config.stem, structure)] = table

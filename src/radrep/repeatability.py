@@ -8,9 +8,11 @@ features are judged against the Volume ICC of the same image/structure
 rather than against absolute thresholds.
 
 Analyses operate on :class:`RepeatabilityTable` objects keyed by full
-feature-column names (``[filter]_[class]_[name]``). Subjects with an
-undefined value for a feature are dropped for that feature only; the
-retained subject count is reported alongside every ICC.
+feature-column names (``[filter]_[class]_[name]``), each computed from
+one (features, subjects, 2) array with NaN for undefined cells; a subject
+with an undefined value is dropped for that feature only, and the retained
+count is reported alongside every ICC. ``build_table`` itself rejects a
+cohort with fewer than 3 subjects at both timepoints.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import RadrepError
+from .features import FEATURE_CLASSES
 
 VOLUME_REFERENCE_FEATURE = "original_shape_Volume"
 MIN_SUBJECTS = 3
@@ -80,21 +83,32 @@ class IccResult:
     n: int
 
 
-def icc_1_1(data: PairedMeasurements) -> IccResult:
-    """One-way random-effects single-measurement ICC for two timepoints.
+def _icc_columns(y: np.ndarray) -> list[IccResult | None]:
+    """ICC(1,1) per feature of a C-contiguous (features, n, 2) array.
 
     BMS = k * sum_i (mean_i - grand)^2 / (n - 1) and
-    WMS = sum_ij (y_ij - mean_i)^2 / (n * (k - 1)) with k = 2.
+    WMS = sum_ij (y_ij - mean_i)^2 / (n * (k - 1)) with k = 2, each sum
+    along a contiguous last axis so that numpy's summation order does not
+    depend on the feature count. None marks all-identical values (0/0).
     """
-    y = np.array([[v1, v2] for _, v1, v2 in data.subjects], dtype=np.float64)
-    n, k = y.shape
-    subject_means = y.mean(axis=1)
-    grand_mean = y.mean()
-    bms = k * float(np.sum((subject_means - grand_mean) ** 2)) / (n - 1)
-    wms = float(np.sum((y - subject_means[:, None]) ** 2)) / (n * (k - 1))
-    if bms + wms == 0.0:
+    m, n, k = y.shape
+    subject_means = y.mean(axis=2)
+    grand_means = y.reshape(m, n * k).mean(axis=1)
+    bms = k * ((subject_means - grand_means[:, None]) ** 2).sum(axis=1) / (n - 1)
+    wms = ((y - subject_means[:, :, None]) ** 2).reshape(m, n * k).sum(
+        axis=1) / (n * (k - 1))
+    return [None if b + w == 0.0
+            else IccResult(icc=(b - w) / (b + w), bms=b, wms=w, n=n)
+            for b, w in zip(bms.tolist(), wms.tolist())]
+
+
+def icc_1_1(data: PairedMeasurements) -> IccResult:
+    """One-way random-effects single-measurement ICC for two timepoints."""
+    y = np.array([[[v1, v2] for _, v1, v2 in data.subjects]], dtype=np.float64)
+    [result] = _icc_columns(y)
+    if result is None:
         raise DegenerateData("all measurements identical; ICC undefined")
-    return IccResult(icc=(bms - wms) / (bms + wms), bms=bms, wms=wms, n=n)
+    return result
 
 
 @dataclass(frozen=True)
@@ -133,55 +147,60 @@ class RepeatabilityTable:
     dropped: dict[str, str] = field(default_factory=dict)
 
 
-def _feature_pairs(rows: list[SubjectRow], feature: str):
-    by_subject: dict[str, dict[int, float | None]] = {}
-    for row in rows:
-        by_subject.setdefault(row.subject, {})[row.timepoint] = row.values.get(feature)
-    pairs = []
-    for subject in sorted(by_subject):
-        tps = by_subject[subject]
-        v1, v2 = tps.get(1), tps.get(2)
-        if v1 is not None and v2 is not None:
-            pairs.append((subject, float(v1), float(v2)))
-    return pairs
-
-
 def build_table(rows: list[SubjectRow], key: ConfigKey,
                 reference_feature: str = VOLUME_REFERENCE_FEATURE,
                 ) -> RepeatabilityTable:
     """Compute one ICC per feature column and attach the Volume reference.
 
-    Subjects missing either timepoint, or with an undefined value at
-    either timepoint, are dropped for that feature only; the retained n
-    is recorded in each result.
+    Raises InsufficientSubjects below 3 subjects with rows at both
+    timepoints. Subjects with an undefined value are dropped for that
+    feature only; features with the same retained subjects share one ICC
+    computation.
     """
     features: list[str] = sorted({f for row in rows for f in row.values})
-    if reference_feature not in features:
-        raise MissingVolumeReference(
-            f"reference feature {reference_feature!r} not among extracted columns"
-        )
+    subjects = {s: i for i, s in enumerate(sorted({r.subject for r in rows}))}
+    y = np.full((len(features), len(subjects), 2), np.nan)
+    present = np.zeros((len(subjects), 2), dtype=bool)
+    for row in rows:
+        if row.timepoint in (1, 2):
+            cell = subjects[row.subject], row.timepoint - 1
+            y[:, cell[0], cell[1]] = [row.values.get(f) for f in features]
+            present[cell] = True
+    complete = int(present.all(axis=1).sum())
+    if complete < MIN_SUBJECTS:
+        raise InsufficientSubjects(f"{key}: {complete} subject(s) with both "
+                                   f"timepoints; need >= {MIN_SUBJECTS}")
     results: dict[str, IccResult] = {}
     dropped: dict[str, str] = {}
-    for feature in features:
-        pairs = _feature_pairs(rows, feature)
-        if len(pairs) < MIN_SUBJECTS:
-            dropped[feature] = f"only {len(pairs)} subjects with both timepoints"
+    patterns, group = np.unique(~np.isnan(y).any(axis=2), axis=0,
+                                return_inverse=True)
+    for index, pattern in enumerate(patterns):
+        members = np.flatnonzero(group == index)
+        n = int(pattern.sum())
+        if n < MIN_SUBJECTS:
+            dropped.update((features[i], f"only {n} subjects with both "
+                            "timepoints") for i in members)
             continue
-        try:
-            results[feature] = icc_1_1(PairedMeasurements(tuple(pairs)))
-        except DegenerateData:
-            dropped[feature] = "all values identical"
+        block = np.ascontiguousarray(y[members][:, pattern])
+        for i, result in zip(members, _icc_columns(block)):
+            if result is None:
+                dropped[features[i]] = "all values identical"
+            else:
+                results[features[i]] = result
+    results, dropped = dict(sorted(results.items())), dict(sorted(dropped.items()))
     if reference_feature not in results:
         raise MissingVolumeReference(
             f"reference feature {reference_feature!r}: "
-            + dropped.get(reference_feature, "no defined ICC")
+            + dropped.get(reference_feature, "not among extracted columns")
         )
     return RepeatabilityTable(key=key, rows=results,
                               volume_reference=results[reference_feature],
                               dropped=dropped)
 
 
-def _shared_features(tables: dict[float, RepeatabilityTable]) -> list[str]:
+def _icc_matrix(tables: dict[float, RepeatabilityTable],
+                ) -> tuple[list[str], list[float], np.ndarray]:
+    """Shared features, sorted bin widths and the (features, widths) ICCs."""
     if len(tables) < 2:
         raise FeatureSetMismatch("need tables for >= 2 bin widths")
     sets = {w: set(t.rows) for w, t in tables.items()}
@@ -191,16 +210,15 @@ def _shared_features(tables: dict[float, RepeatabilityTable]) -> list[str]:
             "tables disagree on the feature set: "
             + str({w: sorted(s ^ first)[:5] for w, s in sets.items() if s != first})
         )
-    return sorted(first)
+    features, widths = sorted(first), sorted(tables)
+    iccs = np.array([[tables[w].rows[f].icc for w in widths] for f in features])
+    return features, widths, iccs.reshape(len(features), len(widths))
 
 
 def binwidth_spread(tables: dict[float, RepeatabilityTable]) -> dict[str, float]:
     """Per feature, max(ICC) - min(ICC) across bin widths."""
-    spread = {}
-    for feature in _shared_features(tables):
-        iccs = [t.rows[feature].icc for t in tables.values()]
-        spread[feature] = max(iccs) - min(iccs)
-    return spread
+    features, _, iccs = _icc_matrix(tables)
+    return dict(zip(features, (iccs.max(axis=1) - iccs.min(axis=1)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -264,22 +282,17 @@ def rank_distribution(tables: dict[float, RepeatabilityTable],
     Bin widths are ranked per feature by ICC descending (rank 1 = highest
     ICC); ties get the average rank. Returns binWidth -> {rank: count}.
     """
-    features = _shared_features(tables)
-    widths = sorted(tables)
-    histograms: dict[float, dict[float, int]] = {w: {} for w in widths}
-    for feature in features:
-        iccs = np.array([tables[w].rows[feature].icc for w in widths])
-        ranks = rankdata(-iccs, method="average")
-        for width, rank in zip(widths, ranks):
-            hist = histograms[width]
-            hist[float(rank)] = hist.get(float(rank), 0) + 1
+    _, widths, iccs = _icc_matrix(tables)
+    ranks = rankdata(-iccs, method="average", axis=1)
+    histograms: dict[float, dict[float, int]] = {}
+    for width, column in zip(widths, ranks.T):
+        values, counts = np.unique(column, return_counts=True)
+        histograms[width] = dict(zip(values.tolist(), counts.tolist()))
     return histograms
 
 
 def split_feature_key(feature_key: str) -> tuple[str, str, str]:
     """Split '[filter]_[class]_[name]' into its three parts."""
-    from .features import FEATURE_CLASSES  # cycle-free late import
-
     for cls in FEATURE_CLASSES:
         token = f"_{cls}_"
         pos = feature_key.find(token)

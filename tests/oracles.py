@@ -158,6 +158,44 @@ def anova_icc(pairs) -> tuple[float, float, float]:
     return (bms - wms) / (bms + wms), bms, wms
 
 
+def brute_table(rows, reference: str):
+    """One repeatability table, feature by feature.
+
+    Returns (results, dropped, reference result), where results maps each
+    feature to (icc, bms, wms, n) in sorted feature order. Per feature,
+    the subjects with a value at both timepoints form the pairs (a later
+    row for the same subject and timepoint replaces an earlier one), and
+    BMS/WMS use numpy sums over that feature's (n, 2) array alone.
+    """
+    features = sorted({f for row in rows for f in row.values})
+    results: dict[str, tuple[float, float, float, int]] = {}
+    dropped: dict[str, str] = {}
+    for feature in features:
+        by_subject: dict[str, dict[int, float | None]] = {}
+        for row in rows:
+            by_subject.setdefault(row.subject, {})[row.timepoint] = \
+                row.values.get(feature)
+        pairs = []
+        for subject in sorted(by_subject):
+            v1, v2 = by_subject[subject].get(1), by_subject[subject].get(2)
+            if v1 is not None and v2 is not None:
+                pairs.append((float(v1), float(v2)))
+        if len(pairs) < 3:
+            dropped[feature] = f"only {len(pairs)} subjects with both timepoints"
+            continue
+        y = np.array(pairs, dtype=np.float64)
+        n = len(pairs)
+        subject_means = y.mean(axis=1)
+        grand_mean = y.mean()
+        bms = 2 * float(np.sum((subject_means - grand_mean) ** 2)) / (n - 1)
+        wms = float(np.sum((y - subject_means[:, None]) ** 2)) / n
+        if bms + wms == 0.0:
+            dropped[feature] = "all values identical"
+            continue
+        results[feature] = ((bms - wms) / (bms + wms), bms, wms, n)
+    return results, dropped, results.get(reference)
+
+
 def _log2_entropy(values) -> float:
     return -sum(p * math.log2(p) for p in values if p > 0)
 

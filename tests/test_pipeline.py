@@ -458,7 +458,8 @@ def test_analyze_rejects_missing_study_column(tmp_path):
         analyze_run([bad], tmp_path / "reports")
 
 
-@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity",
+                                  "abc", "1.2.3"])
 def test_analyze_rejects_non_finite_cells(tmp_path, cell):
     bad = tmp_path / "FullStudySettings_noNormalization_2D_T2AX_bin15.csv"
     rows = ["general_info_VoxelNum,original_shape_Volume,original_glcm_Contrast,"
@@ -504,6 +505,17 @@ def test_cli_end_to_end(tmp_path, capsys):
 def test_cli_usage_error():
     assert main(["extract"]) == 1
     assert main([]) == 1
+
+
+def test_cli_jobs_is_an_extract_option(tmp_path, capsys):
+    manifest_path = build_cohort(tmp_path / "in")
+    out = tmp_path / "features"
+    assert main(["extract", "--jobs", "2", "--manifest", str(manifest_path),
+                 "--out", str(out)]) == 0
+    assert main(["analyze", "--jobs", "2", "--in", str(out / "*.csv"),
+                 "--out", str(tmp_path / "reports")]) == 1
+    assert not (tmp_path / "reports").exists()
+    capsys.readouterr()
 
 
 def test_cli_data_error(tmp_path, capsys):

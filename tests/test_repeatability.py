@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from radrep.repeatability import (ConfigKey, DegenerateData,
                                   DegenerateSamples, FeatureSetMismatch,
@@ -17,7 +18,7 @@ from radrep.repeatability import (ConfigKey, DegenerateData,
                                   silverman_bandwidth, split_feature_key,
                                   top_k_per_class)
 
-from oracles import anova_icc
+from oracles import anova_icc, brute_table
 
 
 def pairs_of(*items):
@@ -163,6 +164,68 @@ def test_build_table_degenerate_feature_dropped():
     assert "original_glcm_Idm" in table.dropped
 
 
+def test_build_table_needs_three_complete_subjects():
+    rows = [r for r in make_rows(n_subjects=3)
+            if (r.subject, r.timepoint) != ("s02", 2)]
+    with pytest.raises(InsufficientSubjects, match="Tumor.*2 subject"):
+        build_table(rows, KEY)
+
+
+def random_cohort(rng, n_complete: int, n_random: int = 12):
+    """Shuffled rows for n_complete subjects with both timepoints.
+
+    One more subject has timepoint 1 only, subject s00 also has a
+    timepoint-3 row, s01's timepoint-2 row is repeated with new values,
+    and about 15% of the random features' cells are None. The random
+    features span scales from 1e-4 to 1e6; original_glcm_Idm is constant
+    and original_glcm_Contrast is defined for two subjects only.
+    """
+    scales = 10.0 ** rng.uniform(-4, 6, size=n_random)
+
+    def values(subject: int, timepoint: int, level):
+        out = {"original_shape_Volume": 100.0 + subject + rng.uniform(),
+               "original_glcm_Idm": 0.5,
+               "original_glcm_Contrast":
+                   1.0 + subject * timepoint if subject < 2 else None}
+        for j, scale in enumerate(scales):
+            cell = (level[j] + 0.3 * rng.standard_normal() + 1.0) * scale
+            out[f"log-sigma-{j}_firstorder_Mean"] = (
+                None if rng.uniform() < 0.15 else float(cell))
+        return out
+
+    extra = {0: (3,), 1: (2,)}
+    rows = []
+    for subject in range(n_complete + 1):
+        level = rng.standard_normal(n_random)
+        timepoints = ((1,) if subject == n_complete
+                      else (1, 2) + extra.get(subject, ()))
+        rows += [SubjectRow(f"s{subject:02d}", tp, values(subject, tp, level))
+                 for tp in timepoints]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("n_complete", [3, 4, 7, 8, 9, 17, 40])
+def test_build_table_matches_per_feature_oracle(n_complete):
+    rng = np.random.default_rng(n_complete)
+    retained = set()
+    for _ in range(20):
+        rows = random_cohort(rng, n_complete)
+        table = build_table(rows, KEY)
+        results, dropped, reference = brute_table(rows, "original_shape_Volume")
+        assert list(table.rows) == list(results)
+        assert {f: (r.icc, r.bms, r.wms, r.n)
+                for f, r in table.rows.items()} == results
+        assert table.dropped == dropped
+        assert table.volume_reference == IccResult(*reference)
+        assert dropped["original_glcm_Idm"] == "all values identical"
+        assert dropped["original_glcm_Contrast"] == \
+            "only 2 subjects with both timepoints"
+        retained |= {r.n for r in table.rows.values()}
+    # some features kept every complete subject, others dropped some
+    assert n_complete in retained
+    assert n_complete == 3 or min(retained) < n_complete
+
+
 # ---------------------------------------------------------------------------
 # binwidth_spread / rank_distribution
 # ---------------------------------------------------------------------------
@@ -250,6 +313,22 @@ def test_rank_distribution_column_sums(rng):
     hist = rank_distribution(tables)
     for width, counts in hist.items():
         assert sum(counts.values()) == len(features)
+
+
+def test_width_reports_match_per_feature_loops(rng):
+    widths = (10.0, 15.0, 20.0, 40.0)
+    features = [f"f{i}_glcm_Idm" for i in range(300)]
+    # one decimal, so many features tie across some of their widths
+    iccs = np.round(rng.uniform(-1, 1, (len(features), len(widths))), 1)
+    tables = {w: table_from_iccs({f: float(v) for f, v in zip(features, column)})
+              for w, column in zip(widths, iccs.T)}
+    expected: dict[float, dict[float, int]] = {w: {} for w in widths}
+    for feature_iccs in iccs:
+        for width, rank in zip(widths, rankdata(-feature_iccs, method="average")):
+            expected[width][float(rank)] = expected[width].get(float(rank), 0) + 1
+    assert rank_distribution(tables) == expected
+    assert binwidth_spread(tables) == {
+        f: max(row) - min(row) for f, row in zip(features, iccs.tolist())}
 
 
 # ---------------------------------------------------------------------------
