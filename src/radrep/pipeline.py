@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product, repeat
 from math import isfinite, nan
@@ -91,6 +93,16 @@ def format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
+
+
+# The bin-width token of a CSV name, f"bin{width:g}", exponent included.
+_BIN_TOKEN = re.compile(r"bin(\d+(?:\.\d+)?(?:e[+-]\d+)?)")
+
+
+def _bin_width_of(token: str) -> float | None:
+    """The bin width a 'binNN' file-name token spells, else None."""
+    match = _BIN_TOKEN.fullmatch(token)
+    return float(match.group(1)) if match else None
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +198,11 @@ def load_manifest(path) -> RunManifest:
         raise ManifestError("bin widths must be > 0")
     if len(set(bin_widths)) != len(bin_widths):
         raise ManifestError(f"bin widths repeat: {list(bin_widths)}")
+    for w in bin_widths:
+        if _bin_width_of(f"bin{w:g}") != w:
+            raise ManifestError(
+                f"bin width {w!r} is named bin{w:g} in CSV file names, which "
+                "does not read back as the same value")
     filter_names = settings_doc.get("filters")
     if filter_names is None:
         filters = default_filters(dimensionality)
@@ -519,26 +536,48 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
 
 
 def _write_feature_csv(path: Path, columns: list[str], rows: list[dict]):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([
-                row.get(col, "") if isinstance(row.get(col, ""), str)
-                else format_value(row.get(col))
-                for col in columns
-            ])
+    _write_csv(path, columns, ([
+        row.get(col, "") if isinstance(row.get(col, ""), str)
+        else format_value(row.get(col))
+        for col in columns
+    ] for row in rows))
 
 
 def _write_failures(path: Path, failures: list[ExtractionFailure]):
-    with open(path, "w", newline="") as handle:
+    _write_csv(path, ["study", "segmentedStructure", "filter", "error",
+                      "detail"],
+               ([f.study, f.structure, f.filter_name, f.error, f.detail]
+                for f in sorted(failures, key=lambda f: (
+                    f.study, f.structure, f.filter_name, f.error))))
+
+
+@contextmanager
+def _replacing(path: Path, mode: str = "w"):
+    """Open a temporary file beside ``path`` that replaces it on success.
+
+    The temporary file is deleted if the write raises, so an interrupted
+    run never leaves a truncated output for a later read to trust.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, newline=None if "b" in mode else "") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: list[str], rows):
+    with _replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["study", "segmentedStructure", "filter", "error",
-                         "detail"])
-        for f in sorted(failures, key=lambda f: (f.study, f.structure,
-                                                 f.filter_name, f.error)):
-            writer.writerow([f.study, f.structure, f.filter_name, f.error,
-                             f.detail])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, payload) -> None:
+    with _replacing(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +674,8 @@ def parse_config_from_name(path) -> ParsedConfig:
     bin_width = None
     image_type = None
     for token in tokens:
-        if re.fullmatch(r"bin\d+(\.\d+)?", token):
-            bin_width = float(token[3:])
+        if (width := _bin_width_of(token)) is not None:
+            bin_width = width
         elif token in IMAGE_TYPES:
             image_type = token
     if bin_width is None or image_type is None:
@@ -697,17 +736,6 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
             by_structure.setdefault(structure, []).append(
                 SubjectRow(subject=subject, timepoint=timepoint, values=values))
     return by_structure
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_icc_table(path: Path, table: RepeatabilityTable):
@@ -912,7 +940,8 @@ def plotdata_run(in_dir, out_dir) -> list[Path]:
     for pattern in ("kde_spread__*.csv", "rankdist__*.csv", "spread__*.csv"):
         for path in sorted(in_dir.glob(pattern)):
             out = out_dir / f"plot_{path.stem}.csv"
-            out.write_bytes(path.read_bytes())
+            with _replacing(out, "wb") as handle:
+                handle.write(path.read_bytes())
             written.append(out)
 
     for path in sorted(in_dir.glob("top3__*.json")):

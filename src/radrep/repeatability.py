@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import RadrepError
 from .features import FEATURE_CLASSES
@@ -280,10 +279,17 @@ def rank_distribution(tables: dict[float, RepeatabilityTable],
     """Histogram of per-feature ICC ranks for each bin width.
 
     Bin widths are ranked per feature by ICC descending (rank 1 = highest
-    ICC); ties get the average rank. Returns binWidth -> {rank: count}.
+    ICC); ties get the average rank, computed in numpy as the count of
+    strictly higher ICCs plus (tie count + 1) / 2, the tie count including
+    the width itself. The ranks are exact halves, equal to
+    ``scipy.stats.rankdata(-icc, method="average")``; the ICCs are finite,
+    as ``build_table`` drops constant features, so no rank is NaN.
+    Returns binWidth -> {rank: count}.
     """
     _, widths, iccs = _icc_matrix(tables)
-    ranks = rankdata(-iccs, method="average", axis=1)
+    # [feature, i, j] compares width j against width i of the same feature
+    others, own = iccs[:, None, :], iccs[:, :, None]
+    ranks = (others > own).sum(axis=2) + ((others == own).sum(axis=2) + 1) / 2
     histograms: dict[float, dict[float, int]] = {}
     for width, column in zip(widths, ranks.T):
         values, counts = np.unique(column, return_counts=True)

@@ -1,15 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radrep
 from radrep.cli import main
 from radrep.features import FEATURE_ROSTER
-from radrep.pipeline import (ManifestError, SchemaMismatch, analyze_run,
-                             extract_run, load_manifest,
-                             parse_config_from_name, plotdata_run,
-                             read_feature_csv, validate_feature_csv)
+from radrep.pipeline import (ManifestError, SchemaMismatch, _write_csv,
+                             analyze_run, config_csv_name, extract_run,
+                             load_manifest, parse_config_from_name,
+                             plotdata_run, read_feature_csv,
+                             validate_feature_csv)
 from radrep.repeatability import InsufficientSubjects
 
 from cohorts import build_cohort
@@ -61,6 +67,30 @@ def test_manifest_rejects_repeated_cells(tmp_path, settings):
     doc["settings"].update(settings)
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
+        load_manifest(manifest_path)
+
+
+def test_bin_widths_round_trip_through_csv_names(tmp_path):
+    widths = [5e-05, 1e-4, 0.5, 2.5, 10, 25, 1e5]
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    doc["settings"]["binWidths"] = widths
+    manifest_path.write_text(json.dumps(doc))
+    settings = load_manifest(manifest_path).settings
+    assert settings.bin_widths == tuple(widths)
+    names = [config_csv_name("ADC", "none", w, settings) for w in widths]
+    assert names[0] == "FullStudySettings_noNormalization_2D_ADC_bin5e-05.csv"
+    assert [parse_config_from_name(n).bin_width for n in names] == widths
+
+
+@pytest.mark.parametrize("widths", [[1234567], [1234567, 1234568]])
+def test_manifest_rejects_bin_width_its_csv_name_cannot_hold(tmp_path, widths):
+    # f"{1234567:g}" is 1.23457e+06, the name 1234568 gets as well
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    doc["settings"]["binWidths"] = widths
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="1234567"):
         load_manifest(manifest_path)
 
 
@@ -485,9 +515,39 @@ def test_plotdata_missing_reports(tmp_path):
         plotdata_run(tmp_path / "empty", tmp_path / "plots")
 
 
+def test_interrupted_write_leaves_no_file_behind(tmp_path):
+    def rows():
+        for i in range(20000):  # well past one write buffer
+            yield [i, "x" * 10]
+        raise RuntimeError("writer failed")
+
+    target = tmp_path / "report.csv"
+    with pytest.raises(RuntimeError):
+        _write_csv(target, ["i", "x"], rows())
+    assert list(tmp_path.iterdir()) == []
+    _write_csv(target, ["i", "x"], [[1, "a"]])
+    with pytest.raises(RuntimeError):
+        _write_csv(target, ["i", "x"], rows())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "i,x\n1,a\n"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, as this test session itself imports scipy.stats
+    src = Path(radrep.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, radrep.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True, timeout=120).stdout.split()
+    assert "radrep.cli" in loaded
+    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate",
+                "scipy.interpolate"} & set(loaded)
+
 
 def test_cli_end_to_end(tmp_path, capsys):
     manifest_path = build_cohort(tmp_path / "in", n_subjects=4)

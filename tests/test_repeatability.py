@@ -315,6 +315,15 @@ def test_rank_distribution_column_sums(rng):
         assert sum(counts.values()) == len(features)
 
 
+def rankdata_histograms(widths, iccs) -> dict[float, dict[float, int]]:
+    """The per-feature rankdata loop that rank_distribution replaces."""
+    expected: dict[float, dict[float, int]] = {w: {} for w in widths}
+    for feature_iccs in iccs:
+        for width, rank in zip(widths, rankdata(-feature_iccs, method="average")):
+            expected[width][float(rank)] = expected[width].get(float(rank), 0) + 1
+    return expected
+
+
 def test_width_reports_match_per_feature_loops(rng):
     widths = (10.0, 15.0, 20.0, 40.0)
     features = [f"f{i}_glcm_Idm" for i in range(300)]
@@ -322,13 +331,37 @@ def test_width_reports_match_per_feature_loops(rng):
     iccs = np.round(rng.uniform(-1, 1, (len(features), len(widths))), 1)
     tables = {w: table_from_iccs({f: float(v) for f, v in zip(features, column)})
               for w, column in zip(widths, iccs.T)}
-    expected: dict[float, dict[float, int]] = {w: {} for w in widths}
-    for feature_iccs in iccs:
-        for width, rank in zip(widths, rankdata(-feature_iccs, method="average")):
-            expected[width][float(rank)] = expected[width].get(float(rank), 0) + 1
-    assert rank_distribution(tables) == expected
+    assert rank_distribution(tables) == rankdata_histograms(widths, iccs)
     assert binwidth_spread(tables) == {
         f: max(row) - min(row) for f, row in zip(features, iccs.tolist())}
+
+
+@pytest.mark.parametrize("n_widths", [2, 3, 5])
+def test_rank_distribution_matches_rankdata_on_ties(rng, n_widths):
+    widths = (5.0, 10.0, 15.0, 20.0, 40.0)[:n_widths]
+    x = 0.4
+    up, down = np.nextafter(x, 1.0), np.nextafter(x, -1.0)
+    rows = [
+        [0.7] * n_widths,                            # every width ties
+        [-0.3] * n_widths,
+        list(np.linspace(-0.9, -0.1, n_widths)),     # negative, distinct
+        ([x, up, down, x, up] * 2)[:n_widths],       # one ulp apart
+        ([-x, np.nextafter(-x, 0.0), -x, -x, 0.0])[:n_widths],
+        ([0.2, 0.9, 0.2, 0.2, -0.1])[:n_widths],     # three-way partial tie
+        ([0.2, -0.5, 0.2, 0.6, 0.2])[:n_widths],
+    ]
+    for row in rows:
+        tables = {w: table_from_iccs({"f_glcm_Idm": float(v)})
+                  for w, v in zip(widths, row)}
+        assert rank_distribution(tables) == rankdata_histograms(
+            widths, [np.array(row)]), row
+    # bulk: draws from a pool of tied, ulp-adjacent and negative values
+    pool = np.array([-0.5, np.nextafter(-0.5, 0.0), 0.0, x, up, down, 1.0])
+    iccs = rng.choice(pool, (400, n_widths))
+    features = [f"f{i}_glcm_Idm" for i in range(len(iccs))]
+    tables = {w: table_from_iccs(dict(zip(features, column.tolist())))
+              for w, column in zip(widths, iccs.T)}
+    assert rank_distribution(tables) == rankdata_histograms(widths, iccs)
 
 
 # ---------------------------------------------------------------------------
