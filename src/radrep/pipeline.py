@@ -23,6 +23,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import product, repeat
 from math import isfinite, nan
 from pathlib import Path
@@ -46,7 +47,8 @@ from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             build_table, config_delta, filter_frequency, kde,
                             rank_distribution, split_feature_key,
                             top_k_per_class)
-from .texture_matrices import build_glcm, build_glrlm, build_glszm
+from .texture_matrices import (RunLines, build_glcm, build_glrlm, build_glszm,
+                               run_lines, select_offsets)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
                         check_geometry, read_mask, read_volume)
 
@@ -84,6 +86,10 @@ class SchemaMismatch(PipelineError):
 
 class MissingReport(PipelineError):
     """plotdata input directory holds no analysis reports."""
+
+
+class StaleOutputs(PipelineError):
+    """The output directory holds feature CSVs this run would not write."""
 
 
 def format_value(value) -> str:
@@ -345,12 +351,14 @@ def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
 
 
 def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
-                 spec: FilterSpec, bin_width: float, dimensionality: str):
+                 spec: FilterSpec, bin_width: float, dimensionality: str,
+                 lines: RunLines | None):
     """Feature values for one (image, mask, filter, bin width) cell.
 
     Returns (column -> value, failures); a failing feature class blanks
     its columns and is reported, other classes still compute. A volume
-    that could not be produced blanks and reports all classes.
+    that could not be produced blanks and reports all classes. ``lines``
+    is the mask's run-line layout (None: the GLRLM builder lays it out).
     """
     values: dict[str, float | None] = {}
     failures: list[ExtractionFailure] = []
@@ -379,7 +387,7 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
         return values, failures
     for cls, build, compute in (
         ("glcm", build_glcm, glcm_features),
-        ("glrlm", build_glrlm, glrlm_features),
+        ("glrlm", partial(build_glrlm, lines=lines), glrlm_features),
         ("glszm", build_glszm, glszm_features),
     ):
         try:
@@ -425,9 +433,10 @@ def _general_settings(mode: str, bin_width: float, settings: RunSettings) -> str
 def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     """One cohort entry's (mode, bin width) -> (rows, failures).
 
-    The image and masks are read once; shape and general info are computed
-    once per mask and each filter once per mode. A failure that blanks a
-    whole row or filter is recorded once in every cell it blanks.
+    The image and masks are read once; shape, general info and the GLRLM
+    run-line layout of the mask's bounding box are computed once per mask
+    and each filter once per mode. A failure that blanks a whole row or
+    filter is recorded once in every cell it blanks.
     """
     cells = {(mode, bin_width): ([], [])
              for mode in settings.normalization_modes
@@ -457,14 +466,18 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
             continue
         masks.append(mask)
 
+    directions = select_offsets(settings.dimensionality)
+    mask_lines: list[RunLines | None] = []
     for mask in masks:
-        shape, info = {}, None
+        shape, info, lines = {}, None, None
         try:
             shape = {f"original_shape_{name}": v
                      for (_, name), v in shape_features(mask).entries.items()}
             info = _general_info(image, mask, settings)
+            lines = run_lines(mask.labels[mask.bounding_box].shape, directions)
         except Exception as exc:
             fail_row(mask.structure, exc)
+        mask_lines.append(lines)
         meta = dict(zip(META_COLUMNS, (entry.study, entry.image_path.stem,
                                        entry.image_type, mask.structure.value)))
         for (mode, bin_width), (rows, _) in cells.items():
@@ -477,12 +490,12 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     for mode in settings.normalization_modes:
         for spec, volume in _filtered_volumes(image, entry, mode,
                                               settings.filters):
-            for i, mask in enumerate(masks):
+            for i, (mask, lines) in enumerate(zip(masks, mask_lines)):
                 for bin_width in settings.bin_widths:
                     rows, failures = cells[(mode, bin_width)]
                     values, task_failures = _filter_task(
                         entry.study, volume, mask, spec, bin_width,
-                        settings.dimensionality)
+                        settings.dimensionality, lines)
                     rows[i].update(values)
                     failures.extend(task_failures)
     return cells
@@ -499,11 +512,26 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     Rows are gathered into one CSV per (image type, normalization mode,
     bin width) and sorted by (study, series, structure), so the worker
     count never changes the output bytes. Failures are also written to
-    ``extraction_errors.csv`` when any occur.
+    ``extraction_errors.csv`` when any occur; an errors file left by an
+    earlier run is replaced, header-only when this run has none.
+
+    Raises :class:`StaleOutputs`, before extracting anything and deleting
+    nothing, when ``out_dir`` holds a ``FullStudySettings_*.csv`` this
+    manifest does not write, so a later ``analyze`` cannot mix runs.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     settings = manifest.settings
+    image_types = sorted({e.image_type for e in manifest.cohort})
+    configs = list(product(image_types, settings.normalization_modes,
+                           settings.bin_widths))
+    names = {config_csv_name(*config, settings) for config in configs}
+    stale = sorted(path.name for path in out_dir.glob("FullStudySettings_*.csv")
+                   if path.name not in names)
+    if stale:
+        raise StaleOutputs(
+            f"{out_dir} holds feature CSVs this run does not write: "
+            f"{', '.join(stale)}; move them away or write to another directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_extract_entry, manifest.cohort,
@@ -515,9 +543,7 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
                + list(META_COLUMNS))
     csv_paths: list[Path] = []
     all_failures: list[ExtractionFailure] = []
-    for image_type, mode, bin_width in product(
-            sorted({e.image_type for e in manifest.cohort}),
-            settings.normalization_modes, settings.bin_widths):
+    for image_type, mode, bin_width in configs:
         rows: list[dict] = []
         for entry, cells in zip(manifest.cohort, results):
             if entry.image_type == image_type:
@@ -530,8 +556,9 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
         _write_feature_csv(path, columns, rows)
         csv_paths.append(path)
 
-    if all_failures:
-        _write_failures(out_dir / "extraction_errors.csv", all_failures)
+    errors_path = out_dir / "extraction_errors.csv"
+    if all_failures or errors_path.exists():
+        _write_failures(errors_path, all_failures)
     return csv_paths, all_failures
 
 

@@ -2,10 +2,19 @@
 
 All builders count with integers and normalize (where applicable) as the
 final step, so results are independent of traversal or aggregation
-order. 2D variants merge counts across axial slices and in-plane
-directions into a single matrix before any feature is computed; 3D
-variants use the 13 unique voxel-offset directions (26-connectivity for
-zones).
+order. Neighbourhoods come from one place: ``OFFSETS_3D``, the 13 unique
+voxel offsets (26-connectivity), and ``OFFSETS_2D``, the 4 in-plane
+offsets (8-connectivity within an axial slice). They are the GLCM pair
+offsets, the GLRLM run directions and the GLSZM zone edges. 2D variants
+merge counts across slices and in-plane directions into a single matrix
+before any feature is computed.
+
+Each builder makes one vectorised pass per call: GLCM one bincount over
+the pairs of every offset, GLRLM one run-length pass over every
+direction's lines laid end to end (:class:`RunLines`, 9 bytes per voxel
+and direction: 117 bytes per crop voxel in 3D, 36 in 2D, built once per
+mask by the caller), GLSZM one connected-components labelling of all
+levels.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import RadrepError
 from .discretize import DiscretizedRoi
@@ -83,7 +93,8 @@ class GlszMatrix:
         self.counts.setflags(write=False)
 
 
-def _select_offsets(dim: str, offsets) -> tuple:
+def select_offsets(dim: str, offsets=None) -> tuple:
+    """``offsets`` as a tuple, or by default the offsets of ``dim``."""
     if offsets is not None:
         return tuple(tuple(o) for o in offsets)
     if dim == "2D":
@@ -107,23 +118,26 @@ def _offset_views(levels: np.ndarray, offset):
     return levels[tuple(src)], levels[tuple(dst)]
 
 
+def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """counts[r, c] = how often (r, c) occurs among zero-based index pairs."""
+    return np.bincount(rows.astype(np.int64) * shape[1] + cols,
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def build_glcm(disc: DiscretizedRoi, dim: str, offsets=None) -> GlcMatrix:
     """Co-occurrence matrix over distance-1 offsets, symmetrized.
 
-    Ordered in-ROI pairs are counted per offset, the transpose is added,
-    and counts are normalized to probabilities. ``offsets`` restricts the
-    direction set (testing hook).
+    Ordered voxel pairs of every offset are counted in one pass, pairs
+    with an out-of-ROI voxel (level 0) are dropped, the transpose is
+    added, and counts are normalized to probabilities. ``offsets``
+    restricts the direction set (testing hook).
     """
-    offs = _select_offsets(dim, offsets)
     ng = disc.num_gray_levels
-    counts = np.zeros((ng, ng), dtype=np.int64)
-    for off in offs:
-        a, b = _offset_views(disc.levels, off)
-        valid = (a > 0) & (b > 0)
-        if not valid.any():
-            continue
-        pair_index = (a[valid].astype(np.int64) - 1) * ng + (b[valid] - 1)
-        counts += np.bincount(pair_index, minlength=ng * ng).reshape(ng, ng)
+    views = [_offset_views(disc.levels, off)
+             for off in select_offsets(dim, offsets)]
+    counts = _count_pairs(np.concatenate([a.ravel() for a, _ in views]),
+                          np.concatenate([b.ravel() for _, b in views]),
+                          (ng + 1, ng + 1))[1:, 1:]
     counts = counts + counts.T
     total = counts.sum()
     if total == 0:
@@ -131,79 +145,110 @@ def build_glcm(disc: DiscretizedRoi, dim: str, offsets=None) -> GlcMatrix:
     return GlcMatrix(ng=ng, probs=counts / total, dimensionality=dim)
 
 
-def _run_length_encode(levels_sorted: np.ndarray, line_ids: np.ndarray,
-                       ng: int) -> np.ndarray:
-    """Count maximal runs of equal nonzero levels within each line."""
-    n = levels_sorted.size
-    if n == 0:
-        return np.zeros((ng, 0), dtype=np.int64)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (levels_sorted[1:] != levels_sorted[:-1]) | (
-        line_ids[1:] != line_ids[:-1]
-    )
+@dataclass(frozen=True)
+class RunLines:
+    """Voxel order that walks a grid line by line, direction by direction.
+
+    ``order`` holds flat voxel indices into a C-ordered grid of ``dims``:
+    for each direction in turn, every line parallel to it from its entry
+    point to its exit, lines one after another. ``line_start`` marks the
+    first voxel of each line, so the directions are concatenated without
+    runs crossing from one line (or direction) into the next. It depends
+    only on ``dims`` and ``directions``, so one layout serves every level
+    grid of that shape: 9 bytes per voxel and direction (8 for the index,
+    1 for the flag), 117 bytes per crop voxel in 3D and 36 in 2D.
+    """
+
+    dims: tuple[int, int, int]
+    directions: tuple
+    order: np.ndarray = field(repr=False)
+    line_start: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.order.setflags(write=False)
+        self.line_start.setflags(write=False)
+
+
+def run_lines(dims, directions) -> RunLines:
+    """The :class:`RunLines` of a grid of ``dims`` along ``directions``.
+
+    A voxel's line id is its coordinate pulled back along the direction
+    to the line's entry point; sorting by (line id, steps from the entry)
+    lays each line out in order.
+    """
+    dims = tuple(int(n) for n in dims)
+    directions = tuple(tuple(d) for d in directions)
+    coords = np.indices(dims).reshape(3, -1)
+    orders, starts = [], []
+    for direction in directions:
+        t = np.full(coords.shape[1], np.iinfo(np.int64).max, dtype=np.int64)
+        for axis, d in enumerate(direction):
+            if d == 1:
+                t = np.minimum(t, coords[axis])
+            elif d == -1:
+                t = np.minimum(t, dims[axis] - 1 - coords[axis])
+        entry = coords - np.multiply.outer(np.asarray(direction, dtype=np.int64), t)
+        line_ids = (entry[0] * dims[1] + entry[1]) * dims[2] + entry[2]
+        order = np.lexsort((t, line_ids))
+        sorted_ids = line_ids[order]
+        start = np.ones(order.size, dtype=bool)
+        start[1:] = sorted_ids[1:] != sorted_ids[:-1]
+        orders.append(order)
+        starts.append(start)
+    return RunLines(dims=dims, directions=directions,
+                    order=np.concatenate(orders, dtype=np.intp),
+                    line_start=np.concatenate(starts, dtype=bool))
+
+
+def _run_length_encode(levels_sorted: np.ndarray, line_start: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(level, length) of each maximal run of equal nonzero levels.
+
+    A run ends where the level changes or a new line starts.
+    """
+    boundary = line_start.copy()
+    boundary[1:] |= levels_sorted[1:] != levels_sorted[:-1]
     starts = np.flatnonzero(boundary)
-    lengths = np.diff(np.append(starts, n))
+    lengths = np.diff(starts, append=levels_sorted.size)
     run_levels = levels_sorted[starts]
     keep = run_levels > 0
-    run_levels, lengths = run_levels[keep], lengths[keep]
-    if lengths.size == 0:
-        return np.zeros((ng, 0), dtype=np.int64)
-    max_len = int(lengths.max())
-    counts = np.zeros((ng, max_len), dtype=np.int64)
-    np.add.at(counts, (run_levels - 1, lengths - 1), 1)
-    return counts
+    return run_levels[keep], lengths[keep]
 
 
-def _direction_runs(levels: np.ndarray, direction, ng: int) -> np.ndarray:
-    """Run-length counts along one direction for the whole grid.
-
-    Voxels are ordered by (line id, position along line), where the line
-    id is each voxel's coordinate pulled back to the line's entry point.
-    Positions along a line are consecutive by construction, so run
-    boundaries are exactly level changes and line changes.
-    """
-    dims = levels.shape
-    coords = np.indices(dims).reshape(3, -1)
-    t = np.full(coords.shape[1], np.iinfo(np.int64).max, dtype=np.int64)
-    for axis, d in enumerate(direction):
-        if d == 1:
-            t = np.minimum(t, coords[axis])
-        elif d == -1:
-            t = np.minimum(t, dims[axis] - 1 - coords[axis])
-    starts = coords - np.multiply.outer(np.asarray(direction, dtype=np.int64), t)
-    line_ids = (starts[0] * dims[1] + starts[1]) * dims[2] + starts[2]
-    order = np.lexsort((t, line_ids))
-    return _run_length_encode(levels.reshape(-1)[order], line_ids[order], ng)
+def _size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
+    """counts[i-1, s-1]: items of level i and size s; at least one column."""
+    width = int(sizes.max(initial=1))
+    return _count_pairs(levels - 1, sizes - 1, (ng, width))
 
 
-def _pad_columns(mats: list[np.ndarray], ng: int) -> np.ndarray:
-    width = max((m.shape[1] for m in mats), default=0)
-    if width == 0:
-        return np.zeros((ng, 1), dtype=np.int64)
-    out = np.zeros((ng, width), dtype=np.int64)
-    for m in mats:
-        out[:, : m.shape[1]] += m
-    return out
-
-
-def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> GlrlMatrix:
+def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None,
+                lines: RunLines | None = None) -> GlrlMatrix:
     """Run-length matrix, directions summed into one matrix.
 
-    Maximal runs of consecutive equal nonzero levels are counted per
-    direction (13 in 3D, the 4 in-plane directions accumulated over
-    slices in 2D); out-of-ROI voxels terminate runs.
+    Maximal runs of consecutive equal nonzero levels are counted along
+    every direction of ``OFFSETS_3D`` (3D) or ``OFFSETS_2D`` (2D, the 4
+    in-plane directions, so runs never leave their slice); out-of-ROI
+    voxels terminate runs. The runs of all directions are read in one
+    pass over ``lines`` (built here when not given) and pooled, so the
+    matrix is as wide as the longest run in any direction. ``directions``
+    restricts the direction set (testing hook).
     """
-    dirs = _select_offsets(dim, directions)
-    ng = disc.num_gray_levels
-    per_direction = [_direction_runs(disc.levels, d, ng) for d in dirs]
-    counts = _pad_columns(per_direction, ng)
-    total = int(counts.sum())
+    dirs = select_offsets(dim, directions)
+    if lines is None:
+        lines = run_lines(disc.levels.shape, dirs)
+    elif lines.dims != disc.levels.shape or lines.directions != dirs:
+        raise ValueError(
+            f"run lines of a {lines.dims} grid along {len(lines.directions)} "
+            f"directions do not fit a {disc.levels.shape} grid along "
+            f"{len(dirs)} directions")
+    run_levels, lengths = _run_length_encode(
+        disc.levels.reshape(-1)[lines.order], lines.line_start)
+    counts = _size_counts(run_levels, lengths, disc.num_gray_levels)
     return GlrlMatrix(
-        ng=ng,
+        ng=disc.num_gray_levels,
         max_run_length=counts.shape[1],
         counts=counts,
-        total_runs=total,
+        total_runs=int(counts.sum()),
         dimensionality=dim,
         num_directions=len(dirs),
         num_roi_voxels=disc.num_roi_voxels,
@@ -213,30 +258,40 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> GlrlMatrix:
 def build_glszm(disc: DiscretizedRoi, dim: str) -> GlszMatrix:
     """Size-zone matrix: connected zones of equal nonzero level.
 
-    Connectivity is 26-neighborhood in 3D and 8-neighborhood per axial
-    slice in 2D (slices are independent: the 2D structure's two outer
-    slice planes are empty). One labeling runs per level present in the
-    grid; absent levels keep all-zero rows.
+    Zones are the connected components of one graph over the in-ROI
+    voxels whose edges join neighbours of equal level along the offsets
+    of ``OFFSETS_3D`` (26-connectivity in 3D) or ``OFFSETS_2D``
+    (8-connectivity within each axial slice in 2D: no offset leaves its
+    slice). One labelling covers every level; absent levels keep
+    all-zero rows.
     """
-    if dim == "3D":
-        structure = np.ones((3, 3, 3), dtype=bool)
-    elif dim == "2D":
-        structure = np.zeros((3, 3, 3), dtype=bool)
-        structure[:, :, 1] = True
-    else:
-        raise ValueError("dim must be '2D' or '3D'")
-    ng = disc.num_gray_levels
-    zone_sizes = {}
-    for level in np.unique(disc.levels[disc.levels > 0]):
-        labeled, _ = ndimage.label(disc.levels == level, structure=structure)
-        zone_sizes[level] = np.bincount(labeled.ravel())[1:]
-    max_size = max((int(s.max()) for s in zone_sizes.values()), default=1)
-    counts = np.zeros((ng, max_size), dtype=np.int64)
-    for level, sizes in zone_sizes.items():
-        np.add.at(counts[level - 1], sizes - 1, 1)
+    # A zero border makes every neighbour index valid; the border, like
+    # any out-of-ROI voxel, has level 0 and so never matches a voxel.
+    padded = np.zeros([n + 2 for n in disc.levels.shape], dtype=disc.levels.dtype)
+    padded[1:-1, 1:-1, 1:-1] = disc.levels
+    _, ny, nz = padded.shape
+    flat = padded.reshape(-1)
+    voxels = np.flatnonzero(flat)
+    shifts = [(dx * ny + dy) * nz + dz for dx, dy, dz in select_offsets(dim)]
+    neighbours = voxels[:, None] + np.array(shifts, dtype=np.intp)
+    joined = flat[neighbours] == flat[voxels][:, None]
+    # Graph nodes are the ROI voxels in order; rows of ``joined`` are
+    # already grouped by node, so they give the CSR row pointers. csgraph
+    # indexes nodes with int32.
+    node = np.zeros(flat.size, dtype=np.int32)
+    node[voxels] = np.arange(voxels.size)
+    row_ends = np.zeros(voxels.size + 1, dtype=np.int32)
+    np.cumsum(joined.sum(axis=1), out=row_ends[1:])
+    graph = csr_matrix((np.ones(row_ends[-1]), node[neighbours[joined]], row_ends),
+                       shape=(voxels.size, voxels.size))
+    num_zones, zone = connected_components(graph, directed=False)
+    zone_level = np.zeros(num_zones, dtype=flat.dtype)
+    zone_level[zone] = flat[voxels]
+    counts = _size_counts(zone_level, np.bincount(zone, minlength=num_zones),
+                          disc.num_gray_levels)
     return GlszMatrix(
-        ng=ng,
-        max_zone_size=max_size,
+        ng=disc.num_gray_levels,
+        max_zone_size=counts.shape[1],
         counts=counts,
         total_zones=int(counts.sum()),
         dimensionality=dim,

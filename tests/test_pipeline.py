@@ -211,6 +211,33 @@ def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
     assert calls == {"read_volume": entries, "shape_features": 2 * entries}
 
 
+def test_extraction_lays_out_run_lines_once_per_mask(tmp_path, monkeypatch):
+    import radrep.pipeline
+    import radrep.texture_matrices
+    calls = {"pipeline": 0, "glrlm": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(radrep.pipeline, "run_lines",
+                        counting("pipeline", radrep.pipeline.run_lines))
+    monkeypatch.setattr(radrep.texture_matrices, "run_lines",
+                        counting("glrlm", radrep.texture_matrices.run_lines))
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [10, 20], "dimensionality": "3D",
+                "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                          settings=settings,
+                                          structures=("Tumor", "WholeGland")))
+    csv_paths, failures = extract_run(manifest, tmp_path / "out")
+    assert not failures and len(csv_paths) == 4
+    # one layout per (entry, mask); the GLRLM builder never lays out its own
+    assert calls == {"pipeline": 2 * len(manifest.cohort), "glrlm": 0}
+
+
 def test_configuration_matrix_filenames(tmp_path):
     settings = {"normalizationModes": ["none", "wholeImage"],
                 "binWidths": [10, 20], "dimensionality": "3D",
@@ -255,6 +282,44 @@ def test_reference_region_without_mask_goes_to_sidecar(tmp_path):
     assert all(r["original_firstorder_Mean"] == "" for r in rows)
     # shape needs no intensities, so it still fills in
     assert all(r["original_shape_Volume"] != "" for r in rows)
+
+
+def test_rerun_replaces_errors_and_refuses_stale_feature_csvs(tmp_path, capsys):
+    def manifest(root, modes, with_reference):
+        settings = {"normalizationModes": modes, "binWidths": [15],
+                    "dimensionality": "2D", "filters": ["original"]}
+        return str(build_cohort(tmp_path / root, n_subjects=1,
+                                settings=settings,
+                                with_reference=with_reference))
+
+    def extract(manifest_path):
+        return main(["extract", "--manifest", manifest_path, "--out", str(out)])
+
+    def snapshot():
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    out = tmp_path / "out"
+    fresh = tmp_path / "fresh"
+    assert main(["extract", "--manifest", manifest("ok", ["none"], False),
+                 "--out", str(fresh)]) == 0
+    assert not (fresh / "extraction_errors.csv").exists()
+
+    # referenceRegion without reference masks: two failures go to the sidecar
+    assert extract(manifest("a", ["referenceRegion"], False)) == 3
+    sidecar = out / "extraction_errors.csv"
+    assert len(read_rows(sidecar)) == 2
+    # the same cells, now with reference masks: the old errors are replaced
+    assert extract(manifest("b", ["referenceRegion"], True)) == 0
+    assert sidecar.read_text() == \
+        "study,segmentedStructure,filter,error,detail\n"
+
+    # a run that would leave the MuscleRefNorm CSV behind is refused
+    before = snapshot()
+    capsys.readouterr()
+    assert extract(manifest("c", ["none"], True)) == 2
+    assert "FullStudySettings_MuscleRefNorm_2D_T2AX_bin15.csv" in \
+        capsys.readouterr().err
+    assert snapshot() == before
 
 
 def test_registered_and_bias_codes(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import radrep.texture_matrices
 from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
-                                     build_glcm, build_glrlm, build_glszm)
+                                     build_glcm, build_glrlm, build_glszm,
+                                     run_lines, select_offsets)
 
 from radrep.discretize import DiscretizationSpec, discretize_roi
 
@@ -270,3 +272,70 @@ def test_small_roi_builders_work_on_the_crop(rng):
                               build_glrlm(full, dim).counts)
         assert np.array_equal(build_glszm(disc, dim).counts,
                               build_glszm(full, dim).counts)
+
+
+@pytest.mark.parametrize("dim", ["2D", "3D"])
+@pytest.mark.parametrize("field", ["many-levels", "large-zones"])
+def test_builders_match_oracles_at_extreme_gray_level_counts(rng, dim, field):
+    shape = (8, 7, 4)
+    if field == "many-levels":
+        # every voxel its own intensity: bin width 1 gives Ng near the ROI size
+        values = rng.permutation(np.prod(shape)).reshape(shape) * 1.0
+        bin_width = 1.0
+    else:
+        # a smooth ramp binned coarsely: Ng <= 4, zones span the crop
+        values = np.indices(shape).sum(axis=0) * 10.0 + rng.random(shape)
+        bin_width = 50.0
+    offsets = select_offsets(dim)
+    for labels in crop_masks(rng, shape):
+        disc = discretize_roi(make_volume(values), make_mask(labels),
+                              DiscretizationSpec(bin_width))
+        if field == "many-levels" and labels.sum() > 1:
+            assert disc.num_gray_levels >= 150
+        elif field == "large-zones":
+            assert disc.num_gray_levels <= 4
+        full = brute_levels(values, labels, bin_width)
+        pairs = brute_glcm(full, offsets)
+        if pairs.any():
+            assert np.array_equal(build_glcm(disc, dim).probs,
+                                  pairs / pairs.sum())
+        assert np.array_equal(build_glrlm(disc, dim).counts,
+                              brute_glrlm(full, offsets))
+        assert np.array_equal(build_glszm(disc, dim).counts,
+                              brute_glszm(full, dim))
+
+
+@pytest.mark.parametrize("dim", ["2D", "3D"])
+def test_glrlm_with_prebuilt_run_lines_equals_without(rng, dim):
+    lines = run_lines((6, 5, 3), select_offsets(dim))
+    for ng in (2, 9):
+        disc = make_disc(random_levels(rng, (6, 5, 3), ng=ng))
+        fresh, reused = build_glrlm(disc, dim), build_glrlm(disc, dim, lines=lines)
+        assert np.array_equal(fresh.counts, reused.counts)
+        assert (fresh.max_run_length, fresh.total_runs, fresh.num_directions) \
+            == (reused.max_run_length, reused.total_runs, reused.num_directions)
+
+
+def test_glrlm_rejects_run_lines_of_another_grid(rng):
+    disc = make_disc(random_levels(rng, (6, 5, 3), ng=3))
+    with pytest.raises(ValueError):
+        build_glrlm(disc, "3D", lines=run_lines((5, 6, 3), OFFSETS_3D))
+    with pytest.raises(ValueError):
+        build_glrlm(disc, "3D", lines=run_lines((6, 5, 3), OFFSETS_2D))
+
+
+@pytest.mark.parametrize("dim", ["2D", "3D"])
+def test_glszm_labels_all_levels_in_one_call(rng, monkeypatch, dim):
+    calls = []
+    original = radrep.texture_matrices.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(radrep.texture_matrices, "connected_components",
+                        counting)
+    levels = random_levels(rng, (6, 6, 3), ng=20)
+    glszm = build_glszm(make_disc(levels), dim)
+    assert len(calls) == 1
+    assert np.array_equal(glszm.counts, brute_glszm(levels, dim))
