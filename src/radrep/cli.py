@@ -1,7 +1,7 @@
 """Command-line interface: extract, analyze, plotdata.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 partial failure
-(extraction finished but the errors sidecar is nonempty).
+(extraction or analysis finished but its errors sidecar is nonempty).
 """
 
 from __future__ import annotations
@@ -82,12 +82,16 @@ def main(argv=None) -> int:
             if not paths:
                 print(f"no input CSVs match {args.inputs!r}", file=sys.stderr)
                 return EXIT_DATA_ERROR
-            written = analyze_run(paths, args.out, reference=args.reference,
-                                  compare=tuple(args.compare) if args.compare
-                                  else None,
-                                  timepoint_map_path=args.timepoint_map)
+            written, failures = analyze_run(
+                paths, args.out, reference=args.reference,
+                compare=tuple(args.compare) if args.compare else None,
+                timepoint_map_path=args.timepoint_map)
             for path in written:
                 print(path)
+            if failures:
+                print(f"{len(failures)} analysis failure(s); see "
+                      f"analysis_errors.csv", file=sys.stderr)
+                return EXIT_PARTIAL
             return EXIT_OK
 
         if args.command == "plotdata":

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import product, repeat
-from math import isfinite, nan
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,12 @@ from .preprocess import (LOG_SIGMAS_MM, WAVELET_SUBBANDS_2D,
                          MissingReferenceMask, NormalizationSpec,
                          apply_filter, filter_wavelet, normalize)
 from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
-                            DegenerateSamples, InsufficientFeatures,
-                            RepeatabilityTable, SubjectRow, binwidth_spread,
-                            build_table, config_delta, filter_frequency, kde,
-                            rank_distribution, split_feature_key,
-                            top_k_per_class)
+                            DegenerateSamples, FeatureMatrix,
+                            InsufficientFeatures, InsufficientSubjects,
+                            MissingVolumeReference, RepeatabilityTable,
+                            binwidth_spread, build_table, config_delta,
+                            filter_frequency, kde, rank_distribution,
+                            split_feature_key, top_k_per_class)
 from .texture_matrices import (RunLines, build_glcm, build_glrlm, build_glszm,
                                run_lines, select_offsets)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
@@ -362,11 +363,12 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
     """
     values: dict[str, float | None] = {}
     failures: list[ExtractionFailure] = []
+    filter_name = spec.name
 
     def record(exc: Exception, cls: str):
         failures.append(ExtractionFailure(
             study=study, structure=mask.structure.value,
-            filter_name=spec.name, error=type(exc).__name__,
+            filter_name=filter_name, error=type(exc).__name__,
             detail=f"{cls}: {exc}"))
 
     if isinstance(volume, Exception):
@@ -377,7 +379,7 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
     try:
         fmap = firstorder_features(volume, mask, disc_spec)
         for (_, name), v in fmap.entries.items():
-            values[f"{spec.name}_firstorder_{name}"] = v
+            values[f"{filter_name}_firstorder_{name}"] = v
     except Exception as exc:
         record(exc, "firstorder")
     try:
@@ -393,7 +395,7 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
         try:
             fmap = compute(build(disc, dimensionality))
             for (_, name), v in fmap.entries.items():
-                values[f"{spec.name}_{cls}_{name}"] = v
+                values[f"{filter_name}_{cls}_{name}"] = v
         except Exception as exc:
             record(exc, cls)
     return values, failures
@@ -718,19 +720,21 @@ _INFO_PREFIXES = ("general_info_", "diagnostics_")
 
 
 def read_feature_csv(path, timepoint_map: dict | None = None,
-                     ) -> dict[str, list[SubjectRow]]:
-    """Parse an extraction CSV into rows grouped by structure.
+                     ) -> dict[str, FeatureMatrix]:
+    """Parse an extraction CSV into one :class:`FeatureMatrix` per structure.
 
-    Empty cells become None; a cell that is not a finite number raises
-    SchemaMismatch.
+    Each line becomes a float64 row as it is read, NaN for an empty cell.
+    A cell that is not a finite number, a line whose field count differs
+    from the header's and a repeated feature column raise SchemaMismatch.
     """
-    by_structure: dict[str, list[SubjectRow]] = {}
+    rows: dict[str, list[tuple[str, int, np.ndarray]]] = {}
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise SchemaMismatch(f"{path}: empty file")
-        feature_cols = []
-        for column in reader.fieldnames:
+        columns: dict[str, int] = {}
+        for index, column in enumerate(header):
             # "" tolerates a leading unnamed index column in foreign files
             if column in META_COLUMNS or column == "" or \
                     column.startswith(_INFO_PREFIXES):
@@ -740,29 +744,42 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
             except ValueError:
                 raise SchemaMismatch(
                     f"{path}: unknown column pattern {column!r}") from None
-            feature_cols.append(column)
-        if "study" not in reader.fieldnames:
+            if column in columns:
+                raise SchemaMismatch(f"{path}, line 1: column {column!r} repeats")
+            columns[column] = index
+        meta = {column: index for index, column in enumerate(header)}
+        if "study" not in meta:
             raise SchemaMismatch(f"{path}: no 'study' meta column")
-        for record in reader:
-            subject, timepoint = _parse_study(record["study"], timepoint_map)
-            values: dict[str, float | None] = {}
-            for column in feature_cols:
-                cell = record[column]
-                if cell in ("", None):
-                    values[column] = None
-                    continue
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) != len(header):
+                raise SchemaMismatch(f"{path}, line {reader.line_num}: "
+                                     f"{len(row)} fields, header has {len(header)}")
+            study = row[meta["study"]]
+            subject, timepoint = _parse_study(study, timepoint_map)
+            cells = [row[i] for i in columns.values()]
+            try:
+                values = np.array([c or "nan" for c in cells], dtype=np.float64)
+                suspects = np.flatnonzero(~np.isfinite(values))
+            except ValueError:
+                suspects = range(len(cells))
+            for j in suspects:  # in column order; empty cells pass
                 try:
-                    value = values[column] = float(cell)
+                    if not cells[j] or isfinite(float(cells[j])):
+                        continue
                 except ValueError:
-                    value = nan
-                if not isfinite(value):
-                    raise SchemaMismatch(
-                        f"{path}: study {record['study']!r}, column {column!r}: "
-                        f"{cell!r} is not a finite number")
-            structure = record.get("segmentedStructure", "")
-            by_structure.setdefault(structure, []).append(
-                SubjectRow(subject=subject, timepoint=timepoint, values=values))
-    return by_structure
+                    pass
+                raise SchemaMismatch(
+                    f"{path}: study {study!r}, column {list(columns)[j]!r}: "
+                    f"{cells[j]!r} is not a finite number")
+            structure = (row[meta["segmentedStructure"]]
+                         if "segmentedStructure" in meta else "")
+            rows.setdefault(structure, []).append((subject, timepoint, values))
+    matrices = {}
+    for structure, group in rows.items():
+        subjects, timepoints, values = zip(*group)
+        matrices[structure] = FeatureMatrix(tuple(columns), np.array(values),
+                                            subjects, timepoints)
+    return matrices
 
 
 def _write_icc_table(path: Path, table: RepeatabilityTable):
@@ -782,15 +799,30 @@ def _write_icc_table(path: Path, table: RepeatabilityTable):
                       "icc", "bms", "wms", "n", "aboveVolumeReference"], rows)
 
 
+@dataclass
+class AnalysisFailure:
+    stem: str
+    structure: str
+    error: str
+    detail: str
+
+
 def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
                 compare: tuple[str, str] | None = None,
-                timepoint_map_path=None) -> list[Path]:
+                timepoint_map_path=None,
+                ) -> tuple[list[Path], list[AnalysisFailure]]:
     """Build repeatability tables from extraction CSVs and write reports.
 
     Emits per-table ICC CSVs, top-3 and filter-frequency JSON, bin-width
     spread + KDE + rank-distribution files for groups of tables that
     differ only in bin width, and (optionally) a config-delta report for
-    the two named configurations.
+    the two named configurations. Returns (report paths, failures).
+
+    A (CSV, structure) whose table cannot be built (too few subjects, no
+    reference ICC) is a failure: it gets no reports and the run goes on.
+    Failures are written to ``analysis_errors.csv`` when any occur; an
+    errors file left by an earlier run is replaced, header-only when this
+    run has none.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -802,12 +834,20 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     tables: dict[tuple[str, str], RepeatabilityTable] = {}
     configs: dict[str, ParsedConfig] = {}
     written: list[Path] = []
+    failures: list[AnalysisFailure] = []
     for path in sorted(Path(p) for p in csv_paths):
         config = parse_config_from_name(path)
         configs[config.stem] = config
-        for structure, rows in sorted(read_feature_csv(path, timepoint_map).items()):
-            table = build_table(rows, config.key(structure),
-                                reference_feature=reference)
+        for structure, matrix in sorted(
+                read_feature_csv(path, timepoint_map).items()):
+            try:
+                table = build_table(matrix, config.key(structure),
+                                    reference_feature=reference)
+            except (InsufficientSubjects, MissingVolumeReference) as exc:
+                failures.append(AnalysisFailure(
+                    stem=config.stem, structure=structure,
+                    error=type(exc).__name__, detail=str(exc)))
+                continue
             tables[(config.stem, structure)] = table
 
             icc_path = out_dir / f"icc__{config.stem}__{structure}.csv"
@@ -833,10 +873,15 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
             })
             written.append(freq_path)
 
+    errors_path = out_dir / "analysis_errors.csv"
+    if failures or errors_path.exists():
+        _write_csv(errors_path, ["stem", "segmentedStructure", "error",
+                                 "detail"],
+                   ([f.stem, f.structure, f.error, f.detail] for f in failures))
     written += _binwidth_reports(tables, configs, out_dir)
     if compare:
         written += _delta_reports(tables, compare, out_dir)
-    return written
+    return written, failures
 
 
 def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:

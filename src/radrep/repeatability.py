@@ -9,7 +9,8 @@ rather than against absolute thresholds.
 
 Analyses operate on :class:`RepeatabilityTable` objects keyed by full
 feature-column names (``[filter]_[class]_[name]``), each computed from
-one (features, subjects, 2) array with NaN for undefined cells; a subject
+one :class:`FeatureMatrix` (a CSV's rows for one structure) through one
+(features, subjects, 2) array with NaN for undefined cells; a subject
 with an undefined value is dropped for that feature only, and the retained
 count is reported alongside every ICC. ``build_table`` itself rejects a
 cohort with fewer than 3 subjects at both timepoints.
@@ -123,12 +124,16 @@ class ConfigKey:
 
 
 @dataclass(frozen=True)
-class SubjectRow:
-    """One extracted row: a subject/timepoint's feature values."""
+class FeatureMatrix:
+    """A feature CSV's rows for one structure, NaN for an empty cell."""
 
-    subject: str
-    timepoint: int
-    values: dict[str, float | None]
+    features: tuple[str, ...]
+    values: np.ndarray  # (rows, features) float64, read-only
+    subjects: tuple[str, ...]
+    timepoints: tuple[int, ...]
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -146,26 +151,27 @@ class RepeatabilityTable:
     dropped: dict[str, str] = field(default_factory=dict)
 
 
-def build_table(rows: list[SubjectRow], key: ConfigKey,
+def build_table(matrix: FeatureMatrix, key: ConfigKey,
                 reference_feature: str = VOLUME_REFERENCE_FEATURE,
                 ) -> RepeatabilityTable:
     """Compute one ICC per feature column and attach the Volume reference.
 
-    Raises InsufficientSubjects below 3 subjects with rows at both
-    timepoints. Subjects with an undefined value are dropped for that
-    feature only; features with the same retained subjects share one ICC
-    computation.
+    Features and subjects are sorted; only rows at timepoints 1 and 2
+    count, and a later row replaces an earlier one of the same subject
+    and timepoint. Raises InsufficientSubjects below 3 subjects with rows
+    at both timepoints. Subjects with an undefined value are dropped for
+    that feature only; features with the same retained subjects share one
+    ICC computation.
     """
-    features: list[str] = sorted({f for row in rows for f in row.values})
-    subjects = {s: i for i, s in enumerate(sorted({r.subject for r in rows}))}
-    y = np.full((len(features), len(subjects), 2), np.nan)
-    present = np.zeros((len(subjects), 2), dtype=bool)
-    for row in rows:
-        if row.timepoint in (1, 2):
-            cell = subjects[row.subject], row.timepoint - 1
-            y[:, cell[0], cell[1]] = [row.values.get(f) for f in features]
-            present[cell] = True
-    complete = int(present.all(axis=1).sum())
+    order = sorted(range(len(matrix.features)), key=matrix.features.__getitem__)
+    features = [matrix.features[j] for j in order]
+    number = {s: i for i, s in enumerate(sorted(set(matrix.subjects)))}
+    last = {(number[s], t - 1): r for r, (s, t) in enumerate(
+        zip(matrix.subjects, matrix.timepoints)) if t in (1, 2)}
+    subject, column = np.array(list(last), dtype=np.intp).reshape(-1, 2).T
+    y = np.full((len(features), len(number), 2), np.nan)
+    y[:, subject, column] = matrix.values[np.ix_(list(last.values()), order)].T
+    complete = int((np.bincount(subject) == 2).sum())
     if complete < MIN_SUBJECTS:
         raise InsufficientSubjects(f"{key}: {complete} subject(s) with both "
                                    f"timepoints; need >= {MIN_SUBJECTS}")

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the texture and ICC machinery.
+"""Independent brute-force oracles for the texture, CSV and ICC machinery.
 
 These deliberately take the naive route (python loops, flood fill,
 sum-of-squares ANOVA decomposition) so they share no code path with the
@@ -7,8 +7,11 @@ vectorized implementations they check.
 
 from __future__ import annotations
 
+import csv
 import math
+import re
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,7 +161,44 @@ def anova_icc(pairs) -> tuple[float, float, float]:
     return (bms - wms) / (bms + wms), bms, wms
 
 
-def brute_table(rows, reference: str):
+class Row(NamedTuple):
+    """One feature-CSV row: a subject/timepoint's {column: value or None}."""
+
+    subject: str
+    timepoint: int
+    values: dict[str, float | None]
+
+
+_META = ("study", "series", "canonicalType", "segmentedStructure")
+
+
+def brute_read_feature_csv(path, timepoint_map=None) -> dict[str, list[Row]]:
+    """A valid feature CSV as one :class:`Row` per line, per structure.
+
+    Each line goes through csv.DictReader and each non-empty cell through
+    float(); empty cells are None. The file's schema is not checked.
+    """
+    by_structure: dict[str, list[Row]] = {}
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        columns = [c for c in reader.fieldnames if c not in _META and c != ""
+                   and not c.startswith(("general_info_", "diagnostics_"))]
+        for record in reader:
+            study = record["study"]
+            if timepoint_map and study in timepoint_map:
+                subject, timepoint = timepoint_map[study]
+            else:
+                subject, timepoint = re.fullmatch(
+                    r"(.+?)[_-][tT][pP](\d+)", study).groups()
+            values = {c: float(record[c]) if record[c] else None
+                      for c in columns}
+            by_structure.setdefault(record.get("segmentedStructure", ""), []
+                                    ).append(Row(str(subject), int(timepoint),
+                                                 values))
+    return by_structure
+
+
+def brute_table(rows: list[Row], reference: str):
     """One repeatability table, feature by feature.
 
     Returns (results, dropped, reference result), where results maps each

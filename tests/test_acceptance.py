@@ -387,9 +387,9 @@ def test_criterion_8_published_data_reproduction():
         tables = {}
         for path in csv_paths:
             config = parse_config_from_name(path)
-            for structure, rows in read_feature_csv(
+            for structure, matrix in read_feature_csv(
                     path, timepoint_map).items():
-                table = build_table(rows, config.key(structure))
+                table = build_table(matrix, config.key(structure))
                 tables[(config.stem, structure)] = table
                 volume_iccs.setdefault(
                     (config.image_type, structure),

@@ -1,26 +1,60 @@
 """The benchmark's tracer patches radrep functions by name; keep them there.
 
 ``bench/tracing.py`` replaces each ``(owner, attr)`` of its ``TRACED``
-table at the name callers look it up. A refactor that moves or renames
-one of them would silently blind a per-layer metric, so fail here first.
+table at the name callers look it up, and its counters read the traced
+calls' arguments and results. A refactor that moves or renames one of
+them, or changes what a counter reads, would silently blind a per-layer
+metric, so fail here first.
 """
 
+import csv
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
+import radrep.pipeline
+
+from cohorts import build_cohort
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_traced_hook_resolves_to_a_radrep_function(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_hook_resolves_to_a_radrep_function(tracing):
     assert tracing.TRACED
     for owner, attr, span, _ in tracing.TRACED:
         target = getattr(owner, attr, None)
         assert inspect.isfunction(target), f"{owner.__name__}.{attr} ({span})"
         assert target.__module__.startswith("radrep."), \
             f"{owner.__name__}.{attr} is {target.__module__}.{target.__name__}"
+
+
+def test_analysis_counters_see_csv_bytes_and_iccs(tmp_path, tracing):
+    settings = {"normalizationModes": ["none"], "binWidths": [10, 20],
+                "dimensionality": "2D", "filters": ["original"]}
+    manifest = radrep.pipeline.load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=4, settings=settings,
+        structures=("Tumor", "WholeGland")))
+    csv_paths, _ = radrep.pipeline.extract_run(manifest, tmp_path / "out")
+    with tracing.Tracer() as tracer:
+        radrep.pipeline.analyze_run(csv_paths, tmp_path / "reports")
+    metrics = tracing.layer_metrics(tracer.to_records(), jobs=1, cells=0)
+    icc_rows = 0
+    for path in (tmp_path / "reports").glob("icc__*.csv"):
+        with open(path, newline="") as handle:
+            icc_rows += len(list(csv.DictReader(handle)))
+    assert metrics["pipeline.read_csv.bytes"] == sum(
+        path.stat().st_size for path in csv_paths) > 0
+    assert metrics["repeatability.build_table.calls"] == 4
+    assert metrics["repeatability.iccs"] == icc_rows > 0

@@ -16,9 +16,9 @@ from radrep.pipeline import (ManifestError, SchemaMismatch, _write_csv,
                              load_manifest, parse_config_from_name,
                              plotdata_run, read_feature_csv,
                              validate_feature_csv)
-from radrep.repeatability import InsufficientSubjects
 
 from cohorts import build_cohort
+from oracles import brute_read_feature_csv
 
 
 def read_rows(path):
@@ -411,7 +411,7 @@ def test_multi_image_type_cohort(tmp_path):
     assert {r["canonicalType"] for r in adc_rows} == {"ADC"}
     assert {r["canonicalType"] for r in t2_rows} == {"T2AX"}
 
-    written = analyze_run(csv_paths, tmp_path / "reports")
+    written, _ = analyze_run(csv_paths, tmp_path / "reports")
     icc_files = sorted(p.name for p in written if p.name.startswith("icc__"))
     assert icc_files == [
         "icc__FullStudySettings_noNormalization_2D_ADC_bin15__Tumor.csv",
@@ -420,17 +420,59 @@ def test_multi_image_type_cohort(tmp_path):
 
 
 def test_analyze_insufficient_subjects(tmp_path):
+    # the table is recorded as a failure, not raised, and gets no reports
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=1))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
-    with pytest.raises(InsufficientSubjects):
-        analyze_run(csv_paths, tmp_path / "reports")
+    written, failures = analyze_run(csv_paths, tmp_path / "reports")
+    assert written == []
+    assert [(f.stem, f.structure, f.error) for f in failures] == [
+        (csv_paths[0].stem, "Tumor", "InsufficientSubjects")]
+    [row] = read_rows(tmp_path / "reports" / "analysis_errors.csv")
+    assert row["error"] == "InsufficientSubjects"
+    assert "1 subject(s) with both timepoints" in row["detail"]
+
+
+def test_analyze_records_a_failing_structure_and_goes_on(tmp_path, capsys):
+    # WholeGland keeps 2 complete subjects, Tumor 5: Tumor's reports are
+    # the same as from the full file, WholeGland is one error row, exit 3
+    manifest = load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=5, structures=("Tumor", "WholeGland")))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    full, _ = analyze_run([path], tmp_path / "full")
+    with open(path, newline="") as handle:
+        lines = list(csv.reader(handle))
+    kept = [line for line in lines if not (
+        line[-1] == "WholeGland" and line[-4][:5] in ("sub02", "sub03", "sub04"))]
+    assert len(kept) == len(lines) - 6
+    _write_csv(path, kept[0], kept[1:])
+
+    reports = tmp_path / "reports"
+    assert main(["analyze", "--in", str(path), "--out", str(reports)]) == 3
+    assert "1 analysis failure(s)" in capsys.readouterr().err
+    [row] = read_rows(reports / "analysis_errors.csv")
+    assert (row["stem"], row["segmentedStructure"], row["error"]) == (
+        path.stem, "WholeGland", "InsufficientSubjects")
+    tumor = sorted(p.name for p in full if p.name.endswith("__Tumor.csv")
+                   or p.name.endswith("__Tumor.json"))
+    assert len(tumor) == 3
+    assert sorted(p.name for p in reports.iterdir()) == sorted(
+        tumor + ["analysis_errors.csv"])
+    for name in tumor:
+        assert (reports / name).read_bytes() == (tmp_path / "full" / name
+                                                 ).read_bytes()
+
+    # a rerun without failures leaves a header-only errors file
+    _write_csv(path, lines[0], lines[1:])
+    assert main(["analyze", "--in", str(path), "--out", str(reports)]) == 0
+    assert read_rows(reports / "analysis_errors.csv") == []
+    capsys.readouterr()
 
 
 def test_analyze_perfect_retest_all_iccs_one(tmp_path):
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=10,
                                           perfect_retest=True))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
-    written = analyze_run(csv_paths, tmp_path / "reports")
+    written, _ = analyze_run(csv_paths, tmp_path / "reports")
     icc_files = [p for p in written if p.name.startswith("icc__")]
     assert len(icc_files) == 1
     rows = read_rows(icc_files[0])
@@ -448,7 +490,7 @@ def test_analyze_reports_and_plotdata(tmp_path):
                                           settings=settings))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
     assert len(csv_paths) == 2
-    written = analyze_run(csv_paths, tmp_path / "reports",
+    written, _ = analyze_run(csv_paths, tmp_path / "reports",
                           compare=(csv_paths[0].stem, csv_paths[1].stem))
     names = {p.name for p in written}
     assert any(n.startswith("icc__") for n in names)
@@ -514,7 +556,7 @@ def test_analyze_binwidth_group_with_uneven_feature_sets(tmp_path):
                 if constant:
                     row["original_glcm_Idm"] = "1"
                 writer.writerow([row[c] for c in header])
-    written = analyze_run(csv_paths, tmp_path / "reports")
+    written, _ = analyze_run(csv_paths, tmp_path / "reports")
     notes = [p for p in written if p.name.startswith("binwidth_notes__")]
     assert len(notes) == 1
     payload = json.loads(notes[0].read_text())
@@ -528,7 +570,7 @@ def test_analyze_delta_identical_configs_zero(tmp_path):
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=5))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
     stem = csv_paths[0].stem
-    written = analyze_run(csv_paths, tmp_path / "reports",
+    written, _ = analyze_run(csv_paths, tmp_path / "reports",
                           compare=(stem, stem))
     delta_path = next(p for p in written if p.name.startswith("delta__"))
     payload = json.loads(delta_path.read_text())
@@ -571,6 +613,100 @@ def test_analyze_rejects_non_finite_cells(tmp_path, cell):
         assert name in str(info.value)
     with pytest.raises(SchemaMismatch):
         analyze_run([bad], tmp_path / "reports")
+
+
+def _hand_written_csv(path, cells, contrast_header="original_glcm_Contrast"):
+    """Six rows over three subjects; ``cells`` fill the Contrast column."""
+    rows = ["general_info_VoxelNum,original_shape_Volume,"
+            f"{contrast_header},study,series,canonicalType,segmentedStructure"]
+    for i, cell in enumerate(cells):
+        subject, tp = divmod(i, 2)
+        rows.append(f"8,{8 + subject + tp},{cell},"
+                    f"sub{subject:02d}_tp{tp + 1},s,T2AX,Tumor")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("fault", ["short row", "long row", "repeated column"])
+def test_analyze_rejects_ragged_rows_and_repeated_columns(tmp_path, capsys,
+                                                          fault):
+    bad = _hand_written_csv(
+        tmp_path / "FullStudySettings_noNormalization_2D_T2AX_bin15.csv",
+        ["0.5", "0.7", "0.2", "0.4", "0.9", "0.1"],
+        "original_shape_Volume" if fault == "repeated column"
+        else "original_glcm_Contrast")
+    lines = bad.read_text().splitlines()
+    if fault == "short row":
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+    elif fault == "long row":
+        lines[3] += ",extra"
+    bad.write_text("\n".join(lines) + "\n")
+    line = {"short row": 7, "long row": 4, "repeated column": 1}[fault]
+    with pytest.raises(SchemaMismatch, match=f", line {line}: ") as info:
+        read_feature_csv(bad)
+    assert str(bad) in str(info.value)
+    assert main(["analyze", "--in", str(bad),
+                 "--out", str(tmp_path / "reports")]) == 2
+    assert f"line {line}" in capsys.readouterr().err
+
+
+def _assert_reads_like_oracle(path):
+    """read_feature_csv equals the DictReader oracle bit for bit."""
+    matrices = read_feature_csv(path)
+    expected = brute_read_feature_csv(path)
+    assert list(matrices) == list(expected)
+    for structure, rows in expected.items():
+        matrix = matrices[structure]
+        assert matrix.features == tuple(rows[0].values)
+        assert matrix.subjects == tuple(row.subject for row in rows)
+        assert matrix.timepoints == tuple(row.timepoint for row in rows)
+        values = np.array([[np.nan if v is None else v
+                            for v in row.values.values()] for row in rows])
+        assert matrix.values.shape == values.shape
+        assert matrix.values.tobytes() == values.tobytes()
+
+
+def test_read_feature_csv_matches_oracle_on_extracted_cohort(tmp_path, rng):
+    settings = {"normalizationModes": ["none"], "binWidths": [15],
+                "dimensionality": "2D", "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=4, settings=settings,
+        structures=("Tumor", "WholeGland")))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    with open(path, newline="") as handle:
+        lines = list(csv.reader(handle))
+    features = [j for j, c in enumerate(lines[0]) if "_" in c
+                and not c.startswith("general_info_") and c != "original_shape_Volume"]
+    blanked = 0
+    for line in lines[1:]:
+        for j in rng.choice(features, size=25, replace=False):
+            blanked += line[j] != ""
+            line[j] = ""
+    assert blanked > 100
+    _write_csv(path, lines[0], lines[1:])
+    _assert_reads_like_oracle(path)
+    matrices = read_feature_csv(path)
+    assert sorted(matrices) == ["Tumor", "WholeGland"]
+    assert all(np.isnan(m.values).any() for m in matrices.values())
+
+
+def test_read_feature_csv_parses_cells_like_float(tmp_path):
+    cells = ["-0", "0", "5e-324", "4.9406564584124654e-324",
+             "2.2250738585072009e-308", "2.2250738585072014e-308", "1e-308",
+             "-1e-308", "1e308", "-1e308", "1.7976931348623157e+308",
+             "-1.7976931348623157e308", "1e-400", "0.10000000000000001",
+             "9007199254740993", "1.0000000000000002",
+             "123456789012345678901234567890", " 1", "1_0", "+7", "",
+             "-2.5e-3"]
+    for start in range(0, len(cells), 6):
+        chunk = (cells[start:start + 6] + ["1"] * 6)[:6]
+        path = _hand_written_csv(tmp_path / f"cells{start}.csv", chunk)
+        _assert_reads_like_oracle(path)
+    [matrix] = read_feature_csv(_hand_written_csv(
+        tmp_path / "zeros.csv", ["-0", "0", "", "1", "1", "1"])).values()
+    contrast = matrix.values[:, matrix.features.index("original_glcm_Contrast")]
+    assert np.signbit(contrast[:2]).tolist() == [True, False]
+    assert np.isnan(contrast[2])
 
 
 def test_plotdata_missing_reports(tmp_path):

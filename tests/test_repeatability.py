@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from radrep.repeatability import (ConfigKey, DegenerateData,
-                                  DegenerateSamples, FeatureSetMismatch,
-                                  IccResult, InsufficientFeatures,
-                                  InsufficientSubjects, MissingVolumeReference,
-                                  NoSharedFeatures, PairedMeasurements,
-                                  RepeatabilityTable, SubjectRow,
+                                  DegenerateSamples, FeatureMatrix,
+                                  FeatureSetMismatch, IccResult,
+                                  InsufficientFeatures, InsufficientSubjects,
+                                  MissingVolumeReference, NoSharedFeatures,
+                                  PairedMeasurements, RepeatabilityTable,
                                   binwidth_spread, build_table, config_delta,
                                   filter_frequency, gaussian_kde_density,
                                   icc_1_1, kde, rank_distribution,
                                   silverman_bandwidth, split_feature_key,
                                   top_k_per_class)
 
-from oracles import anova_icc, brute_table
+from oracles import Row, anova_icc, brute_table
 
 
 def pairs_of(*items):
@@ -115,6 +115,20 @@ def test_icc_consistency_estimator():
 # build_table
 # ---------------------------------------------------------------------------
 
+def matrix_of(rows: list[Row]) -> FeatureMatrix:
+    """build_table's input for per-row values: None and absent cells are NaN.
+
+    Columns come in first-seen order, not sorted, as in a CSV file.
+    """
+    features = list(dict.fromkeys(f for row in rows for f in row.values))
+    values = np.array([[np.nan if row.values.get(f) is None else row.values[f]
+                        for f in features] for row in rows], dtype=np.float64)
+    return FeatureMatrix(features=tuple(features),
+                         values=values.reshape(len(rows), len(features)),
+                         subjects=tuple(row.subject for row in rows),
+                         timepoints=tuple(row.timepoint for row in rows))
+
+
 def make_rows(n_subjects=15, features=("original_shape_Volume",
                                        "original_firstorder_Mean"),
               jitter=0.0, seed=1):
@@ -125,13 +139,13 @@ def make_rows(n_subjects=15, features=("original_shape_Volume",
         for tp in (1, 2):
             values = {f: v + (rng.normal() * jitter if tp == 2 else 0.0)
                       for f, v in base.items()}
-            rows.append(SubjectRow(subject=f"s{i:02d}", timepoint=tp,
-                                   values=values))
+            rows.append(Row(subject=f"s{i:02d}", timepoint=tp,
+                            values=values))
     return rows
 
 
 def test_build_table_plumbing():
-    table = build_table(make_rows(), KEY)
+    table = build_table(matrix_of(make_rows()), KEY)
     assert set(table.rows) == {"original_shape_Volume",
                                "original_firstorder_Mean"}
     assert table.volume_reference is table.rows["original_shape_Volume"]
@@ -142,9 +156,9 @@ def test_build_table_drops_subject_per_feature():
     rows = make_rows(n_subjects=15, jitter=0.01)
     values = dict(rows[0].values)
     values["original_firstorder_Mean"] = None
-    rows[0] = SubjectRow(subject=rows[0].subject, timepoint=rows[0].timepoint,
-                         values=values)
-    table = build_table(rows, KEY)
+    rows[0] = Row(subject=rows[0].subject, timepoint=rows[0].timepoint,
+                  values=values)
+    table = build_table(matrix_of(rows), KEY)
     assert table.rows["original_firstorder_Mean"].n == 14
     assert table.rows["original_shape_Volume"].n == 15
 
@@ -152,14 +166,14 @@ def test_build_table_drops_subject_per_feature():
 def test_build_table_missing_reference():
     rows = make_rows(features=("original_firstorder_Mean",))
     with pytest.raises(MissingVolumeReference):
-        build_table(rows, KEY)
+        build_table(matrix_of(rows), KEY)
 
 
 def test_build_table_degenerate_feature_dropped():
     rows = make_rows(jitter=0.01)
-    rows = [SubjectRow(r.subject, r.timepoint,
-                       {**r.values, "original_glcm_Idm": 1.0}) for r in rows]
-    table = build_table(rows, KEY)
+    rows = [Row(r.subject, r.timepoint,
+                {**r.values, "original_glcm_Idm": 1.0}) for r in rows]
+    table = build_table(matrix_of(rows), KEY)
     assert "original_glcm_Idm" not in table.rows
     assert "original_glcm_Idm" in table.dropped
 
@@ -168,7 +182,7 @@ def test_build_table_needs_three_complete_subjects():
     rows = [r for r in make_rows(n_subjects=3)
             if (r.subject, r.timepoint) != ("s02", 2)]
     with pytest.raises(InsufficientSubjects, match="Tumor.*2 subject"):
-        build_table(rows, KEY)
+        build_table(matrix_of(rows), KEY)
 
 
 def random_cohort(rng, n_complete: int, n_random: int = 12):
@@ -199,7 +213,7 @@ def random_cohort(rng, n_complete: int, n_random: int = 12):
         level = rng.standard_normal(n_random)
         timepoints = ((1,) if subject == n_complete
                       else (1, 2) + extra.get(subject, ()))
-        rows += [SubjectRow(f"s{subject:02d}", tp, values(subject, tp, level))
+        rows += [Row(f"s{subject:02d}", tp, values(subject, tp, level))
                  for tp in timepoints]
     return [rows[i] for i in rng.permutation(len(rows))]
 
@@ -210,7 +224,7 @@ def test_build_table_matches_per_feature_oracle(n_complete):
     retained = set()
     for _ in range(20):
         rows = random_cohort(rng, n_complete)
-        table = build_table(rows, KEY)
+        table = build_table(matrix_of(rows), KEY)
         results, dropped, reference = brute_table(rows, "original_shape_Volume")
         assert list(table.rows) == list(results)
         assert {f: (r.icc, r.bms, r.wms, r.n)
@@ -265,8 +279,8 @@ def test_binwidth_spread_matches_recomputation(rng):
                 values = {"original_shape_Volume": float(i + 1),
                           "original_glcm_Contrast": float(i + 1 + noise * tp)}
                 value_store[(width, i, tp)] = values
-                rows.append(SubjectRow(f"s{i}", tp, values))
-        tables[width] = build_table(rows, KEY)
+                rows.append(Row(f"s{i}", tp, values))
+        tables[width] = build_table(matrix_of(rows), KEY)
     spread = binwidth_spread(tables)
     recomputed = {}
     for feature in features:
