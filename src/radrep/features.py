@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
 
 from .discretize import DiscretizationSpec, discretize_roi
 from .texture_matrices import GlcMatrix, GlrlMatrix, GlszMatrix
 from .volume_io import RoiMask, VolumeGrid
+
+# Rows of the pairwise-distance matrix formed at once (x 1200 points x
+# 8 bytes: about 2.5 MB per temporary).
+_DISTANCE_BLOCK = 256
 
 FEATURE_CLASSES = ("firstorder", "shape", "glcm", "glrlm", "glszm")
 
@@ -175,10 +177,17 @@ def _surface_face_counts(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance; hull-accelerated when large."""
+    """Largest pairwise Euclidean distance; hull-accelerated when large.
+
+    The squared distances are summed per coordinate in coordinate order,
+    as ``scipy.spatial.distance.pdist`` sums them, and the square root is
+    taken of their maximum, so the result equals ``pdist(points).max()``.
+    """
     if len(points) < 2:
         return 0.0
     if len(points) > 1200:
+        from scipy.spatial import ConvexHull, QhullError
+
         centered = points - points.mean(axis=0)
         _, s, vt = np.linalg.svd(centered, full_matrices=False)
         keep = s > 1e-9 * s[0] if s[0] > 0 else s > np.inf
@@ -192,7 +201,14 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
             points = points[hull.vertices]
         except QhullError:
             pass
-    return float(pdist(points).max())
+    largest = 0.0
+    for start in range(0, len(points), _DISTANCE_BLOCK):
+        # rows start .. start + block against every later point
+        block, rest = points[start:start + _DISTANCE_BLOCK, None], points[start:]
+        squared = sum((block[..., c] - rest[:, c]) ** 2
+                      for c in range(points.shape[1]))
+        largest = max(largest, float(squared.max()))
+    return math.sqrt(largest)
 
 
 def shape_features(mask: RoiMask) -> FeatureMap:

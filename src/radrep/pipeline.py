@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import ndimage
 
 from . import RadrepError, __version__
 from .discretize import DiscretizationSpec, discretize_roi
@@ -39,8 +38,9 @@ from .features import (FEATURE_ROSTER, firstorder_features,
                        shape_features)
 from .preprocess import (LOG_SIGMAS_MM, WAVELET_SUBBANDS_2D,
                          WAVELET_SUBBANDS_3D, FilterKind, FilterSpec,
-                         MissingReferenceMask, NormalizationSpec,
-                         apply_filter, filter_wavelet, normalize)
+                         MissingReferenceMask, NormalizationMode,
+                         NormalizationSpec, apply_filter, filter_wavelet,
+                         normalize)
 from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             DegenerateSamples, FeatureMatrix,
                             InsufficientFeatures, InsufficientSubjects,
@@ -48,18 +48,13 @@ from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             binwidth_spread, build_table, config_delta,
                             filter_frequency, kde, rank_distribution,
                             split_feature_key, top_k_per_class)
-from .texture_matrices import (RunLines, build_glcm, build_glrlm, build_glszm,
-                               run_lines, select_offsets)
+from .texture_matrices import (OFFSETS_3D, RunLines, build_glcm, build_glrlm,
+                               build_glszm, label_zones, run_lines,
+                               select_offsets)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
                         check_geometry, read_mask, read_volume)
 
 IMAGE_TYPES = ("T2AX", "ADC", "SUB")
-# Normalization mode -> its code word. CSV names leave wholeImage unmarked;
-# bin-width report names spell it out. parse_config_from_name takes the
-# first code word a name contains, in this order.
-NORMALIZATION_CODES = {"none": "noNormalization",
-                       "referenceRegion": "MuscleRefNorm",
-                       "wholeImage": "wholeImageNorm"}
 FILTER_CATALOG = ("original", "log", "wavelet", "square", "squareroot",
                   "logarithm", "exponential")
 _WAVELET_DIMS = {FilterKind.WAVELET_2D: "2D", FilterKind.WAVELET_3D: "3D"}
@@ -86,7 +81,8 @@ class SchemaMismatch(PipelineError):
 
 
 class MissingReport(PipelineError):
-    """plotdata input directory holds no analysis reports."""
+    """No report can be made: plotdata input directory holds no analysis
+    reports, or the CSVs named for a comparison share no structure."""
 
 
 class StaleOutputs(PipelineError):
@@ -196,8 +192,10 @@ def load_manifest(path) -> RunManifest:
         raise ManifestError(f"dimensionality must be 2D or 3D, got {dimensionality!r}")
     modes = tuple(settings_doc.get("normalizationModes", ["none"]))
     for mode in modes:
-        if mode not in NORMALIZATION_CODES:
-            raise ManifestError(f"unknown normalization mode {mode!r}")
+        try:
+            NormalizationMode(mode)
+        except ValueError:
+            raise ManifestError(f"unknown normalization mode {mode!r}") from None
     if len(set(modes)) != len(modes):
         raise ManifestError(f"normalization modes repeat: {list(modes)}")
     bin_widths = tuple(float(w) for w in settings_doc.get("binWidths", [15.0]))
@@ -279,8 +277,9 @@ def config_csv_name(image_type: str, normalization: str, bin_width: float,
                     settings: RunSettings) -> str:
     """Filename encoding the configuration cell via its code words."""
     parts = ["FullStudySettings"]
-    if normalization != "wholeImage":
-        parts.append(NORMALIZATION_CODES[normalization])
+    mode = NormalizationMode(normalization)
+    if mode is not NormalizationMode.WHOLE_IMAGE:
+        parts.append(mode.code)
     parts.append(settings.dimensionality)
     if settings.bias_corrected:
         parts.append("biasCorrected")
@@ -310,9 +309,10 @@ class ExtractionFailure:
 
 
 def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
-    if mode == "none":
+    normalization = NormalizationMode(mode)
+    if normalization is NormalizationMode.NONE:
         return image
-    if mode == "wholeImage":
+    if normalization is NormalizationMode.WHOLE_IMAGE:
         return normalize(image, NormalizationSpec.whole_image())
     if entry.reference_mask_path is None:
         raise MissingReferenceMask(
@@ -324,11 +324,13 @@ def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
 
 
 def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
-                      filters: tuple[FilterSpec, ...]):
+                      filters: tuple[FilterSpec, ...],
+                      box: tuple[slice, slice, slice] | None):
     """Yield (spec, filtered grid or the exception that prevented it).
 
     Each wavelet kind is transformed once, at the dimensionality its kind
-    names, and hands out all of its subbands.
+    names, and hands out all of its subbands. ``box`` bounds the voxels
+    that LoG computes (see :func:`~radrep.preprocess.filter_log`).
     """
     try:
         volume = _normalized(image, entry, mode)
@@ -341,7 +343,7 @@ def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
         dim = _WAVELET_DIMS.get(spec.kind)
         try:
             if dim is None:
-                filtered = apply_filter(volume, spec)
+                filtered = apply_filter(volume, spec, box)
             else:
                 if dim not in wavelets:
                     wavelets[dim] = filter_wavelet(volume, dim)
@@ -404,9 +406,8 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
 def _general_info(image: VolumeGrid, mask: RoiMask,
                   settings: RunSettings) -> dict:
     """General info shared by all configuration cells (all but GeneralSettings)."""
-    volume_num = int(ndimage.label(mask.labels > 0,
-                                   structure=np.ones((3, 3, 3), dtype=bool))[1])
     box = mask.bounding_box
+    volume_num, _ = label_zones(mask.labels[box] > 0, OFFSETS_3D)
     return {
         "general_info_BoundingBox": " ".join(
             str(v) for v in (*(s.start for s in box), *(s.stop - 1 for s in box))),
@@ -432,13 +433,32 @@ def _general_settings(mode: str, bin_width: float, settings: RunSettings) -> str
     )
 
 
+def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice] | None:
+    """Smallest box holding every mask's bounding box (None: no mask).
+
+    A mask whose bounding box cannot be taken is left out; its cells
+    fail on their own.
+    """
+    boxes = []
+    for mask in masks:
+        try:
+            boxes.append(mask.bounding_box)
+        except Exception:
+            continue
+    if not boxes:
+        return None
+    return tuple(slice(min(b[axis].start for b in boxes),
+                       max(b[axis].stop for b in boxes)) for axis in range(3))
+
+
 def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     """One cohort entry's (mode, bin width) -> (rows, failures).
 
     The image and masks are read once; shape, general info and the GLRLM
     run-line layout of the mask's bounding box are computed once per mask
-    and each filter once per mode. A failure that blanks a whole row or
-    filter is recorded once in every cell it blanks.
+    and each filter once per mode. LoG is computed over the union of the
+    masks' bounding boxes only (plus its kernel's reach). A failure that
+    blanks a whole row or filter is recorded once in every cell it blanks.
     """
     cells = {(mode, bin_width): ([], [])
              for mode in settings.normalization_modes
@@ -489,9 +509,10 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
                     mode, bin_width, settings))
             rows.append(row)
 
+    box = _union_box(masks)
     for mode in settings.normalization_modes:
         for spec, volume in _filtered_volumes(image, entry, mode,
-                                              settings.filters):
+                                              settings.filters, box):
             for i, (mask, lines) in enumerate(zip(masks, mask_lines)):
                 for bin_width in settings.bin_widths:
                     rows, failures = cells[(mode, bin_width)]
@@ -618,8 +639,8 @@ def validate_feature_csv(path) -> None:
 
     Layout: general_info_* columns first, then feature columns named
     ``[pre-filter]_[feature group]_[feature name]`` with known groups,
-    names, and parseable filter prefixes, then exactly the four meta
-    columns.
+    names, and parseable filter prefixes, each at most once, then exactly
+    the four meta columns.
     """
     with open(path, newline="") as handle:
         header = next(csv.reader(handle))
@@ -634,7 +655,11 @@ def validate_feature_csv(path) -> None:
         i += 1
     if i == 0:
         raise SchemaMismatch(f"{path}: no general_info_ columns at the front")
+    seen = set()
     for column in body[i:]:
+        if column in seen:
+            raise SchemaMismatch(f"{path}: column {column!r} repeats")
+        seen.add(column)
         if column.startswith("general_info_"):
             raise SchemaMismatch(
                 f"{path}: general_info column {column!r} after feature columns")
@@ -697,8 +722,9 @@ class ParsedConfig:
 def parse_config_from_name(path) -> ParsedConfig:
     stem = Path(path).stem
     tokens = stem.split("_")
-    normalization = next((mode for mode, code in NORMALIZATION_CODES.items()
-                          if code in tokens), "wholeImage")
+    normalization = next((mode.value for mode in NormalizationMode
+                          if mode.code in tokens),
+                         NormalizationMode.WHOLE_IMAGE.value)
     dimensionality = "2D" if ("2D" in tokens or "2d" in tokens) else "3D"
     bin_width = None
     image_type = None
@@ -880,7 +906,8 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
                    ([f.stem, f.structure, f.error, f.detail] for f in failures))
     written += _binwidth_reports(tables, configs, out_dir)
     if compare:
-        written += _delta_reports(tables, compare, out_dir)
+        failed = {(f.stem, f.structure) for f in failures}
+        written += _delta_reports(tables, failed, compare, out_dir)
     return written, failures
 
 
@@ -904,7 +931,7 @@ def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:
             continue
         image_type, normalization, dimensionality, registered = group
         code = "_".join([
-            image_type, NORMALIZATION_CODES[normalization],
+            image_type, NormalizationMode(normalization).code,
             dimensionality] + (["TP2Registered"] if registered else []))
 
         feature_sets = [set(t.rows) for _, t in by_width.values()]
@@ -954,16 +981,24 @@ def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:
     return written
 
 
-def _delta_reports(tables, compare: tuple[str, str], out_dir: Path
-                   ) -> list[Path]:
+def _delta_reports(tables, failed: set[tuple[str, str]],
+                   compare: tuple[str, str], out_dir: Path) -> list[Path]:
+    """One config-delta report per structure both compared CSVs hold.
+
+    A structure whose table failed in either CSV gets no report (its
+    failure is already recorded). Raises :class:`MissingReport` when no
+    structure is present in both CSVs.
+    """
     stem_a, stem_b = compare
-    structures = sorted({
-        structure for (stem, structure) in tables
-        if stem in (stem_a, stem_b)
-    })
+    present = {*tables, *failed}
+    shared = sorted(structure for (stem, structure) in present
+                    if stem == stem_a and (stem_b, structure) in present)
+    if not shared:
+        raise MissingReport(
+            f"no structure is present in both {stem_a!r} and {stem_b!r}")
     written: list[Path] = []
-    for structure in structures:
-        if (stem_a, structure) not in tables or (stem_b, structure) not in tables:
+    for structure in shared:
+        if (stem_a, structure) in failed or (stem_b, structure) in failed:
             continue
         delta = config_delta(tables[(stem_a, structure)],
                              tables[(stem_b, structure)])
@@ -981,9 +1016,6 @@ def _delta_reports(tables, compare: tuple[str, str], out_dir: Path
         path = out_dir / f"delta__{stem_a}__vs__{stem_b}__{structure}.json"
         _write_json(path, payload)
         written.append(path)
-    if not written:
-        raise MissingReport(
-            f"no structure is present in both {stem_a!r} and {stem_b!r}")
     return written
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from . import RadrepError
 from .volume_io import GeometryMismatch, RoiMask, VolumeGrid, check_geometry
@@ -46,9 +45,22 @@ class AxisTooShort(PreprocessError):
 
 
 class NormalizationMode(Enum):
-    NONE = "none"
-    WHOLE_IMAGE = "wholeImage"
-    REFERENCE_REGION = "referenceRegion"
+    """Normalization modes, valued by their manifest names.
+
+    ``code`` is the word that names the mode in output file names. Feature
+    CSV names leave wholeImage unmarked; a name that holds several code
+    words is read as the first mode here whose word it holds.
+    """
+
+    NONE = "none", "noNormalization"
+    REFERENCE_REGION = "referenceRegion", "MuscleRefNorm"
+    WHOLE_IMAGE = "wholeImage", "wholeImageNorm"
+
+    def __new__(cls, value: str, code: str):
+        mode = object.__new__(cls)
+        mode._value_ = value
+        mode.code = code
+        return mode
 
 
 @dataclass(frozen=True)
@@ -208,13 +220,40 @@ def _log_kernels_1d(sigma_mm: float, spacing_mm: float):
     return gauss, deriv
 
 
-def filter_log(volume: VolumeGrid, sigma_mm: float) -> VolumeGrid:
+def _correlate_nearest(x: np.ndarray, weights: np.ndarray, axis: int,
+                       start: int, stop: int) -> np.ndarray:
+    """Correlate ``x`` along ``axis`` with a symmetric odd kernel.
+
+    Only the output positions ``start .. stop - 1`` of that axis are
+    computed. The boundary replicates the nearest voxel of ``x``. Sums
+    run in the order of ``scipy.ndimage.correlate1d`` for symmetric
+    kernels (centre term first, then the pairs from the outermost in),
+    so the results match it bit for bit.
+    """
+    r = weights.size // 2
+    reach = np.clip(np.arange(start - r, stop + r), 0, x.shape[axis] - 1)
+    line = np.moveaxis(np.take(x, reach, axis=axis), axis, 0)
+    width = stop - start
+    out = line[r:r + width] * weights[r]
+    for k in range(r, 0, -1):
+        out += (line[r - k:r - k + width] + line[r + k:r + k + width]) \
+            * weights[r - k]
+    return np.moveaxis(out, 0, axis)
+
+
+def filter_log(volume: VolumeGrid, sigma_mm: float,
+               box: tuple[slice, slice, slice] | None = None) -> VolumeGrid:
     """Scale-normalized Laplacian-of-Gaussian response (sigma in mm).
 
     Separable per axis: Gaussian smoothing on two axes and the calibrated
     second-derivative kernel on the third, summed over the three axis
     choices and multiplied by sigma^2. Boundaries replicate the nearest
     voxel. Affine intensity fields map to exactly zero in the interior.
+
+    Only the voxels of ``box`` (per-axis slices with unit step; default
+    the whole grid) are computed, from the input within each axis's
+    kernel reach of the box; they equal the whole-grid response bit for
+    bit. Voxels outside the box are NaN.
     """
     if sigma_mm <= 0:
         raise ValueError("sigma_mm must be > 0")
@@ -224,17 +263,26 @@ def filter_log(volume: VolumeGrid, sigma_mm: float) -> VolumeGrid:
                 f"sigma {sigma_mm} mm is {sigma_mm / h:.3f} voxels on axis "
                 f"{axis} (< {MIN_SIGMA_VOXELS})"
             )
+    dims = volume.dims
+    box = tuple(slice(None) for _ in dims) if box is None else box
+    box = tuple(slice(*b.indices(n)[:2]) for b, n in zip(box, dims))
     kernels = [_log_kernels_1d(sigma_mm, h) for h in volume.spacing]
-    out = np.zeros(volume.dims, dtype=np.float64)
+    reach = tuple(slice(max(0, b.start - k[0].size // 2),
+                        min(n, b.stop + k[0].size // 2))
+                  for b, k, n in zip(box, kernels, dims))
+    source = volume.values[reach]
+    total = np.zeros([b.stop - b.start for b in box])
     for deriv_axis in range(3):
-        part = correlate1d(volume.values, kernels[deriv_axis][1],
-                           axis=deriv_axis, mode="nearest")
-        for axis in range(3):
-            if axis != deriv_axis:
-                part = correlate1d(part, kernels[axis][0],
-                                   axis=axis, mode="nearest")
-        out += part
-    out *= sigma_mm ** 2
+        part = source
+        for axis in (deriv_axis, *(a for a in range(3) if a != deriv_axis)):
+            kernel = kernels[axis][axis == deriv_axis]
+            part = _correlate_nearest(part, kernel, axis,
+                                      box[axis].start - reach[axis].start,
+                                      box[axis].stop - reach[axis].start)
+        total += part
+    total *= sigma_mm ** 2
+    out = np.full(dims, np.nan)
+    out[box] = total
     return _replace_values(volume, out)
 
 
@@ -291,12 +339,17 @@ def filter_pointwise(volume: VolumeGrid, kind: str) -> VolumeGrid:
     return _replace_values(volume, np.sign(x) * scaled)
 
 
-def apply_filter(volume: VolumeGrid, spec: FilterSpec) -> VolumeGrid:
-    """Apply one filter spec; for wavelets this selects the spec's subband."""
+def apply_filter(volume: VolumeGrid, spec: FilterSpec,
+                 box: tuple[slice, slice, slice] | None = None) -> VolumeGrid:
+    """Apply one filter spec; for wavelets this selects the spec's subband.
+
+    ``box`` bounds the voxels LoG computes (see :func:`filter_log`); the
+    other filters cover the whole grid.
+    """
     if spec.kind is FilterKind.ORIGINAL:
         return volume
     if spec.kind is FilterKind.LOG:
-        return filter_log(volume, spec.sigma_mm)
+        return filter_log(volume, spec.sigma_mm, box)
     if spec.kind is FilterKind.WAVELET_2D:
         return filter_wavelet(volume, "2D")[spec.subband]
     if spec.kind is FilterKind.WAVELET_3D:

@@ -14,7 +14,7 @@ the pairs of every offset, GLRLM one run-length pass over every
 direction's lines laid end to end (:class:`RunLines`, 9 bytes per voxel
 and direction: 117 bytes per crop voxel in 3D, 36 in 2D, built once per
 mask by the caller), GLSZM one connected-components labelling of all
-levels.
+levels (:func:`label_zones`, in numpy).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import RadrepError
 from .discretize import DiscretizedRoi
@@ -255,38 +253,65 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None,
     )
 
 
+def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
+    """Connected zones of equal nonzero level: (zone count, zone per voxel).
+
+    The graph's nodes are the nonzero voxels of ``levels`` in C order;
+    its edges join neighbours of equal level along ``offsets`` (each
+    offset also joins its opposite). Every node starts as its own root.
+    Each round hooks the larger root of every edge whose ends have
+    different roots onto the smaller one, then jumps pointers until each
+    node points at its root; the rounds end when no edge crosses two
+    roots. A zone's root is its first voxel, and zones are numbered in
+    that order. The returned array gives the zone of each nonzero voxel.
+    """
+    # A zero border keeps every neighbour inside the flat array, and no
+    # edge wraps from one row into the next: the border, like any level-0
+    # voxel, never matches a nonzero voxel.
+    padded = np.zeros([n + 2 for n in levels.shape], dtype=levels.dtype)
+    padded[1:-1, 1:-1, 1:-1] = levels
+    _, ny, nz = padded.shape
+    flat = padded.reshape(-1)
+    tails, heads = [], []
+    for dx, dy, dz in offsets:
+        shift = abs((dx * ny + dy) * nz + dz)
+        near, far = flat[:-shift], flat[shift:]
+        joined = np.flatnonzero((near == far) & (near > 0))
+        tails.append(joined)
+        heads.append(joined + shift)
+    tail, head = np.concatenate(tails), np.concatenate(heads)
+    root = np.arange(flat.size)
+    # Edges are kept as the pair of their ends' roots: after the jumps a
+    # node and its old root point at the same new root.
+    while tail.size:
+        np.minimum.at(root, np.maximum(tail, head), np.minimum(tail, head))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        tail, head = root[tail], root[head]
+        crossing = tail != head
+        tail, head = tail[crossing], head[crossing]
+    voxels = np.flatnonzero(flat)
+    is_root = np.zeros(flat.size, dtype=bool)
+    is_root[voxels] = root[voxels] == voxels
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[voxels]]
+
+
 def build_glszm(disc: DiscretizedRoi, dim: str) -> GlszMatrix:
     """Size-zone matrix: connected zones of equal nonzero level.
 
-    Zones are the connected components of one graph over the in-ROI
-    voxels whose edges join neighbours of equal level along the offsets
-    of ``OFFSETS_3D`` (26-connectivity in 3D) or ``OFFSETS_2D``
-    (8-connectivity within each axial slice in 2D: no offset leaves its
-    slice). One labelling covers every level; absent levels keep
-    all-zero rows.
+    Zones are the connected components (:func:`label_zones`) of one graph
+    over the in-ROI voxels whose edges join neighbours of equal level
+    along the offsets of ``OFFSETS_3D`` (26-connectivity in 3D) or
+    ``OFFSETS_2D`` (8-connectivity within each axial slice in 2D: no
+    offset leaves its slice). One labelling covers every level; absent
+    levels keep all-zero rows.
     """
-    # A zero border makes every neighbour index valid; the border, like
-    # any out-of-ROI voxel, has level 0 and so never matches a voxel.
-    padded = np.zeros([n + 2 for n in disc.levels.shape], dtype=disc.levels.dtype)
-    padded[1:-1, 1:-1, 1:-1] = disc.levels
-    _, ny, nz = padded.shape
-    flat = padded.reshape(-1)
-    voxels = np.flatnonzero(flat)
-    shifts = [(dx * ny + dy) * nz + dz for dx, dy, dz in select_offsets(dim)]
-    neighbours = voxels[:, None] + np.array(shifts, dtype=np.intp)
-    joined = flat[neighbours] == flat[voxels][:, None]
-    # Graph nodes are the ROI voxels in order; rows of ``joined`` are
-    # already grouped by node, so they give the CSR row pointers. csgraph
-    # indexes nodes with int32.
-    node = np.zeros(flat.size, dtype=np.int32)
-    node[voxels] = np.arange(voxels.size)
-    row_ends = np.zeros(voxels.size + 1, dtype=np.int32)
-    np.cumsum(joined.sum(axis=1), out=row_ends[1:])
-    graph = csr_matrix((np.ones(row_ends[-1]), node[neighbours[joined]], row_ends),
-                       shape=(voxels.size, voxels.size))
-    num_zones, zone = connected_components(graph, directed=False)
-    zone_level = np.zeros(num_zones, dtype=flat.dtype)
-    zone_level[zone] = flat[voxels]
+    num_zones, zone = label_zones(disc.levels, select_offsets(dim))
+    zone_level = np.zeros(num_zones, dtype=disc.levels.dtype)
+    zone_level[zone] = disc.levels[disc.levels > 0]
     counts = _size_counts(zone_level, np.bincount(zone, minlength=num_zones),
                           disc.num_gray_levels)
     return GlszMatrix(

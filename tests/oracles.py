@@ -2,7 +2,9 @@
 
 These deliberately take the naive route (python loops, flood fill,
 sum-of-squares ANOVA decomposition) so they share no code path with the
-vectorized implementations they check.
+vectorized implementations they check. Where scipy already holds the
+reference (``ndimage.correlate1d`` for LoG), it serves the tests only;
+radrep itself does not import it.
 """
 
 from __future__ import annotations
@@ -87,6 +89,31 @@ def brute_glrlm(levels: np.ndarray, directions) -> np.ndarray:
     for level, length in runs:
         counts[level - 1, length - 1] += 1
     return counts
+
+
+def ndimage_log(values: np.ndarray, spacing, sigma_mm: float) -> np.ndarray:
+    """Whole-grid LoG through ``scipy.ndimage.correlate1d``.
+
+    The same kernels, axis order and sums as ``filter_log``: derivative
+    kernel on one axis, then smoothing on the others in ascending order,
+    the three parts summed onto zeros and scaled by sigma^2.
+    """
+    from scipy.ndimage import correlate1d
+
+    from radrep.preprocess import _log_kernels_1d
+
+    kernels = [_log_kernels_1d(sigma_mm, h) for h in spacing]
+    out = np.zeros(values.shape, dtype=np.float64)
+    for deriv_axis in range(3):
+        part = correlate1d(values, kernels[deriv_axis][1], axis=deriv_axis,
+                           mode="nearest")
+        for axis in range(3):
+            if axis != deriv_axis:
+                part = correlate1d(part, kernels[axis][0], axis=axis,
+                                   mode="nearest")
+        out += part
+    out *= sigma_mm ** 2
+    return out
 
 
 def _neighbors_3d():

@@ -5,7 +5,7 @@ import pytest
 
 from radrep.discretize import DiscretizationSpec
 from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
-                             firstorder_features, glcm_features,
+                             _max_pairwise_distance, firstorder_features, glcm_features,
                              glrlm_features, glszm_features, shape_features)
 from radrep.preprocess import (FilterKind, FilterSpec, NormalizationSpec,
                                apply_filter, normalize)
@@ -125,6 +125,39 @@ def test_shape_single_voxel():
     assert fmap.get("shape", "Maximum3DDiameter") == 0.0
     assert fmap.get("shape", "MajorAxisLength") == 0.0
     assert fmap.get("shape", "Elongation") is None
+
+
+def test_max_pairwise_distance_equals_pdist(rng):
+    from scipy.spatial.distance import pdist
+    spacing = np.array([0.6, 0.7, 3.0])
+    assert _max_pairwise_distance(np.zeros((0, 3))) == 0.0
+    assert _max_pairwise_distance(np.array([[1.0, 2.0, 3.0]])) == 0.0
+    two = np.array([[0.0, 0.7, 3.0], [1.8, 0.0, 9.0]])
+    assert _max_pairwise_distance(two) == pdist(two)[0]
+    for n in (2, 3, 5, 40, 257, 600, 1200):
+        # lattice points (many tied distances) and points in general position
+        for points in (rng.integers(0, 12, size=(n, 3)) * spacing,
+                       rng.normal(size=(n, 3)) * spacing * 7.3):
+            for columns in ((0, 1, 2), (0, 1), (1, 2), (0, 2)):
+                projected = points[:, columns]
+                assert _max_pairwise_distance(projected) == \
+                    pdist(projected).max()
+    # in 3D the order of the per-coordinate sums shows in about one set
+    # in eight
+    for _ in range(300):
+        points = rng.normal(size=(int(rng.integers(2, 30)), 3)) * spacing * 7.3
+        assert _max_pairwise_distance(points) == pdist(points).max()
+
+
+def test_max_pairwise_distance_of_large_sets_equals_pdist(rng):
+    # past 1200 points only the convex hull's vertices are compared
+    from scipy.spatial.distance import pdist
+    points = rng.normal(size=(1500, 3)) * np.array([0.6, 0.7, 3.0])
+    for columns in ((0, 1, 2), (0, 1)):
+        projected = points[:, columns]
+        assert _max_pairwise_distance(projected) == pdist(projected).max()
+    line = np.outer(np.arange(1300.0), [0.6, 0.0, 0.0])
+    assert _max_pairwise_distance(line) == pytest.approx(1299 * 0.6)
 
 
 def test_shape_cube():

@@ -11,13 +11,17 @@ import pytest
 import radrep
 from radrep.cli import main
 from radrep.features import FEATURE_ROSTER
-from radrep.pipeline import (ManifestError, SchemaMismatch, _write_csv,
+from radrep.pipeline import (ManifestError, RunSettings, SchemaMismatch,
+                             _general_info, _union_box, _write_csv,
                              analyze_run, config_csv_name, extract_run,
                              load_manifest, parse_config_from_name,
                              plotdata_run, read_feature_csv,
                              validate_feature_csv)
+from radrep.preprocess import FilterKind, FilterSpec
+from radrep.volume_io import EmptyMask, write_nrrd
 
 from cohorts import build_cohort
+from conftest import make_mask, make_volume
 from oracles import brute_read_feature_csv
 
 
@@ -350,6 +354,72 @@ def test_geometry_mismatch_recorded_not_fatal(tmp_path):
     assert len(rows) == 1  # the bad row is skipped, the good one stays
 
 
+def test_volume_num_counts_26_connected_parts_like_ndimage_label(rng):
+    from scipy import ndimage
+    settings = RunSettings(("none",), (10.0,), "3D",
+                           (FilterSpec(FilterKind.ORIGINAL),))
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
+        labels = rng.random(shape) < rng.uniform(0.05, 0.6)
+        labels.flat[rng.integers(labels.size)] = True
+        info = _general_info(make_volume(np.zeros(shape)), make_mask(labels),
+                             settings)
+        assert info["general_info_VolumeNum"] == ndimage.label(
+            labels, structure=np.ones((3, 3, 3), dtype=bool))[1]
+
+
+class _Unboxable:
+    @property
+    def bounding_box(self):
+        raise EmptyMask("mask selects no voxel")
+
+
+def test_union_box_spans_every_mask_and_skips_unboxable_ones():
+    a, b = np.zeros((9, 8, 5)), np.zeros((9, 8, 5))
+    a[1, 2, 0] = 1
+    b[7:9, 5, 3] = 1
+    boxes = _union_box([make_mask(a), _Unboxable(), make_mask(b)])
+    assert boxes == (slice(1, 9), slice(2, 6), slice(0, 4))
+    assert _union_box([_Unboxable()]) is None
+
+
+def test_log_is_computed_over_the_union_of_mask_boxes(tmp_path, monkeypatch):
+    # two far-apart masks per entry: LoG is asked for the union of their
+    # boxes only, and the CSVs equal those of a whole-grid LoG
+    import radrep.preprocess
+    settings = {"normalizationModes": ["none", "referenceRegion"],
+                "binWidths": [10], "dimensionality": "3D",
+                "filters": ["log", "original"]}
+    root = tmp_path / "in"
+    manifest = load_manifest(build_cohort(
+        root, n_subjects=3, settings=settings, with_reference=True,
+        structures=("Tumor", "WholeGland")))
+    far = np.zeros((10, 10, 6))
+    far[8:10, 7:9, 5] = 1
+    for entry in manifest.cohort:
+        write_nrrd(entry.masks[1].path, far, (1.0, 1.0, 3.0), dtype="short")
+    original = radrep.preprocess.filter_log
+    boxes = []
+
+    def recording(volume, sigma_mm, box=None):
+        boxes.append(box)
+        return original(volume, sigma_mm, box)
+
+    monkeypatch.setattr(radrep.preprocess, "filter_log", recording)
+    cropped, failures = extract_run(manifest, tmp_path / "cropped")
+    assert not failures
+    # 5 sigmas x 2 modes per entry; every Tumor box starts at (1, 1, 1)
+    assert boxes == [(slice(1, 10), slice(1, 9), slice(1, 6))] \
+        * (5 * 2 * len(manifest.cohort))
+
+    monkeypatch.setattr(radrep.preprocess, "filter_log",
+                        lambda volume, sigma_mm, box=None:
+                        original(volume, sigma_mm))
+    whole, _ = extract_run(manifest, tmp_path / "whole")
+    for a, b in zip(cropped, whole):
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_schema_validator_rejects_bad_layouts(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("study,series,canonicalType,segmentedStructure\n")
@@ -363,6 +433,21 @@ def test_schema_validator_rejects_bad_layouts(tmp_path):
                    "study,series,canonicalType,segmentedStructure\n")
     with pytest.raises(SchemaMismatch):
         validate_feature_csv(bad)
+
+
+def test_schema_validator_rejects_a_repeated_feature_column(tmp_path):
+    # read_feature_csv refuses the same header, so the validator must too
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=1))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    validate_feature_csv(path)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("original_shape_SurfaceArea",
+                                "original_shape_Volume")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaMismatch, match="'original_shape_Volume' repeats"):
+        validate_feature_csv(path)
+    with pytest.raises(SchemaMismatch, match="'original_shape_Volume' repeats"):
+        read_feature_csv(path)
 
 
 def test_parse_config_from_name():
@@ -578,6 +663,39 @@ def test_analyze_delta_identical_configs_zero(tmp_path):
     assert all(v["delta"] == 0.0 for v in payload["shared"].values())
 
 
+def test_compare_skips_a_failed_table_and_exits_partial(tmp_path, capsys):
+    # one subject: the structure is in the CSV but its table fails, which
+    # the errors file already says; the comparison is not blamed for it
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=1))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    reports = tmp_path / "reports"
+    assert main(["analyze", "--in", str(path), "--out", str(reports),
+                 "--compare", path.stem, path.stem]) == 3
+    err = capsys.readouterr().err
+    assert "1 analysis failure(s)" in err and "present in both" not in err
+    [row] = read_rows(reports / "analysis_errors.csv")
+    assert (row["segmentedStructure"], row["error"]) == (
+        "Tumor", "InsufficientSubjects")
+    assert not list(reports.glob("delta__*"))
+
+
+def test_compare_without_a_shared_structure_is_a_data_error(tmp_path, capsys):
+    settings = {"normalizationModes": ["none"], "binWidths": [10, 20],
+                "dimensionality": "2D", "filters": ["original"]}
+    manifest = load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=4, settings=settings,
+        structures=("Tumor", "WholeGland")))
+    paths, _ = extract_run(manifest, tmp_path / "out")
+    for path, dropped in zip(paths, ("WholeGland", "Tumor")):
+        with open(path, newline="") as handle:
+            lines = [line for line in csv.reader(handle) if line[-1] != dropped]
+        _write_csv(path, lines[0], lines[1:])
+    assert main(["analyze", "--in", str(tmp_path / "out" / "Full*.csv"),
+                 "--out", str(tmp_path / "reports"),
+                 "--compare", paths[0].stem, paths[1].stem]) == 2
+    assert "no structure is present in both" in capsys.readouterr().err
+
+
 def test_analyze_rejects_unknown_columns(tmp_path):
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=3))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
@@ -748,6 +866,45 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert "radrep.cli" in loaded
     assert not {"scipy.stats", "scipy.optimize", "scipy.integrate",
                 "scipy.interpolate"} & set(loaded)
+
+
+def test_extract_and_analyze_load_no_scipy_subpackage(tmp_path):
+    # numpy and the top-level scipy package only, for the full filter
+    # catalog in 3D; scipy.spatial (the convex hull) loads once a surface
+    # has more than 1200 voxels
+    src = Path(radrep.__file__).resolve().parents[1]
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [15], "dimensionality": "3D"}
+    manifest = build_cohort(tmp_path / "in", n_subjects=3, settings=settings)
+    out, reports = tmp_path / "out", tmp_path / "reports"
+    script = f"""
+import sys
+import numpy as np
+import radrep.cli
+from radrep.features import shape_features
+from radrep.volume_io import RoiMask, Structure
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy."))
+
+assert radrep.cli.main(["extract", "--manifest", {str(manifest)!r},
+                        "--out", {str(out)!r}]) == 0
+assert radrep.cli.main(["analyze", "--in", {str(out / "*.csv")!r},
+                        "--out", {str(reports)!r}]) == 0
+print(*loaded())
+labels = np.ones((30, 30, 4), dtype=np.uint8)
+shape_features(RoiMask((30, 30, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
+                       labels, Structure.TUMOR))
+print(*loaded())
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    during, after = (line.split() for line in result.stdout.splitlines()[-2:])
+    heavy = ("scipy.ndimage", "scipy.sparse", "scipy.spatial")
+    assert not [m for m in during if m.startswith(heavy)]
+    assert "scipy.spatial" in after
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radrep.preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
+from radrep.preprocess import (LOG_SIGMAS_MM, FilterKind, FilterSpec,
+                               MissingReferenceMask,
                                NormalizationSpec, SigmaTooSmallForGrid,
                                WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                ZeroVariance, apply_filter, filter_log,
@@ -13,6 +14,7 @@ from radrep.preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
 from radrep.volume_io import Structure
 
 from conftest import make_mask, make_volume
+from oracles import ndimage_log
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,58 @@ def test_log_anisotropic_spacing_ramp():
                       spacing=(0.5, 1.0, 2.0))
     out = filter_log(vol, 2.0)
     assert np.abs(out.values[20, 4, 4]) < 1e-9 * 4.0
+
+
+def _assert_box_equals_oracle(values, spacing, sigma, box):
+    """LoG over ``box`` equals the whole-grid correlate1d there, bit for
+    bit, and is NaN everywhere else."""
+    out = filter_log(make_volume(values, spacing=spacing), sigma, box).values
+    expected = ndimage_log(values, spacing, sigma)
+    assert out[box].tobytes() == expected[box].tobytes()
+    outside = np.ones(values.shape, dtype=bool)
+    outside[box] = False
+    assert np.isnan(out[outside]).all()
+
+
+@st.composite
+def _log_box_cases(draw):
+    dims = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from((0.5, 0.8, 1.0, 2.5)))
+                    for _ in range(3))
+    sigma = draw(st.sampled_from(LOG_SIGMAS_MM + (1.3,)))
+    box = []
+    for n in dims:
+        start = draw(st.integers(0, n - 1))
+        box.append(slice(start, draw(st.integers(start + 1, n))))
+    return dims, spacing, sigma, tuple(box), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_log_box_cases())
+def test_log_over_a_box_equals_whole_grid_correlate1d(case):
+    # kernel reaches of 2 to 40 voxels against axes of 1 to 9
+    dims, spacing, sigma, box, seed = case
+    values = np.random.default_rng(seed).normal(100.0, 30.0, dims)
+    _assert_box_equals_oracle(values, spacing, sigma, box)
+
+
+def test_log_boxes_at_faces_corners_and_single_voxels(rng):
+    dims, spacing = (9, 7, 5), (0.6, 0.6, 3.0)
+    values = rng.normal(200.0, 40.0, dims)
+    whole = tuple(slice(0, n) for n in dims)
+    boxes = [whole]
+    for axis, n in enumerate(dims):  # a slab on each face
+        for face in (slice(0, 1), slice(n - 1, n)):
+            boxes.append(whole[:axis] + (face,) + whole[axis + 1:])
+    for corner in np.ndindex(2, 2, 2):  # single voxels in every corner
+        boxes.append(tuple(slice(c * (n - 1), c * (n - 1) + 1)
+                           for c, n in zip(corner, dims)))
+    boxes.append((slice(4, 5), slice(3, 4), slice(2, 3)))
+    for sigma in LOG_SIGMAS_MM:
+        for box in boxes:
+            _assert_box_equals_oracle(values, spacing, sigma, box)
+    full = filter_log(make_volume(values, spacing=spacing), 2.0).values
+    assert full.tobytes() == ndimage_log(values, spacing, 2.0).tobytes()
 
 
 def test_log_sigma_too_small():
@@ -332,6 +386,15 @@ def test_apply_filter_dispatch(rng):
                        filter_wavelet(vol, "3D")["LLL"].values)
     log = apply_filter(vol, FilterSpec(FilterKind.LOG, sigma_mm=1.0))
     assert np.allclose(log.values, filter_log(vol, 1.0).values)
+
+
+def test_apply_filter_passes_the_box_to_log_only(rng):
+    vol = make_volume(rng.standard_normal((6, 5, 4)) + 5)
+    box = (slice(1, 3), slice(0, 5), slice(2, 3))
+    log = apply_filter(vol, FilterSpec(FilterKind.LOG, sigma_mm=1.0), box)
+    assert log.values.tobytes() == filter_log(vol, 1.0, box).values.tobytes()
+    square = apply_filter(vol, FilterSpec(FilterKind.SQUARE), box)
+    assert not np.isnan(square.values).any()
 
 
 def test_filters_are_deterministic(rng):

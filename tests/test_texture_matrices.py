@@ -4,7 +4,7 @@ import pytest
 import radrep.texture_matrices
 from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
                                      build_glcm, build_glrlm, build_glszm,
-                                     run_lines, select_offsets)
+                                     label_zones, run_lines, select_offsets)
 
 from radrep.discretize import DiscretizationSpec, discretize_roi
 
@@ -327,15 +327,64 @@ def test_glrlm_rejects_run_lines_of_another_grid(rng):
 @pytest.mark.parametrize("dim", ["2D", "3D"])
 def test_glszm_labels_all_levels_in_one_call(rng, monkeypatch, dim):
     calls = []
-    original = radrep.texture_matrices.connected_components
+    original = radrep.texture_matrices.label_zones
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(radrep.texture_matrices, "connected_components",
-                        counting)
+    monkeypatch.setattr(radrep.texture_matrices, "label_zones", counting)
     levels = random_levels(rng, (6, 6, 3), ng=20)
     glszm = build_glszm(make_disc(levels), dim)
     assert len(calls) == 1
     assert np.array_equal(glszm.counts, brute_glszm(levels, dim))
+
+
+def _serpentine(shape):
+    """One path of level 1 that winds row by row through the first slice
+    and, through a single voxel, on through the last one."""
+    nx, ny, nz = shape
+    levels = np.zeros(shape, dtype=np.int32)
+    for z in (0, nz - 1):
+        levels[0::2, :, z] = 1
+        for x in range(1, nx, 2):  # connectors at alternating ends
+            levels[x, ny - 1 if x % 4 == 1 else 0, z] = 1
+    levels[nx - 1, ny - 1, 1:nz - 1] = 1
+    return levels
+
+
+def _zone_sizes(levels, dim):
+    """Size of each zone ``label_zones`` finds, as a level x size matrix."""
+    count, zone = label_zones(levels, select_offsets(dim))
+    voxel_levels = levels[levels > 0]
+    counts = np.zeros((int(levels.max()), int(np.bincount(zone).max())),
+                      dtype=np.int64)
+    for z in range(count):
+        members = zone == z
+        level = set(voxel_levels[members].tolist())
+        assert len(level) == 1  # a zone never mixes levels
+        counts[level.pop() - 1, members.sum() - 1] += 1
+    return counts, zone
+
+
+@pytest.mark.parametrize("dim", ["2D", "3D"])
+def test_label_zones_match_flood_fill(rng, dim):
+    grids = [random_levels(rng, shape, ng=ng, roi_fraction=fraction)
+             for shape, ng, fraction in (((6, 6, 3), 2, 0.9), ((7, 5, 4), 5, 0.6),
+                                         ((9, 8, 2), 1, 0.5), ((2, 1, 1), 1, 1.0),
+                                         ((11, 9, 5), 3, 0.95))]
+    grids += [_serpentine((9, 9, 3)), _serpentine((13, 6, 4))]
+    for levels in grids:
+        counts, zone = _zone_sizes(levels, dim)
+        assert np.array_equal(counts, brute_glszm(levels, dim))
+        # zones are numbered in the order their first voxel appears
+        first = np.unique(zone, return_index=True)[1]
+        assert np.array_equal(zone[np.sort(first)], np.arange(zone.max() + 1))
+
+
+def test_serpentine_is_one_zone_in_3d_and_one_per_slice_in_2d():
+    levels = _serpentine((9, 9, 3))
+    assert label_zones(levels, OFFSETS_3D)[0] == 1
+    # 2D: the two winding slices and the connector voxel between them
+    assert label_zones(levels, OFFSETS_2D)[0] == 3
+    assert build_glszm(make_disc(levels), "3D").counts[0, -1] == 1
