@@ -67,16 +67,16 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     The ROI maximum maps into the top occupied bin, so
     Ng == floor((max - min)/width) + 1 exactly and no phantom overflow
     level is created. Emits :class:`GrayLevelCountWarning` when Ng falls
-    outside [8, 128]. The returned grid is cropped to the mask's
-    :attr:`~radrep.volume_io.RoiMask.bounding_box`.
+    outside [8, 128]. The returned grid is the mask's
+    :attr:`~radrep.volume_io.RoiMask.bounding_box`, and the ROI within it
+    is the mask's ``inside``, taken as it is.
     """
     if not check_geometry(volume, mask):
         raise GeometryMismatch(
             f"image {volume.dims}/{volume.spacing} vs mask {mask.dims}/{mask.spacing}"
         )
-    box = mask.bounding_box
-    inside = mask.labels[box] > 0
-    roi_values = volume.values[box][inside]
+    inside = mask.inside
+    roi_values = volume.values[mask.bounding_box][inside]
     roi_min = float(roi_values.min())
     roi_max = float(roi_values.max())
     width = spec.bin_width

@@ -124,7 +124,7 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     non-excess (Gaussian -> 3). Entropy and Uniformity are computed on
     the fixed-bin-width gray levels of :func:`discretize_roi`.
     """
-    x = volume.values[mask.labels > 0].astype(np.float64)
+    x = volume.values[mask.bounding_box][mask.inside].astype(np.float64)
     n = x.size
     srt = np.sort(x)
     mean = float(x.mean())
@@ -214,14 +214,17 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
 def shape_features(mask: RoiMask) -> FeatureMap:
     """Geometry of the binary mask; independent of any intensity volume.
 
-    Surface area counts exposed voxel faces (each face weighted by the
-    product of its two spanning spacings). Diameters are maximum pairwise
-    distances between surface-voxel centers, in 3D and per principal
-    plane. Axis lengths derive from the population covariance of in-ROI
-    voxel center coordinates in mm; Elongation is undefined (None) when
-    the major eigenvalue is zero (single voxel).
+    Computed on the mask's ``inside`` crop: outside the bounding box every
+    voxel is background, so the crop has the same exposed faces, and a
+    voxel's grid index is its crop index plus the box start. Surface area
+    counts exposed voxel faces (each face weighted by the product of its
+    two spanning spacings). Diameters are maximum pairwise distances
+    between surface-voxel centers, in 3D and per principal plane. Axis
+    lengths derive from the population covariance of in-ROI voxel center
+    coordinates in mm; Elongation is undefined (None) when the major
+    eigenvalue is zero (single voxel).
     """
-    inside = mask.labels > 0
+    inside = mask.inside
     spacing = np.asarray(mask.spacing, dtype=np.float64)
     n = int(inside.sum())
     voxel_volume = float(spacing.prod())
@@ -233,8 +236,9 @@ def shape_features(mask: RoiMask) -> FeatureMap:
     ])
     area = float(np.dot(face_counts, face_areas))
 
-    coords = np.argwhere(inside).astype(np.float64) * spacing
-    surface_coords = np.argwhere(surface).astype(np.float64) * spacing
+    start = np.array([s.start for s in mask.bounding_box])
+    coords = (np.argwhere(inside) + start).astype(np.float64) * spacing
+    surface_coords = (np.argwhere(surface) + start).astype(np.float64) * spacing
 
     cov = np.zeros((3, 3))
     if n > 1:
@@ -309,82 +313,70 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
     return FeatureMap(entries)
 
 
-def glrlm_features(m: GlrlMatrix) -> FeatureMap:
-    """Statistics over normalized run counts r(i, j) = counts / totalRuns."""
-    r = m.counts / m.total_runs
-    i = np.arange(1, m.ng + 1, dtype=np.float64)
-    j = np.arange(1, m.max_run_length + 1, dtype=np.float64)
-    p_level = r.sum(axis=1)
-    p_length = r.sum(axis=0)
-    mu_level = float(np.dot(i, p_level))
-    mu_length = float(np.dot(j, p_length))
-    level_sums = m.counts.sum(axis=1).astype(np.float64)
-    length_sums = m.counts.sum(axis=0).astype(np.float64)
+# The statistics of _size_family, in its order, for each matrix family.
+_RUN_NAMES = (
+    "ShortRunEmphasis", "LongRunEmphasis", "GrayLevelNonUniformity",
+    "RunLengthNonUniformity", "RunPercentage", "GrayLevelVariance",
+    "RunVariance", "RunEntropy", "LowGrayLevelRunEmphasis",
+    "HighGrayLevelRunEmphasis", "ShortRunLowGrayLevelEmphasis",
+    "ShortRunHighGrayLevelEmphasis", "LongRunLowGrayLevelEmphasis",
+    "LongRunHighGrayLevelEmphasis",
+)
+_ZONE_NAMES = (
+    "SmallAreaEmphasis", "LargeAreaEmphasis", "GrayLevelNonUniformity",
+    "SizeZoneNonUniformity", "ZonePercentage", "GrayLevelVariance",
+    "ZoneVariance", "ZoneEntropy", "LowGrayLevelZoneEmphasis",
+    "HighGrayLevelZoneEmphasis", "SmallAreaLowGrayLevelEmphasis",
+    "SmallAreaHighGrayLevelEmphasis", "LargeAreaLowGrayLevelEmphasis",
+    "LargeAreaHighGrayLevelEmphasis",
+)
 
-    entries: dict[tuple[str, str], float | None] = {
-        ("glrlm", "ShortRunEmphasis"): float(np.sum(r / j ** 2)),
-        ("glrlm", "LongRunEmphasis"): float(np.sum(r * j ** 2)),
-        ("glrlm", "GrayLevelNonUniformity"):
-            float(np.sum(level_sums ** 2) / m.total_runs),
-        ("glrlm", "RunLengthNonUniformity"):
-            float(np.sum(length_sums ** 2) / m.total_runs),
-        ("glrlm", "RunPercentage"):
-            m.total_runs / (m.num_roi_voxels * m.num_directions),
-        ("glrlm", "GrayLevelVariance"):
-            float(np.dot((i - mu_level) ** 2, p_level)),
-        ("glrlm", "RunVariance"): float(np.dot((j - mu_length) ** 2, p_length)),
-        ("glrlm", "RunEntropy"): _entropy_bits(r.ravel()),
-        ("glrlm", "LowGrayLevelRunEmphasis"):
-            float(np.sum(r / i[:, None] ** 2)),
-        ("glrlm", "HighGrayLevelRunEmphasis"):
-            float(np.sum(r * i[:, None] ** 2)),
-        ("glrlm", "ShortRunLowGrayLevelEmphasis"):
-            float(np.sum(r / (i[:, None] ** 2 * j ** 2))),
-        ("glrlm", "ShortRunHighGrayLevelEmphasis"):
-            float(np.sum(r * i[:, None] ** 2 / j ** 2)),
-        ("glrlm", "LongRunLowGrayLevelEmphasis"):
-            float(np.sum(r * j ** 2 / i[:, None] ** 2)),
-        ("glrlm", "LongRunHighGrayLevelEmphasis"):
-            float(np.sum(r * i[:, None] ** 2 * j ** 2)),
-    }
-    return FeatureMap(entries)
+
+def _size_family(feature_class: str, names: tuple[str, ...],
+                 counts: np.ndarray, total: int, ng: int,
+                 percentage_denominator: int) -> FeatureMap:
+    """Statistics over normalized counts p(i, j) = counts / total.
+
+    ``counts[i-1, j-1]`` counts items (runs or zones) of gray level i and
+    size j; ``names`` names the 14 statistics in the order computed here,
+    and the percentage is ``total / percentage_denominator``.
+    """
+    r = counts / total
+    i = np.arange(1, ng + 1, dtype=np.float64)
+    j = np.arange(1, counts.shape[1] + 1, dtype=np.float64)
+    p_level = r.sum(axis=1)
+    p_size = r.sum(axis=0)
+    mu_level = float(np.dot(i, p_level))
+    mu_size = float(np.dot(j, p_size))
+    level_sums = counts.sum(axis=1).astype(np.float64)
+    size_sums = counts.sum(axis=0).astype(np.float64)
+    values = (
+        float(np.sum(r / j ** 2)),
+        float(np.sum(r * j ** 2)),
+        float(np.sum(level_sums ** 2) / total),
+        float(np.sum(size_sums ** 2) / total),
+        total / percentage_denominator,
+        float(np.dot((i - mu_level) ** 2, p_level)),
+        float(np.dot((j - mu_size) ** 2, p_size)),
+        _entropy_bits(r.ravel()),
+        float(np.sum(r / i[:, None] ** 2)),
+        float(np.sum(r * i[:, None] ** 2)),
+        float(np.sum(r / (i[:, None] ** 2 * j ** 2))),
+        float(np.sum(r * i[:, None] ** 2 / j ** 2)),
+        float(np.sum(r * j ** 2 / i[:, None] ** 2)),
+        float(np.sum(r * i[:, None] ** 2 * j ** 2)),
+    )
+    return FeatureMap({(feature_class, name): value
+                       for name, value in zip(names, values)})
+
+
+def glrlm_features(m: GlrlMatrix) -> FeatureMap:
+    """Run-length statistics; RunPercentage is per voxel and direction."""
+    return _size_family("glrlm", _RUN_NAMES, m.counts, m.total_runs, m.ng,
+                        m.num_roi_voxels * m.num_directions)
 
 
 def glszm_features(m: GlszMatrix) -> FeatureMap:
-    """Mirror of the run-length family with connected zones for runs."""
-    z = m.counts / m.total_zones
-    i = np.arange(1, m.ng + 1, dtype=np.float64)
-    s = np.arange(1, m.max_zone_size + 1, dtype=np.float64)
-    p_level = z.sum(axis=1)
-    p_size = z.sum(axis=0)
-    mu_level = float(np.dot(i, p_level))
-    mu_size = float(np.dot(s, p_size))
-    level_sums = m.counts.sum(axis=1).astype(np.float64)
-    size_sums = m.counts.sum(axis=0).astype(np.float64)
-
-    entries: dict[tuple[str, str], float | None] = {
-        ("glszm", "SmallAreaEmphasis"): float(np.sum(z / s ** 2)),
-        ("glszm", "LargeAreaEmphasis"): float(np.sum(z * s ** 2)),
-        ("glszm", "GrayLevelNonUniformity"):
-            float(np.sum(level_sums ** 2) / m.total_zones),
-        ("glszm", "SizeZoneNonUniformity"):
-            float(np.sum(size_sums ** 2) / m.total_zones),
-        ("glszm", "ZonePercentage"): m.total_zones / m.num_roi_voxels,
-        ("glszm", "GrayLevelVariance"):
-            float(np.dot((i - mu_level) ** 2, p_level)),
-        ("glszm", "ZoneVariance"): float(np.dot((s - mu_size) ** 2, p_size)),
-        ("glszm", "ZoneEntropy"): _entropy_bits(z.ravel()),
-        ("glszm", "LowGrayLevelZoneEmphasis"):
-            float(np.sum(z / i[:, None] ** 2)),
-        ("glszm", "HighGrayLevelZoneEmphasis"):
-            float(np.sum(z * i[:, None] ** 2)),
-        ("glszm", "SmallAreaLowGrayLevelEmphasis"):
-            float(np.sum(z / (i[:, None] ** 2 * s ** 2))),
-        ("glszm", "SmallAreaHighGrayLevelEmphasis"):
-            float(np.sum(z * i[:, None] ** 2 / s ** 2)),
-        ("glszm", "LargeAreaLowGrayLevelEmphasis"):
-            float(np.sum(z * s ** 2 / i[:, None] ** 2)),
-        ("glszm", "LargeAreaHighGrayLevelEmphasis"):
-            float(np.sum(z * i[:, None] ** 2 * s ** 2)),
-    }
-    return FeatureMap(entries)
+    """Size-zone statistics: the run-length family with zones for runs."""
+    return _size_family("glszm", _ZONE_NAMES, m.counts, m.total_zones, m.ng,
+                        m.num_roi_voxels)

@@ -403,17 +403,17 @@ def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
     return values, failures
 
 
-def _general_info(image: VolumeGrid, mask: RoiMask,
+def _general_info(image: VolumeGrid, image_hash: str, mask: RoiMask,
                   settings: RunSettings) -> dict:
     """General info shared by all configuration cells (all but GeneralSettings)."""
     box = mask.bounding_box
-    volume_num, _ = label_zones(mask.labels[box] > 0, OFFSETS_3D)
+    volume_num, _ = label_zones(mask.inside, OFFSETS_3D)
     return {
         "general_info_BoundingBox": " ".join(
             str(v) for v in (*(s.start for s in box), *(s.stop - 1 for s in box))),
         "general_info_EnabledImageTypes":
             ";".join(s.name for s in settings.filters),
-        "general_info_ImageHash": image.payload_hash(),
+        "general_info_ImageHash": image_hash,
         "general_info_ImageSpacing":
             " ".join(format_value(s) for s in image.spacing),
         "general_info_MaskHash": mask.payload_hash(),
@@ -434,19 +434,10 @@ def _general_settings(mode: str, bin_width: float, settings: RunSettings) -> str
 
 
 def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice] | None:
-    """Smallest box holding every mask's bounding box (None: no mask).
-
-    A mask whose bounding box cannot be taken is left out; its cells
-    fail on their own.
-    """
-    boxes = []
-    for mask in masks:
-        try:
-            boxes.append(mask.bounding_box)
-        except Exception:
-            continue
-    if not boxes:
+    """Smallest box holding every mask's bounding box (None: no mask)."""
+    if not masks:
         return None
+    boxes = [mask.bounding_box for mask in masks]
     return tuple(slice(min(b[axis].start for b in boxes),
                        max(b[axis].stop for b in boxes)) for axis in range(3))
 
@@ -454,11 +445,12 @@ def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice] | None:
 def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     """One cohort entry's (mode, bin width) -> (rows, failures).
 
-    The image and masks are read once; shape, general info and the GLRLM
-    run-line layout of the mask's bounding box are computed once per mask
-    and each filter once per mode. LoG is computed over the union of the
-    masks' bounding boxes only (plus its kernel's reach). A failure that
-    blanks a whole row or filter is recorded once in every cell it blanks.
+    The image and masks are read and the image hashed once; shape,
+    general info and the GLRLM run-line layout of the mask's bounding box
+    are computed once per mask and each filter once per mode. LoG is
+    computed over the union of the masks' bounding boxes only (plus its
+    kernel's reach). A failure that blanks a whole row or filter is
+    recorded once in every cell it blanks.
     """
     cells = {(mode, bin_width): ([], [])
              for mode in settings.normalization_modes
@@ -476,6 +468,7 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
         for mask_ref in entry.masks:
             fail_row(mask_ref.structure, exc)
         return cells
+    image_hash = image.payload_hash()
     masks: list[RoiMask] = []
     for mask_ref in entry.masks:
         try:
@@ -495,8 +488,8 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
         try:
             shape = {f"original_shape_{name}": v
                      for (_, name), v in shape_features(mask).entries.items()}
-            info = _general_info(image, mask, settings)
-            lines = run_lines(mask.labels[mask.bounding_box].shape, directions)
+            info = _general_info(image, image_hash, mask, settings)
+            lines = run_lines(mask.inside.shape, directions)
         except Exception as exc:
             fail_row(mask.structure, exc)
         mask_lines.append(lines)

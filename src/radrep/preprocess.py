@@ -185,13 +185,14 @@ def normalize(volume: VolumeGrid, spec: NormalizationSpec) -> VolumeGrid:
     if spec.mode is NormalizationMode.WHOLE_IMAGE:
         source = volume.values
     else:
-        if spec.reference_mask is None:
+        reference = spec.reference_mask
+        if reference is None:
             raise MissingReferenceMask("reference mask required")
-        if not check_geometry(volume, spec.reference_mask):
+        if not check_geometry(volume, reference):
             raise GeometryMismatch(
-                f"reference mask grid {spec.reference_mask.dims} does not "
+                f"reference mask grid {reference.dims} does not "
                 f"match the volume grid {volume.dims}")
-        source = volume.values[spec.reference_mask.labels > 0]
+        source = volume.values[reference.bounding_box][reference.inside]
     mu = float(np.mean(source))
     sigma = float(np.std(source))
     if sigma == 0.0:

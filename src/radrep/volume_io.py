@@ -111,32 +111,38 @@ class VolumeGrid:
 
 @dataclass(frozen=True)
 class RoiMask:
-    """Binary label grid aligned to a :class:`VolumeGrid`."""
+    """Binary label grid aligned to a :class:`VolumeGrid`.
+
+    The ROI is found once, at construction: ``bounding_box`` holds the
+    per-axis slices of the smallest box that holds every labeled voxel,
+    and ``inside`` (read-only) the mask within it, ``labels[bounding_box]
+    > 0``. Every step that needs the ROI reads these two, not ``labels``.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float]
     labels: np.ndarray = field(repr=False)
     structure: Structure
+    bounding_box: tuple[slice, slice, slice] = field(init=False)
+    inside: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if tuple(self.labels.shape) != tuple(self.dims):
             raise ValueError("labels shape does not match dims")
-        if not self.labels.any():
+        index = np.nonzero(self.labels)
+        if index[0].size == 0:
             raise EmptyMask("mask has no labeled voxel")
         self.labels.setflags(write=False)
+        box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in index)
+        inside = self.labels[box] > 0
+        inside.setflags(write=False)
+        object.__setattr__(self, "bounding_box", box)
+        object.__setattr__(self, "inside", inside)
 
     @property
     def voxel_count(self) -> int:
-        return int(np.count_nonzero(self.labels))
-
-    @property
-    def bounding_box(self) -> tuple[slice, slice, slice]:
-        """Per-axis slices of the smallest box that holds every labeled voxel."""
-        index = np.nonzero(self.labels)
-        if index[0].size == 0:
-            raise EmptyMask("mask selects no voxel")
-        return tuple(slice(int(i.min()), int(i.max()) + 1) for i in index)
+        return int(np.count_nonzero(self.inside))
 
     def payload_hash(self) -> str:
         return hashlib.sha256(

@@ -31,6 +31,107 @@ def brute_levels(values: np.ndarray, labels: np.ndarray,
     return levels
 
 
+def _max_distance(points: np.ndarray) -> float:
+    """Largest distance over every pair, coordinates summed in order."""
+    if len(points) < 2:
+        return 0.0
+    squared = sum((points[:, None, c] - points[None, :, c]) ** 2
+                  for c in range(points.shape[1]))
+    return math.sqrt(float(squared.max()))
+
+
+def full_grid_shape(labels: np.ndarray, spacing) -> dict:
+    """Shape features of ``labels > 0`` on the whole grid.
+
+    The same formulas as ``shape_features``, but faces, voxel coordinates
+    and surface voxels are taken over the whole grid rather than the
+    mask's bounding box, and diameters list every surface-voxel pair.
+    Exact for up to 1200 surface voxels (``shape_features`` takes the
+    convex hull above that).
+    """
+    inside = labels > 0
+    spacing = np.asarray(spacing, dtype=np.float64)
+    n = int(inside.sum())
+    volume = n * float(spacing.prod())
+    padded = np.pad(inside, 1)
+    face_counts = np.zeros(3, dtype=np.int64)
+    surface = np.zeros_like(inside)
+    for axis in range(3):
+        for step in (-1, 1):
+            near = [slice(1, -1)] * 3
+            near[axis] = slice(1 + step, padded.shape[axis] - 1 + step)
+            exposed = inside & ~padded[tuple(near)]
+            face_counts[axis] += exposed.sum()
+            surface |= exposed
+    face_areas = np.array([
+        spacing[1] * spacing[2], spacing[0] * spacing[2], spacing[0] * spacing[1],
+    ])
+    area = float(np.dot(face_counts, face_areas))
+    coords = np.argwhere(inside).astype(np.float64) * spacing
+    surface_coords = np.argwhere(surface).astype(np.float64) * spacing
+    cov = np.zeros((3, 3))
+    if n > 1:
+        centered = coords - coords.mean(axis=0)
+        cov = centered.T @ centered / n
+    eigvals = np.clip(np.linalg.eigvalsh(cov)[::-1], 0.0, None)
+    return {
+        ("shape", "Volume"): volume,
+        ("shape", "SurfaceArea"): area,
+        ("shape", "SurfaceVolumeRatio"): area / volume,
+        ("shape", "Sphericity"): (36.0 * math.pi * volume ** 2) ** (1.0 / 3.0) / area,
+        ("shape", "Maximum3DDiameter"): _max_distance(surface_coords),
+        ("shape", "Maximum2DDiameterSlice"): _max_distance(surface_coords[:, (0, 1)]),
+        ("shape", "Maximum2DDiameterColumn"): _max_distance(surface_coords[:, (1, 2)]),
+        ("shape", "Maximum2DDiameterRow"): _max_distance(surface_coords[:, (0, 2)]),
+        ("shape", "MajorAxisLength"): 4.0 * math.sqrt(eigvals[0]),
+        ("shape", "MinorAxisLength"): 4.0 * math.sqrt(eigvals[1]),
+        ("shape", "Elongation"):
+            math.sqrt(eigvals[1] / eigvals[0]) if eigvals[0] > 0 else None,
+    }
+
+
+def full_grid_firstorder(values: np.ndarray, labels: np.ndarray,
+                         width: float) -> dict:
+    """First-order features of ``values[labels > 0]`` on the whole grid.
+
+    The same formulas as ``firstorder_features``; Entropy and Uniformity
+    count the gray levels of :func:`brute_levels`.
+    """
+    x = values[labels > 0].astype(np.float64)
+    n = x.size
+    srt = np.sort(x)
+    mean = float(x.mean())
+    dev = x - mean
+    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev ** 2))
+
+    def nearest_rank(q):
+        return float(srt[max(1, math.ceil(round(q * n, 12))) - 1])
+
+    levels = brute_levels(values, labels, width)
+    p = np.bincount(levels[levels > 0], minlength=levels.max() + 1)[1:] / n
+    nz = p[p > 0]
+    return {
+        ("firstorder", "Mean"): mean,
+        ("firstorder", "Median"): float(srt[(n - 1) // 2]),
+        ("firstorder", "10Percentile"): nearest_rank(0.10),
+        ("firstorder", "90Percentile"): nearest_rank(0.90),
+        ("firstorder", "Minimum"): float(srt[0]),
+        ("firstorder", "Maximum"): float(srt[-1]),
+        ("firstorder", "Range"): float(srt[-1] - srt[0]),
+        ("firstorder", "Variance"): m2,
+        ("firstorder", "StandardDeviation"): math.sqrt(m2),
+        ("firstorder", "Energy"): float(np.sum(x ** 2)),
+        ("firstorder", "RootMeanSquared"): math.sqrt(float(np.mean(x ** 2))),
+        ("firstorder", "MeanAbsoluteDeviation"): float(np.mean(np.abs(dev))),
+        ("firstorder", "Skewness"):
+            float(np.mean(dev ** 3)) / m2 ** 1.5 if m2 > 0 else None,
+        ("firstorder", "Kurtosis"):
+            float(np.mean(dev ** 4)) / m2 ** 2 if m2 > 0 else None,
+        ("firstorder", "Entropy"): float(-(nz * np.log2(nz)).sum()) + 0.0,
+        ("firstorder", "Uniformity"): float(np.sum(p ** 2)),
+    }
+
+
 def brute_glcm(levels: np.ndarray, offsets) -> np.ndarray:
     """Symmetrized co-occurrence probabilities by exhaustive pair listing."""
     ng = int(levels.max())

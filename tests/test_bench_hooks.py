@@ -58,3 +58,22 @@ def test_analysis_counters_see_csv_bytes_and_iccs(tmp_path, tracing):
         path.stat().st_size for path in csv_paths) > 0
     assert metrics["repeatability.build_table.calls"] == 4
     assert metrics["repeatability.iccs"] == icc_rows > 0
+
+
+def test_every_extraction_layer_records_a_span(tmp_path, tracing):
+    # a call routed around its hook would leave its layer's metrics at 0
+    settings = {"normalizationModes": ["wholeImage", "referenceRegion"],
+                "binWidths": [25], "dimensionality": "3D"}
+    manifest = radrep.pipeline.load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=1, settings=settings,
+        with_reference=True))
+    with tracing.Tracer() as tracer:
+        _, failures = radrep.pipeline.extract_run(manifest, tmp_path / "out")
+    assert not failures
+    recorded = {span.name for span in tracer.spans}
+    for name in ("volume_io.read", "volume_io.hash", "preprocess.normalize",
+                 "preprocess.log", "preprocess.wavelet", "preprocess.pointwise",
+                 "discretize", "texture_matrices.glcm", "texture_matrices.glrlm",
+                 "texture_matrices.glszm", "features.firstorder",
+                 "features.shape", "features.texture"):
+        assert name in recorded, name

@@ -101,9 +101,8 @@ def test_geometry_mismatch():
 
 
 def test_empty_mask_unreachable_via_constructor():
-    # RoiMask itself refuses empty masks; its bounding_box, which the
-    # discretizer crops to, raises the same EmptyMask only for masks
-    # emptied through other channels
+    # RoiMask refuses empty masks when it is built, by the same search
+    # that finds its bounding_box, so the discretizer never sees one
     from radrep import volume_io
     with pytest.raises(volume_io.EmptyMask):
         make_mask(np.zeros((2, 2, 2)))

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from radrep.discretize import DiscretizationSpec
+from radrep.discretize import DiscretizationSpec, discretize_roi
 from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
                              _max_pairwise_distance, firstorder_features, glcm_features,
                              glrlm_features, glszm_features, shape_features)
+from radrep.pipeline import RunSettings, _general_info
 from radrep.preprocess import (FilterKind, FilterSpec, NormalizationSpec,
                                apply_filter, normalize)
 from radrep.texture_matrices import (build_glcm, build_glrlm, build_glszm)
 from radrep.volume_io import Structure
 
-from conftest import make_disc, make_mask, make_volume, random_levels
-from oracles import (glcm_feature_oracle, glrlm_feature_oracle,
+from conftest import (crop_masks, make_disc, make_mask, make_volume,
+                      random_levels)
+from oracles import (brute_levels, full_grid_firstorder, full_grid_shape,
+                     glcm_feature_oracle, glrlm_feature_oracle,
                      glszm_feature_oracle)
 
 
@@ -220,6 +223,52 @@ def test_shape_bit_identical_across_filters(rng):
                  FilterSpec(FilterKind.SQUARE)):
         apply_filter(vol, spec)  # must not interact with shape in any way
         assert shape_features(mask).entries == reference
+
+
+# ---------------------------------------------------------------------------
+# mask-only steps on the crop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(6, 5, 4), (7, 6, 1)], ids=["3D", "2D"])
+def test_mask_only_steps_on_the_crop_equal_the_full_grid(rng, shape):
+    # each mask alone, then embedded in a larger grid at its origin, one
+    # voxel in and against the far corner; a 2D grid keeps its one slice
+    from scipy import ndimage
+    spacing = (0.6, 0.7, 3.0)
+    pad = (3, 2, 2 if shape[2] > 1 else 0)
+    grid = tuple(n + p for n, p in zip(shape, pad))
+    placements = [(shape, (0, 0, 0)), (grid, (0, 0, 0)),
+                  (grid, tuple(min(1, p) for p in pad)), (grid, pad)]
+    settings = RunSettings(("none",), (10.0,), "3D",
+                           (FilterSpec(FilterKind.ORIGINAL),))
+    for small in crop_masks(rng, shape):
+        for dims, offset in placements:
+            labels = np.zeros(dims, dtype=np.uint8)
+            labels[tuple(slice(o, o + n) for o, n in zip(offset, shape))] = small
+            values = rng.normal(100.0, 30.0, size=dims)
+            mask = make_mask(labels, spacing=spacing)
+            volume = make_volume(values, spacing=spacing)
+            index = np.nonzero(labels)
+            box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in index)
+            assert mask.bounding_box == box
+            assert np.array_equal(mask.inside, labels[box] > 0)
+            assert not mask.inside.flags.writeable
+            assert shape_features(mask).entries == full_grid_shape(labels, spacing)
+            for width in (0.3, 25.0):
+                spec = DiscretizationSpec(width)
+                assert (firstorder_features(volume, mask, spec).entries
+                        == full_grid_firstorder(values, labels, width))
+                disc = discretize_roi(volume, mask, spec)
+                full = brute_levels(values, labels, width)
+                assert np.array_equal(disc.levels, full[box])
+                assert disc.num_gray_levels == full.max()
+            info = _general_info(volume, "", mask, settings)
+            assert info["general_info_BoundingBox"] == " ".join(
+                str(v) for v in (*(i.min() for i in index),
+                                 *(i.max() for i in index)))
+            assert info["general_info_VolumeNum"] == ndimage.label(
+                labels, structure=np.ones((3, 3, 3), dtype=bool))[1]
+            assert info["general_info_VoxelNum"] == np.count_nonzero(labels)
 
 
 # ---------------------------------------------------------------------------

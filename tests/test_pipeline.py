@@ -18,9 +18,9 @@ from radrep.pipeline import (ManifestError, RunSettings, SchemaMismatch,
                              plotdata_run, read_feature_csv,
                              validate_feature_csv)
 from radrep.preprocess import FilterKind, FilterSpec
-from radrep.volume_io import EmptyMask, write_nrrd
+from radrep.volume_io import write_nrrd
 
-from cohorts import build_cohort
+from cohorts import DIMS, build_cohort
 from conftest import make_mask, make_volume
 from oracles import brute_read_feature_csv
 
@@ -191,10 +191,13 @@ def test_extraction_parallel_matches_serial(tmp_path):
 
 def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
     import radrep.pipeline
-    calls = {"read_volume": 0, "shape_features": 0}
+    from radrep.volume_io import VolumeGrid
+    calls = {"read_volume": 0, "shape_features": 0, "payload_hash": 0}
+    owners = {"read_volume": radrep.pipeline,
+              "shape_features": radrep.pipeline, "payload_hash": VolumeGrid}
 
     def counting(name):
-        original = getattr(radrep.pipeline, name)
+        original = getattr(owners[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -202,7 +205,7 @@ def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(radrep.pipeline, name, counting(name))
+        monkeypatch.setattr(owners[name], name, counting(name))
     settings = {"normalizationModes": ["none", "wholeImage"],
                 "binWidths": [10, 20], "dimensionality": "2D",
                 "filters": ["original", "square"]}
@@ -212,7 +215,31 @@ def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
     csv_paths, failures = extract_run(manifest, tmp_path / "out")
     assert not failures and len(csv_paths) == 4
     entries = len(manifest.cohort)
-    assert calls == {"read_volume": entries, "shape_features": 2 * entries}
+    assert calls == {"read_volume": entries, "shape_features": 2 * entries,
+                     "payload_hash": entries}
+
+
+def test_extraction_finds_each_mask_box_once(tmp_path, monkeypatch):
+    # the box is found by one full-grid np.nonzero when a mask is built;
+    # no cell, shape or general-info step searches the grid again
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [10, 20], "dimensionality": "3D",
+                "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                          settings=settings,
+                                          structures=("Tumor", "WholeGland")))
+    full_grid = []
+    nonzero = np.nonzero
+
+    def counting(a):
+        if np.shape(a) == DIMS:
+            full_grid.append(a)
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", counting)
+    csv_paths, failures = extract_run(manifest, tmp_path / "out")
+    assert not failures and len(csv_paths) == 4
+    assert len(full_grid) == 2 * len(manifest.cohort)
 
 
 def test_extraction_lays_out_run_lines_once_per_mask(tmp_path, monkeypatch):
@@ -362,25 +389,19 @@ def test_volume_num_counts_26_connected_parts_like_ndimage_label(rng):
         shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
         labels = rng.random(shape) < rng.uniform(0.05, 0.6)
         labels.flat[rng.integers(labels.size)] = True
-        info = _general_info(make_volume(np.zeros(shape)), make_mask(labels),
-                             settings)
+        info = _general_info(make_volume(np.zeros(shape)), "",
+                             make_mask(labels), settings)
         assert info["general_info_VolumeNum"] == ndimage.label(
             labels, structure=np.ones((3, 3, 3), dtype=bool))[1]
 
 
-class _Unboxable:
-    @property
-    def bounding_box(self):
-        raise EmptyMask("mask selects no voxel")
-
-
-def test_union_box_spans_every_mask_and_skips_unboxable_ones():
+def test_union_box_spans_every_mask():
     a, b = np.zeros((9, 8, 5)), np.zeros((9, 8, 5))
     a[1, 2, 0] = 1
     b[7:9, 5, 3] = 1
-    boxes = _union_box([make_mask(a), _Unboxable(), make_mask(b)])
+    boxes = _union_box([make_mask(a), make_mask(b)])
     assert boxes == (slice(1, 9), slice(2, 6), slice(0, 4))
-    assert _union_box([_Unboxable()]) is None
+    assert _union_box([]) is None
 
 
 def test_log_is_computed_over_the_union_of_mask_boxes(tmp_path, monkeypatch):
