@@ -46,7 +46,6 @@ class DiscretizedRoi:
     """
 
     dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
     levels: np.ndarray = field(repr=False)
     num_gray_levels: int
     roi_min: float
@@ -94,7 +93,6 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
         )
     return DiscretizedRoi(
         dims=levels.shape,
-        spacing=volume.spacing,
         levels=levels,
         num_gray_levels=ng,
         roi_min=roi_min,

@@ -36,11 +36,10 @@ from .discretize import DiscretizationSpec, discretize_roi
 from .features import (FEATURE_ROSTER, firstorder_features,
                        glcm_features, glrlm_features, glszm_features,
                        shape_features)
-from .preprocess import (LOG_SIGMAS_MM, WAVELET_SUBBANDS_2D,
-                         WAVELET_SUBBANDS_3D, FilterKind, FilterSpec,
-                         MissingReferenceMask, NormalizationMode,
-                         NormalizationSpec, apply_filter, filter_wavelet,
+from .preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
+                         NormalizationMode, NormalizationSpec, apply_filter,
                          normalize)
+from .preprocess import filter_wavelet  # noqa: F401  bench/tracing.py traces it here
 from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
                             DegenerateSamples, FeatureMatrix,
                             InsufficientFeatures, InsufficientSubjects,
@@ -55,9 +54,6 @@ from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
                         check_geometry, read_mask, read_volume)
 
 IMAGE_TYPES = ("T2AX", "ADC", "SUB")
-FILTER_CATALOG = ("original", "log", "wavelet", "square", "squareroot",
-                  "logarithm", "exponential")
-_WAVELET_DIMS = {FilterKind.WAVELET_2D: "2D", FilterKind.WAVELET_3D: "3D"}
 META_COLUMNS = ("study", "series", "canonicalType", "segmentedStructure")
 GENERAL_INFO_COLUMNS = (
     "general_info_BoundingBox", "general_info_EnabledImageTypes",
@@ -149,32 +145,32 @@ class RunManifest:
 
 
 def _expand_filter_names(names, dimensionality: str) -> tuple[FilterSpec, ...]:
-    subbands = WAVELET_SUBBANDS_2D if dimensionality == "2D" else WAVELET_SUBBANDS_3D
-    wavelet_kind = (FilterKind.WAVELET_2D if dimensionality == "2D"
-                    else FilterKind.WAVELET_3D)
-    specs: list[FilterSpec] = []
+    """The specs the manifest's filter names select, first occurrence kept."""
+    specs: dict[str, FilterSpec] = {}
     for name in names:
-        if name == "wavelet":
-            specs += [FilterSpec(wavelet_kind, subband=b) for b in subbands]
-        elif name == "log":
-            specs += [FilterSpec(FilterKind.LOG, sigma_mm=s) for s in LOG_SIGMAS_MM]
-        else:
-            try:
-                specs.append(FilterSpec.from_name(name))
-            except ValueError as exc:
-                raise ManifestError(str(exc)) from None
-    seen = set()
-    unique = []
-    for spec in specs:
-        if spec.name not in seen:
-            seen.add(spec.name)
-            unique.append(spec)
-    return tuple(unique)
+        try:
+            expanded = FilterSpec.expand(name, dimensionality)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from None
+        for spec in expanded:
+            specs.setdefault(spec.name, spec)
+    return tuple(specs.values())
 
 
 def default_filters(dimensionality: str) -> tuple[FilterSpec, ...]:
     """The full filter catalog at the given texture dimensionality."""
-    return _expand_filter_names(FILTER_CATALOG, dimensionality)
+    return _expand_filter_names([kind.value for kind in FilterKind], dimensionality)
+
+
+def _list_setting(settings_doc: dict, key: str, default: list, item_type,
+                  noun: str) -> tuple:
+    """``settings[key]`` (or ``default``) as a tuple, if a list of ``item_type``."""
+    value = default if settings_doc.get(key) is None else settings_doc[key]
+    if not isinstance(value, list) or not all(
+            isinstance(v, item_type) and not isinstance(v, bool) for v in value):
+        raise ManifestError(f"settings {key!r} must be a list of {noun}, "
+                            f"got {value!r}")
+    return tuple(value)
 
 
 def load_manifest(path) -> RunManifest:
@@ -183,14 +179,19 @@ def load_manifest(path) -> RunManifest:
     base = path.parent
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("settings", {}), dict)
+            and isinstance(doc.get("cohort", []), list)):
+        raise ManifestError(f"manifest {path} must be a JSON object with a "
+                            "settings object and a cohort list")
 
     settings_doc = doc.get("settings", {})
     dimensionality = settings_doc.get("dimensionality", "3D")
     if dimensionality not in ("2D", "3D"):
         raise ManifestError(f"dimensionality must be 2D or 3D, got {dimensionality!r}")
-    modes = tuple(settings_doc.get("normalizationModes", ["none"]))
+    modes = _list_setting(settings_doc, "normalizationModes", ["none"], str,
+                          "mode names")
     for mode in modes:
         try:
             NormalizationMode(mode)
@@ -198,7 +199,8 @@ def load_manifest(path) -> RunManifest:
             raise ManifestError(f"unknown normalization mode {mode!r}") from None
     if len(set(modes)) != len(modes):
         raise ManifestError(f"normalization modes repeat: {list(modes)}")
-    bin_widths = tuple(float(w) for w in settings_doc.get("binWidths", [15.0]))
+    bin_widths = tuple(float(w) for w in _list_setting(
+        settings_doc, "binWidths", [15.0], (int, float), "numbers"))
     if any(w <= 0 for w in bin_widths):
         raise ManifestError("bin widths must be > 0")
     if len(set(bin_widths)) != len(bin_widths):
@@ -208,18 +210,20 @@ def load_manifest(path) -> RunManifest:
             raise ManifestError(
                 f"bin width {w!r} is named bin{w:g} in CSV file names, which "
                 "does not read back as the same value")
-    filter_names = settings_doc.get("filters")
-    if filter_names is None:
-        filters = default_filters(dimensionality)
-    else:
-        filters = _expand_filter_names(filter_names, dimensionality)
+    filters = _expand_filter_names(_list_setting(
+        settings_doc, "filters", [kind.value for kind in FilterKind], str,
+        "filter names"), dimensionality)
+    flags = {key: settings_doc.get(key, False)
+             for key in ("registeredMasks", "biasCorrected")}
+    if not all(isinstance(flag, bool) for flag in flags.values()):
+        raise ManifestError(f"settings flags must be true or false, got {flags}")
     settings = RunSettings(
         normalization_modes=modes,
         bin_widths=bin_widths,
         dimensionality=dimensionality,
         filters=filters,
-        registered_masks=bool(settings_doc.get("registeredMasks", False)),
-        bias_corrected=bool(settings_doc.get("biasCorrected", False)),
+        registered_masks=flags["registeredMasks"],
+        bias_corrected=flags["biasCorrected"],
     )
 
     entries: list[CohortEntry] = []
@@ -238,7 +242,7 @@ def load_manifest(path) -> RunManifest:
                 reference_mask_path=(base / item["referenceMaskPath"])
                 if item.get("referenceMaskPath") else None,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed cohort entry {item!r}: {exc}") from exc
         if entry.timepoint not in (1, 2):
             raise ManifestError(f"timepoint must be 1 or 2, got {entry.timepoint}")
@@ -328,9 +332,8 @@ def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
                       box: tuple[slice, slice, slice] | None):
     """Yield (spec, filtered grid or the exception that prevented it).
 
-    Each wavelet kind is transformed once, at the dimensionality its kind
-    names, and hands out all of its subbands. ``box`` bounds the voxels
-    that LoG computes (see :func:`~radrep.preprocess.filter_log`).
+    Each spec, a wavelet subband too, is one :func:`apply_filter` call on
+    the normalized image; ``box`` bounds the voxels that LoG computes.
     """
     try:
         volume = _normalized(image, entry, mode)
@@ -338,16 +341,9 @@ def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
         for spec in filters:
             yield spec, exc
         return
-    wavelets: dict[str, dict[str, VolumeGrid]] = {}
     for spec in filters:
-        dim = _WAVELET_DIMS.get(spec.kind)
         try:
-            if dim is None:
-                filtered = apply_filter(volume, spec, box)
-            else:
-                if dim not in wavelets:
-                    wavelets[dim] = filter_wavelet(volume, dim)
-                filtered = wavelets[dim][spec.subband]
+            filtered = apply_filter(volume, spec, box)
         except Exception as exc:
             filtered = exc
         yield spec, filtered
@@ -675,6 +671,25 @@ def validate_feature_csv(path) -> None:
 _STUDY_PATTERN = re.compile(r"^(?P<subject>.+?)[_-][tT][pP](?P<timepoint>\d+)$")
 
 
+def _read_timepoint_map(path) -> dict:
+    """The ``--timepoint-map`` JSON object: study -> [subject, timepoint]."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SchemaMismatch(f"cannot read timepoint map {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SchemaMismatch(f"timepoint map {path} is not a JSON object")
+    for study, value in raw.items():
+        try:
+            if not isinstance(value, list) or len(value) != 2:
+                raise TypeError
+            int(value[1])
+        except (TypeError, ValueError):
+            raise SchemaMismatch(f"timepoint map {path}: entry {study!r} is "
+                                 f"{value!r}, not [subject, timepoint]") from None
+    return raw
+
+
 def _parse_study(study: str, mapping: dict | None) -> tuple[str, int]:
     if mapping and study in mapping:
         subject, timepoint = mapping[study]
@@ -845,10 +860,8 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    timepoint_map = None
-    if timepoint_map_path:
-        raw = json.loads(Path(timepoint_map_path).read_text())
-        timepoint_map = {k: (v[0], v[1]) for k, v in raw.items()}
+    timepoint_map = (_read_timepoint_map(timepoint_map_path)
+                     if timepoint_map_path else None)
 
     tables: dict[tuple[str, str], RepeatabilityTable] = {}
     configs: dict[str, ParsedConfig] = {}

@@ -19,7 +19,6 @@ from .volume_io import GeometryMismatch, RoiMask, VolumeGrid, check_geometry
 LOG_SIGMAS_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
 WAVELET_SUBBANDS_2D = ("LL", "LH", "HL", "HH")
 WAVELET_SUBBANDS_3D = ("LLL", "LLH", "LHL", "LHH", "HLL", "HLH", "HHL", "HHH")
-POINTWISE_KINDS = ("Square", "SquareRoot", "Logarithm", "Exponential")
 
 MIN_SIGMA_VOXELS = 0.25
 
@@ -103,19 +102,20 @@ class NormalizationSpec:
 
 
 class FilterKind(Enum):
-    ORIGINAL = "Original"
-    LOG = "LoG"
-    WAVELET_2D = "Wavelet2D"
-    WAVELET_3D = "Wavelet3D"
-    SQUARE = "Square"
-    SQUARE_ROOT = "SquareRoot"
-    LOGARITHM = "Logarithm"
-    EXPONENTIAL = "Exponential"
+    """The filter catalog: one member per manifest filter name, in order."""
+
+    ORIGINAL = "original"
+    LOG = "log"
+    WAVELET = "wavelet"
+    SQUARE = "square"
+    SQUARE_ROOT = "squareroot"
+    LOGARITHM = "logarithm"
+    EXPONENTIAL = "exponential"
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One pre-filter choice, serializable to its output-column prefix."""
+    """One filter output: a kind plus its sigma (LoG) or subband (wavelet)."""
 
     kind: FilterKind
     sigma_mm: float | None = None
@@ -126,46 +126,44 @@ class FilterSpec:
             raise ValueError("sigma_mm is required for LoG and only LoG")
         if self.sigma_mm is not None and self.sigma_mm <= 0:
             raise ValueError("sigma_mm must be > 0")
-        wavelet = self.kind in (FilterKind.WAVELET_2D, FilterKind.WAVELET_3D)
-        if (self.subband is not None) != wavelet:
-            raise ValueError("subband is required for wavelet kinds and only those")
-        if self.kind is FilterKind.WAVELET_2D and self.subband not in WAVELET_SUBBANDS_2D:
-            raise ValueError(f"2D subband must be one of {WAVELET_SUBBANDS_2D}")
-        if self.kind is FilterKind.WAVELET_3D and self.subband not in WAVELET_SUBBANDS_3D:
-            raise ValueError(f"3D subband must be one of {WAVELET_SUBBANDS_3D}")
+        if (self.subband is not None) != (self.kind is FilterKind.WAVELET):
+            raise ValueError("subband is required for wavelet and only wavelet")
+        if self.subband not in (None, *WAVELET_SUBBANDS_2D, *WAVELET_SUBBANDS_3D):
+            raise ValueError(f"unknown wavelet subband {self.subband!r}")
+
+    @classmethod
+    def expand(cls, name: str, dimensionality: str) -> tuple["FilterSpec", ...]:
+        """The specs a manifest filter name selects: a family expands."""
+        if name == FilterKind.LOG.value:
+            return tuple(cls(FilterKind.LOG, sigma_mm=s) for s in LOG_SIGMAS_MM)
+        if name == FilterKind.WAVELET.value:
+            subbands = (WAVELET_SUBBANDS_2D if dimensionality == "2D"
+                        else WAVELET_SUBBANDS_3D)
+            return tuple(cls(FilterKind.WAVELET, subband=b) for b in subbands)
+        return (cls.from_name(name),)
 
     @property
     def name(self) -> str:
         """Serialized filter name used as the feature-column prefix."""
-        if self.kind is FilterKind.ORIGINAL:
-            return "original"
         if self.kind is FilterKind.LOG:
             return "log-sigma-{}-mm-3D".format(
                 ("%.1f" % self.sigma_mm).replace(".", "-"))
-        if self.kind in (FilterKind.WAVELET_2D, FilterKind.WAVELET_3D):
+        if self.kind is FilterKind.WAVELET:
             return f"wavelet-{self.subband}"
-        return self.kind.value.lower()
+        return self.kind.value
 
     @classmethod
     def from_name(cls, name: str) -> "FilterSpec":
         """Inverse of :attr:`name`."""
-        if name == "original":
-            return cls(FilterKind.ORIGINAL)
         if name.startswith("log-sigma-") and name.endswith("-mm-3D"):
             core = name[len("log-sigma-"):-len("-mm-3D")]
             return cls(FilterKind.LOG, sigma_mm=float(core.replace("-", ".")))
         if name.startswith("wavelet-"):
-            band = name[len("wavelet-"):]
-            if band in WAVELET_SUBBANDS_2D:
-                return cls(FilterKind.WAVELET_2D, subband=band)
-            if band in WAVELET_SUBBANDS_3D:
-                return cls(FilterKind.WAVELET_3D, subband=band)
-            raise ValueError(f"unknown wavelet subband in {name!r}")
-        for kind in (FilterKind.SQUARE, FilterKind.SQUARE_ROOT,
-                     FilterKind.LOGARITHM, FilterKind.EXPONENTIAL):
-            if name == kind.value.lower():
-                return cls(kind)
-        raise ValueError(f"unknown filter name {name!r}")
+            return cls(FilterKind.WAVELET, subband=name[len("wavelet-"):])
+        try:
+            return cls(FilterKind(name))
+        except ValueError:
+            raise ValueError(f"unknown filter name {name!r}") from None
 
 
 def _replace_values(volume: VolumeGrid, values: np.ndarray) -> VolumeGrid:
@@ -186,8 +184,6 @@ def normalize(volume: VolumeGrid, spec: NormalizationSpec) -> VolumeGrid:
         source = volume.values
     else:
         reference = spec.reference_mask
-        if reference is None:
-            raise MissingReferenceMask("reference mask required")
         if not check_geometry(volume, reference):
             raise GeometryMismatch(
                 f"reference mask grid {reference.dims} does not "
@@ -287,33 +283,36 @@ def filter_log(volume: VolumeGrid, sigma_mm: float,
     return _replace_values(volume, out)
 
 
-def filter_wavelet(volume: VolumeGrid, dim: str) -> dict[str, VolumeGrid]:
-    """Single-level undecimated Haar transform; returns subband -> grid.
+def filter_wavelet(volume: VolumeGrid, subband: str) -> VolumeGrid:
+    """One subband of the single-level undecimated Haar transform.
 
-    The Haar pair L = (1,1)/sqrt(2), H = (1,-1)/sqrt(2) is applied
-    separably with periodic extension. ``dim`` '2D' filters the two
-    in-plane axes (slice by slice), '3D' all three; subband label letter
-    ``i`` names the filter on axis ``i``. Output grids keep input dims.
+    Letter ``i`` of ``subband`` is the Haar filter along axis ``i``, L =
+    (1,1)/sqrt(2) or H = (1,-1)/sqrt(2), with periodic extension, so a
+    two-letter subband filters slice by slice. Output keeps input dims.
     """
-    if dim not in ("2D", "3D"):
-        raise ValueError("dim must be '2D' or '3D'")
-    axes = (0, 1) if dim == "2D" else (0, 1, 2)
-    for axis in axes:
+    if subband not in WAVELET_SUBBANDS_2D + WAVELET_SUBBANDS_3D:
+        raise ValueError(f"unknown wavelet subband {subband!r}")
+    for axis in range(len(subband)):
         if volume.dims[axis] < 2:
             raise AxisTooShort(f"axis {axis} has {volume.dims[axis]} voxel(s)")
-    subbands = {"": volume.values}
+    out = volume.values
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for axis in axes:
-        step = {}
-        for label, arr in subbands.items():
-            shifted = np.roll(arr, -1, axis=axis)
-            step[label + "L"] = (arr + shifted) * inv_sqrt2
-            step[label + "H"] = (arr - shifted) * inv_sqrt2
-        subbands = step
-    return {label: _replace_values(volume, arr) for label, arr in subbands.items()}
+    for axis, letter in enumerate(subband):
+        shifted = np.roll(out, -1, axis=axis)
+        out = (out + shifted if letter == "L" else out - shifted) * inv_sqrt2
+    return _replace_values(volume, out)
 
 
-def filter_pointwise(volume: VolumeGrid, kind: str) -> VolumeGrid:
+# The pointwise maps (|x|, M = max|x|) -> g(|x|) * M / g(M), ratios first.
+_POINTWISE_MAPS = {
+    FilterKind.SQUARE: lambda m, top: (m / top) * m,
+    FilterKind.SQUARE_ROOT: lambda m, top: np.sqrt(m / top) * top,
+    FilterKind.LOGARITHM: lambda m, top: (np.log1p(m) / np.log1p(top)) * top,
+    FilterKind.EXPONENTIAL: lambda m, top: np.exp(m - top) * top,
+}
+
+
+def filter_pointwise(volume: VolumeGrid, kind: FilterKind) -> VolumeGrid:
     """Single-pixel filters: square, square root, logarithm, exponential.
 
     Each applies g(|x|), rescales so the output maximum magnitude equals
@@ -322,27 +321,20 @@ def filter_pointwise(volume: VolumeGrid, kind: str) -> VolumeGrid:
     result stays finite for any finite input; a constant-zero volume is
     returned unchanged.
     """
-    if kind not in POINTWISE_KINDS:
-        raise ValueError(f"kind must be one of {POINTWISE_KINDS}")
+    scale = _POINTWISE_MAPS.get(kind)
+    if scale is None:
+        raise ValueError(f"{kind} is not a pointwise filter")
     x = volume.values
-    max_abs = float(np.max(np.abs(x)))
+    magnitude = np.abs(x)
+    max_abs = float(np.max(magnitude))
     if max_abs == 0.0:
         return volume
-    magnitude = np.abs(x)
-    if kind == "Square":
-        scaled = (magnitude / max_abs) * magnitude
-    elif kind == "SquareRoot":
-        scaled = np.sqrt(magnitude / max_abs) * max_abs
-    elif kind == "Logarithm":
-        scaled = (np.log1p(magnitude) / np.log1p(max_abs)) * max_abs
-    else:  # Exponential
-        scaled = np.exp(magnitude - max_abs) * max_abs
-    return _replace_values(volume, np.sign(x) * scaled)
+    return _replace_values(volume, np.sign(x) * scale(magnitude, max_abs))
 
 
 def apply_filter(volume: VolumeGrid, spec: FilterSpec,
                  box: tuple[slice, slice, slice] | None = None) -> VolumeGrid:
-    """Apply one filter spec; for wavelets this selects the spec's subband.
+    """The one filter entry point: one spec, one grid.
 
     ``box`` bounds the voxels LoG computes (see :func:`filter_log`); the
     other filters cover the whole grid.
@@ -351,8 +343,6 @@ def apply_filter(volume: VolumeGrid, spec: FilterSpec,
         return volume
     if spec.kind is FilterKind.LOG:
         return filter_log(volume, spec.sigma_mm, box)
-    if spec.kind is FilterKind.WAVELET_2D:
-        return filter_wavelet(volume, "2D")[spec.subband]
-    if spec.kind is FilterKind.WAVELET_3D:
-        return filter_wavelet(volume, "3D")[spec.subband]
-    return filter_pointwise(volume, spec.kind.value)
+    if spec.kind is FilterKind.WAVELET:
+        return filter_wavelet(volume, spec.subband)
+    return filter_pointwise(volume, spec.kind)

@@ -53,8 +53,6 @@ class GlcMatrix:
 
     ng: int
     probs: np.ndarray = field(repr=False)
-    dimensionality: str
-    distance: int = 1
 
     def __post_init__(self):
         self.probs.setflags(write=False)
@@ -68,7 +66,6 @@ class GlrlMatrix:
     max_run_length: int
     counts: np.ndarray = field(repr=False)
     total_runs: int
-    dimensionality: str
     num_directions: int
     num_roi_voxels: int
 
@@ -84,7 +81,6 @@ class GlszMatrix:
     max_zone_size: int
     counts: np.ndarray = field(repr=False)
     total_zones: int
-    dimensionality: str
     num_roi_voxels: int
 
     def __post_init__(self):
@@ -140,7 +136,7 @@ def build_glcm(disc: DiscretizedRoi, dim: str, offsets=None) -> GlcMatrix:
     total = counts.sum()
     if total == 0:
         raise NoValidPairs("no in-ROI voxel pair at distance 1")
-    return GlcMatrix(ng=ng, probs=counts / total, dimensionality=dim)
+    return GlcMatrix(ng=ng, probs=counts / total)
 
 
 @dataclass(frozen=True)
@@ -247,7 +243,6 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None,
         max_run_length=counts.shape[1],
         counts=counts,
         total_runs=int(counts.sum()),
-        dimensionality=dim,
         num_directions=len(dirs),
         num_roi_voxels=disc.num_roi_voxels,
     )
@@ -319,6 +314,5 @@ def build_glszm(disc: DiscretizedRoi, dim: str) -> GlszMatrix:
         max_zone_size=counts.shape[1],
         counts=counts,
         total_zones=int(counts.sum()),
-        dimensionality=dim,
         num_roi_voxels=disc.num_roi_voxels,
     )

@@ -27,15 +27,14 @@ def make_mask(labels, spacing=(1.0, 1.0, 1.0), structure=Structure.TUMOR):
                    structure=structure)
 
 
-def make_disc(levels, spacing=(1.0, 1.0, 1.0)):
+def make_disc(levels):
     """DiscretizedRoi straight from a level grid (0 = outside ROI)."""
     levels = np.asarray(levels, dtype=np.int32)
     if levels.ndim == 2:
         levels = levels[:, :, None]
     ng = int(levels.max())
-    return DiscretizedRoi(dims=tuple(levels.shape), spacing=tuple(spacing),
-                          levels=levels.copy(), num_gray_levels=ng,
-                          roi_min=0.0, roi_max=float(ng))
+    return DiscretizedRoi(dims=tuple(levels.shape), levels=levels.copy(),
+                          num_gray_levels=ng, roi_min=0.0, roi_max=float(ng))
 
 
 def random_levels(rng, shape, ng, roi_fraction=0.8):

@@ -217,6 +217,25 @@ def ndimage_log(values: np.ndarray, spacing, sigma_mm: float) -> np.ndarray:
     return out
 
 
+def haar_subbands(values: np.ndarray, dim: str) -> dict[str, np.ndarray]:
+    """Every undecimated Haar subband at once, as a tree over the axes.
+
+    Each axis in turn (the first two for '2D', all three for '3D') splits
+    every subband so far into its L and H children, so the subbands share
+    their common prefixes: one roll per node rather than one per leaf.
+    """
+    subbands = {"": values}
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for axis in range(2 if dim == "2D" else 3):
+        step = {}
+        for label, arr in subbands.items():
+            shifted = np.roll(arr, -1, axis=axis)
+            step[label + "L"] = (arr + shifted) * inv_sqrt2
+            step[label + "H"] = (arr - shifted) * inv_sqrt2
+        subbands = step
+    return subbands
+
+
 def _neighbors_3d():
     return [(dx, dy, dz)
             for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)

@@ -18,7 +18,8 @@ import pytest
 from radrep.discretize import DiscretizationSpec, discretize_roi
 from radrep.features import (firstorder_features, glcm_features,
                              glrlm_features, glszm_features)
-from radrep.preprocess import (NormalizationSpec, filter_log,
+from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
+                               FilterKind, NormalizationSpec, filter_log,
                                filter_pointwise, filter_wavelet, normalize)
 from radrep.repeatability import PairedMeasurements, build_table, icc_1_1
 from radrep.pipeline import (extract_run, load_manifest,
@@ -193,7 +194,8 @@ def test_criterion_4_preprocessing_postconditions():
             assert abs(got / analytic - 1.0) <= 0.02, f"sigma {sigma}"
 
         # pointwise filters preserve max magnitude and sign
-        for kind in ("Square", "SquareRoot", "Logarithm", "Exponential"):
+        for kind in (FilterKind.SQUARE, FilterKind.SQUARE_ROOT,
+                     FilterKind.LOGARITHM, FilterKind.EXPONENTIAL):
             for _ in range(25):
                 vol = make_volume(rng.normal(0, 10, (5, 4, 3)))
                 out = filter_pointwise(vol, kind)
@@ -202,12 +204,12 @@ def test_criterion_4_preprocessing_postconditions():
                 assert np.all(np.sign(out.values) == np.sign(vol.values))
 
         # wavelet energy identity: factor 2 per filtered axis
-        for dim, factor in (("2D", 4.0), ("3D", 8.0)):
+        for subbands, factor in ((WAVELET_SUBBANDS_2D, 4.0),
+                                 (WAVELET_SUBBANDS_3D, 8.0)):
             for _ in range(25):
                 vol = make_volume(rng.standard_normal((6, 5, 4)))
-                bands = filter_wavelet(vol, dim)
-                total = sum(float(np.sum(b.values ** 2))
-                            for b in bands.values())
+                bands = [filter_wavelet(vol, band) for band in subbands]
+                total = sum(float(np.sum(b.values ** 2)) for b in bands)
                 expected = factor * float(np.sum(vol.values ** 2))
                 assert abs(total - expected) <= 1e-9 * expected
 

@@ -219,7 +219,7 @@ def test_shape_bit_identical_across_filters(rng):
     vol = make_volume(rng.standard_normal((6, 6, 4)) + 10)
     for spec in (FilterSpec(FilterKind.ORIGINAL),
                  FilterSpec(FilterKind.LOG, sigma_mm=1.0),
-                 FilterSpec(FilterKind.WAVELET_3D, subband="HLH"),
+                 FilterSpec(FilterKind.WAVELET, subband="HLH"),
                  FilterSpec(FilterKind.SQUARE)):
         apply_filter(vol, spec)  # must not interact with shape in any way
         assert shape_features(mask).entries == reference

@@ -17,7 +17,8 @@ from radrep.pipeline import (ManifestError, RunSettings, SchemaMismatch,
                              load_manifest, parse_config_from_name,
                              plotdata_run, read_feature_csv,
                              validate_feature_csv)
-from radrep.preprocess import FilterKind, FilterSpec
+from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
+                               FilterKind, FilterSpec)
 from radrep.volume_io import write_nrrd
 
 from cohorts import DIMS, build_cohort
@@ -64,13 +65,30 @@ def test_manifest_rejects_unknown_mode(tmp_path):
 @pytest.mark.parametrize("settings", [
     {"normalizationModes": ["none", "wholeImage", "none"]},
     {"binWidths": [10, 10.0]},
+    {"filters": [5]},
+    {"filters": "original"},
+    {"binWidths": ["a"]},
+    {"binWidths": 20},
+    {"binWidths": [True]},
+    {"normalizationModes": "none"},
+    {"registeredMasks": "false"},
+    {"biasCorrected": 1},
 ])
-def test_manifest_rejects_repeated_cells(tmp_path, settings):
+def test_manifest_rejects_repeated_cells_and_wrong_typed_settings(
+        tmp_path, settings):
     manifest_path = build_cohort(tmp_path, n_subjects=1)
     doc = json.loads(manifest_path.read_text())
     doc["settings"].update(settings)
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
+        load_manifest(manifest_path)
+
+
+@pytest.mark.parametrize("doc", [[], {"cohort": 5}, {"settings": []}])
+def test_manifest_must_be_an_object_with_a_cohort_list(tmp_path, doc):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="must be a JSON object"):
         load_manifest(manifest_path)
 
 
@@ -313,6 +331,37 @@ def test_reference_region_without_mask_goes_to_sidecar(tmp_path):
     assert all(r["original_firstorder_Mean"] == "" for r in rows)
     # shape needs no intensities, so it still fills in
     assert all(r["original_shape_Volume"] != "" for r in rows)
+
+
+def test_single_slice_3d_extract_fails_only_its_3d_wavelet_subbands(tmp_path):
+    # each 3D subband is its own filter: on a 1-slice grid every one of
+    # them records AxisTooShort in every cell, and the 2D subbands compute
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [10, 20], "dimensionality": "3D",
+                "filters": ["original", "wavelet",
+                            *(f"wavelet-{b}" for b in WAVELET_SUBBANDS_2D)]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                          settings=settings))
+    rng = np.random.default_rng(7)
+    labels = np.zeros((10, 10, 1))
+    labels[2:6, 3:7] = 1
+    for entry in manifest.cohort:
+        write_nrrd(entry.image_path, rng.normal(100, 10, (10, 10, 1)),
+                   (1.0, 1.0, 3.0))
+        write_nrrd(entry.masks[0].path, labels, (1.0, 1.0, 3.0), dtype="short")
+    csv_paths, failures = extract_run(manifest, tmp_path / "out")
+    cells = len(csv_paths) * len(manifest.cohort)
+    assert (len(csv_paths), len(failures)) == (4, 8 * cells)
+    assert sorted((r["filter"], r["error"], r["detail"]) for r in read_rows(
+        tmp_path / "out" / "extraction_errors.csv")) == sorted(
+        [(f"wavelet-{b}", "AxisTooShort", "all: axis 2 has 1 voxel(s)")
+         for b in WAVELET_SUBBANDS_3D] * cells)
+    for path in csv_paths:
+        for row in read_rows(path):
+            assert all(row[f"wavelet-{b}_glcm_Contrast"] != ""
+                       for b in WAVELET_SUBBANDS_2D)
+            assert all(row[f"wavelet-{b}_firstorder_Mean"] == ""
+                       for b in WAVELET_SUBBANDS_3D)
 
 
 def test_rerun_replaces_errors_and_refuses_stale_feature_csvs(tmp_path, capsys):
@@ -715,6 +764,38 @@ def test_compare_without_a_shared_structure_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "reports"),
                  "--compare", paths[0].stem, paths[1].stem]) == 2
     assert "no structure is present in both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    None, "{not json", '[["sub00_tp1", "sub00", 1]]',
+    '{"sub00_tp1": ["sub00"]}', '{"sub00_tp1": "sub00"}',
+    '{"sub00_tp1": ["sub00", "one"]}',
+], ids=["missing", "not-json", "list", "short-entry", "bare-subject",
+        "bad-timepoint"])
+def test_analyze_rejects_a_bad_timepoint_map(tmp_path, capsys, content):
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=3))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    map_path = tmp_path / "tpmap.json"
+    if content is not None:
+        map_path.write_text(content)
+    assert main(["analyze", "--in", str(path), "--out",
+                 str(tmp_path / "reports"), "--timepoint-map",
+                 str(map_path)]) == 2
+    assert f"timepoint map {map_path}" in capsys.readouterr().err
+
+
+def test_analyze_reads_subject_and_timepoint_from_the_map(tmp_path):
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=3))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    path.write_text(path.read_text().replace("_tp1", "_first")
+                    .replace("_tp2", "_second"))
+    map_path = tmp_path / "tpmap.json"
+    map_path.write_text(json.dumps(
+        {f"sub{i:02d}_{word}": [f"sub{i:02d}", tp] for i in range(3)
+         for word, tp in (("first", 1), ("second", "2"))}))
+    args = ["analyze", "--in", str(path), "--out", str(tmp_path / "reports")]
+    assert main(args) == 2
+    assert main(args + ["--timepoint-map", str(map_path)]) == 0
 
 
 def test_analyze_rejects_unknown_columns(tmp_path):

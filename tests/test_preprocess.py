@@ -14,7 +14,7 @@ from radrep.preprocess import (LOG_SIGMAS_MM, FilterKind, FilterSpec,
 from radrep.volume_io import Structure
 
 from conftest import make_mask, make_volume
-from oracles import ndimage_log
+from oracles import haar_subbands, ndimage_log
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,14 @@ def test_log_sigma_too_small():
 # filter_wavelet
 # ---------------------------------------------------------------------------
 
+def _bands(vol, subbands):
+    return {band: filter_wavelet(vol, band) for band in subbands}
+
+
 def test_wavelet_constant_image():
     c = 3.0
     vol = make_volume(np.full((4, 4, 4), c))
-    bands = filter_wavelet(vol, "3D")
+    bands = _bands(vol, WAVELET_SUBBANDS_3D)
     assert set(bands) == set(WAVELET_SUBBANDS_3D)
     assert np.allclose(bands["LLL"].values, c * 2 ** 1.5)
     for label, band in bands.items():
@@ -226,7 +230,7 @@ def test_wavelet_haar_pair_definition():
     values = np.zeros((2, 2, 1))
     values[0, :, 0] = a
     values[1, :, 0] = b
-    bands = filter_wavelet(make_volume(values), "2D")
+    bands = _bands(make_volume(values), WAVELET_SUBBANDS_2D)
     root2 = math.sqrt(2.0)
     l0 = (a + b) / root2  # Haar L along axis 0, first position
     h0 = (a - b) / root2  # Haar H along axis 0, first position
@@ -239,7 +243,7 @@ def test_wavelet_haar_pair_definition():
 
 def test_wavelet_energy_identity_2d(rng):
     vol = make_volume(rng.standard_normal((4, 4, 1)))
-    bands = filter_wavelet(vol, "2D")
+    bands = _bands(vol, WAVELET_SUBBANDS_2D)
     assert len(bands) == 4
     total = sum(np.sum(b.values ** 2) for b in bands.values())
     assert total == pytest.approx(4.0 * np.sum(vol.values ** 2), rel=1e-12)
@@ -247,7 +251,7 @@ def test_wavelet_energy_identity_2d(rng):
 
 def test_wavelet_energy_identity_3d(rng):
     vol = make_volume(rng.standard_normal((5, 4, 3)))
-    bands = filter_wavelet(vol, "3D")
+    bands = _bands(vol, WAVELET_SUBBANDS_3D)
     assert len(bands) == 8
     total = sum(np.sum(b.values ** 2) for b in bands.values())
     assert total == pytest.approx(8.0 * np.sum(vol.values ** 2), rel=1e-12)
@@ -255,62 +259,80 @@ def test_wavelet_energy_identity_3d(rng):
 
 def test_wavelet_output_dims_match_input(rng):
     vol = make_volume(rng.standard_normal((3, 5, 2)))
-    for dim, count in (("2D", 4), ("3D", 8)):
-        bands = filter_wavelet(vol, dim)
+    for subbands, count in ((WAVELET_SUBBANDS_2D, 4), (WAVELET_SUBBANDS_3D, 8)):
+        bands = _bands(vol, subbands)
         assert len(bands) == count
         assert all(b.dims == vol.dims for b in bands.values())
 
 
 def test_wavelet_2d_is_per_slice(rng):
     stacked = rng.standard_normal((4, 4, 3))
-    full = filter_wavelet(make_volume(stacked), "2D")
+    full = _bands(make_volume(stacked), WAVELET_SUBBANDS_2D)
     for k in range(3):
-        single = filter_wavelet(make_volume(stacked[:, :, k:k + 1]), "2D")
+        single = _bands(make_volume(stacked[:, :, k:k + 1]), WAVELET_SUBBANDS_2D)
         for label in WAVELET_SUBBANDS_2D:
             assert np.allclose(full[label].values[:, :, k],
                                single[label].values[:, :, 0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(2, 9)] * 3), st.integers(0, 2 ** 32 - 1))
+def test_wavelet_subbands_equal_the_haar_tree(dims, seed):
+    # one subband at a time matches the shared-prefix tree byte for byte
+    values = np.random.default_rng(seed).normal(100.0, 30.0, dims)
+    vol = make_volume(values)
+    for dim, subbands in (("2D", WAVELET_SUBBANDS_2D),
+                          ("3D", WAVELET_SUBBANDS_3D)):
+        tree = haar_subbands(values, dim)
+        for band in subbands:
+            assert filter_wavelet(vol, band).values.tobytes() == \
+                tree[band].tobytes(), (dim, band)
 
 
 def test_wavelet_axis_too_short():
     from radrep.preprocess import AxisTooShort
     vol = make_volume(np.zeros((1, 4, 4)))
     with pytest.raises(AxisTooShort):
-        filter_wavelet(vol, "2D")
+        filter_wavelet(vol, "LL")
 
 
 # ---------------------------------------------------------------------------
 # filter_pointwise
 # ---------------------------------------------------------------------------
 
+_POINTWISE = (FilterKind.SQUARE, FilterKind.SQUARE_ROOT, FilterKind.LOGARITHM,
+              FilterKind.EXPONENTIAL)
+
+
 def test_pointwise_square_hand_case():
     vol = make_volume([0.0, 5.0, 10.0])
-    out = filter_pointwise(vol, "Square")
+    out = filter_pointwise(vol, FilterKind.SQUARE)
     assert out.values.ravel() == pytest.approx([0.0, 2.5, 10.0])
 
 
 def test_pointwise_logarithm_hand_case():
     e = math.e
     vol = make_volume([-(e - 1), 0.0, e - 1])
-    out = filter_pointwise(vol, "Logarithm")
+    out = filter_pointwise(vol, FilterKind.LOGARITHM)
     assert out.values.ravel() == pytest.approx([-(e - 1), 0.0, e - 1])
 
 
 def test_pointwise_fixed_point_at_max():
     values = np.array([-4.0, 4.0, 4.0, -4.0])
-    for kind in ("Square", "SquareRoot", "Logarithm", "Exponential"):
+    for kind in _POINTWISE:
         out = filter_pointwise(make_volume(values), kind)
         assert np.allclose(out.values.ravel(), values, atol=1e-12)
 
 
 def test_pointwise_zero_volume_unchanged():
     vol = make_volume(np.zeros((3, 3, 1)))
-    for kind in ("Square", "SquareRoot", "Logarithm", "Exponential"):
+    for kind in _POINTWISE:
         assert filter_pointwise(vol, kind) is vol
 
 
 def test_pointwise_exponential_large_values_safe():
     vol = make_volume([-900.0, 0.0, 900.0])
-    out = filter_pointwise(vol, "Exponential")
+    out = filter_pointwise(vol, FilterKind.EXPONENTIAL)
     assert np.isfinite(out.values).all()
     assert out.values.ravel()[2] == pytest.approx(900.0)
     assert out.values.ravel()[0] == pytest.approx(-900.0)
@@ -327,7 +349,7 @@ _intensity = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_intensity, min_size=2, max_size=40),
-       st.sampled_from(["Square", "SquareRoot", "Logarithm", "Exponential"]))
+       st.sampled_from(_POINTWISE))
 def test_pointwise_preserves_max_and_sign(values, kind):
     vol = make_volume(np.array(values, dtype=np.float64))
     out = filter_pointwise(vol, kind)
@@ -352,8 +374,8 @@ def test_filter_names_round_trip():
         FilterSpec(FilterKind.ORIGINAL),
         FilterSpec(FilterKind.LOG, sigma_mm=1.0),
         FilterSpec(FilterKind.LOG, sigma_mm=5.0),
-        FilterSpec(FilterKind.WAVELET_2D, subband="HH"),
-        FilterSpec(FilterKind.WAVELET_3D, subband="LLH"),
+        FilterSpec(FilterKind.WAVELET, subband="HH"),
+        FilterSpec(FilterKind.WAVELET, subband="LLH"),
         FilterSpec(FilterKind.SQUARE),
         FilterSpec(FilterKind.SQUARE_ROOT),
         FilterSpec(FilterKind.LOGARITHM),
@@ -373,17 +395,17 @@ def test_filter_spec_validation():
     with pytest.raises(ValueError):
         FilterSpec(FilterKind.LOG)
     with pytest.raises(ValueError):
-        FilterSpec(FilterKind.WAVELET_2D, subband="LLL")
+        FilterSpec(FilterKind.WAVELET, subband="LLLL")
     with pytest.raises(ValueError):
-        FilterSpec(FilterKind.WAVELET_3D, subband="LL")
+        FilterSpec(FilterKind.WAVELET, subband="L")
 
 
 def test_apply_filter_dispatch(rng):
     vol = make_volume(rng.standard_normal((4, 4, 4)) + 5)
     assert apply_filter(vol, FilterSpec(FilterKind.ORIGINAL)) is vol
-    band = apply_filter(vol, FilterSpec(FilterKind.WAVELET_3D, subband="LLL"))
+    band = apply_filter(vol, FilterSpec(FilterKind.WAVELET, subband="LLL"))
     assert np.allclose(band.values,
-                       filter_wavelet(vol, "3D")["LLL"].values)
+                       filter_wavelet(vol, "LLL").values)
     log = apply_filter(vol, FilterSpec(FilterKind.LOG, sigma_mm=1.0))
     assert np.allclose(log.values, filter_log(vol, 1.0).values)
 
@@ -400,7 +422,7 @@ def test_apply_filter_passes_the_box_to_log_only(rng):
 def test_filters_are_deterministic(rng):
     vol = make_volume(rng.standard_normal((6, 6, 4)))
     for spec in (FilterSpec(FilterKind.LOG, sigma_mm=2.0),
-                 FilterSpec(FilterKind.WAVELET_3D, subband="HLH"),
+                 FilterSpec(FilterKind.WAVELET, subband="HLH"),
                  FilterSpec(FilterKind.EXPONENTIAL)):
         a = apply_filter(vol, spec)
         b = apply_filter(vol, spec)
