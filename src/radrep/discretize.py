@@ -17,10 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import RadrepError
 from .volume_io import GeometryMismatch, RoiMask, VolumeGrid, check_geometry
 
 # Texture analysis guidance: keep the gray-level count in [8, 128].
 GRAY_LEVEL_COUNT_RANGE = (8, 128)
+# Texture matrices hold Ng^2 cells: at this cap one GLCM count and each
+# Ng^2 float temporary of its features take 8.4 MB.
+MAX_GRAY_LEVELS = 1024
+
+
+class TooManyGrayLevels(RadrepError):
+    """The bin width splits the ROI into more than MAX_GRAY_LEVELS levels."""
 
 
 class GrayLevelCountWarning(UserWarning):
@@ -66,7 +74,9 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     The ROI maximum maps into the top occupied bin, so
     Ng == floor((max - min)/width) + 1 exactly and no phantom overflow
     level is created. Emits :class:`GrayLevelCountWarning` when Ng falls
-    outside [8, 128]. The returned grid is the mask's
+    outside [8, 128] and raises :class:`TooManyGrayLevels`, before any
+    Ng-sized allocation, when Ng exceeds :data:`MAX_GRAY_LEVELS`. The
+    returned grid is the mask's
     :attr:`~radrep.volume_io.RoiMask.bounding_box`, and the ROI within it
     is the mask's ``inside``, taken as it is.
     """
@@ -80,6 +90,10 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     roi_max = float(roi_values.max())
     width = spec.bin_width
     ng = int(np.floor((roi_max - roi_min) / width)) + 1
+    if ng > MAX_GRAY_LEVELS:
+        raise TooManyGrayLevels(
+            f"bin width {width:g} gives {ng} gray levels over the ROI range "
+            f"[{roi_min:g}, {roi_max:g}]; at most {MAX_GRAY_LEVELS} are allowed")
     levels = np.zeros(inside.shape, dtype=np.int32)
     binned = np.floor((roi_values - roi_min) / width).astype(np.int64) + 1
     levels[inside] = np.minimum(binned, ng)

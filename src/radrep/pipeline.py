@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, repeat
+from itertools import product, repeat, takewhile
 from math import isfinite
 from pathlib import Path
 
@@ -41,12 +41,12 @@ from .preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
                          normalize)
 from .preprocess import filter_wavelet  # noqa: F401  bench/tracing.py traces it here
 from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
-                            DegenerateSamples, FeatureMatrix,
+                            DegenerateSamples, FeatureKey, FeatureMatrix,
                             InsufficientFeatures, InsufficientSubjects,
                             MissingVolumeReference, RepeatabilityTable,
                             binwidth_spread, build_table, config_delta,
                             filter_frequency, kde, rank_distribution,
-                            split_feature_key, top_k_per_class)
+                            top_k_per_class)
 from .texture_matrices import (OFFSETS_3D, RunLines, build_glcm, build_glrlm,
                                build_glszm, label_zones, run_lines,
                                select_offsets)
@@ -623,43 +623,49 @@ def _write_json(path: Path, payload) -> None:
 # Schema validation
 # ---------------------------------------------------------------------------
 
+def _parse_header(header: list[str], path) -> dict[FeatureKey, int]:
+    """The feature columns of a feature-CSV header: key -> index.
+
+    Meta, ``general_info_*``, ``diagnostics_*`` and unnamed columns are
+    skipped; every other column must split into a :class:`FeatureKey`,
+    once, and may not repeat (SchemaMismatch).
+    """
+    features: dict[FeatureKey, int] = {}
+    for index, column in enumerate(header):
+        # "" tolerates a leading unnamed index column in foreign files
+        if column in META_COLUMNS or column == "" or \
+                column.startswith(("general_info_", "diagnostics_")):
+            continue
+        if column in features:
+            raise SchemaMismatch(f"{path}, line 1: column {column!r} repeats")
+        try:
+            features[FeatureKey(column)] = index
+        except ValueError:
+            raise SchemaMismatch(
+                f"{path}: unknown column pattern {column!r}") from None
+    return features
+
+
 def validate_feature_csv(path) -> None:
     """Check the emitted-CSV column grammar; raises SchemaMismatch.
 
-    Layout: general_info_* columns first, then feature columns named
-    ``[pre-filter]_[feature group]_[feature name]`` with known groups,
-    names, and parseable filter prefixes, each at most once, then exactly
-    the four meta columns.
+    Beyond what :func:`read_feature_csv` requires: general_info_* columns
+    first, then only feature columns, with known names and parseable
+    filter prefixes, then exactly the four meta columns.
     """
     with open(path, newline="") as handle:
-        header = next(csv.reader(handle))
-    if len(header) < len(META_COLUMNS) + 1:
-        raise SchemaMismatch(f"{path}: too few columns")
-    if tuple(header[-4:]) != META_COLUMNS:
+        header = next(csv.reader(handle), [])
+    features = _parse_header(header, path)
+    info = len(list(takewhile(lambda c: c.startswith("general_info_"), header)))
+    if info == 0 or header[info:] != [*features, *META_COLUMNS]:
         raise SchemaMismatch(
-            f"{path}: last four columns must be {META_COLUMNS}, got {header[-4:]}")
-    body = header[:-4]
-    i = 0
-    while i < len(body) and body[i].startswith("general_info_"):
-        i += 1
-    if i == 0:
-        raise SchemaMismatch(f"{path}: no general_info_ columns at the front")
-    seen = set()
-    for column in body[i:]:
-        if column in seen:
-            raise SchemaMismatch(f"{path}: column {column!r} repeats")
-        seen.add(column)
-        if column.startswith("general_info_"):
-            raise SchemaMismatch(
-                f"{path}: general_info column {column!r} after feature columns")
+            f"{path}: columns must be general_info_* (at least one), then "
+            f"feature columns, then {', '.join(META_COLUMNS)}")
+    for key in features:
+        if key.name not in FEATURE_ROSTER[key.feature_class]:
+            raise SchemaMismatch(f"{path}: unknown feature {key!r}")
         try:
-            flt, cls, name = split_feature_key(column)
-        except ValueError as exc:
-            raise SchemaMismatch(f"{path}: {exc}") from None
-        if name not in FEATURE_ROSTER[cls]:
-            raise SchemaMismatch(f"{path}: unknown feature {column!r}")
-        try:
-            FilterSpec.from_name(flt)
+            FilterSpec.from_name(key.filter)
         except ValueError as exc:
             raise SchemaMismatch(f"{path}: {exc}") from None
 
@@ -750,9 +756,6 @@ def parse_config_from_name(path) -> ParsedConfig:
                         registered="TP2Registered" in tokens)
 
 
-_INFO_PREFIXES = ("general_info_", "diagnostics_")
-
-
 def read_feature_csv(path, timepoint_map: dict | None = None,
                      ) -> dict[str, FeatureMatrix]:
     """Parse an extraction CSV into one :class:`FeatureMatrix` per structure.
@@ -764,23 +767,8 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
     rows: dict[str, list[tuple[str, int, np.ndarray]]] = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaMismatch(f"{path}: empty file")
-        columns: dict[str, int] = {}
-        for index, column in enumerate(header):
-            # "" tolerates a leading unnamed index column in foreign files
-            if column in META_COLUMNS or column == "" or \
-                    column.startswith(_INFO_PREFIXES):
-                continue
-            try:
-                split_feature_key(column)
-            except ValueError:
-                raise SchemaMismatch(
-                    f"{path}: unknown column pattern {column!r}") from None
-            if column in columns:
-                raise SchemaMismatch(f"{path}, line 1: column {column!r} repeats")
-            columns[column] = index
+        header = next(reader, [])
+        columns = _parse_header(header, path)
         meta = {column: index for index, column in enumerate(header)}
         if "study" not in meta:
             raise SchemaMismatch(f"{path}: no 'study' meta column")
@@ -818,16 +806,12 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
 
 def _write_icc_table(path: Path, table: RepeatabilityTable):
     reference = table.volume_reference.icc
-    rows = []
-    for feature_key in sorted(table.rows):
-        flt, cls, name = split_feature_key(feature_key)
-        result = table.rows[feature_key]
-        rows.append([
-            cls, name, flt, format_value(table.key.bin_width),
-            format_value(result.icc), format_value(result.bms),
-            format_value(result.wms), str(result.n),
-            "1" if result.icc > reference else "0",
-        ])
+    rows = [[
+        key.feature_class, key.name, key.filter,
+        format_value(table.key.bin_width), format_value(result.icc),
+        format_value(result.bms), format_value(result.wms), str(result.n),
+        "1" if result.icc > reference else "0",
+    ] for key, result in table.rows.items()]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(path, ["featureClass", "featureName", "filter", "binWidth",
                       "icc", "bms", "wms", "n", "aboveVolumeReference"], rows)

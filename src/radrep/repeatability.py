@@ -7,18 +7,20 @@ values, which is what makes features with different units comparable;
 features are judged against the Volume ICC of the same image/structure
 rather than against absolute thresholds.
 
-Analyses operate on :class:`RepeatabilityTable` objects keyed by full
-feature-column names (``[filter]_[class]_[name]``), each computed from
-one :class:`FeatureMatrix` (a CSV's rows for one structure) through one
-(features, subjects, 2) array with NaN for undefined cells; a subject
-with an undefined value is dropped for that feature only, and the retained
-count is reported alongside every ICC. ``build_table`` itself rejects a
-cohort with fewer than 3 subjects at both timepoints.
+Analyses operate on :class:`RepeatabilityTable` objects keyed by
+:class:`FeatureKey` column names (``[filter]_[class]_[name]``, split once
+per CSV header), each computed from one :class:`FeatureMatrix` (a CSV's
+rows for one structure) through one (features, subjects, 2) array with
+NaN for undefined cells; a subject with an undefined value is dropped for
+that feature only, and the retained count is reported alongside every
+ICC. ``build_table`` itself rejects a cohort with fewer than 3 subjects
+at both timepoints.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +129,7 @@ class ConfigKey:
 class FeatureMatrix:
     """A feature CSV's rows for one structure, NaN for an empty cell."""
 
-    features: tuple[str, ...]
+    features: tuple[FeatureKey, ...]
     values: np.ndarray  # (rows, features) float64, read-only
     subjects: tuple[str, ...]
     timepoints: tuple[int, ...]
@@ -140,13 +142,13 @@ class FeatureMatrix:
 class RepeatabilityTable:
     """Per-feature ICC results for one configuration cell.
 
-    ``rows`` maps feature-column names to results; features whose ICC
+    ``rows`` maps feature keys to results; features whose ICC
     could not be computed are listed in ``dropped`` with a reason. The
     Volume reference for the same image/structure is always attached.
     """
 
     key: ConfigKey
-    rows: dict[str, IccResult]
+    rows: dict[FeatureKey, IccResult]
     volume_reference: IccResult
     dropped: dict[str, str] = field(default_factory=dict)
 
@@ -314,6 +316,20 @@ def split_feature_key(feature_key: str) -> tuple[str, str, str]:
                      "'[filter]_[class]_[name]'")
 
 
+class FeatureKey(str):
+    """A feature-column name that equals, hashes and sorts as the plain
+    name and carries its ``filter``, ``feature_class`` and ``name`` parts."""
+
+    __slots__ = ("filter", "feature_class", "name")
+
+    def __new__(cls, column: str):
+        key = super().__new__(cls, column)
+        flt, key.feature_class, name = split_feature_key(column)
+        # each part repeats across many columns: keep one copy of each
+        key.filter, key.name = sys.intern(flt), sys.intern(name)
+        return key
+
+
 def top_k_per_class(table: RepeatabilityTable, k: int = 3,
                     ) -> dict[str, list[tuple[str, float]]]:
     """The k most repeatable features per class, over all filter variants.
@@ -322,11 +338,10 @@ def top_k_per_class(table: RepeatabilityTable, k: int = 3,
     ties break lexicographically on the feature name.
     """
     best: dict[str, dict[str, float]] = {}
-    for feature_key, result in table.rows.items():
-        _, cls, name = split_feature_key(feature_key)
-        per_class = best.setdefault(cls, {})
-        if name not in per_class or result.icc > per_class[name]:
-            per_class[name] = result.icc
+    for key, result in table.rows.items():
+        per_class = best.setdefault(key.feature_class, {})
+        if key.name not in per_class or result.icc > per_class[key.name]:
+            per_class[key.name] = result.icc
     out: dict[str, list[tuple[str, float]]] = {}
     for cls in sorted(best):
         scored = sorted(best[cls].items(), key=lambda kv: (-kv[1], kv[0]))
@@ -356,11 +371,10 @@ def filter_frequency(table: RepeatabilityTable) -> FilterFrequency:
     reference = table.volume_reference.icc
     counts: dict[str, int] = {}
     features_above: set[tuple[str, str]] = set()
-    for feature_key, result in table.rows.items():
+    for key, result in table.rows.items():
         if result.icc > reference:
-            flt, cls, name = split_feature_key(feature_key)
-            counts[flt] = counts.get(flt, 0) + 1
-            features_above.add((cls, name))
+            counts[key.filter] = counts.get(key.filter, 0) + 1
+            features_above.add((key.feature_class, key.name))
     return FilterFrequency(counts=dict(sorted(counts.items())),
                            total_above_reference=len(features_above))
 

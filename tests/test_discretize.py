@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radrep.discretize import (DiscretizationSpec, GeometryMismatch,
-                               GrayLevelCountWarning, discretize_roi)
+from radrep.discretize import (MAX_GRAY_LEVELS, DiscretizationSpec,
+                               GeometryMismatch, GrayLevelCountWarning,
+                               TooManyGrayLevels, discretize_roi)
 
 from conftest import crop_masks, make_mask, make_volume
 from oracles import brute_levels
@@ -44,11 +45,20 @@ def test_warning_outside_recommended_range():
     with pytest.warns(GrayLevelCountWarning):
         disc_of(np.linspace(0, 10, 50), np.ones(50), 5.0)  # Ng = 3
     with pytest.warns(GrayLevelCountWarning):
-        disc_of(np.linspace(0, 10000, 50), np.ones(50), 5.0)  # Ng > 128
+        disc_of(np.linspace(0, 1000, 50), np.ones(50), 5.0)  # Ng = 201
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         disc_of(np.linspace(0, 100, 50), np.ones(50), 5.0)  # Ng = 21, silent
+
+
+def test_gray_level_count_above_the_cap_raises():
+    values = np.linspace(0.0, 1023.0, 50)
+    with pytest.warns(GrayLevelCountWarning):
+        disc = disc_of(values, np.ones(50), 1.0)
+    assert disc.num_gray_levels == MAX_GRAY_LEVELS
+    with pytest.raises(TooManyGrayLevels, match=f"{MAX_GRAY_LEVELS + 1} gray"):
+        disc_of(values, np.ones(50), 0.999)
 
 
 def test_out_of_roi_levels_are_zero():

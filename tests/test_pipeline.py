@@ -11,12 +11,13 @@ import pytest
 import radrep
 from radrep.cli import main
 from radrep.features import FEATURE_ROSTER
-from radrep.pipeline import (ManifestError, RunSettings, SchemaMismatch,
+from radrep.pipeline import (GENERAL_INFO_COLUMNS, META_COLUMNS,
+                             ManifestError, RunSettings, SchemaMismatch,
                              _general_info, _union_box, _write_csv,
-                             analyze_run, config_csv_name, extract_run,
-                             load_manifest, parse_config_from_name,
-                             plotdata_run, read_feature_csv,
-                             validate_feature_csv)
+                             analyze_run, config_csv_name, default_filters,
+                             extract_run, feature_columns, load_manifest,
+                             parse_config_from_name, plotdata_run,
+                             read_feature_csv, validate_feature_csv)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, FilterSpec)
 from radrep.volume_io import write_nrrd
@@ -333,6 +334,25 @@ def test_reference_region_without_mask_goes_to_sidecar(tmp_path):
     assert all(r["original_shape_Volume"] != "" for r in rows)
 
 
+def test_too_many_gray_levels_fails_its_cells_only(tmp_path, monkeypatch):
+    monkeypatch.setattr(radrep.discretize, "MAX_GRAY_LEVELS", 8)
+    settings = {"normalizationModes": ["none"], "binWidths": [1, 40],
+                "dimensionality": "2D", "filters": ["original"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=1,
+                                          settings=settings))
+    fine, coarse = extract_run(manifest, tmp_path / "out")[0]
+    assert sorted((r["study"], r["error"], r["detail"].split(":")[0])
+                  for r in read_rows(tmp_path / "out" / "extraction_errors.csv")
+                  ) == [(study, "TooManyGrayLevels", cls)
+                        for study in ("sub00_tp1", "sub00_tp2")
+                        for cls in ("firstorder", "texture")]
+    for row in read_rows(fine):
+        assert row["original_shape_Volume"] != ""
+        assert row["original_firstorder_Mean"] == ""
+        assert row["original_glcm_Contrast"] == ""
+    assert all(row["original_glcm_Contrast"] != "" for row in read_rows(coarse))
+
+
 def test_single_slice_3d_extract_fails_only_its_3d_wavelet_subbands(tmp_path):
     # each 3D subband is its own filter: on a 1-slice grid every one of
     # them records AxisTooShort in every cell, and the 2D subbands compute
@@ -491,18 +511,50 @@ def test_log_is_computed_over_the_union_of_mask_boxes(tmp_path, monkeypatch):
 
 
 def test_schema_validator_rejects_bad_layouts(tmp_path):
+    meta = "study,series,canonicalType,segmentedStructure"
     bad = tmp_path / "bad.csv"
-    bad.write_text("study,series,canonicalType,segmentedStructure\n")
+    for header in ["", meta,
+                   f"general_info_X,original_glcm_Contrast,bogus_column,{meta}",
+                   f"general_info_X,original_glcm_NotAFeature,{meta}",
+                   f"general_info_X,original_glcm_Contrast,diagnostics_X,{meta}",
+                   f",general_info_X,original_glcm_Contrast,{meta}",
+                   f"general_info_X,,original_glcm_Contrast,{meta}",
+                   f"general_info_X,original_glcm_Contrast,general_info_Y,{meta}",
+                   f"general_info_X,notafilter_glcm_Contrast,{meta}",
+                   f"general_info_X,{meta},original_glcm_Contrast",
+                   f"general_info_X,study,original_glcm_Contrast,{meta}"]:
+        bad.write_text(header + "\n" if header else "")
+        with pytest.raises(SchemaMismatch):
+            validate_feature_csv(bad)
+
+    # analyze still reads foreign files with an index column and diagnostics
+    foreign = _hand_written_csv(tmp_path / "foreign.csv",
+                                ["0.5", "0.7", "0.2", "0.4", "0.9", "0.1"])
+    header, *rows = foreign.read_text().splitlines()
+    foreign.write_text("\n".join([f",diagnostics_Versions,{header}"] + [
+        f"{i},v3.0,{row}" for i, row in enumerate(rows)]) + "\n")
+    [matrix] = read_feature_csv(foreign).values()
+    assert matrix.features == ("original_shape_Volume", "original_glcm_Contrast")
+    _assert_reads_like_oracle(foreign)
     with pytest.raises(SchemaMismatch):
-        validate_feature_csv(bad)
-    bad.write_text("general_info_X,original_glcm_Contrast,bogus_column,"
-                   "study,series,canonicalType,segmentedStructure\n")
-    with pytest.raises(SchemaMismatch):
-        validate_feature_csv(bad)
-    bad.write_text("general_info_X,original_glcm_NotAFeature,"
-                   "study,series,canonicalType,segmentedStructure\n")
-    with pytest.raises(SchemaMismatch):
-        validate_feature_csv(bad)
+        validate_feature_csv(foreign)
+
+
+@pytest.mark.parametrize("dimensionality", ["2D", "3D"])
+def test_emitted_header_validates_and_parses_back(tmp_path, dimensionality):
+    filters = default_filters(dimensionality)
+    header = [*GENERAL_INFO_COLUMNS, *feature_columns(filters), *META_COLUMNS]
+    path = tmp_path / "header.csv"
+    _write_csv(path, header, [[""] * (len(header) - len(META_COLUMNS))
+                              + ["sub00_tp1", "s", "T2AX", "Tumor"]])
+    validate_feature_csv(path)
+    [matrix] = read_feature_csv(path).values()
+    written = [("original", "shape", name) for name in FEATURE_ROSTER["shape"]]
+    written += [(spec.name, cls, name) for spec in filters
+                for cls in ("firstorder", "glcm", "glrlm", "glszm")
+                for name in FEATURE_ROSTER[cls]]
+    assert [(key.filter, key.feature_class, key.name)
+            for key in matrix.features] == written
 
 
 def test_schema_validator_rejects_a_repeated_feature_column(tmp_path):
@@ -638,15 +690,24 @@ def test_analyze_perfect_retest_all_iccs_one(tmp_path):
         assert row["n"] == "10"
 
 
-def test_analyze_reports_and_plotdata(tmp_path):
+def test_analyze_reports_and_plotdata(tmp_path, monkeypatch):
     settings = {"normalizationModes": ["none"], "binWidths": [10, 20],
                 "dimensionality": "2D", "filters": ["original", "square"]}
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=5,
                                           settings=settings))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
     assert len(csv_paths) == 2
+    splits = []
+    split = radrep.repeatability.split_feature_key
+    for module in (radrep.repeatability, radrep.pipeline):
+        monkeypatch.setattr(module, "split_feature_key", raising=False,
+                            value=lambda key: splits.append(key) or split(key))
     written, _ = analyze_run(csv_paths, tmp_path / "reports",
                           compare=(csv_paths[0].stem, csv_paths[1].stem))
+    monkeypatch.undo()
+    # each header's feature columns are split once, not once per report
+    columns = len(feature_columns(manifest.settings.filters))
+    assert len(splits) <= len(csv_paths) * columns
     names = {p.name for p in written}
     assert any(n.startswith("icc__") for n in names)
     assert any(n.startswith("top3__") for n in names)
@@ -687,6 +748,9 @@ def test_analyze_reports_and_plotdata(tmp_path):
     assert any(n.startswith("plot_icc__") for n in plot_names)
     assert any(n.startswith("plot_filterfreq__") for n in plot_names)
     assert any(n.startswith("plot_delta__") for n in plot_names)
+    # the plotting tools read a plot_ file for every report but the notes
+    assert plot_names == {f"plot_{p.stem}.csv" for p in written
+                          if not p.name.startswith("binwidth_notes__")}
 
 
 def test_analyze_binwidth_group_with_uneven_feature_sets(tmp_path):

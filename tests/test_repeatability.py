@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from radrep.repeatability import (ConfigKey, DegenerateData,
-                                  DegenerateSamples, FeatureMatrix,
+                                  DegenerateSamples, FeatureKey, FeatureMatrix,
                                   FeatureSetMismatch, IccResult,
                                   InsufficientFeatures, InsufficientSubjects,
                                   MissingVolumeReference, NoSharedFeatures,
@@ -32,7 +32,7 @@ KEY = ConfigKey(image_type="T2AX", structure="Tumor", normalization="none",
 
 def table_from_iccs(iccs: dict[str, float],
                     reference: float = 0.5) -> RepeatabilityTable:
-    rows = {k: IccResult(icc=v, bms=1.0, wms=1.0, n=10)
+    rows = {FeatureKey(k): IccResult(icc=v, bms=1.0, wms=1.0, n=10)
             for k, v in iccs.items()}
     return RepeatabilityTable(
         key=KEY, rows=rows,
@@ -123,7 +123,7 @@ def matrix_of(rows: list[Row]) -> FeatureMatrix:
     features = list(dict.fromkeys(f for row in rows for f in row.values))
     values = np.array([[np.nan if row.values.get(f) is None else row.values[f]
                         for f in features] for row in rows], dtype=np.float64)
-    return FeatureMatrix(features=tuple(features),
+    return FeatureMatrix(features=tuple(map(FeatureKey, features)),
                          values=values.reshape(len(rows), len(features)),
                          subjects=tuple(row.subject for row in rows),
                          timepoints=tuple(row.timepoint for row in rows))
