@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .discretize import DiscretizationSpec, discretize_roi
 from .texture_matrices import GlcMatrix, GlrlMatrix, GlszMatrix
 from .volume_io import RoiMask, VolumeGrid
 
-# Rows of the pairwise-distance matrix formed at once (x 1200 points x
-# 8 bytes: about 2.5 MB per temporary).
+# Rows of the pairwise-distance matrix formed at once: each temporary
+# holds this many x n float64s, 2 MB per 1000 points compared.
 _DISTANCE_BLOCK = 256
 
 FEATURE_CLASSES = ("firstorder", "shape", "glcm", "glrlm", "glszm")
@@ -177,30 +178,12 @@ def _surface_face_counts(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance; hull-accelerated when large.
+    """Largest pairwise Euclidean distance, compared block by block.
 
     The squared distances are summed per coordinate in coordinate order,
     as ``scipy.spatial.distance.pdist`` sums them, and the square root is
     taken of their maximum, so the result equals ``pdist(points).max()``.
     """
-    if len(points) < 2:
-        return 0.0
-    if len(points) > 1200:
-        from scipy.spatial import ConvexHull, QhullError
-
-        centered = points - points.mean(axis=0)
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        keep = s > 1e-9 * s[0] if s[0] > 0 else s > np.inf
-        proj = centered @ vt[keep].T
-        if proj.shape[1] == 0:
-            return 0.0
-        if proj.shape[1] == 1:
-            return float(proj[:, 0].max() - proj[:, 0].min())
-        try:
-            hull = ConvexHull(proj)
-            points = points[hull.vertices]
-        except QhullError:
-            pass
     largest = 0.0
     for start in range(0, len(points), _DISTANCE_BLOCK):
         # rows start .. start + block against every later point
@@ -209,6 +192,25 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
                       for c in range(points.shape[1]))
         largest = max(largest, float(squared.max()))
     return math.sqrt(largest)
+
+
+def _max_diameter(surface: np.ndarray, start: np.ndarray,
+                  spacing: np.ndarray, axes: list[int]) -> float:
+    """Largest distance between surface-voxel centers projected on ``axes``.
+
+    Squared distance is strictly convex along a line, and a center's
+    coordinate ``(index + start) * spacing`` grows with its index even in
+    floating point. So a farthest pair is found, exactly, among the voxels
+    that are first or last on every axis-parallel line of the projected
+    surface, and only those are compared.
+    """
+    grid = surface.any(axis=tuple(set(range(3)) - set(axes)))
+    keep = grid.copy()
+    for axis in range(grid.ndim):
+        count = np.cumsum(grid, axis=axis)
+        keep &= (count == 1) | (count == np.take(count, [-1], axis=axis))
+    return _max_pairwise_distance(
+        (np.argwhere(keep) + start[axes]).astype(np.float64) * spacing[axes])
 
 
 def shape_features(mask: RoiMask) -> FeatureMap:
@@ -238,7 +240,7 @@ def shape_features(mask: RoiMask) -> FeatureMap:
 
     start = np.array([s.start for s in mask.bounding_box])
     coords = (np.argwhere(inside) + start).astype(np.float64) * spacing
-    surface_coords = (np.argwhere(surface) + start).astype(np.float64) * spacing
+    diameter = partial(_max_diameter, surface, start, spacing)
 
     cov = np.zeros((3, 3))
     if n > 1:
@@ -251,13 +253,10 @@ def shape_features(mask: RoiMask) -> FeatureMap:
         ("shape", "SurfaceArea"): area,
         ("shape", "SurfaceVolumeRatio"): area / volume,
         ("shape", "Sphericity"): (36.0 * math.pi * volume ** 2) ** (1.0 / 3.0) / area,
-        ("shape", "Maximum3DDiameter"): _max_pairwise_distance(surface_coords),
-        ("shape", "Maximum2DDiameterSlice"):
-            _max_pairwise_distance(surface_coords[:, (0, 1)]),
-        ("shape", "Maximum2DDiameterColumn"):
-            _max_pairwise_distance(surface_coords[:, (1, 2)]),
-        ("shape", "Maximum2DDiameterRow"):
-            _max_pairwise_distance(surface_coords[:, (0, 2)]),
+        ("shape", "Maximum3DDiameter"): diameter([0, 1, 2]),
+        ("shape", "Maximum2DDiameterSlice"): diameter([0, 1]),
+        ("shape", "Maximum2DDiameterColumn"): diameter([1, 2]),
+        ("shape", "Maximum2DDiameterRow"): diameter([0, 2]),
         ("shape", "MajorAxisLength"): 4.0 * math.sqrt(eigvals[0]),
         ("shape", "MinorAxisLength"): 4.0 * math.sqrt(eigvals[1]),
         ("shape", "Elongation"):

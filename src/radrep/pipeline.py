@@ -29,7 +29,6 @@ from math import isfinite
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import RadrepError, __version__
 from .discretize import DiscretizationSpec, discretize_roi
@@ -413,8 +412,7 @@ def _general_info(image: VolumeGrid, image_hash: str, mask: RoiMask,
         "general_info_ImageSpacing":
             " ".join(format_value(s) for s in image.spacing),
         "general_info_MaskHash": mask.payload_hash(),
-        "general_info_VersionTags":
-            f"radrep={__version__};numpy={np.__version__};scipy={scipy.__version__}",
+        "general_info_VersionTags": f"radrep={__version__};numpy={np.__version__}",
         "general_info_VolumeNum": volume_num,
         "general_info_VoxelNum": mask.voxel_count,
     }

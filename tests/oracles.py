@@ -45,9 +45,8 @@ def full_grid_shape(labels: np.ndarray, spacing) -> dict:
 
     The same formulas as ``shape_features``, but faces, voxel coordinates
     and surface voxels are taken over the whole grid rather than the
-    mask's bounding box, and diameters list every surface-voxel pair.
-    Exact for up to 1200 surface voxels (``shape_features`` takes the
-    convex hull above that).
+    mask's bounding box, and diameters list every surface-voxel pair
+    (``shape_features`` compares only the line-extreme ones).
     """
     inside = labels > 0
     spacing = np.asarray(spacing, dtype=np.float64)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radrep.discretize import DiscretizationSpec, discretize_roi
 from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
@@ -138,8 +141,10 @@ def test_max_pairwise_distance_equals_pdist(rng):
     two = np.array([[0.0, 0.7, 3.0], [1.8, 0.0, 9.0]])
     assert _max_pairwise_distance(two) == pdist(two)[0]
     for n in (2, 3, 5, 40, 257, 600, 1200):
-        # lattice points (many tied distances) and points in general position
-        for points in (rng.integers(0, 12, size=(n, 3)) * spacing,
+        # lattice points (many tied distances), collinear and coplanar
+        # lattice points, and points in general position
+        lattice = rng.integers(0, 12, size=(n, 3)) * spacing
+        for points in (lattice, lattice * [1, 0, 0], lattice * [1, 1, 0],
                        rng.normal(size=(n, 3)) * spacing * 7.3):
             for columns in ((0, 1, 2), (0, 1), (1, 2), (0, 2)):
                 projected = points[:, columns]
@@ -153,14 +158,47 @@ def test_max_pairwise_distance_equals_pdist(rng):
 
 
 def test_max_pairwise_distance_of_large_sets_equals_pdist(rng):
-    # past 1200 points only the convex hull's vertices are compared
+    # many blocks of rows: the maximum is taken across block boundaries
     from scipy.spatial.distance import pdist
     points = rng.normal(size=(1500, 3)) * np.array([0.6, 0.7, 3.0])
     for columns in ((0, 1, 2), (0, 1)):
         projected = points[:, columns]
         assert _max_pairwise_distance(projected) == pdist(projected).max()
     line = np.outer(np.arange(1300.0), [0.6, 0.0, 0.0])
-    assert _max_pairwise_distance(line) == pytest.approx(1299 * 0.6)
+    assert _max_pairwise_distance(line) == 1299 * 0.6
+
+
+@st.composite
+def lattice_masks(draw):
+    """A nonempty mask, zero-padded by 0-2 voxels per side, and a spacing."""
+    shape = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    inside = draw(hnp.arrays(bool, shape))
+    inside.flat[draw(st.integers(0, inside.size - 1))] = True
+    pad = draw(st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 2))] * 3))
+    spacing = draw(st.tuples(*[st.floats(0.1, 5.0)] * 3))
+    return np.pad(inside, pad), spacing
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_masks())
+def test_shape_diameters_equal_pdist_over_every_surface_voxel(case):
+    # lines, planes, single voxels and pairs, tied distances, masks that
+    # touch every face of the grid, anisotropic spacing
+    from scipy.spatial.distance import pdist
+    labels, spacing = case
+    padded = np.pad(labels, 1)
+    interior = labels.copy()
+    for axis in range(3):
+        for step in (-1, 1):
+            interior &= np.roll(padded, step, axis)[1:-1, 1:-1, 1:-1]
+    centers = np.argwhere(labels & ~interior) * np.asarray(spacing)
+    fmap = shape_features(make_mask(labels, spacing=spacing))
+    for name, columns in (("Maximum3DDiameter", [0, 1, 2]),
+                          ("Maximum2DDiameterSlice", [0, 1]),
+                          ("Maximum2DDiameterColumn", [1, 2]),
+                          ("Maximum2DDiameterRow", [0, 2])):
+        expected = pdist(centers[:, columns]).max() if len(centers) > 1 else 0.0
+        assert fmap.get("shape", name) == expected
 
 
 def test_shape_cube():

@@ -1022,7 +1022,7 @@ def test_interrupted_write_leaves_no_file_behind(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter, as this test session itself imports scipy.stats
+    # a fresh interpreter, as this test session itself imports scipy
     src = Path(radrep.__file__).resolve().parents[1]
     loaded = subprocess.run(
         [sys.executable, "-c",
@@ -1030,14 +1030,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, check=True, timeout=120).stdout.split()
     assert "radrep.cli" in loaded
-    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate",
-                "scipy.interpolate"} & set(loaded)
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def test_extract_and_analyze_load_no_scipy_subpackage(tmp_path):
-    # numpy and the top-level scipy package only, for the full filter
-    # catalog in 3D; scipy.spatial (the convex hull) loads once a surface
-    # has more than 1200 voxels
+    # numpy only, for the full filter catalog in 3D and for a mask with a
+    # large surface
     src = Path(radrep.__file__).resolve().parents[1]
     settings = {"normalizationModes": ["none", "wholeImage"],
                 "binWidths": [15], "dimensionality": "3D"}
@@ -1051,26 +1049,50 @@ from radrep.features import shape_features
 from radrep.volume_io import RoiMask, Structure
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 assert radrep.cli.main(["extract", "--manifest", {str(manifest)!r},
                         "--out", {str(out)!r}]) == 0
 assert radrep.cli.main(["analyze", "--in", {str(out / "*.csv")!r},
                         "--out", {str(reports)!r}]) == 0
-print(*loaded())
+print("during", *loaded())
 labels = np.ones((30, 30, 4), dtype=np.uint8)
 shape_features(RoiMask((30, 30, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
                        labels, Structure.TUMOR))
-print(*loaded())
+print("after", *loaded())
 """
     result = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    during, after = (line.split() for line in result.stdout.splitlines()[-2:])
-    heavy = ("scipy.ndimage", "scipy.sparse", "scipy.spatial")
-    assert not [m for m in during if m.startswith(heavy)]
-    assert "scipy.spatial" in after
+    assert result.stdout.splitlines()[-2:] == ["during", "after"]
+
+
+def test_large_surface_extract_prints_each_gray_level_warning_once(tmp_path):
+    # the second subject's slab has 36 x 36 surface voxels; the first
+    # subject's cells have already warned (Ng 1 at bin width 1000) when
+    # its shape is taken, and nothing may show those warnings again
+    settings = {"normalizationModes": ["none"], "binWidths": [1000],
+                "dimensionality": "3D", "filters": ["original"]}
+    manifest = build_cohort(tmp_path / "in", n_subjects=2, settings=settings)
+    rng = np.random.default_rng(3)
+    slab = np.zeros((40, 40, 3))
+    slab[2:38, 2:38, 1] = 1
+    for entry in load_manifest(manifest).cohort[2:]:
+        write_nrrd(entry.image_path, rng.normal(100, 10, slab.shape),
+                   (1.0, 1.0, 3.0))
+        write_nrrd(entry.masks[0].path, slab, (1.0, 1.0, 3.0), dtype="short")
+    src = Path(radrep.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "radrep.cli", "extract", "--manifest",
+         str(manifest), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    warned = [line for line in result.stderr.splitlines()
+              if "GrayLevelCountWarning" in line]
+    assert warned
+    assert len(warned) == len(set(warned)), result.stderr
 
 
 def test_cli_end_to_end(tmp_path, capsys):
