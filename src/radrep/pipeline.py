@@ -88,6 +88,8 @@ def format_value(value) -> str:
     """CSV cell formatting: 17 significant digits, empty for undefined."""
     if value is None:
         return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -803,14 +805,15 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
 
 
 def _write_icc_table(path: Path, table: RepeatabilityTable):
-    reference = table.volume_reference.icc
-    rows = [[
-        key.feature_class, key.name, key.filter,
-        format_value(table.key.bin_width), format_value(result.icc),
-        format_value(result.bms), format_value(result.wms), str(result.n),
-        "1" if result.icc > reference else "0",
-    ] for key, result in table.rows.items()]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    width = format_value(table.key.bin_width)
+    above = table.icc > table.volume_reference.icc
+    # (class, name, filter) is unique, so whole rows sort by those three
+    rows = sorted([
+        key.feature_class, key.name, key.filter, width, format_value(icc),
+        format_value(bms), format_value(wms), str(n), "1" if up else "0",
+    ] for key, icc, bms, wms, n, up in zip(
+        table.rows, table.icc.tolist(), table.bms.tolist(),
+        table.wms.tolist(), table.n.tolist(), above.tolist()))
     _write_csv(path, ["featureClass", "featureName", "filter", "binWidth",
                       "icc", "bms", "wms", "n", "aboveVolumeReference"], rows)
 
@@ -931,14 +934,8 @@ def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:
             notes_path = out_dir / f"binwidth_notes__{code}__{structure}.json"
             _write_json(notes_path, {"excludedFeatures": excluded})
             written.append(notes_path)
-        width_tables = {
-            w: RepeatabilityTable(
-                key=t.key,
-                rows={k: t.rows[k] for k in sorted(shared)},
-                volume_reference=t.volume_reference,
-                dropped=t.dropped)
-            for w, (_, t) in by_width.items()
-        }
+        keys = tuple(sorted(shared))
+        width_tables = {w: t.take(keys) for w, (_, t) in by_width.items()}
 
         spread = binwidth_spread(width_tables)
         spread_path = out_dir / f"spread__{code}__{structure}.csv"
@@ -1018,13 +1015,12 @@ def plotdata_run(in_dir, out_dir) -> list[Path]:
     written: list[Path] = []
 
     for path in sorted(in_dir.glob("icc__*.csv")):
-        rows = []
         with open(path, newline="") as handle:
-            for record in csv.DictReader(handle):
-                rows.append([
-                    f"{record['featureClass']}_{record['featureName']}",
-                    record["filter"], record["binWidth"], record["icc"],
-                ])
+            reader = csv.reader(handle)
+            cls, name, flt, width, icc = map(next(reader).index, (
+                "featureClass", "featureName", "filter", "binWidth", "icc"))
+            rows = [[f"{r[cls]}_{r[name]}", r[flt], r[width], r[icc]]
+                    for r in filter(None, reader)]  # skips blank lines
         out = out_dir / f"plot_{path.stem}.csv"
         _write_csv(out, ["feature", "filter", "binWidth", "icc"], rows)
         written.append(out)

@@ -7,21 +7,19 @@ values, which is what makes features with different units comparable;
 features are judged against the Volume ICC of the same image/structure
 rather than against absolute thresholds.
 
-Analyses operate on :class:`RepeatabilityTable` objects keyed by
-:class:`FeatureKey` column names (``[filter]_[class]_[name]``, split once
-per CSV header), each computed from one :class:`FeatureMatrix` (a CSV's
-rows for one structure) through one (features, subjects, 2) array with
-NaN for undefined cells; a subject with an undefined value is dropped for
-that feature only, and the retained count is reported alongside every
-ICC. ``build_table`` itself rejects a cohort with fewer than 3 subjects
-at both timepoints.
+A :class:`RepeatabilityTable` holds the sorted :class:`FeatureKey` names
+(``[filter]_[class]_[name]``) of the features with an ICC and aligned
+icc/bms/wms/n arrays, which every analysis reads. ``build_table`` computes
+it from a :class:`FeatureMatrix` (a CSV's rows for one structure); a
+subject with an undefined value is dropped for that feature only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,13 +83,13 @@ class IccResult:
     n: int
 
 
-def _icc_columns(y: np.ndarray) -> list[IccResult | None]:
-    """ICC(1,1) per feature of a C-contiguous (features, n, 2) array.
+def _icc_columns(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BMS and WMS per feature of a C-contiguous (features, n, 2) array.
 
     BMS = k * sum_i (mean_i - grand)^2 / (n - 1) and
     WMS = sum_ij (y_ij - mean_i)^2 / (n * (k - 1)) with k = 2, each sum
     along a contiguous last axis so that numpy's summation order does not
-    depend on the feature count. None marks all-identical values (0/0).
+    depend on the feature count.
     """
     m, n, k = y.shape
     subject_means = y.mean(axis=2)
@@ -99,18 +97,16 @@ def _icc_columns(y: np.ndarray) -> list[IccResult | None]:
     bms = k * ((subject_means - grand_means[:, None]) ** 2).sum(axis=1) / (n - 1)
     wms = ((y - subject_means[:, :, None]) ** 2).reshape(m, n * k).sum(
         axis=1) / (n * (k - 1))
-    return [None if b + w == 0.0
-            else IccResult(icc=(b - w) / (b + w), bms=b, wms=w, n=n)
-            for b, w in zip(bms.tolist(), wms.tolist())]
+    return bms, wms
 
 
 def icc_1_1(data: PairedMeasurements) -> IccResult:
     """One-way random-effects single-measurement ICC for two timepoints."""
     y = np.array([[[v1, v2] for _, v1, v2 in data.subjects]], dtype=np.float64)
-    [result] = _icc_columns(y)
-    if result is None:
+    bms, wms = (float(column[0]) for column in _icc_columns(y))
+    if bms + wms == 0.0:
         raise DegenerateData("all measurements identical; ICC undefined")
-    return result
+    return IccResult((bms - wms) / (bms + wms), bms, wms, len(data.subjects))
 
 
 @dataclass(frozen=True)
@@ -140,17 +136,29 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class RepeatabilityTable:
-    """Per-feature ICC results for one configuration cell.
-
-    ``rows`` maps feature keys to results; features whose ICC
-    could not be computed are listed in ``dropped`` with a reason. The
-    Volume reference for the same image/structure is always attached.
-    """
+    """Per-feature ICCs of one configuration cell, as columns: read-only
+    ``icc``, ``bms``, ``wms`` and ``n`` arrays aligned with the sorted keys
+    ``rows``. ``dropped`` gives the reason each other feature has no ICC."""
 
     key: ConfigKey
-    rows: dict[FeatureKey, IccResult]
+    rows: tuple[FeatureKey, ...]
+    icc: np.ndarray
+    bms: np.ndarray
+    wms: np.ndarray
+    n: np.ndarray
     volume_reference: IccResult
     dropped: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for column in (self.icc, self.bms, self.wms, self.n):
+            column.setflags(write=False)
+
+    def take(self, keys: tuple[FeatureKey, ...]) -> RepeatabilityTable:
+        """This table's rows for ``keys``, each of which it must hold."""
+        index = {key: i for i, key in enumerate(self.rows)}
+        at = [index[key] for key in keys]
+        return replace(self, rows=keys, icc=self.icc[at], bms=self.bms[at],
+                       wms=self.wms[at], n=self.n[at])
 
 
 def build_table(matrix: FeatureMatrix, key: ConfigKey,
@@ -177,49 +185,47 @@ def build_table(matrix: FeatureMatrix, key: ConfigKey,
     if complete < MIN_SUBJECTS:
         raise InsufficientSubjects(f"{key}: {complete} subject(s) with both "
                                    f"timepoints; need >= {MIN_SUBJECTS}")
-    results: dict[str, IccResult] = {}
-    dropped: dict[str, str] = {}
-    patterns, group = np.unique(~np.isnan(y).any(axis=2), axis=0,
-                                return_inverse=True)
-    for index, pattern in enumerate(patterns):
-        members = np.flatnonzero(group == index)
-        n = int(pattern.sum())
-        if n < MIN_SUBJECTS:
-            dropped.update((features[i], f"only {n} subjects with both "
-                            "timepoints") for i in members)
-            continue
-        block = np.ascontiguousarray(y[members][:, pattern])
-        for i, result in zip(members, _icc_columns(block)):
-            if result is None:
-                dropped[features[i]] = "all values identical"
-            else:
-                results[features[i]] = result
-    results, dropped = dict(sorted(results.items())), dict(sorted(dropped.items()))
-    if reference_feature not in results:
+    defined = ~np.isnan(y).any(axis=2)
+    n = defined.sum(axis=1)
+    bms, wms = np.full((2, len(features)), np.nan)
+    groups: dict[bytes, list[int]] = {}
+    for i, pattern in enumerate(np.packbits(defined, axis=1)):
+        groups.setdefault(pattern.tobytes(), []).append(i)
+    for members in groups.values():
+        if n[members[0]] >= MIN_SUBJECTS:
+            block = np.ascontiguousarray(y[members][:, defined[members[0]]])
+            bms[members], wms[members] = _icc_columns(block)
+    kept = (n >= MIN_SUBJECTS) & (bms + wms != 0.0)
+    dropped = {features[i]: f"only {n[i]} subjects with both timepoints"
+               if n[i] < MIN_SUBJECTS else "all values identical"
+               for i in np.flatnonzero(~kept)}
+    rows = tuple(itertools.compress(features, kept.tolist()))
+    if reference_feature not in rows:
         raise MissingVolumeReference(
             f"reference feature {reference_feature!r}: "
             + dropped.get(reference_feature, "not among extracted columns")
         )
-    return RepeatabilityTable(key=key, rows=results,
-                              volume_reference=results[reference_feature],
-                              dropped=dropped)
+    bms, wms, n = bms[kept], wms[kept], n[kept]
+    icc = (bms - wms) / (bms + wms)
+    i = rows.index(reference_feature)
+    reference = IccResult(*(column[i].item() for column in (icc, bms, wms, n)))
+    return RepeatabilityTable(key=key, rows=rows, icc=icc, bms=bms, wms=wms,
+                              n=n, volume_reference=reference, dropped=dropped)
 
 
 def _icc_matrix(tables: dict[float, RepeatabilityTable],
-                ) -> tuple[list[str], list[float], np.ndarray]:
+                ) -> tuple[tuple[FeatureKey, ...], list[float], np.ndarray]:
     """Shared features, sorted bin widths and the (features, widths) ICCs."""
     if len(tables) < 2:
         raise FeatureSetMismatch("need tables for >= 2 bin widths")
-    sets = {w: set(t.rows) for w, t in tables.items()}
-    first = next(iter(sets.values()))
-    if any(s != first for s in sets.values()):
+    widths = sorted(tables)
+    features = tables[widths[0]].rows
+    mismatched = {w: sorted(set(tables[w].rows) ^ set(features))[:5]
+                  for w in widths if tables[w].rows != features}
+    if mismatched:
         raise FeatureSetMismatch(
-            "tables disagree on the feature set: "
-            + str({w: sorted(s ^ first)[:5] for w, s in sets.items() if s != first})
-        )
-    features, widths = sorted(first), sorted(tables)
-    iccs = np.array([[tables[w].rows[f].icc for w in widths] for f in features])
-    return features, widths, iccs.reshape(len(features), len(widths))
+            f"tables disagree on the feature set: {mismatched}")
+    return features, widths, np.stack([tables[w].icc for w in widths], axis=1)
 
 
 def binwidth_spread(tables: dict[float, RepeatabilityTable]) -> dict[str, float]:
@@ -338,10 +344,10 @@ def top_k_per_class(table: RepeatabilityTable, k: int = 3,
     ties break lexicographically on the feature name.
     """
     best: dict[str, dict[str, float]] = {}
-    for key, result in table.rows.items():
+    for key, icc in zip(table.rows, table.icc.tolist()):
         per_class = best.setdefault(key.feature_class, {})
-        if key.name not in per_class or result.icc > per_class[key.name]:
-            per_class[key.name] = result.icc
+        if key.name not in per_class or icc > per_class[key.name]:
+            per_class[key.name] = icc
     out: dict[str, list[tuple[str, float]]] = {}
     for cls in sorted(best):
         scored = sorted(best[cls].items(), key=lambda kv: (-kv[1], kv[0]))
@@ -368,13 +374,12 @@ def filter_frequency(table: RepeatabilityTable) -> FilterFrequency:
     name) with at least one above-reference filter variant; one feature
     can contribute to several filters.
     """
-    reference = table.volume_reference.icc
+    above = table.icc > table.volume_reference.icc
     counts: dict[str, int] = {}
     features_above: set[tuple[str, str]] = set()
-    for key, result in table.rows.items():
-        if result.icc > reference:
-            counts[key.filter] = counts.get(key.filter, 0) + 1
-            features_above.add((key.feature_class, key.name))
+    for key in itertools.compress(table.rows, above.tolist()):
+        counts[key.filter] = counts.get(key.filter, 0) + 1
+        features_above.add((key.feature_class, key.name))
     return FilterFrequency(counts=dict(sorted(counts.items())),
                            total_above_reference=len(features_above))
 
@@ -391,13 +396,12 @@ class ConfigDelta:
 def config_delta(a: RepeatabilityTable, b: RepeatabilityTable) -> ConfigDelta:
     """ICC deltas for shared features; disjoint features are listed, not dropped."""
     keys_a, keys_b = set(a.rows), set(b.rows)
-    shared_keys = keys_a & keys_b
-    if not shared_keys:
+    keys = tuple(sorted(keys_a & keys_b))
+    if not keys:
         raise NoSharedFeatures("tables share no feature key")
-    shared = {
-        key: (a.rows[key].icc, b.rows[key].icc, b.rows[key].icc - a.rows[key].icc)
-        for key in sorted(shared_keys)
-    }
+    icc_a, icc_b = a.take(keys).icc, b.take(keys).icc
+    shared = dict(zip(keys, zip(icc_a.tolist(), icc_b.tolist(),
+                                (icc_b - icc_a).tolist())))
     return ConfigDelta(shared=shared,
                        only_a=tuple(sorted(keys_a - keys_b)),
                        only_b=tuple(sorted(keys_b - keys_a)))

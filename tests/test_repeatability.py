@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from radrep.repeatability import (ConfigKey, DegenerateData,
                                   icc_1_1, kde, rank_distribution,
                                   silverman_bandwidth, split_feature_key,
                                   top_k_per_class)
+from radrep.pipeline import analyze_run
 
 from oracles import Row, anova_icc, brute_table
 
@@ -32,11 +34,20 @@ KEY = ConfigKey(image_type="T2AX", structure="Tumor", normalization="none",
 
 def table_from_iccs(iccs: dict[str, float],
                     reference: float = 0.5) -> RepeatabilityTable:
-    rows = {FeatureKey(k): IccResult(icc=v, bms=1.0, wms=1.0, n=10)
-            for k, v in iccs.items()}
+    rows = tuple(sorted(map(FeatureKey, iccs)))
     return RepeatabilityTable(
         key=KEY, rows=rows,
+        icc=np.array([iccs[k] for k in rows], dtype=np.float64),
+        bms=np.ones(len(rows)), wms=np.ones(len(rows)),
+        n=np.full(len(rows), 10),
         volume_reference=IccResult(icc=reference, bms=1, wms=1, n=10))
+
+
+def result_of(table: RepeatabilityTable, feature: str) -> IccResult:
+    """The ICC-table row of ``feature``, read from the aligned arrays."""
+    i = table.rows.index(feature)
+    return IccResult(icc=float(table.icc[i]), bms=float(table.bms[i]),
+                     wms=float(table.wms[i]), n=int(table.n[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +159,11 @@ def test_build_table_plumbing():
     table = build_table(matrix_of(make_rows()), KEY)
     assert set(table.rows) == {"original_shape_Volume",
                                "original_firstorder_Mean"}
-    assert table.volume_reference is table.rows["original_shape_Volume"]
-    assert all(r.n == 15 for r in table.rows.values())
+    assert table.volume_reference == result_of(table, "original_shape_Volume")
+    assert table.n.tolist() == [15, 15]
+    for column in (table.icc, table.bms, table.wms, table.n):
+        assert len(column) == len(table.rows)
+        assert not column.flags.writeable
 
 
 def test_build_table_drops_subject_per_feature():
@@ -159,8 +173,8 @@ def test_build_table_drops_subject_per_feature():
     rows[0] = Row(subject=rows[0].subject, timepoint=rows[0].timepoint,
                   values=values)
     table = build_table(matrix_of(rows), KEY)
-    assert table.rows["original_firstorder_Mean"].n == 14
-    assert table.rows["original_shape_Volume"].n == 15
+    assert result_of(table, "original_firstorder_Mean").n == 14
+    assert result_of(table, "original_shape_Volume").n == 15
 
 
 def test_build_table_missing_reference():
@@ -227,17 +241,68 @@ def test_build_table_matches_per_feature_oracle(n_complete):
         table = build_table(matrix_of(rows), KEY)
         results, dropped, reference = brute_table(rows, "original_shape_Volume")
         assert list(table.rows) == list(results)
-        assert {f: (r.icc, r.bms, r.wms, r.n)
-                for f, r in table.rows.items()} == results
+        assert dict(zip(table.rows, zip(
+            table.icc.tolist(), table.bms.tolist(), table.wms.tolist(),
+            table.n.tolist()))) == results
         assert table.dropped == dropped
         assert table.volume_reference == IccResult(*reference)
         assert dropped["original_glcm_Idm"] == "all values identical"
         assert dropped["original_glcm_Contrast"] == \
             "only 2 subjects with both timepoints"
-        retained |= {r.n for r in table.rows.values()}
+        retained |= set(table.n.tolist())
     # some features kept every complete subject, others dropped some
     assert n_complete in retained
     assert n_complete == 3 or min(retained) < n_complete
+
+
+def write_feature_csv(path, rows: list[Row]):
+    """A feature CSV analyze reads: feature columns, study, structure."""
+    features = list(dict.fromkeys(f for row in rows for f in row.values))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([*features, "study", "segmentedStructure"])
+        for row in rows:
+            writer.writerow([
+                *("" if row.values.get(f) is None else repr(row.values[f])
+                  for f in features),
+                f"{row.subject}_tp{row.timepoint}", "Tumor"])
+    return path
+
+
+def test_icc_csv_bytes_match_per_feature_oracle(tmp_path):
+    # blank cells, a constant feature and one defined for two subjects
+    rows = random_cohort(np.random.default_rng(11), n_complete=9)
+    path = write_feature_csv(
+        tmp_path / "FullStudySettings_noNormalization_2D_T2AX_bin15.csv", rows)
+    analyze_run([path], tmp_path / "reports")
+    results, dropped, reference = brute_table(rows, "original_shape_Volume")
+    assert {"original_glcm_Idm", "original_glcm_Contrast"} <= set(dropped)
+    lines = sorted([*split_feature_key(f)[1:], split_feature_key(f)[0], "15",
+                    *(f"{v:.17g}" for v in (icc, bms, wms)), str(n),
+                    "1" if icc > reference[0] else "0"]
+                   for f, (icc, bms, wms, n) in results.items())
+    expected = "".join(",".join(line) + "\n" for line in [
+        ["featureClass", "featureName", "filter", "binWidth", "icc", "bms",
+         "wms", "n", "aboveVolumeReference"], *lines])
+    icc_path = tmp_path / "reports" / f"icc__{path.stem}__Tumor.csv"
+    assert icc_path.read_bytes() == expected.encode()
+
+
+def test_analyze_builds_one_icc_result_per_table(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    paths = [write_feature_csv(
+        tmp_path / f"FullStudySettings_noNormalization_2D_T2AX_bin{w}.csv",
+        random_cohort(rng, n_complete=8)) for w in (10, 20)]
+    made = []
+    init = IccResult.__init__
+    monkeypatch.setattr(IccResult, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    written, failures = analyze_run(paths, tmp_path / "reports",
+                                    compare=(paths[0].stem, paths[1].stem))
+    assert not failures
+    assert any(p.name.startswith("rankdist__") for p in written)
+    assert any(p.name.startswith("delta__") for p in written)
+    assert 0 < len(made) <= len(paths)
 
 
 # ---------------------------------------------------------------------------
