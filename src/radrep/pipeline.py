@@ -2,16 +2,17 @@
 
 ``extract_run`` executes the configuration matrix (normalization modes x
 bin widths, at one texture dimensionality) over the cohort, one entry at
-a time, and writes one feature CSV per (image type, configuration cell).
+a time, and writes one feature CSV per :class:`ConfigCell`, named by it.
 Outputs are deterministic: fixed column order, rows sorted by (study,
 series, structure), and 17-significant-digit float formatting, so
 identical inputs produce byte-identical files. Per-row failures go to an errors
 sidecar and never abort the run.
 
-``analyze_run`` parses extraction CSVs back into repeatability tables
-and emits the report suite: per-feature ICC tables, bin-width spread
-with its KDE curve, rank distributions, top-3 per feature class, filter
-frequency above the Volume reference, and configuration deltas.
+``analyze_run`` reads each CSV's cell back from its name and its rows
+into repeatability tables, and emits the report suite: per-feature ICC
+tables, bin-width spread with its KDE curve, rank distributions, top-3
+per feature class, filter frequency above the Volume reference, and
+configuration deltas.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import partial
 from itertools import product, repeat, takewhile
 from math import isfinite
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,8 +41,8 @@ from .preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
                          NormalizationMode, NormalizationSpec, apply_filter,
                          normalize)
 from .preprocess import filter_wavelet  # noqa: F401  bench/tracing.py traces it here
-from .repeatability import (VOLUME_REFERENCE_FEATURE, ConfigKey,
-                            DegenerateSamples, FeatureKey, FeatureMatrix,
+from .repeatability import (VOLUME_REFERENCE_FEATURE, DegenerateSamples,
+                            FeatureKey, FeatureMatrix,
                             InsufficientFeatures, InsufficientSubjects,
                             MissingVolumeReference, RepeatabilityTable,
                             binwidth_spread, build_table, config_delta,
@@ -95,14 +97,83 @@ def format_value(value) -> str:
     return f"{float(value):.17g}"
 
 
-# The bin-width token of a CSV name, f"bin{width:g}", exponent included.
-_BIN_TOKEN = re.compile(r"bin(\d+(?:\.\d+)?(?:e[+-]\d+)?)")
+# ---------------------------------------------------------------------------
+# Configuration cells
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConfigCell:
+    """One configuration cell, and the only place its code words are spelled.
+
+    ``csv_name`` names its feature CSV, ``general_settings`` fills its
+    rows' ``general_info_GeneralSettings``, and ``group_code`` (the cell
+    less its bin width) names the reports that compare bin widths.
+    """
+
+    image_type: str
+    normalization: str
+    bin_width: float
+    dimensionality: str
+    registered: bool = False
+    bias_corrected: bool = False
+
+    PREFIX: ClassVar[str] = "FullStudySettings"
+    # (field, code word) of each flag, in name order
+    FLAGS: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("bias_corrected", "biasCorrected"), ("registered", "TP2Registered"))
+    # the bin-width word as f"bin{width:g}" writes it, exponent included
+    BIN_WORD: ClassVar[re.Pattern] = re.compile(
+        r"bin(\d+(?:\.\d+)?(?:e[+-]\d+)?)")
+
+    def _flag_words(self) -> list[str]:
+        return [word for field, word in self.FLAGS if getattr(self, field)]
+
+    @property
+    def csv_name(self) -> str:
+        mode = NormalizationMode(self.normalization)
+        words = [self.PREFIX]
+        if mode is not NormalizationMode.WHOLE_IMAGE:
+            words.append(mode.code)
+        words += [self.dimensionality, *self._flag_words(), self.image_type,
+                  f"bin{self.bin_width:g}"]
+        return "_".join(words) + ".csv"
+
+    @property
+    def general_settings(self) -> str:
+        return (f"normalization={self.normalization};"
+                f"binWidth={self.bin_width:g};"
+                f"dimensionality={self.dimensionality};"
+                f"registeredMasks={str(self.registered).lower()};"
+                f"biasCorrected={str(self.bias_corrected).lower()}")
+
+    @property
+    def group_code(self) -> str:
+        return "_".join([self.image_type,
+                         NormalizationMode(self.normalization).code,
+                         self.dimensionality, *self._flag_words()])
 
 
-def _bin_width_of(token: str) -> float | None:
-    """The bin width a 'binNN' file-name token spells, else None."""
-    match = _BIN_TOKEN.fullmatch(token)
-    return float(match.group(1)) if match else None
+def parse_config_from_name(path) -> ConfigCell:
+    """The cell a feature-CSV name spells, its code words in any order:
+    no mode word is wholeImage, no ``2D`` (or ``2d``) is 3D."""
+    stem = Path(path).stem
+    tokens = stem.split("_")
+    normalization = next((mode.value for mode in NormalizationMode
+                          if mode.code in tokens),
+                         NormalizationMode.WHOLE_IMAGE.value)
+    bin_width = image_type = None
+    for token in tokens:
+        if match := ConfigCell.BIN_WORD.fullmatch(token):
+            bin_width = float(match.group(1))
+        elif token in IMAGE_TYPES:
+            image_type = token
+    if bin_width is None or image_type is None:
+        raise SchemaMismatch(
+            f"{stem}: filename lacks a binNN or image-type code")
+    return ConfigCell(
+        image_type, normalization, bin_width,
+        "2D" if ("2D" in tokens or "2d" in tokens) else "3D",
+        **{field: word in tokens for field, word in ConfigCell.FLAGS})
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +208,12 @@ class RunSettings:
     filters: tuple[FilterSpec, ...]
     registered_masks: bool = False
     bias_corrected: bool = False
+
+    def cell(self, image_type: str, normalization: str,
+             bin_width: float) -> ConfigCell:
+        return ConfigCell(image_type, normalization, bin_width,
+                          self.dimensionality, self.registered_masks,
+                          self.bias_corrected)
 
 
 @dataclass(frozen=True)
@@ -207,10 +284,10 @@ def load_manifest(path) -> RunManifest:
     if len(set(bin_widths)) != len(bin_widths):
         raise ManifestError(f"bin widths repeat: {list(bin_widths)}")
     for w in bin_widths:
-        if _bin_width_of(f"bin{w:g}") != w:
-            raise ManifestError(
-                f"bin width {w!r} is named bin{w:g} in CSV file names, which "
-                "does not read back as the same value")
+        name = ConfigCell(IMAGE_TYPES[0], "none", w, dimensionality).csv_name
+        if parse_config_from_name(name).bin_width != w:
+            raise ManifestError(f"bin width {w!r} does not read back from "
+                                f"its CSV name {name}")
     filters = _expand_filter_names(_list_setting(
         settings_doc, "filters", [kind.value for kind in FilterKind], str,
         "filter names"), dimensionality)
@@ -280,19 +357,8 @@ def load_manifest(path) -> RunManifest:
 
 def config_csv_name(image_type: str, normalization: str, bin_width: float,
                     settings: RunSettings) -> str:
-    """Filename encoding the configuration cell via its code words."""
-    parts = ["FullStudySettings"]
-    mode = NormalizationMode(normalization)
-    if mode is not NormalizationMode.WHOLE_IMAGE:
-        parts.append(mode.code)
-    parts.append(settings.dimensionality)
-    if settings.bias_corrected:
-        parts.append("biasCorrected")
-    if settings.registered_masks:
-        parts.append("TP2Registered")
-    parts.append(image_type)
-    parts.append(f"bin{bin_width:g}")
-    return "_".join(parts) + ".csv"
+    """The feature-CSV name of one (image type, mode, bin width) of a run."""
+    return settings.cell(image_type, normalization, bin_width).csv_name
 
 
 def feature_columns(filters: tuple[FilterSpec, ...]) -> list[str]:
@@ -420,15 +486,6 @@ def _general_info(image: VolumeGrid, image_hash: str, mask: RoiMask,
     }
 
 
-def _general_settings(mode: str, bin_width: float, settings: RunSettings) -> str:
-    return (
-        f"normalization={mode};binWidth={bin_width:g};"
-        f"dimensionality={settings.dimensionality};"
-        f"registeredMasks={str(settings.registered_masks).lower()};"
-        f"biasCorrected={str(settings.bias_corrected).lower()}"
-    )
-
-
 def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice] | None:
     """Smallest box holding every mask's bounding box (None: no mask)."""
     if not masks:
@@ -494,8 +551,8 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
         for (mode, bin_width), (rows, _) in cells.items():
             row = {**shape, **meta}
             if info is not None:
-                row.update(info, general_info_GeneralSettings=_general_settings(
-                    mode, bin_width, settings))
+                row.update(info, general_info_GeneralSettings=settings.cell(
+                    entry.image_type, mode, bin_width).general_settings)
             rows.append(row)
 
     box = _union_box(masks)
@@ -528,8 +585,8 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     earlier run is replaced, header-only when this run has none.
 
     Raises :class:`StaleOutputs`, before extracting anything and deleting
-    nothing, when ``out_dir`` holds a ``FullStudySettings_*.csv`` this
-    manifest does not write, so a later ``analyze`` cannot mix runs.
+    nothing, when ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``)
+    this manifest does not write, so a later ``analyze`` cannot mix runs.
     """
     out_dir = Path(out_dir)
     settings = manifest.settings
@@ -537,8 +594,8 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     configs = list(product(image_types, settings.normalization_modes,
                            settings.bin_widths))
     names = {config_csv_name(*config, settings) for config in configs}
-    stale = sorted(path.name for path in out_dir.glob("FullStudySettings_*.csv")
-                   if path.name not in names)
+    stale = sorted(path.name for path in out_dir.glob(
+        f"{ConfigCell.PREFIX}_*.csv") if path.name not in names)
     if stale:
         raise StaleOutputs(
             f"{out_dir} holds feature CSVs this run does not write: "
@@ -709,53 +766,6 @@ def _parse_study(study: str, mapping: dict | None) -> tuple[str, int]:
     return match.group("subject"), int(match.group("timepoint"))
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
-    """Configuration cell recovered from an extraction CSV filename."""
-
-    stem: str
-    image_type: str
-    normalization: str
-    bin_width: float
-    dimensionality: str
-    registered: bool
-
-    def key(self, structure: str) -> ConfigKey:
-        return ConfigKey(image_type=self.image_type, structure=structure,
-                         normalization=self.normalization,
-                         bin_width=self.bin_width,
-                         dimensionality=self.dimensionality,
-                         registered=self.registered)
-
-    def group(self) -> tuple:
-        """Identity ignoring bin width (for cross-bin-width analyses)."""
-        return (self.image_type, self.normalization, self.dimensionality,
-                self.registered)
-
-
-def parse_config_from_name(path) -> ParsedConfig:
-    stem = Path(path).stem
-    tokens = stem.split("_")
-    normalization = next((mode.value for mode in NormalizationMode
-                          if mode.code in tokens),
-                         NormalizationMode.WHOLE_IMAGE.value)
-    dimensionality = "2D" if ("2D" in tokens or "2d" in tokens) else "3D"
-    bin_width = None
-    image_type = None
-    for token in tokens:
-        if (width := _bin_width_of(token)) is not None:
-            bin_width = width
-        elif token in IMAGE_TYPES:
-            image_type = token
-    if bin_width is None or image_type is None:
-        raise SchemaMismatch(
-            f"{stem}: filename lacks a binNN or image-type code")
-    return ParsedConfig(stem=stem, image_type=image_type,
-                        normalization=normalization, bin_width=bin_width,
-                        dimensionality=dimensionality,
-                        registered="TP2Registered" in tokens)
-
-
 def read_feature_csv(path, timepoint_map: dict | None = None,
                      ) -> dict[str, FeatureMatrix]:
     """Parse an extraction CSV into one :class:`FeatureMatrix` per structure.
@@ -804,8 +814,8 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
     return matrices
 
 
-def _write_icc_table(path: Path, table: RepeatabilityTable):
-    width = format_value(table.key.bin_width)
+def _write_icc_table(path: Path, table: RepeatabilityTable, bin_width: float):
+    width = format_value(bin_width)
     above = table.icc > table.volume_reference.icc
     # (class, name, filter) is unique, so whole rows sort by those three
     rows = sorted([
@@ -842,33 +852,44 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     Failures are written to ``analysis_errors.csv`` when any occur; an
     errors file left by an earlier run is replaced, header-only when this
     run has none.
+
+    Every input name is parsed before any report is written; two names
+    of one :class:`ConfigCell` (a repeated stem, say) would write the same
+    reports, so they raise SchemaMismatch.
     """
+    paths: dict[ConfigCell, Path] = {}
+    for path in sorted(Path(p) for p in csv_paths):
+        cell = parse_config_from_name(path)
+        if cell in paths:
+            raise SchemaMismatch(
+                f"{paths[cell]} and {path} name the same configuration "
+                "cell, so their reports would overwrite each other")
+        paths[cell] = path
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timepoint_map = (_read_timepoint_map(timepoint_map_path)
                      if timepoint_map_path else None)
 
     tables: dict[tuple[str, str], RepeatabilityTable] = {}
-    configs: dict[str, ParsedConfig] = {}
+    groups: dict[tuple[str, str], dict[float, RepeatabilityTable]] = {}
     written: list[Path] = []
     failures: list[AnalysisFailure] = []
-    for path in sorted(Path(p) for p in csv_paths):
-        config = parse_config_from_name(path)
-        configs[config.stem] = config
+    for cell, path in paths.items():
         for structure, matrix in sorted(
                 read_feature_csv(path, timepoint_map).items()):
             try:
-                table = build_table(matrix, config.key(structure),
-                                    reference_feature=reference)
+                table = build_table(matrix, reference_feature=reference)
             except (InsufficientSubjects, MissingVolumeReference) as exc:
                 failures.append(AnalysisFailure(
-                    stem=config.stem, structure=structure,
+                    stem=path.stem, structure=structure,
                     error=type(exc).__name__, detail=str(exc)))
                 continue
-            tables[(config.stem, structure)] = table
+            tables[(path.stem, structure)] = table
+            groups.setdefault((cell.group_code, structure), {})[
+                cell.bin_width] = table
 
-            icc_path = out_dir / f"icc__{config.stem}__{structure}.csv"
-            _write_icc_table(icc_path, table)
+            icc_path = out_dir / f"icc__{path.stem}__{structure}.csv"
+            _write_icc_table(icc_path, table, cell.bin_width)
             written.append(icc_path)
 
             try:
@@ -877,12 +898,12 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
                            for cls, pairs in top.items()}
             except InsufficientFeatures as exc:
                 payload = {"error": str(exc)}
-            top_path = out_dir / f"top3__{config.stem}__{structure}.json"
+            top_path = out_dir / f"top3__{path.stem}__{structure}.json"
             _write_json(top_path, payload)
             written.append(top_path)
 
             freq = filter_frequency(table)
-            freq_path = out_dir / f"filterfreq__{config.stem}__{structure}.json"
+            freq_path = out_dir / f"filterfreq__{path.stem}__{structure}.json"
             _write_json(freq_path, {
                 "counts": freq.counts,
                 "totalAboveReference": freq.total_above_reference,
@@ -895,37 +916,28 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
         _write_csv(errors_path, ["stem", "segmentedStructure", "error",
                                  "detail"],
                    ([f.stem, f.structure, f.error, f.detail] for f in failures))
-    written += _binwidth_reports(tables, configs, out_dir)
+    written += _binwidth_reports(groups, out_dir)
     if compare:
         failed = {(f.stem, f.structure) for f in failures}
         written += _delta_reports(tables, failed, compare, out_dir)
     return written, failures
 
 
-def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:
+def _binwidth_reports(groups, out_dir: Path) -> list[Path]:
     """Spread, KDE, and rank-distribution files per cross-bin-width group.
 
-    Features whose ICC is defined at some bin widths but not others (the
+    A group is one structure's tables whose cells differ only in bin
+    width, keyed (``group_code``, structure) -> width -> table. Features
+    whose ICC is defined at some bin widths but not others (the
     per-feature subject-dropping rule makes this possible) are excluded
     from the cross-width comparison and listed in a notes file rather
     than silently vanishing.
     """
     written: list[Path] = []
-    groups: dict[tuple, dict[float, tuple[str, RepeatabilityTable]]] = {}
-    for (stem, structure), table in tables.items():
-        config = configs[stem]
-        groups.setdefault((config.group(), structure), {})[config.bin_width] = (
-            stem, table)
-    for (group, structure), by_width in sorted(
-            groups.items(), key=lambda kv: str(kv[0])):
+    for (code, structure), by_width in sorted(groups.items()):
         if len(by_width) < 2:
             continue
-        image_type, normalization, dimensionality, registered = group
-        code = "_".join([
-            image_type, NormalizationMode(normalization).code,
-            dimensionality] + (["TP2Registered"] if registered else []))
-
-        feature_sets = [set(t.rows) for _, t in by_width.values()]
+        feature_sets = [set(t.rows) for t in by_width.values()]
         shared = set.intersection(*feature_sets)
         excluded = sorted(set.union(*feature_sets) - shared)
         if not shared:
@@ -935,7 +947,7 @@ def _binwidth_reports(tables, configs, out_dir: Path) -> list[Path]:
             _write_json(notes_path, {"excludedFeatures": excluded})
             written.append(notes_path)
         keys = tuple(sorted(shared))
-        width_tables = {w: t.take(keys) for w, (_, t) in by_width.items()}
+        width_tables = {w: t.take(keys) for w, t in by_width.items()}
 
         spread = binwidth_spread(width_tables)
         spread_path = out_dir / f"spread__{code}__{structure}.csv"

@@ -28,6 +28,7 @@ from .features import FEATURE_CLASSES
 
 VOLUME_REFERENCE_FEATURE = "original_shape_Volume"
 MIN_SUBJECTS = 3
+KDE_GRID_POINTS = 256
 
 
 class RepeatabilityError(RadrepError):
@@ -110,18 +111,6 @@ def icc_1_1(data: PairedMeasurements) -> IccResult:
 
 
 @dataclass(frozen=True)
-class ConfigKey:
-    """One cell of the extraction configuration space."""
-
-    image_type: str
-    structure: str
-    normalization: str
-    bin_width: float
-    dimensionality: str
-    registered: bool = False
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """A feature CSV's rows for one structure, NaN for an empty cell."""
 
@@ -136,11 +125,10 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class RepeatabilityTable:
-    """Per-feature ICCs of one configuration cell, as columns: read-only
+    """Per-feature ICCs of one CSV's structure, as columns: read-only
     ``icc``, ``bms``, ``wms`` and ``n`` arrays aligned with the sorted keys
     ``rows``. ``dropped`` gives the reason each other feature has no ICC."""
 
-    key: ConfigKey
     rows: tuple[FeatureKey, ...]
     icc: np.ndarray
     bms: np.ndarray
@@ -161,7 +149,7 @@ class RepeatabilityTable:
                        wms=self.wms[at], n=self.n[at])
 
 
-def build_table(matrix: FeatureMatrix, key: ConfigKey,
+def build_table(matrix: FeatureMatrix,
                 reference_feature: str = VOLUME_REFERENCE_FEATURE,
                 ) -> RepeatabilityTable:
     """Compute one ICC per feature column and attach the Volume reference.
@@ -183,7 +171,7 @@ def build_table(matrix: FeatureMatrix, key: ConfigKey,
     y[:, subject, column] = matrix.values[np.ix_(list(last.values()), order)].T
     complete = int((np.bincount(subject) == 2).sum())
     if complete < MIN_SUBJECTS:
-        raise InsufficientSubjects(f"{key}: {complete} subject(s) with both "
+        raise InsufficientSubjects(f"{complete} subject(s) with both "
                                    f"timepoints; need >= {MIN_SUBJECTS}")
     defined = ~np.isnan(y).any(axis=2)
     n = defined.sum(axis=1)
@@ -209,8 +197,8 @@ def build_table(matrix: FeatureMatrix, key: ConfigKey,
     icc = (bms - wms) / (bms + wms)
     i = rows.index(reference_feature)
     reference = IccResult(*(column[i].item() for column in (icc, bms, wms, n)))
-    return RepeatabilityTable(key=key, rows=rows, icc=icc, bms=bms, wms=wms,
-                              n=n, volume_reference=reference, dropped=dropped)
+    return RepeatabilityTable(rows=rows, icc=icc, bms=bms, wms=wms, n=n,
+                              volume_reference=reference, dropped=dropped)
 
 
 def _icc_matrix(tables: dict[float, RepeatabilityTable],
@@ -268,21 +256,17 @@ def gaussian_kde_density(samples: np.ndarray, x: np.ndarray,
     )
 
 
-def kde(samples, bandwidth: float | None = None,
-        grid_points: int = 256) -> DensityCurve:
-    """Gaussian KDE on a regular grid spanning [min - 3h, max + 3h].
-
-    The bandwidth defaults to Silverman's rule and can be overridden.
-    """
+def kde(samples) -> DensityCurve:
+    """Gaussian KDE with Silverman's bandwidth h, sampled at
+    ``KDE_GRID_POINTS`` regular points spanning [min - 3h, max + 3h]."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
         raise DegenerateSamples("need >= 2 samples")
     if np.ptp(samples) == 0.0:
         raise DegenerateSamples("samples have zero variance")
-    h = silverman_bandwidth(samples) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise ValueError("bandwidth must be > 0")
-    grid = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h, grid_points)
+    h = silverman_bandwidth(samples)
+    grid = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h,
+                       KDE_GRID_POINTS)
     return DensityCurve(abscissa=grid,
                         density=gaussian_kde_density(samples, grid, h),
                         bandwidth=h)

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,13 +389,13 @@ def test_criterion_8_published_data_reproduction():
         volume_iccs = {}
         tables = {}
         for path in csv_paths:
-            config = parse_config_from_name(path)
+            cell = parse_config_from_name(path)
             for structure, matrix in read_feature_csv(
                     path, timepoint_map).items():
-                table = build_table(matrix, config.key(structure))
-                tables[(config.stem, structure)] = table
+                table = build_table(matrix)
+                tables[(Path(path).stem, structure)] = table
                 volume_iccs.setdefault(
-                    (config.image_type, structure),
+                    (cell.image_type, structure),
                     table.volume_reference.icc)
 
         for key, expected in PUBLISHED_VOLUME_ICC.items():

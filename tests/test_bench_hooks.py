@@ -4,7 +4,9 @@
 table at the name callers look it up, and its counters read the traced
 calls' arguments and results. A refactor that moves or renames one of
 them, or changes what a counter reads, would silently blind a per-layer
-metric, so fail here first.
+metric, so fail here first. ``bench/workloads.py`` and ``bench/check.py``
+import radrep too: every workload must still generate, run and pass its
+output check.
 """
 
 import csv
@@ -19,16 +21,22 @@ import radrep.pipeline
 
 from cohorts import build_cohort
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def bench_module(monkeypatch, name: str):
+    """``bench/<name>.py``, loaded without putting ``bench`` on the path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return bench_module(monkeypatch, "tracing")
 
 
 def test_every_traced_hook_resolves_to_a_radrep_function(tracing):
@@ -77,3 +85,24 @@ def test_every_extraction_layer_records_a_span(tmp_path, tracing):
                  "texture_matrices.glszm", "features.firstorder",
                  "features.shape", "features.texture"):
         assert name in recorded, name
+
+
+def test_every_bench_workload_runs_and_passes_its_check(tmp_path, monkeypatch):
+    workloads = bench_module(monkeypatch, "workloads")
+    check = bench_module(monkeypatch, "check")
+    assert workloads.WORKLOADS
+    for name in sorted(workloads.WORKLOADS):
+        inputs = workloads.generate(name, 3, tmp_path / name / "inputs",
+                                    smoke=True)
+        out = tmp_path / name / "out"
+        if inputs.workload.command == "extract":
+            manifest = radrep.pipeline.load_manifest(inputs.manifest)
+            _, failures = radrep.pipeline.extract_run(
+                manifest, out / "features", jobs=inputs.shape.jobs)
+            assert failures == [], name
+        else:
+            paths = sorted((inputs.root / "features").glob("*.csv"))
+            radrep.pipeline.analyze_run(paths, out / "reports",
+                                        compare=inputs.compare)
+            radrep.pipeline.plotdata_run(out / "reports", out / "plots")
+        assert check.check(inputs, out) == [], name

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +13,16 @@ import pytest
 import radrep
 from radrep.cli import main
 from radrep.features import FEATURE_ROSTER
-from radrep.pipeline import (GENERAL_INFO_COLUMNS, META_COLUMNS,
-                             ManifestError, RunSettings, SchemaMismatch,
-                             _general_info, _union_box, _write_csv,
-                             analyze_run, config_csv_name, default_filters,
-                             extract_run, feature_columns, load_manifest,
-                             parse_config_from_name, plotdata_run,
-                             read_feature_csv, validate_feature_csv)
+from radrep.pipeline import (GENERAL_INFO_COLUMNS, IMAGE_TYPES, META_COLUMNS,
+                             ConfigCell, ManifestError, RunSettings,
+                             SchemaMismatch, _general_info, _union_box,
+                             _write_csv, analyze_run, config_csv_name,
+                             default_filters, extract_run, feature_columns,
+                             load_manifest, parse_config_from_name,
+                             plotdata_run, read_feature_csv,
+                             validate_feature_csv)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
-                               FilterKind, FilterSpec)
+                               FilterKind, FilterSpec, NormalizationMode)
 from radrep.volume_io import write_nrrd
 
 from cohorts import DIMS, build_cohort
@@ -93,8 +96,12 @@ def test_manifest_must_be_an_object_with_a_cohort_list(tmp_path, doc):
         load_manifest(manifest_path)
 
 
+# bin widths whose CSV-name words need an exponent, a fraction or neither
+NAMED_WIDTHS = [5e-05, 1e-4, 0.5, 2.5, 10, 25, 1e5]
+
+
 def test_bin_widths_round_trip_through_csv_names(tmp_path):
-    widths = [5e-05, 1e-4, 0.5, 2.5, 10, 25, 1e5]
+    widths = NAMED_WIDTHS
     manifest_path = build_cohort(tmp_path, n_subjects=1)
     doc = json.loads(manifest_path.read_text())
     doc["settings"]["binWidths"] = widths
@@ -431,8 +438,12 @@ def test_registered_and_bias_codes(tmp_path):
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
     name = csv_paths[0].name
     assert "TP2Registered" in name and "biasCorrected" in name
-    parsed = parse_config_from_name(csv_paths[0])
-    assert parsed.registered
+    assert parse_config_from_name(csv_paths[0]) == ConfigCell(
+        "T2AX", "none", 15.0, "2D", registered=True, bias_corrected=True)
+    assert {row["general_info_GeneralSettings"]
+            for row in read_rows(csv_paths[0])} == {
+        "normalization=none;binWidth=15;dimensionality=2D;"
+        "registeredMasks=true;biasCorrected=true"}
 
 
 def test_geometry_mismatch_recorded_not_fatal(tmp_path):
@@ -573,17 +584,31 @@ def test_schema_validator_rejects_a_repeated_feature_column(tmp_path):
 
 
 def test_parse_config_from_name():
-    parsed = parse_config_from_name(
-        "FullStudySettings_noNormalization_2D_T2AX_bin20.csv")
-    assert parsed.image_type == "T2AX"
-    assert parsed.normalization == "none"
-    assert parsed.bin_width == 20.0
-    assert parsed.dimensionality == "2D"
-    parsed = parse_config_from_name(
-        "FullStudySettings_MuscleRefNorm_3D_biasCorrected_ADC_bin10.csv")
-    assert parsed.normalization == "referenceRegion"
-    assert parsed.image_type == "ADC"
-    assert parsed.dimensionality == "3D"
+    # every CSV name reads back as the cell that wrote it
+    for image_type, mode, dimensionality, registered, bias, width in product(
+            IMAGE_TYPES, [mode.value for mode in NormalizationMode],
+            ("2D", "3D"), (False, True), (False, True), NAMED_WIDTHS):
+        settings = RunSettings((mode,), (width,), dimensionality, (),
+                               registered_masks=registered,
+                               bias_corrected=bias)
+        cell = ConfigCell(image_type, mode, width, dimensionality,
+                          registered, bias)
+        name = config_csv_name(image_type, mode, width, settings)
+        assert name == cell.csv_name
+        assert parse_config_from_name(name) == cell, name
+
+
+def test_config_cell_spells_its_code_words():
+    cell = ConfigCell("ADC", "referenceRegion", 2.5, "3D", registered=True)
+    assert cell.csv_name == \
+        "FullStudySettings_MuscleRefNorm_3D_TP2Registered_ADC_bin2.5.csv"
+    assert cell.general_settings == (
+        "normalization=referenceRegion;binWidth=2.5;dimensionality=3D;"
+        "registeredMasks=true;biasCorrected=false")
+    assert cell.group_code == "ADC_MuscleRefNorm_3D_TP2Registered"
+    whole = ConfigCell("T2AX", "wholeImage", 10.0, "2D", bias_corrected=True)
+    assert whole.csv_name == "FullStudySettings_2D_biasCorrected_T2AX_bin10.csv"
+    assert whole.group_code == "T2AX_wholeImageNorm_2D_biasCorrected"
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +808,61 @@ def test_analyze_binwidth_group_with_uneven_feature_sets(tmp_path):
     spread_rows = read_rows(next(p for p in written
                                  if p.name.startswith("spread__")))
     assert all(r["featureKey"] != "original_glcm_Idm" for r in spread_rows)
+
+
+def test_analyze_groups_bias_corrected_tables_apart(tmp_path):
+    # the same configuration with and without bias correction: each gets
+    # its own bin-width group, byte-equal to that group analyzed alone
+    csvs = {}
+    for bias, seed in ((False, 99), (True, 7)):
+        settings = {"normalizationModes": ["none"], "binWidths": [10, 20],
+                    "dimensionality": "2D", "filters": ["original"],
+                    "biasCorrected": bias}
+        manifest = load_manifest(build_cohort(
+            tmp_path / f"in{bias:d}", n_subjects=4, seed=seed,
+            settings=settings))
+        csvs[bias], failures = extract_run(manifest, tmp_path / f"out{bias:d}")
+        assert not failures
+
+    def group_reports(paths, out_dir):
+        written, failures = analyze_run(paths, out_dir)
+        assert not failures
+        return {p.name: p.read_bytes() for p in written if p.name.startswith(
+            ("spread__", "kde_spread__", "rankdist__", "binwidth_notes__"))}
+
+    plain = group_reports(csvs[False], tmp_path / "plain")
+    corrected = group_reports(csvs[True], tmp_path / "corrected")
+    together = group_reports(csvs[False] + csvs[True], tmp_path / "together")
+    assert {name.split("__")[1] for name in plain} == {"T2AX_noNormalization_2D"}
+    assert {name.split("__")[1] for name in corrected} == {
+        "T2AX_noNormalization_2D_biasCorrected"}
+    assert together == {**plain, **corrected}
+
+
+def test_analyze_refuses_inputs_that_name_one_cell(tmp_path, capsys):
+    # two runs' CSVs of one cell would write each other's reports
+    settings = {"normalizationModes": ["none"], "binWidths": [15],
+                "dimensionality": "2D", "filters": ["original"]}
+    paths = []
+    for run in ("a", "b"):
+        manifest = load_manifest(build_cohort(
+            tmp_path / f"in_{run}", n_subjects=3, settings=settings))
+        (path,), _ = extract_run(manifest, tmp_path / f"feat_{run}")
+        paths.append(path)
+    both = f"{re.escape(str(paths[0]))} and {re.escape(str(paths[1]))}"
+    with pytest.raises(SchemaMismatch, match=both):
+        analyze_run(paths, tmp_path / "reports")
+    assert not (tmp_path / "reports").exists()
+    assert main(["analyze", "--in", str(tmp_path / "feat_*" / "*.csv"),
+                 "--out", str(tmp_path / "reports")]) == 2
+    assert str(paths[1]) in capsys.readouterr().err
+
+    # a differently spelled name of the same cell is refused too
+    foreign = paths[1].with_name("T2AX_2d_noNormalization_bin15.csv")
+    paths[1].rename(foreign)
+    with pytest.raises(SchemaMismatch, match=re.escape(str(foreign))):
+        analyze_run([paths[0], foreign], tmp_path / "reports")
+    assert not (tmp_path / "reports").exists()
 
 
 def test_analyze_delta_identical_configs_zero(tmp_path):

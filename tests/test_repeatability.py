@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from radrep.repeatability import (ConfigKey, DegenerateData,
-                                  DegenerateSamples, FeatureKey, FeatureMatrix,
+from radrep.repeatability import (DegenerateData, DegenerateSamples,
+                                  FeatureKey, FeatureMatrix,
                                   FeatureSetMismatch, IccResult,
                                   InsufficientFeatures, InsufficientSubjects,
                                   MissingVolumeReference, NoSharedFeatures,
@@ -28,15 +28,11 @@ def pairs_of(*items):
         (f"s{i}", float(a), float(b)) for i, (a, b) in enumerate(items)))
 
 
-KEY = ConfigKey(image_type="T2AX", structure="Tumor", normalization="none",
-                bin_width=15.0, dimensionality="2D")
-
-
 def table_from_iccs(iccs: dict[str, float],
                     reference: float = 0.5) -> RepeatabilityTable:
     rows = tuple(sorted(map(FeatureKey, iccs)))
     return RepeatabilityTable(
-        key=KEY, rows=rows,
+        rows=rows,
         icc=np.array([iccs[k] for k in rows], dtype=np.float64),
         bms=np.ones(len(rows)), wms=np.ones(len(rows)),
         n=np.full(len(rows), 10),
@@ -156,7 +152,7 @@ def make_rows(n_subjects=15, features=("original_shape_Volume",
 
 
 def test_build_table_plumbing():
-    table = build_table(matrix_of(make_rows()), KEY)
+    table = build_table(matrix_of(make_rows()))
     assert set(table.rows) == {"original_shape_Volume",
                                "original_firstorder_Mean"}
     assert table.volume_reference == result_of(table, "original_shape_Volume")
@@ -172,7 +168,7 @@ def test_build_table_drops_subject_per_feature():
     values["original_firstorder_Mean"] = None
     rows[0] = Row(subject=rows[0].subject, timepoint=rows[0].timepoint,
                   values=values)
-    table = build_table(matrix_of(rows), KEY)
+    table = build_table(matrix_of(rows))
     assert result_of(table, "original_firstorder_Mean").n == 14
     assert result_of(table, "original_shape_Volume").n == 15
 
@@ -180,14 +176,14 @@ def test_build_table_drops_subject_per_feature():
 def test_build_table_missing_reference():
     rows = make_rows(features=("original_firstorder_Mean",))
     with pytest.raises(MissingVolumeReference):
-        build_table(matrix_of(rows), KEY)
+        build_table(matrix_of(rows))
 
 
 def test_build_table_degenerate_feature_dropped():
     rows = make_rows(jitter=0.01)
     rows = [Row(r.subject, r.timepoint,
                 {**r.values, "original_glcm_Idm": 1.0}) for r in rows]
-    table = build_table(matrix_of(rows), KEY)
+    table = build_table(matrix_of(rows))
     assert "original_glcm_Idm" not in table.rows
     assert "original_glcm_Idm" in table.dropped
 
@@ -195,8 +191,8 @@ def test_build_table_degenerate_feature_dropped():
 def test_build_table_needs_three_complete_subjects():
     rows = [r for r in make_rows(n_subjects=3)
             if (r.subject, r.timepoint) != ("s02", 2)]
-    with pytest.raises(InsufficientSubjects, match="Tumor.*2 subject"):
-        build_table(matrix_of(rows), KEY)
+    with pytest.raises(InsufficientSubjects, match="2 subject"):
+        build_table(matrix_of(rows))
 
 
 def random_cohort(rng, n_complete: int, n_random: int = 12):
@@ -238,7 +234,7 @@ def test_build_table_matches_per_feature_oracle(n_complete):
     retained = set()
     for _ in range(20):
         rows = random_cohort(rng, n_complete)
-        table = build_table(matrix_of(rows), KEY)
+        table = build_table(matrix_of(rows))
         results, dropped, reference = brute_table(rows, "original_shape_Volume")
         assert list(table.rows) == list(results)
         assert dict(zip(table.rows, zip(
@@ -345,7 +341,7 @@ def test_binwidth_spread_matches_recomputation(rng):
                           "original_glcm_Contrast": float(i + 1 + noise * tp)}
                 value_store[(width, i, tp)] = values
                 rows.append(Row(f"s{i}", tp, values))
-        tables[width] = build_table(matrix_of(rows), KEY)
+        tables[width] = build_table(matrix_of(rows))
     spread = binwidth_spread(tables)
     recomputed = {}
     for feature in features:
