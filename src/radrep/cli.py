@@ -12,6 +12,7 @@ import sys
 
 from . import RadrepError
 from .pipeline import analyze_run, extract_run, load_manifest, plotdata_run
+from .repeatability import VOLUME_REFERENCE_FEATURE
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("analyze", help="compute repeatability reports")
     cmd.add_argument("--in", dest="inputs", required=True,
                      help="glob of extraction CSVs")
-    cmd.add_argument("--reference", default="original_shape_Volume",
+    cmd.add_argument("--reference", default=VOLUME_REFERENCE_FEATURE,
                      help="reference feature column")
     cmd.add_argument("--out", required=True, help="report directory")
     cmd.add_argument("--compare", nargs=2, metavar=("STEM_A", "STEM_B"),

@@ -68,7 +68,8 @@ FEATURE_ROSTER: dict[str, tuple[str, ...]] = {
 }
 
 # Dropped for direct correlation with retained features, or because some
-# tumor ROIs are defined on a single slice.
+# tumor ROIs are defined on a single slice. None is in FEATURE_ROSTER, so
+# FeatureMap refuses each of them as unknown.
 EXCLUDED_FEATURES: frozenset[tuple[str, str]] = frozenset({
     ("shape", "Compactness1"),
     ("shape", "Compactness2"),
@@ -89,8 +90,6 @@ class FeatureMap:
 
     def __post_init__(self):
         for key, value in self.entries.items():
-            if key in EXCLUDED_FEATURES:
-                raise ValueError(f"excluded feature {key} must not be emitted")
             if key[1] not in FEATURE_ROSTER.get(key[0], ()):
                 raise ValueError(f"unknown feature {key}")
             if value is not None and not math.isfinite(value):

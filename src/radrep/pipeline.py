@@ -38,8 +38,7 @@ from .features import (FEATURE_ROSTER, firstorder_features,
                        glcm_features, glrlm_features, glszm_features,
                        shape_features)
 from .preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
-                         NormalizationMode, NormalizationSpec, apply_filter,
-                         normalize)
+                         NormalizationMode, apply_filter, normalize)
 from .preprocess import filter_wavelet  # noqa: F401  bench/tracing.py traces it here
 from .repeatability import (VOLUME_REFERENCE_FEATURE, DegenerateSamples,
                             FeatureKey, FeatureMatrix,
@@ -380,23 +379,23 @@ class ExtractionFailure:
 
 
 def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
+    """The image under one manifest mode; only this reads the reference mask."""
     normalization = NormalizationMode(mode)
-    if normalization is NormalizationMode.NONE:
-        return image
-    if normalization is NormalizationMode.WHOLE_IMAGE:
-        return normalize(image, NormalizationSpec.whole_image())
-    if entry.reference_mask_path is None:
-        raise MissingReferenceMask(
-            f"{entry.study}: referenceRegion normalization requires "
-            "referenceMaskPath"
-        )
-    reference = read_mask(entry.reference_mask_path, Structure.MUSCLE_REFERENCE)
-    return normalize(image, NormalizationSpec.reference_region(reference))
+    reference = None
+    if normalization is NormalizationMode.REFERENCE_REGION:
+        if entry.reference_mask_path is None:
+            raise MissingReferenceMask(
+                f"{entry.study}: referenceRegion normalization requires "
+                "referenceMaskPath"
+            )
+        reference = read_mask(entry.reference_mask_path,
+                              Structure.MUSCLE_REFERENCE)
+    return normalize(image, normalization, reference)
 
 
 def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
                       filters: tuple[FilterSpec, ...],
-                      box: tuple[slice, slice, slice] | None):
+                      box: tuple[slice, slice, slice]):
     """Yield (spec, filtered grid or the exception that prevented it).
 
     Each spec, a wavelet subband too, is one :func:`apply_filter` call on
@@ -486,10 +485,8 @@ def _general_info(image: VolumeGrid, image_hash: str, mask: RoiMask,
     }
 
 
-def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice] | None:
-    """Smallest box holding every mask's bounding box (None: no mask)."""
-    if not masks:
-        return None
+def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice]:
+    """Smallest box holding every mask's bounding box."""
     boxes = [mask.bounding_box for mask in masks]
     return tuple(slice(min(b[axis].start for b in boxes),
                        max(b[axis].stop for b in boxes)) for axis in range(3))
@@ -502,8 +499,10 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     general info and the GLRLM run-line layout of the mask's bounding box
     are computed once per mask and each filter once per mode. LoG is
     computed over the union of the masks' bounding boxes only (plus its
-    kernel's reach). A failure that blanks a whole row or filter is
-    recorded once in every cell it blanks.
+    kernel's reach). An entry with no usable mask stops after its
+    failures are recorded: nothing is normalized or filtered for it. A
+    failure that blanks a whole row or filter is recorded once in every
+    cell it blanks.
     """
     cells = {(mode, bin_width): ([], [])
              for mode in settings.normalization_modes
@@ -555,6 +554,8 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
                     entry.image_type, mode, bin_width).general_settings)
             rows.append(row)
 
+    if not masks:
+        return cells
     box = _union_box(masks)
     for mode in settings.normalization_modes:
         for spec, volume in _filtered_volumes(image, entry, mode,

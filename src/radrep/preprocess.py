@@ -3,7 +3,9 @@
 All transforms are pure ``VolumeGrid -> VolumeGrid`` functions: same
 input, bit-identical output, safe to run concurrently over shared
 immutable grids. The pipeline order is fixed: normalization (if any)
-first, then filtering, then discretization.
+first, then filtering, then discretization. Each catalog is one enum:
+:class:`NormalizationMode` names each mode and carries its target
+mean/std, and :class:`FilterKind` names each filter.
 """
 
 from __future__ import annotations
@@ -49,56 +51,23 @@ class NormalizationMode(Enum):
     ``code`` is the word that names the mode in output file names. Feature
     CSV names leave wholeImage unmarked; a name that holds several code
     words is read as the first mode here whose word it holds.
+
+    ``target`` is the (mean, std) the mode rescales to, None for no
+    rescaling. Whole-image mode matches the statistics of every voxel;
+    reference-region mode those of the muscle reference mask only.
     """
 
-    NONE = "none", "noNormalization"
-    REFERENCE_REGION = "referenceRegion", "MuscleRefNorm"
-    WHOLE_IMAGE = "wholeImage", "wholeImageNorm"
+    NONE = "none", "noNormalization", None
+    REFERENCE_REGION = "referenceRegion", "MuscleRefNorm", (100.0, 10.0)
+    WHOLE_IMAGE = "wholeImage", "wholeImageNorm", (300.0, 100.0)
 
-    def __new__(cls, value: str, code: str):
+    def __new__(cls, value: str, code: str,
+                target: tuple[float, float] | None):
         mode = object.__new__(cls)
         mode._value_ = value
         mode.code = code
+        mode.target = target
         return mode
-
-
-@dataclass(frozen=True)
-class NormalizationSpec:
-    """Normalization scheme: which statistics to match, over which voxels.
-
-    Whole-image mode rescales to mean 300 / std 100 computed over every
-    voxel. Reference-region mode computes the statistics over the muscle
-    reference mask only (targets 100 / 10) but applies the map to all
-    voxels.
-    """
-
-    mode: NormalizationMode = NormalizationMode.NONE
-    target_mean: float = 0.0
-    target_std: float = 1.0
-    reference_mask: RoiMask | None = None
-
-    def __post_init__(self):
-        if self.mode is not NormalizationMode.NONE and self.target_std <= 0:
-            raise ValueError("target_std must be > 0")
-        if self.mode is NormalizationMode.REFERENCE_REGION:
-            if self.reference_mask is None:
-                raise MissingReferenceMask(
-                    "reference-region normalization requires a reference mask"
-                )
-
-    @classmethod
-    def none(cls) -> "NormalizationSpec":
-        return cls()
-
-    @classmethod
-    def whole_image(cls, target_mean=300.0, target_std=100.0) -> "NormalizationSpec":
-        return cls(NormalizationMode.WHOLE_IMAGE, target_mean, target_std)
-
-    @classmethod
-    def reference_region(cls, reference_mask: RoiMask,
-                         target_mean=100.0, target_std=10.0) -> "NormalizationSpec":
-        return cls(NormalizationMode.REFERENCE_REGION, target_mean, target_std,
-                   reference_mask)
 
 
 class FilterKind(Enum):
@@ -171,19 +140,23 @@ def _replace_values(volume: VolumeGrid, values: np.ndarray) -> VolumeGrid:
                       origin=volume.origin, values=values)
 
 
-def normalize(volume: VolumeGrid, spec: NormalizationSpec) -> VolumeGrid:
-    """Shift and scale intensities to the spec's target mean/std.
+def normalize(volume: VolumeGrid, mode: NormalizationMode,
+              reference: RoiMask | None = None) -> VolumeGrid:
+    """Shift and scale intensities to the mode's target mean/std.
 
     Statistics use the population (divide-by-N) standard deviation over
-    the whole image or over reference-mask voxels; the affine map is
-    applied to every voxel either way.
+    the whole image or over the ``reference`` mask's voxels; the affine
+    map is applied to every voxel either way. ``NONE`` returns the volume
+    itself.
     """
-    if spec.mode is NormalizationMode.NONE:
+    if mode.target is None:
         return volume
-    if spec.mode is NormalizationMode.WHOLE_IMAGE:
+    if mode is NormalizationMode.WHOLE_IMAGE:
         source = volume.values
     else:
-        reference = spec.reference_mask
+        if reference is None:
+            raise MissingReferenceMask(
+                "reference-region normalization requires a reference mask")
         if not check_geometry(volume, reference):
             raise GeometryMismatch(
                 f"reference mask grid {reference.dims} does not "
@@ -193,7 +166,8 @@ def normalize(volume: VolumeGrid, spec: NormalizationSpec) -> VolumeGrid:
     sigma = float(np.std(source))
     if sigma == 0.0:
         raise ZeroVariance("normalization source region is constant")
-    out = spec.target_mean + (volume.values - mu) * (spec.target_std / sigma)
+    target_mean, target_std = mode.target
+    out = target_mean + (volume.values - mu) * (target_std / sigma)
     return _replace_values(volume, out)
 
 

@@ -20,7 +20,7 @@ from radrep.discretize import DiscretizationSpec, discretize_roi
 from radrep.features import (firstorder_features, glcm_features,
                              glrlm_features, glszm_features)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
-                               FilterKind, NormalizationSpec, filter_log,
+                               FilterKind, NormalizationMode, filter_log,
                                filter_pointwise, filter_wavelet, normalize)
 from radrep.repeatability import PairedMeasurements, build_table, icc_1_1
 from radrep.pipeline import (extract_run, load_manifest,
@@ -156,7 +156,7 @@ def test_criterion_4_preprocessing_postconditions():
             shape = tuple(int(v) for v in rng.integers(3, 9, size=3))
             vol = make_volume(rng.normal(rng.uniform(-50, 2000),
                                          rng.uniform(0.5, 300), shape))
-            out = normalize(vol, NormalizationSpec.whole_image())
+            out = normalize(vol, NormalizationMode.WHOLE_IMAGE)
             assert abs(np.mean(out.values) - 300.0) <= 1e-6
             assert abs(np.std(out.values) - 100.0) <= 1e-6
         for _ in range(30):
@@ -165,7 +165,7 @@ def test_criterion_4_preprocessing_postconditions():
             labels[2:5, 2:5, 1:4] = 1
             reference = make_mask(labels, structure=Structure.MUSCLE_REFERENCE)
             out = normalize(make_volume(values),
-                            NormalizationSpec.reference_region(reference))
+                            NormalizationMode.REFERENCE_REGION, reference)
             inside = out.values[labels > 0]
             assert abs(np.mean(inside) - 100.0) <= 1e-6
             assert abs(np.std(inside) - 10.0) <= 1e-6
@@ -256,9 +256,10 @@ def test_criterion_5_invariance_suite(tmp_path):
         reference = make_mask(ref_labels, structure=Structure.MUSCLE_REFERENCE)
         spec = DiscretizationSpec(10.0)
         base = firstorder_features(vol, mask, spec)
-        for norm in (NormalizationSpec.whole_image(),
-                     NormalizationSpec.reference_region(reference)):
-            variant = firstorder_features(normalize(vol, norm), mask, spec)
+        for mode in (NormalizationMode.WHOLE_IMAGE,
+                     NormalizationMode.REFERENCE_REGION):
+            variant = firstorder_features(normalize(vol, mode, reference),
+                                          mask, spec)
             for name in ("Skewness", "Kurtosis"):
                 assert abs(variant.get("firstorder", name)
                            - base.get("firstorder", name)) <= 1e-9

@@ -11,7 +11,7 @@ from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
                              _max_pairwise_distance, firstorder_features, glcm_features,
                              glrlm_features, glszm_features, shape_features)
 from radrep.pipeline import RunSettings, _general_info
-from radrep.preprocess import (FilterKind, FilterSpec, NormalizationSpec,
+from radrep.preprocess import (FilterKind, FilterSpec, NormalizationMode,
                                apply_filter, normalize)
 from radrep.texture_matrices import (build_glcm, build_glrlm, build_glszm)
 from radrep.volume_io import Structure
@@ -104,12 +104,12 @@ def test_skewness_kurtosis_invariant_under_normalization(rng):
     spec = DiscretizationSpec(5.0)
     base = firstorder_features(vol, mask, spec)
     whole = firstorder_features(
-        normalize(vol, NormalizationSpec.whole_image()), mask, spec)
+        normalize(vol, NormalizationMode.WHOLE_IMAGE), mask, spec)
     ref_labels = np.zeros_like(values, dtype=np.uint8)
     ref_labels[:2, :2, :2] = 1
     ref = make_mask(ref_labels, structure=Structure.MUSCLE_REFERENCE)
     refnorm = firstorder_features(
-        normalize(vol, NormalizationSpec.reference_region(ref)), mask, spec)
+        normalize(vol, NormalizationMode.REFERENCE_REGION, ref), mask, spec)
     for variant in (whole, refnorm):
         assert variant.get("firstorder", "Skewness") == pytest.approx(
             base.get("firstorder", "Skewness"), abs=1e-9)
@@ -461,6 +461,9 @@ def test_full_roster_emitted(rng):
 
 
 def test_feature_map_rejects_excluded_and_nan():
+    # the roster check is what refuses an excluded name
+    assert not {(cls, name) for cls, names in FEATURE_ROSTER.items()
+                for name in names} & EXCLUDED_FEATURES
     with pytest.raises(ValueError):
         FeatureMap({("glcm", "SumAverage"): 1.0})
     with pytest.raises(ValueError):

@@ -446,8 +446,15 @@ def test_registered_and_bias_codes(tmp_path):
         "registeredMasks=true;biasCorrected=true"}
 
 
-def test_geometry_mismatch_recorded_not_fatal(tmp_path):
+def test_geometry_mismatch_recorded_not_fatal(tmp_path, monkeypatch):
     from radrep.volume_io import write_nrrd
+    calls = []
+    original = radrep.pipeline.apply_filter
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(radrep.pipeline, "apply_filter", counting)
     manifest_path = build_cohort(tmp_path / "in", n_subjects=1)
     # overwrite one mask with a wrong-size grid
     bad = tmp_path / "in" / "sub00_tp2_Tumor.nrrd"
@@ -459,6 +466,10 @@ def test_geometry_mismatch_recorded_not_fatal(tmp_path):
     assert any(f.error == "GeometryMismatch" for f in failures)
     rows = read_rows(csv_paths[0])
     assert len(rows) == 1  # the bad row is skipped, the good one stays
+    # the entry left with no usable mask is neither normalized nor filtered
+    settings = manifest.settings
+    assert len(calls) == (len(settings.normalization_modes)
+                          * len(settings.filters))
 
 
 def test_volume_num_counts_26_connected_parts_like_ndimage_label(rng):
@@ -481,7 +492,6 @@ def test_union_box_spans_every_mask():
     b[7:9, 5, 3] = 1
     boxes = _union_box([make_mask(a), make_mask(b)])
     assert boxes == (slice(1, 9), slice(2, 6), slice(0, 4))
-    assert _union_box([]) is None
 
 
 def test_log_is_computed_over_the_union_of_mask_boxes(tmp_path, monkeypatch):

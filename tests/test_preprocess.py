@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radrep.preprocess import (LOG_SIGMAS_MM, FilterKind, FilterSpec,
-                               MissingReferenceMask,
-                               NormalizationSpec, SigmaTooSmallForGrid,
+                               MissingReferenceMask, NormalizationMode,
+                               SigmaTooSmallForGrid,
                                WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                ZeroVariance, apply_filter, filter_log,
                                filter_pointwise, filter_wavelet, normalize)
@@ -23,7 +23,7 @@ from oracles import haar_subbands, ndimage_log
 
 def test_normalize_whole_image_hand_case():
     vol = make_volume([0.0, 10.0, 20.0])
-    out = normalize(vol, NormalizationSpec.whole_image())
+    out = normalize(vol, NormalizationMode.WHOLE_IMAGE)
     # mu = 10, population sigma = sqrt(200/3)
     assert out.values.ravel() == pytest.approx([177.53, 300.00, 422.47],
                                                abs=0.01)
@@ -31,21 +31,31 @@ def test_normalize_whole_image_hand_case():
 
 def test_normalize_mode_none_is_identity(rng):
     vol = make_volume(rng.standard_normal((4, 3, 2)))
-    out = normalize(vol, NormalizationSpec.none())
+    out = normalize(vol, NormalizationMode.NONE)
     assert out is vol
 
 
 def test_normalize_constant_raises():
     vol = make_volume(np.full((3, 3, 1), 7.0))
     with pytest.raises(ZeroVariance):
-        normalize(vol, NormalizationSpec.whole_image())
+        normalize(vol, NormalizationMode.WHOLE_IMAGE)
 
 
 def test_normalize_hits_targets(rng):
+    # the targets are pinned literally: bench/check.py hard-codes them too
+    assert NormalizationMode.NONE.target is None
+    assert NormalizationMode.WHOLE_IMAGE.target == (300.0, 100.0)
+    assert NormalizationMode.REFERENCE_REGION.target == (100.0, 10.0)
     vol = make_volume(rng.standard_normal((6, 5, 4)) * 37 + 1200)
-    out = normalize(vol, NormalizationSpec.whole_image())
-    assert np.mean(out.values) == pytest.approx(300.0, abs=1e-6)
-    assert np.std(out.values) == pytest.approx(100.0, abs=1e-6)
+    labels = np.zeros((6, 5, 4), dtype=np.uint8)
+    labels[2:5, 1:4, 1:3] = 1
+    reference = make_mask(labels, structure=Structure.MUSCLE_REFERENCE)
+    for mode, source in ((NormalizationMode.WHOLE_IMAGE, slice(None)),
+                         (NormalizationMode.REFERENCE_REGION, labels > 0)):
+        out = normalize(vol, mode, reference)
+        mean, std = mode.target
+        assert np.mean(out.values[source]) == pytest.approx(mean, abs=1e-6)
+        assert np.std(out.values[source]) == pytest.approx(std, abs=1e-6)
 
 
 def test_normalize_reference_region(rng):
@@ -53,7 +63,7 @@ def test_normalize_reference_region(rng):
     labels = np.zeros((6, 5, 4), dtype=np.uint8)
     labels[1:3, 1:3, 1:2] = 1
     reference = make_mask(labels, structure=Structure.MUSCLE_REFERENCE)
-    out = normalize(vol, NormalizationSpec.reference_region(reference))
+    out = normalize(vol, NormalizationMode.REFERENCE_REGION, reference)
     inside = out.values[labels > 0]
     assert np.mean(inside) == pytest.approx(100.0, abs=1e-6)
     assert np.std(inside) == pytest.approx(10.0, abs=1e-6)
@@ -61,11 +71,10 @@ def test_normalize_reference_region(rng):
     assert not np.array_equal(out.values[labels == 0], vol.values[labels == 0])
 
 
-def test_normalize_reference_requires_mask():
-    from radrep.preprocess import NormalizationMode
+def test_normalize_reference_requires_mask(rng):
+    vol = make_volume(rng.standard_normal((4, 3, 2)))
     with pytest.raises(MissingReferenceMask):
-        NormalizationSpec(mode=NormalizationMode.REFERENCE_REGION,
-                          target_mean=100, target_std=10)
+        normalize(vol, NormalizationMode.REFERENCE_REGION)
 
 
 def test_normalize_reference_mask_geometry_checked(rng):
@@ -74,7 +83,7 @@ def test_normalize_reference_mask_geometry_checked(rng):
     reference = make_mask(np.ones((4, 4, 3)),
                           structure=Structure.MUSCLE_REFERENCE)
     with pytest.raises(GeometryMismatch):
-        normalize(vol, NormalizationSpec.reference_region(reference))
+        normalize(vol, NormalizationMode.REFERENCE_REGION, reference)
 
 
 def test_normalize_affine_invariance(rng):
@@ -83,10 +92,10 @@ def test_normalize_affine_invariance(rng):
     labels = np.zeros((5, 4, 3), dtype=np.uint8)
     labels[1:4, 1:3, 0:2] = 1
     reference = make_mask(labels, structure=Structure.MUSCLE_REFERENCE)
-    for spec in (NormalizationSpec.whole_image(),
-                 NormalizationSpec.reference_region(reference)):
-        a = normalize(vol, spec)
-        b = normalize(scaled, spec)
+    for mode in (NormalizationMode.WHOLE_IMAGE,
+                 NormalizationMode.REFERENCE_REGION):
+        a = normalize(vol, mode, reference)
+        b = normalize(scaled, mode, reference)
         assert np.allclose(a.values, b.values, atol=1e-9)
 
 
