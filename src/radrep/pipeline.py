@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -603,6 +602,7 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
             f"{', '.join(stale)}; move them away or write to another directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_extract_entry, manifest.cohort,
                                     repeat(settings)))
@@ -856,7 +856,15 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
 
     Every input name is parsed before any report is written; two names
     of one :class:`ConfigCell` (a repeated stem, say) would write the same
-    reports, so they raise SchemaMismatch.
+    reports, and a ``compare`` stem that names no input would be found
+    only after every report, so both raise SchemaMismatch.
+
+    Each bin-width group (the CSVs of one ``ConfigCell.group_code``) is
+    analyzed by :func:`_analyze_group`, one process per group, up to the
+    CPUs this process may run on. The returned lists, and every output
+    byte, are those of one process: per-table files in path order, then
+    ``analysis_errors.csv``, then the bin-width files in (group code,
+    structure) order.
     """
     paths: dict[ConfigCell, Path] = {}
     for path in sorted(Path(p) for p in csv_paths):
@@ -866,16 +874,79 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
                 f"{paths[cell]} and {path} name the same configuration "
                 "cell, so their reports would overwrite each other")
         paths[cell] = path
+    stems = {path.stem for path in paths.values()}
+    for stem in compare or ():
+        if stem not in stems:
+            raise SchemaMismatch(f"compare stem {stem!r} names no input CSV")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timepoint_map = (_read_timepoint_map(timepoint_map_path)
                      if timepoint_map_path else None)
 
-    tables: dict[tuple[str, str], RepeatabilityTable] = {}
-    groups: dict[tuple[str, str], dict[float, RepeatabilityTable]] = {}
-    written: list[Path] = []
-    failures: list[AnalysisFailure] = []
+    groups: dict[str, list[tuple[ConfigCell, Path]]] = {}
     for cell, path in paths.items():
+        groups.setdefault(cell.group_code, []).append((cell, path))
+    work = partial(_analyze_group, out_dir=out_dir, reference=reference,
+                   timepoint_map=timepoint_map)
+    members = [groups[code] for code in sorted(groups)]
+    # Platforms without an affinity call (macOS, Windows) run the groups
+    # in this process; Windows has no fork at all.
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    jobs = min(len(members), cpus)
+    if jobs > 1:
+        # fork, not spawn: a spawned worker would import numpy and radrep
+        # again (~0.2 s). The pool forks all its workers before it starts
+        # its own thread.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            try:
+                results = list(pool.map(work, members))
+            except BaseException:
+                # Drop the groups no worker has taken yet.
+                pool.shutdown(cancel_futures=True)
+                raise
+    else:
+        results = list(map(work, members))
+
+    tables: dict[tuple[str, str], RepeatabilityTable] = {}
+    per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
+    binwidth_files: list[Path] = []
+    for group_tables, group_paths, group_files in results:
+        tables.update(group_tables)
+        per_path.update(group_paths)
+        binwidth_files += group_files
+    written = [file for path in paths.values() for file in per_path[path][0]]
+    failures = [fail for path in paths.values() for fail in per_path[path][1]]
+
+    errors_path = out_dir / "analysis_errors.csv"
+    if failures or errors_path.exists():
+        _write_csv(errors_path, ["stem", "segmentedStructure", "error",
+                                 "detail"],
+                   ([f.stem, f.structure, f.error, f.detail] for f in failures))
+    written += binwidth_files
+    if compare:
+        failed = {(f.stem, f.structure) for f in failures}
+        written += _delta_reports(tables, failed, compare, out_dir)
+    return written, failures
+
+
+def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
+                   reference: str, timepoint_map: dict | None):
+    """Tables and reports of one bin-width group's CSVs, in path order.
+
+    Returns the tables keyed (stem, structure); per path, the files
+    written for its tables and its failures; and the group's bin-width
+    files from :func:`_binwidth_reports`.
+    """
+    tables: dict[tuple[str, str], RepeatabilityTable] = {}
+    by_width: dict[tuple[str, str], dict[float, RepeatabilityTable]] = {}
+    per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
+    for cell, path in members:
+        written, failures = per_path[path] = [], []
         for structure, matrix in sorted(
                 read_feature_csv(path, timepoint_map).items()):
             try:
@@ -886,7 +957,7 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
                     error=type(exc).__name__, detail=str(exc)))
                 continue
             tables[(path.stem, structure)] = table
-            groups.setdefault((cell.group_code, structure), {})[
+            by_width.setdefault((cell.group_code, structure), {})[
                 cell.bin_width] = table
 
             icc_path = out_dir / f"icc__{path.stem}__{structure}.csv"
@@ -911,17 +982,7 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
                 "volumeReferenceIcc": table.volume_reference.icc,
             })
             written.append(freq_path)
-
-    errors_path = out_dir / "analysis_errors.csv"
-    if failures or errors_path.exists():
-        _write_csv(errors_path, ["stem", "segmentedStructure", "error",
-                                 "detail"],
-                   ([f.stem, f.structure, f.error, f.detail] for f in failures))
-    written += _binwidth_reports(groups, out_dir)
-    if compare:
-        failed = {(f.stem, f.structure) for f in failures}
-        written += _delta_reports(tables, failed, compare, out_dir)
-    return written, failures
+    return tables, per_path, _binwidth_reports(by_width, out_dir)
 
 
 def _binwidth_reports(groups, out_dir: Path) -> list[Path]:

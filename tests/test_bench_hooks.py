@@ -55,6 +55,8 @@ def test_analysis_counters_see_csv_bytes_and_iccs(tmp_path, tracing):
         tmp_path / "in", n_subjects=4, settings=settings,
         structures=("Tumor", "WholeGland")))
     csv_paths, _ = radrep.pipeline.extract_run(manifest, tmp_path / "out")
+    # one bin-width group, so analyze_run works in this process: the tracer
+    # would not see calls made in a forked worker
     with tracing.Tracer() as tracer:
         radrep.pipeline.analyze_run(csv_paths, tmp_path / "reports")
     metrics = tracing.layer_metrics(tracer.to_records(), jobs=1, cells=0)

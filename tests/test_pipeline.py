@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -732,6 +734,8 @@ def test_analyze_reports_and_plotdata(tmp_path, monkeypatch):
                                           settings=settings))
     csv_paths, _ = extract_run(manifest, tmp_path / "out")
     assert len(csv_paths) == 2
+    # one bin-width group, so analyze_run works in this process: a counter
+    # would not see calls made in a forked worker
     splits = []
     split = radrep.repeatability.split_feature_key
     for module in (radrep.repeatability, radrep.pipeline):
@@ -918,6 +922,162 @@ def test_compare_without_a_shared_structure_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "reports"),
                  "--compare", paths[0].stem, paths[1].stem]) == 2
     assert "no structure is present in both" in capsys.readouterr().err
+
+
+def test_compare_stem_naming_no_input_is_refused_before_any_report(
+        tmp_path, capsys):
+    # a mistyped stem used to be found only after every report was written
+    settings = {"normalizationModes": ["none"], "binWidths": [10, 20],
+                "dimensionality": "2D", "filters": ["original"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=3,
+                                          settings=settings))
+    paths, _ = extract_run(manifest, tmp_path / "out")
+    typo = paths[1].stem + "0"
+    with pytest.raises(SchemaMismatch, match=re.escape(repr(typo))):
+        analyze_run(paths, tmp_path / "reports", compare=(paths[0].stem, typo))
+    assert not (tmp_path / "reports").exists()
+    assert main(["analyze", "--in", str(tmp_path / "out" / "*.csv"),
+                 "--out", str(tmp_path / "reports"),
+                 "--compare", typo, paths[0].stem]) == 2
+    assert repr(typo) in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def _two_group_csvs(root, n_subjects=4):
+    """Feature CSVs of modes none and wholeImage at bin widths 10 and 20:
+    two bin-width groups, Tumor and WholeGland in each CSV."""
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [10, 20], "dimensionality": "2D",
+                "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(
+        root / "in", n_subjects=n_subjects, settings=settings,
+        structures=("Tumor", "WholeGland")))
+    paths, failures = extract_run(manifest, root / "out")
+    assert not failures and len(paths) == 4
+    return sorted(paths)
+
+
+def _analyze_on_cpus(monkeypatch, cpus, paths, out, compare=None):
+    """``analyze_run`` + ``plotdata_run`` as if ``cpus`` CPUs were usable
+    (``None``: a platform without ``os.sched_getaffinity``); returns
+    (written, failures, (max_workers, start method) per pool)."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append((kwargs["max_workers"],
+                          kwargs["mp_context"].get_start_method()))
+            super().__init__(**kwargs)
+
+    with monkeypatch.context() as patch:
+        if cpus is None:
+            patch.delattr(os, "sched_getaffinity")
+        else:
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid: set(range(cpus)))
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        try:
+            written, failures = analyze_run(paths, out / "reports",
+                                            compare=compare)
+            plots = plotdata_run(out / "reports", out / "plots")
+        finally:
+            assert multiprocessing.active_children() == []
+    return written + plots, failures, pools
+
+
+def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
+    paths = _two_group_csvs(tmp_path)
+    # path order puts wholeImage first, group-code order puts none first
+    codes = [parse_config_from_name(p).group_code for p in paths]
+    assert codes[0] > codes[-1]
+    failing = []
+    for path in paths:
+        with open(path, newline="") as handle:
+            lines = list(csv.reader(handle))
+        header = lines[0]
+        features = [j for j, column in enumerate(header)
+                    if column.startswith(("original_", "square_"))
+                    and column != "original_shape_Volume"]
+        for i, line in enumerate(lines[1:]):  # blank cells
+            for j in features[i % 7::23]:
+                line[j] = ""
+        cell = parse_config_from_name(path)
+        if (cell.normalization, cell.bin_width) in (("none", 10),
+                                                    ("wholeImage", 20)):
+            # WholeGland keeps one subject: InsufficientSubjects
+            failing.append(path.stem)
+            lines = [line for line in lines if not (
+                line[-1] == "WholeGland" and line[-4][:5] != "sub00")]
+        if cell.normalization == "wholeImage" and cell.bin_width == 20:
+            # constant here, so dropped, but defined at bin width 10
+            idm = header.index("original_glcm_Idm")
+            for line in lines[1:]:
+                line[idm] = "1"
+        _write_csv(path, header, lines[1:])
+    compare = (paths[0].stem, paths[-1].stem)  # across the two groups
+
+    runs = {}
+    for cpus in (1, 4, None):
+        out = tmp_path / f"cpus{cpus}"
+        written, failures, pools = _analyze_on_cpus(
+            monkeypatch, cpus, paths, out, compare)
+        runs[cpus] = (
+            [p.relative_to(out) for p in written], failures,
+            {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+             if p.is_file()})
+        # one group per process, never more processes than groups
+        assert pools == ([(2, "fork")] if cpus == 4 else [])
+    names, failures, files = runs[1]
+    assert [(f.stem, f.structure, f.error) for f in failures] == [
+        (stem, "WholeGland", "InsufficientSubjects") for stem in failing]
+    for prefix in ("icc__", "binwidth_notes__", "spread__", "rankdist__",
+                   "delta__"):
+        assert any(p.name.startswith(prefix) for p in names), prefix
+    assert Path("reports", "analysis_errors.csv") in files
+    # per-table files in path order (not group order), then the bin-width
+    # files in (group code, structure) order, then the delta reports
+    reports = [Path(p.name).stem.split("__") for p in names
+               if p.parent.name == "reports"]
+    tables = 3 * 6  # three files for each of 4 CSVs x 2 structures but two
+    per_table = [stem for kind, stem, _ in reports[:tables]]
+    assert {kind for kind, *_ in reports[:tables]} == {
+        "icc", "top3", "filterfreq"}
+    assert per_table == sorted(per_table) and len(set(per_table)) == 4
+    kinds = [kind for kind, *_ in reports[tables:]]
+    assert kinds[-2:] == ["delta"] * 2 and "delta" not in kinds[:-2]
+    group_files = [rest for _, *rest in reports[tables:-2]]
+    assert group_files == sorted(group_files) and len(group_files) > 4
+    assert runs[4] == runs[1]
+    assert runs[None] == runs[1]
+
+
+def test_worker_errors_and_cleanup_cross_the_process_boundary(
+        tmp_path, monkeypatch, capsys):
+    paths = _two_group_csvs(tmp_path, n_subjects=3)
+    second = max(paths, key=lambda p: parse_config_from_name(p).group_code)
+    original = second.read_text()
+    with open(second, newline="") as handle:
+        lines = list(csv.reader(handle))
+    lines[2][lines[0].index("square_glcm_Contrast")] = "inf"
+    _write_csv(second, lines[0], lines[1:])
+    with pytest.raises(SchemaMismatch) as direct:
+        read_feature_csv(second)
+    assert "is not a finite number" in str(direct.value)
+
+    with pytest.raises(SchemaMismatch) as info:
+        _analyze_on_cpus(monkeypatch, 2, paths, tmp_path / "bad")
+    assert str(info.value) == str(direct.value)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["analyze", "--in", str(tmp_path / "out" / "*.csv"),
+                     "--out", str(tmp_path / "cli")]) == 2
+    assert str(direct.value) in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+    second.write_text(original)
+    _, failures, pools = _analyze_on_cpus(monkeypatch, 2, paths,
+                                          tmp_path / "good")
+    assert not failures and pools == [(2, "fork")]
 
 
 @pytest.mark.parametrize("content", [
@@ -1112,7 +1272,8 @@ def test_interrupted_write_leaves_no_file_behind(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter, as this test session itself imports scipy
+    # a fresh interpreter, as this test session itself imports scipy; the
+    # worker pools are imported only by the runs that start one
     src = Path(radrep.__file__).resolve().parents[1]
     loaded = subprocess.run(
         [sys.executable, "-c",
@@ -1120,7 +1281,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, check=True, timeout=120).stdout.split()
     assert "radrep.cli" in loaded
-    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert not [m for m in loaded if m.split(".")[0] in (
+        "scipy", "concurrent", "multiprocessing")]
 
 
 def test_extract_and_analyze_load_no_scipy_subpackage(tmp_path):

@@ -294,6 +294,8 @@ def test_analyze_builds_one_icc_result_per_table(tmp_path, monkeypatch):
     paths = [write_feature_csv(
         tmp_path / f"FullStudySettings_noNormalization_2D_T2AX_bin{w}.csv",
         random_cohort(rng, n_complete=8)) for w in (10, 20)]
+    # one bin-width group, so analyze_run works in this process: a counter
+    # would not see calls made in a forked worker
     made = []
     init = IccResult.__init__
     monkeypatch.setattr(IccResult, "__init__",
