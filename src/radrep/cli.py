@@ -35,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("extract", help="run the extraction matrix")
     cmd.add_argument("--manifest", required=True, help="run manifest JSON")
     cmd.add_argument("--out", required=True, help="output directory for CSVs")
-    cmd.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for extraction")
+    cmd.add_argument("--jobs", type=int, default=1, help="most worker processes "
+                     "to fork (capped by entries and CPUs), each holding one image")
 
     cmd = commands.add_parser("analyze", help="compute repeatability reports")
     cmd.add_argument("--in", dest="inputs", required=True,
@@ -68,8 +68,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "extract":
             manifest = load_manifest(args.manifest)
-            csv_paths, failures = extract_run(manifest, args.out,
-                                              jobs=max(1, args.jobs))
+            csv_paths, failures = extract_run(manifest, args.out, args.jobs)
             for path in csv_paths:
                 print(path)
             if failures:

@@ -22,9 +22,9 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import partial
-from itertools import product, repeat, takewhile
+from itertools import product, takewhile
 from math import isfinite
 from pathlib import Path
 from typing import ClassVar
@@ -375,6 +375,7 @@ class ExtractionFailure:
     filter_name: str
     error: str
     detail: str
+    configuration: str = ""  # the feature-CSV stem of the blanked cell
 
 
 def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
@@ -570,19 +571,44 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     return cells
 
 
+def _map_in_workers(work, items, most: int | None = None) -> list:
+    """``list(map(work, items))`` on min(len(items), usable CPUs, ``most``)
+    worker processes. They are forked, not spawned, as a spawned worker
+    imports numpy and radrep again (~0.2 s); the pool forks them all
+    before it starts its own thread. One worker, or a platform with no
+    affinity call (macOS; Windows, which has no fork), runs in this
+    process. A worker that raises cancels the items not yet taken."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(len(items), cpus, cpus if most is None else most)
+    if workers <= 1:
+        return list(map(work, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            return list(pool.map(work, items))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
                 ) -> tuple[list[Path], list[ExtractionFailure]]:
     """Run the full configuration matrix; returns (csv paths, failures).
 
     Works one cohort entry at a time: its image and masks are read once,
     then each normalization mode, filter, mask and bin width is visited in
-    turn. With ``jobs > 1`` a thread pool extracts that many entries at
-    once, so memory is bounded by ``jobs`` images rather than the cohort.
-    Rows are gathered into one CSV per (image type, normalization mode,
-    bin width) and sorted by (study, series, structure), so the worker
-    count never changes the output bytes. Failures are also written to
-    ``extraction_errors.csv`` when any occur; an errors file left by an
-    earlier run is replaced, header-only when this run has none.
+    turn. At most ``jobs`` forked processes (fewer with fewer entries or
+    CPUs) extract entries at once, so memory is bounded by that many
+    images rather than the cohort. Rows are gathered into one CSV per
+    (image type, normalization mode, bin width) and sorted by (study,
+    series, structure), so the worker count never changes the output
+    bytes. Failures also go to ``extraction_errors.csv`` when any occur;
+    an errors file left by an earlier run is replaced, header-only when
+    this run has none.
 
     Raises :class:`StaleOutputs`, before extracting anything and deleting
     nothing, when ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``)
@@ -601,28 +627,24 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
             f"{out_dir} holds feature CSVs this run does not write: "
             f"{', '.join(stale)}; move them away or write to another directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_extract_entry, manifest.cohort,
-                                    repeat(settings)))
-    else:
-        results = [_extract_entry(entry, settings) for entry in manifest.cohort]
+    results = _map_in_workers(partial(_extract_entry, settings=settings),
+                              manifest.cohort, most=jobs)
 
     columns = (list(GENERAL_INFO_COLUMNS) + feature_columns(settings.filters)
                + list(META_COLUMNS))
     csv_paths: list[Path] = []
     all_failures: list[ExtractionFailure] = []
     for image_type, mode, bin_width in configs:
+        path = out_dir / config_csv_name(image_type, mode, bin_width, settings)
         rows: list[dict] = []
         for entry, cells in zip(manifest.cohort, results):
             if entry.image_type == image_type:
                 cell_rows, failures = cells[(mode, bin_width)]
                 rows += cell_rows
-                all_failures += failures
+                all_failures += (replace(failure, configuration=path.stem)
+                                 for failure in failures)
         rows.sort(key=lambda row: (row["study"], row["series"],
                                    row["segmentedStructure"]))
-        path = out_dir / config_csv_name(image_type, mode, bin_width, settings)
         _write_feature_csv(path, columns, rows)
         csv_paths.append(path)
 
@@ -642,9 +664,8 @@ def _write_feature_csv(path: Path, columns: list[str], rows: list[dict]):
 
 def _write_failures(path: Path, failures: list[ExtractionFailure]):
     _write_csv(path, ["study", "segmentedStructure", "filter", "error",
-                      "detail"],
-               ([f.study, f.structure, f.filter_name, f.error, f.detail]
-                for f in sorted(failures, key=lambda f: (
+                      "detail", "configuration"],
+               (astuple(f) for f in sorted(failures, key=lambda f: (
                     f.study, f.structure, f.filter_name, f.error))))
 
 
@@ -887,30 +908,8 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     for cell, path in paths.items():
         groups.setdefault(cell.group_code, []).append((cell, path))
     work = partial(_analyze_group, out_dir=out_dir, reference=reference,
-                   timepoint_map=timepoint_map)
-    members = [groups[code] for code in sorted(groups)]
-    # Platforms without an affinity call (macOS, Windows) run the groups
-    # in this process; Windows has no fork at all.
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    jobs = min(len(members), cpus)
-    if jobs > 1:
-        # fork, not spawn: a spawned worker would import numpy and radrep
-        # again (~0.2 s). The pool forks all its workers before it starts
-        # its own thread.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            try:
-                results = list(pool.map(work, members))
-            except BaseException:
-                # Drop the groups no worker has taken yet.
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        results = list(map(work, members))
+                   timepoint_map=timepoint_map, compare=compare or ())
+    results = _map_in_workers(work, [groups[code] for code in sorted(groups)])
 
     tables: dict[tuple[str, str], RepeatabilityTable] = {}
     per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
@@ -935,12 +934,12 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
 
 
 def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
-                   reference: str, timepoint_map: dict | None):
+                   reference: str, timepoint_map: dict | None, compare: tuple):
     """Tables and reports of one bin-width group's CSVs, in path order.
 
-    Returns the tables keyed (stem, structure); per path, the files
-    written for its tables and its failures; and the group's bin-width
-    files from :func:`_binwidth_reports`.
+    Returns the ``compare`` stems' tables keyed (stem, structure); per
+    path, the files written for its tables and its failures; and the
+    group's bin-width files from :func:`_binwidth_reports`.
     """
     tables: dict[tuple[str, str], RepeatabilityTable] = {}
     by_width: dict[tuple[str, str], dict[float, RepeatabilityTable]] = {}
@@ -956,7 +955,8 @@ def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
                     stem=path.stem, structure=structure,
                     error=type(exc).__name__, detail=str(exc)))
                 continue
-            tables[(path.stem, structure)] = table
+            if path.stem in compare:
+                tables[(path.stem, structure)] = table
             by_width.setdefault((cell.group_code, structure), {})[
                 cell.bin_width] = table
 

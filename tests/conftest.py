@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,11 @@ def crop_masks(rng, shape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Both commands fork workers; one left running fails the test that
+    started it, not a later one."""
+    yield
+    assert multiprocessing.active_children() == []

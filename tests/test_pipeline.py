@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -17,14 +18,15 @@ from radrep.cli import main
 from radrep.features import FEATURE_ROSTER
 from radrep.pipeline import (GENERAL_INFO_COLUMNS, IMAGE_TYPES, META_COLUMNS,
                              ConfigCell, ManifestError, RunSettings,
-                             SchemaMismatch, _general_info, _union_box,
-                             _write_csv, analyze_run, config_csv_name,
-                             default_filters, extract_run, feature_columns,
-                             load_manifest, parse_config_from_name,
-                             plotdata_run, read_feature_csv,
-                             validate_feature_csv)
+                             SchemaMismatch, _analyze_group, _extract_entry,
+                             _general_info, _union_box, _write_csv,
+                             analyze_run, config_csv_name, default_filters,
+                             extract_run, feature_columns, load_manifest,
+                             parse_config_from_name, plotdata_run,
+                             read_feature_csv, validate_feature_csv)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, FilterSpec, NormalizationMode)
+from radrep.repeatability import VOLUME_REFERENCE_FEATURE
 from radrep.volume_io import write_nrrd
 
 from cohorts import DIMS, build_cohort
@@ -35,6 +37,32 @@ from oracles import brute_read_feature_csv
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+@contextmanager
+def on_cpus(monkeypatch, cpus):
+    """Run the block as if ``cpus`` CPUs were usable (``None``: a platform
+    without ``os.sched_getaffinity``); yields the (max_workers, start
+    method) of each process pool made, and checks that no worker is left."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append((kwargs["max_workers"],
+                          kwargs["mp_context"].get_start_method()))
+            super().__init__(**kwargs)
+
+    with monkeypatch.context() as patch:
+        if cpus is None:
+            patch.delattr(os, "sched_getaffinity")
+        else:
+            patch.setattr(os, "sched_getaffinity",
+                          lambda pid: set(range(cpus)))
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        try:
+            yield pools
+        finally:
+            assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +224,7 @@ def test_extraction_deterministic(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_extraction_parallel_matches_serial(tmp_path):
-    from radrep.volume_io import write_nrrd
+def test_extraction_parallel_matches_serial(tmp_path, monkeypatch):
     settings = {"normalizationModes": ["none", "wholeImage", "referenceRegion"],
                 "binWidths": [10, 20], "dimensionality": "2D"}
     manifest_path = build_cohort(tmp_path / "in", n_subjects=2,
@@ -206,15 +233,49 @@ def test_extraction_parallel_matches_serial(tmp_path):
     labels[1, 1, 1] = 1
     write_nrrd(tmp_path / "in" / "sub01_tp1_Tumor.nrrd", labels, (1, 1, 3),
                dtype="short")
+    doc = json.loads(manifest_path.read_text())
+    del doc["cohort"][1]["referenceMaskPath"]
+    manifest_path.write_text(json.dumps(doc))
     manifest = load_manifest(manifest_path)
-    serial, failures = extract_run(manifest, tmp_path / "serial", jobs=1)
-    parallel, _ = extract_run(manifest, tmp_path / "parallel", jobs=4)
-    assert len(serial) == 6
-    assert any(f.error == "GeometryMismatch" for f in failures)
-    for a, b in zip(serial + [tmp_path / "serial" / "extraction_errors.csv"],
-                    parallel + [tmp_path / "parallel" / "extraction_errors.csv"]):
-        assert a.name == b.name
-        assert a.read_bytes() == b.read_bytes()
+
+    runs = {}
+    for jobs, cpus in ((1, 2), (4, 2), (4, 1), (4, None)):
+        out = tmp_path / f"jobs{jobs}_cpus{cpus}"
+        with on_cpus(monkeypatch, cpus) as pools:
+            paths, failures = extract_run(manifest, out, jobs=jobs)
+        # one fork pool, of no more workers than CPUs; else in process
+        assert pools == ([(2, "fork")] if (jobs, cpus) == (4, 2) else [])
+        runs[jobs, cpus] = ([p.relative_to(out) for p in paths], failures,
+                            {p.name: p.read_bytes() for p in out.iterdir()})
+    paths, failures, files = runs[1, 2]
+    assert len(paths) == 6 and "extraction_errors.csv" in files
+    assert {f.error for f in failures} == {"GeometryMismatch",
+                                           "MissingReferenceMask"}
+    for run in runs.values():
+        assert run == runs[1, 2]
+
+
+def _extract_entry_failing_on_sub01(entry, settings):
+    # module level, so that a pool can pickle it by name
+    if entry.subject_id == "sub01":
+        raise RuntimeError(f"no worker may swallow this: {entry.study}")
+    return _extract_entry(entry, settings)
+
+
+def test_extraction_worker_error_propagates_and_leaves_no_child(
+        tmp_path, monkeypatch):
+    settings = {"normalizationModes": ["none"], "binWidths": [10],
+                "dimensionality": "2D", "filters": ["original"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=3,
+                                          settings=settings))
+    monkeypatch.setattr(radrep.pipeline, "_extract_entry",
+                        _extract_entry_failing_on_sub01)
+    for cpus, pool in ((2, [(2, "fork")]), (1, [])):
+        with on_cpus(monkeypatch, cpus) as pools:
+            with pytest.raises(RuntimeError,
+                               match="no worker may swallow this: sub01_tp1"):
+                extract_run(manifest, tmp_path / f"out{cpus}", jobs=2)
+        assert pools == pool
 
 
 def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
@@ -326,8 +387,9 @@ def test_reference_region_filename_and_values(tmp_path):
 
 
 def test_reference_region_without_mask_goes_to_sidecar(tmp_path):
-    settings = {"normalizationModes": ["referenceRegion"], "binWidths": [15],
-                "dimensionality": "2D", "filters": ["original"]}
+    settings = {"normalizationModes": ["referenceRegion"],
+                "binWidths": [10, 20], "dimensionality": "2D",
+                "filters": ["original"]}
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=1,
                                           settings=settings,
                                           with_reference=False))
@@ -335,7 +397,14 @@ def test_reference_region_without_mask_goes_to_sidecar(tmp_path):
     assert failures
     assert all(f.error == "MissingReferenceMask" for f in failures)
     sidecar = tmp_path / "out" / "extraction_errors.csv"
-    assert sidecar.exists()
+    # one row per (study, cell) it blanks, told apart by the cell's CSV stem
+    sidecar_rows = read_rows(sidecar)
+    assert len(sidecar_rows) == 4
+    assert len({tuple(r.values()) for r in sidecar_rows}) == 4
+    assert sorted(r["configuration"] for r in sidecar_rows) == sorted(
+        2 * [p.stem for p in csv_paths])
+    assert sorted(f.configuration for f in failures) == sorted(
+        r["configuration"] for r in sidecar_rows)
     rows = read_rows(csv_paths[0])
     assert len(rows) == 2  # rows still emitted, features blank
     assert all(r["original_firstorder_Mean"] == "" for r in rows)
@@ -420,7 +489,7 @@ def test_rerun_replaces_errors_and_refuses_stale_feature_csvs(tmp_path, capsys):
     # the same cells, now with reference masks: the old errors are replaced
     assert extract(manifest("b", ["referenceRegion"], True)) == 0
     assert sidecar.read_text() == \
-        "study,segmentedStructure,filter,error,detail\n"
+        "study,segmentedStructure,filter,error,detail,configuration\n"
 
     # a run that would leave the MuscleRefNorm CSV behind is refused
     before = snapshot()
@@ -957,34 +1026,6 @@ def _two_group_csvs(root, n_subjects=4):
     return sorted(paths)
 
 
-def _analyze_on_cpus(monkeypatch, cpus, paths, out, compare=None):
-    """``analyze_run`` + ``plotdata_run`` as if ``cpus`` CPUs were usable
-    (``None``: a platform without ``os.sched_getaffinity``); returns
-    (written, failures, (max_workers, start method) per pool)."""
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, **kwargs):
-            pools.append((kwargs["max_workers"],
-                          kwargs["mp_context"].get_start_method()))
-            super().__init__(**kwargs)
-
-    with monkeypatch.context() as patch:
-        if cpus is None:
-            patch.delattr(os, "sched_getaffinity")
-        else:
-            patch.setattr(os, "sched_getaffinity",
-                          lambda pid: set(range(cpus)))
-        patch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        try:
-            written, failures = analyze_run(paths, out / "reports",
-                                            compare=compare)
-            plots = plotdata_run(out / "reports", out / "plots")
-        finally:
-            assert multiprocessing.active_children() == []
-    return written + plots, failures, pools
-
-
 def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
     paths = _two_group_csvs(tmp_path)
     # path order puts wholeImage first, group-code order puts none first
@@ -1019,8 +1060,10 @@ def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
     runs = {}
     for cpus in (1, 4, None):
         out = tmp_path / f"cpus{cpus}"
-        written, failures, pools = _analyze_on_cpus(
-            monkeypatch, cpus, paths, out, compare)
+        with on_cpus(monkeypatch, cpus) as pools:
+            written, failures = analyze_run(paths, out / "reports",
+                                            compare=compare)
+            written += plotdata_run(out / "reports", out / "plots")
         runs[cpus] = (
             [p.relative_to(out) for p in written], failures,
             {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
@@ -1050,6 +1093,15 @@ def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
     assert runs[4] == runs[1]
     assert runs[None] == runs[1]
 
+    # a worker sends back only the tables the delta reports read
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    tables, per_path, _ = _analyze_group(
+        [(parse_config_from_name(p), p) for p in paths], direct,
+        VOLUME_REFERENCE_FEATURE, None, compare)
+    assert {stem for stem, _ in tables} == set(compare)
+    assert set(per_path) == set(paths)
+
 
 def test_worker_errors_and_cleanup_cross_the_process_boundary(
         tmp_path, monkeypatch, capsys):
@@ -1064,19 +1116,17 @@ def test_worker_errors_and_cleanup_cross_the_process_boundary(
         read_feature_csv(second)
     assert "is not a finite number" in str(direct.value)
 
-    with pytest.raises(SchemaMismatch) as info:
-        _analyze_on_cpus(monkeypatch, 2, paths, tmp_path / "bad")
+    with pytest.raises(SchemaMismatch) as info, on_cpus(monkeypatch, 2):
+        analyze_run(paths, tmp_path / "bad")
     assert str(info.value) == str(direct.value)
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with on_cpus(monkeypatch, 2):
         assert main(["analyze", "--in", str(tmp_path / "out" / "*.csv"),
                      "--out", str(tmp_path / "cli")]) == 2
     assert str(direct.value) in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
 
     second.write_text(original)
-    _, failures, pools = _analyze_on_cpus(monkeypatch, 2, paths,
-                                          tmp_path / "good")
+    with on_cpus(monkeypatch, 2) as pools:
+        _, failures = analyze_run(paths, tmp_path / "good")
     assert not failures and pools == [(2, "fork")]
 
 
