@@ -36,17 +36,6 @@ class GrayLevelCountWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class DiscretizationSpec:
-    """Fixed bin width in intensity units (10/15/20/40 in the experiments)."""
-
-    bin_width: float
-
-    def __post_init__(self):
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be > 0")
-
-
-@dataclass(frozen=True)
 class DiscretizedRoi:
     """Integer gray-level grid over the ROI bounding box.
 
@@ -68,9 +57,11 @@ class DiscretizedRoi:
 
 
 def discretize_roi(volume: VolumeGrid, mask: RoiMask,
-                   spec: DiscretizationSpec) -> DiscretizedRoi:
+                   bin_width: float) -> DiscretizedRoi:
     """Quantize in-ROI intensities: level = floor((x - min)/width) + 1.
 
+    ``bin_width`` is in intensity units (10/15/20/40 in the experiments);
+    unless it is > 0 (NaN included) this raises ValueError.
     The ROI maximum maps into the top occupied bin, so
     Ng == floor((max - min)/width) + 1 exactly and no phantom overflow
     level is created. Emits :class:`GrayLevelCountWarning` when Ng falls
@@ -80,6 +71,8 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     :attr:`~radrep.volume_io.RoiMask.bounding_box`, and the ROI within it
     is the mask's ``inside``, taken as it is.
     """
+    if not bin_width > 0:
+        raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
     if not check_geometry(volume, mask):
         raise GeometryMismatch(
             f"image {volume.dims}/{volume.spacing} vs mask {mask.dims}/{mask.spacing}"
@@ -88,20 +81,19 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     roi_values = volume.values[mask.bounding_box][inside]
     roi_min = float(roi_values.min())
     roi_max = float(roi_values.max())
-    width = spec.bin_width
-    ng = int(np.floor((roi_max - roi_min) / width)) + 1
+    ng = int(np.floor((roi_max - roi_min) / bin_width)) + 1
     if ng > MAX_GRAY_LEVELS:
         raise TooManyGrayLevels(
-            f"bin width {width:g} gives {ng} gray levels over the ROI range "
+            f"bin width {bin_width:g} gives {ng} gray levels over the ROI range "
             f"[{roi_min:g}, {roi_max:g}]; at most {MAX_GRAY_LEVELS} are allowed")
     levels = np.zeros(inside.shape, dtype=np.int32)
-    binned = np.floor((roi_values - roi_min) / width).astype(np.int64) + 1
+    binned = np.floor((roi_values - roi_min) / bin_width).astype(np.int64) + 1
     levels[inside] = np.minimum(binned, ng)
     lo, hi = GRAY_LEVEL_COUNT_RANGE
     if ng < lo or ng > hi:
         warnings.warn(
             f"gray-level count {ng} outside the recommended [{lo}, {hi}] range "
-            f"for bin width {width}",
+            f"for bin width {bin_width}",
             GrayLevelCountWarning,
             stacklevel=2,
         )

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .discretize import DiscretizationSpec, discretize_roi
+from .discretize import discretize_roi
 from .texture_matrices import GlcMatrix, GlrlMatrix, GlszMatrix
 from .volume_io import RoiMask, VolumeGrid
 
@@ -115,7 +115,7 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
 
 
 def firstorder_features(volume: VolumeGrid, mask: RoiMask,
-                        spec: DiscretizationSpec) -> FeatureMap:
+                        bin_width: float) -> FeatureMap:
     """Intensity statistics over the raw in-ROI values.
 
     Median uses the lower middle element on even counts; percentiles use
@@ -153,7 +153,7 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
         entries[("firstorder", "Skewness")] = None
         entries[("firstorder", "Kurtosis")] = None
 
-    disc = discretize_roi(volume, mask, spec)
+    disc = discretize_roi(volume, mask, bin_width)
     hist = np.bincount(disc.levels[disc.levels > 0], minlength=disc.num_gray_levels + 1)[1:]
     p = hist / n
     entries[("firstorder", "Entropy")] = _entropy_bits(p)

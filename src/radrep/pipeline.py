@@ -22,7 +22,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import product, takewhile
 from math import isfinite
@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import RadrepError, __version__
-from .discretize import DiscretizationSpec, discretize_roi
+from .discretize import discretize_roi
 from .features import (FEATURE_ROSTER, firstorder_features,
                        glcm_features, glrlm_features, glszm_features,
                        shape_features)
@@ -85,11 +85,13 @@ class StaleOutputs(PipelineError):
 
 
 def format_value(value) -> str:
-    """CSV cell formatting: 17 significant digits, empty for undefined."""
+    """CSV cell text: 17 significant digits, empty for undefined, str as is."""
     if value is None:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -238,6 +240,15 @@ def default_filters(dimensionality: str) -> tuple[FilterSpec, ...]:
     return _expand_filter_names([kind.value for kind in FilterKind], dimensionality)
 
 
+def _timepoint(value) -> int:
+    """A timepoint as an int: an int, a whole float or an integer string.
+    A bool or a fractional number raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _list_setting(settings_doc: dict, key: str, default: list, item_type,
                   noun: str) -> tuple:
     """``settings[key]`` (or ``default``) as a tuple, if a list of ``item_type``."""
@@ -311,7 +322,7 @@ def load_manifest(path) -> RunManifest:
             )
             entry = CohortEntry(
                 subject_id=str(item["subjectId"]),
-                timepoint=int(item["timepoint"]),
+                timepoint=_timepoint(item["timepoint"]),
                 image_type=str(item["imageType"]),
                 image_path=base / item["imagePath"],
                 masks=structure_masks,
@@ -375,7 +386,7 @@ class ExtractionFailure:
     filter_name: str
     error: str
     detail: str
-    configuration: str = ""  # the feature-CSV stem of the blanked cell
+    configuration: str  # the feature-CSV stem of the blanked cell
 
 
 def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
@@ -415,54 +426,42 @@ def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
         yield spec, filtered
 
 
-def _filter_task(study: str, volume: VolumeGrid | Exception, mask: RoiMask,
-                 spec: FilterSpec, bin_width: float, dimensionality: str,
-                 lines: RunLines | None):
-    """Feature values for one (image, mask, filter, bin width) cell.
+def _columns(filter_name: str, fmap) -> dict[str, float | None]:
+    """A feature map's values under their ``[filter]_[class]_[name]`` columns."""
+    return {f"{filter_name}_{cls}_{name}": value
+            for (cls, name), value in fmap.entries.items()}
 
-    Returns (column -> value, failures); a failing feature class blanks
-    its columns and is reported, other classes still compute. A volume
-    that could not be produced blanks and reports all classes. ``lines``
-    is the mask's run-line layout (None: the GLRLM builder lays it out).
+
+def _filter_task(volume: VolumeGrid, mask: RoiMask, spec: FilterSpec,
+                 cell: ConfigCell, lines: RunLines | None, record) -> dict:
+    """Column -> value of one filtered volume and mask in one cell.
+
+    A feature class that fails blanks its columns and is passed to
+    ``record(exc, class)``; the other classes still compute. ``lines`` is
+    the mask's run-line layout (None: the GLRLM builder lays it out).
     """
     values: dict[str, float | None] = {}
-    failures: list[ExtractionFailure] = []
-    filter_name = spec.name
-
-    def record(exc: Exception, cls: str):
-        failures.append(ExtractionFailure(
-            study=study, structure=mask.structure.value,
-            filter_name=filter_name, error=type(exc).__name__,
-            detail=f"{cls}: {exc}"))
-
-    if isinstance(volume, Exception):
-        record(volume, "all")
-        return values, failures
-
-    disc_spec = DiscretizationSpec(bin_width)
     try:
-        fmap = firstorder_features(volume, mask, disc_spec)
-        for (_, name), v in fmap.entries.items():
-            values[f"{filter_name}_firstorder_{name}"] = v
+        values.update(_columns(spec.name, firstorder_features(
+            volume, mask, cell.bin_width)))
     except Exception as exc:
         record(exc, "firstorder")
     try:
-        disc = discretize_roi(volume, mask, disc_spec)
+        disc = discretize_roi(volume, mask, cell.bin_width)
     except Exception as exc:
         record(exc, "texture")
-        return values, failures
+        return values
     for cls, build, compute in (
         ("glcm", build_glcm, glcm_features),
         ("glrlm", partial(build_glrlm, lines=lines), glrlm_features),
         ("glszm", build_glszm, glszm_features),
     ):
         try:
-            fmap = compute(build(disc, dimensionality))
-            for (_, name), v in fmap.entries.items():
-                values[f"{filter_name}_{cls}_{name}"] = v
+            values.update(_columns(spec.name, compute(
+                build(disc, cell.dimensionality))))
         except Exception as exc:
             record(exc, cls)
-    return values, failures
+    return values
 
 
 def _general_info(image: VolumeGrid, image_hash: str, mask: RoiMask,
@@ -493,32 +492,33 @@ def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice]:
 
 
 def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
-    """One cohort entry's (mode, bin width) -> (rows, failures).
+    """One cohort entry's ConfigCell -> (rows, failures).
 
     The image and masks are read and the image hashed once; shape,
     general info and the GLRLM run-line layout of the mask's bounding box
     are computed once per mask and each filter once per mode. LoG is
     computed over the union of the masks' bounding boxes only (plus its
     kernel's reach). An entry with no usable mask stops after its
-    failures are recorded: nothing is normalized or filtered for it. A
-    failure that blanks a whole row or filter is recorded once in every
-    cell it blanks.
+    failures are recorded: nothing is normalized or filtered for it. Each
+    failure is made in the cell it blanks, so one that blanks a whole row
+    or filter is recorded once in every such cell.
     """
-    cells = {(mode, bin_width): ([], [])
+    cells = {settings.cell(entry.image_type, mode, bin_width): ([], [])
              for mode in settings.normalization_modes
              for bin_width in settings.bin_widths}
 
-    def fail_row(structure: Structure, exc: Exception):
-        for _, failures in cells.values():
-            failures.append(ExtractionFailure(
-                study=entry.study, structure=structure.value, filter_name="*",
-                error=type(exc).__name__, detail=str(exc)))
+    def fail(cell: ConfigCell, structure: Structure, filter_name: str,
+             exc: Exception, scope: str | None = None):
+        cells[cell][1].append(ExtractionFailure(
+            entry.study, structure.value, filter_name, type(exc).__name__,
+            str(exc) if scope is None else f"{scope}: {exc}",
+            Path(cell.csv_name).stem))
 
     try:
         image = read_volume(entry.image_path)
     except Exception as exc:
-        for mask_ref in entry.masks:
-            fail_row(mask_ref.structure, exc)
+        for mask_ref, cell in product(entry.masks, cells):
+            fail(cell, mask_ref.structure, "*", exc)
         return cells
     image_hash = image.payload_hash()
     masks: list[RoiMask] = []
@@ -529,45 +529,46 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
                 raise GeometryMismatch(
                     f"mask {mask_ref.path.name} does not match image grid")
         except Exception as exc:
-            fail_row(mask_ref.structure, exc)
+            for cell in cells:
+                fail(cell, mask_ref.structure, "*", exc)
             continue
         masks.append(mask)
 
     directions = select_offsets(settings.dimensionality)
-    mask_lines: list[RunLines | None] = []
+    measured: list[tuple[RoiMask, RunLines | None, dict[ConfigCell, dict]]] = []
     for mask in masks:
         shape, info, lines = {}, None, None
         try:
-            shape = {f"original_shape_{name}": v
-                     for (_, name), v in shape_features(mask).entries.items()}
+            shape = _columns("original", shape_features(mask))
             info = _general_info(image, image_hash, mask, settings)
             lines = run_lines(mask.inside.shape, directions)
         except Exception as exc:
-            fail_row(mask.structure, exc)
-        mask_lines.append(lines)
+            for cell in cells:
+                fail(cell, mask.structure, "*", exc)
         meta = dict(zip(META_COLUMNS, (entry.study, entry.image_path.stem,
                                        entry.image_type, mask.structure.value)))
-        for (mode, bin_width), (rows, _) in cells.items():
-            row = {**shape, **meta}
+        rows = {cell: {**shape, **meta} for cell in cells}
+        for cell, row in rows.items():
             if info is not None:
-                row.update(info, general_info_GeneralSettings=settings.cell(
-                    entry.image_type, mode, bin_width).general_settings)
-            rows.append(row)
+                row.update(info, general_info_GeneralSettings=cell.general_settings)
+            cells[cell][0].append(row)
+        measured.append((mask, lines, rows))
 
     if not masks:
         return cells
     box = _union_box(masks)
     for mode in settings.normalization_modes:
+        mode_cells = [settings.cell(entry.image_type, mode, bin_width)
+                      for bin_width in settings.bin_widths]
         for spec, volume in _filtered_volumes(image, entry, mode,
                                               settings.filters, box):
-            for i, (mask, lines) in enumerate(zip(masks, mask_lines)):
-                for bin_width in settings.bin_widths:
-                    rows, failures = cells[(mode, bin_width)]
-                    values, task_failures = _filter_task(
-                        entry.study, volume, mask, spec, bin_width,
-                        settings.dimensionality, lines)
-                    rows[i].update(values)
-                    failures.extend(task_failures)
+            for (mask, lines, rows), cell in product(measured, mode_cells):
+                record = partial(fail, cell, mask.structure, spec.name)
+                if isinstance(volume, Exception):
+                    record(volume, "all")
+                else:
+                    rows[cell].update(_filter_task(volume, mask, spec, cell,
+                                                   lines, record))
     return cells
 
 
@@ -603,12 +604,12 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     then each normalization mode, filter, mask and bin width is visited in
     turn. At most ``jobs`` forked processes (fewer with fewer entries or
     CPUs) extract entries at once, so memory is bounded by that many
-    images rather than the cohort. Rows are gathered into one CSV per
-    (image type, normalization mode, bin width) and sorted by (study,
-    series, structure), so the worker count never changes the output
-    bytes. Failures also go to ``extraction_errors.csv`` when any occur;
-    an errors file left by an earlier run is replaced, header-only when
-    this run has none.
+    images rather than the cohort. Each :class:`ConfigCell` gets one CSV:
+    the entries' rows and failures in it are joined in cohort order, the
+    rows sorted by (study, series, structure), so the worker count never
+    changes the output bytes. Failures also go to ``extraction_errors.csv``
+    when any occur; an errors file left by an earlier run is replaced,
+    header-only when this run has none.
 
     Raises :class:`StaleOutputs`, before extracting anything and deleting
     nothing, when ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``)
@@ -616,10 +617,10 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     """
     out_dir = Path(out_dir)
     settings = manifest.settings
-    image_types = sorted({e.image_type for e in manifest.cohort})
-    configs = list(product(image_types, settings.normalization_modes,
-                           settings.bin_widths))
-    names = {config_csv_name(*config, settings) for config in configs}
+    cells = [settings.cell(*config) for config in product(
+        sorted({e.image_type for e in manifest.cohort}),
+        settings.normalization_modes, settings.bin_widths)]
+    names = {cell.csv_name for cell in cells}
     stale = sorted(path.name for path in out_dir.glob(
         f"{ConfigCell.PREFIX}_*.csv") if path.name not in names)
     if stale:
@@ -634,17 +635,14 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
                + list(META_COLUMNS))
     csv_paths: list[Path] = []
     all_failures: list[ExtractionFailure] = []
-    for image_type, mode, bin_width in configs:
-        path = out_dir / config_csv_name(image_type, mode, bin_width, settings)
-        rows: list[dict] = []
-        for entry, cells in zip(manifest.cohort, results):
-            if entry.image_type == image_type:
-                cell_rows, failures = cells[(mode, bin_width)]
-                rows += cell_rows
-                all_failures += (replace(failure, configuration=path.stem)
-                                 for failure in failures)
-        rows.sort(key=lambda row: (row["study"], row["series"],
-                                   row["segmentedStructure"]))
+    for cell in cells:
+        joined = [result[cell] for result in results if cell in result]
+        rows = sorted((row for rows, _ in joined for row in rows),
+                      key=lambda row: (row["study"], row["series"],
+                                       row["segmentedStructure"]))
+        all_failures += (failure for _, failures in joined
+                         for failure in failures)
+        path = out_dir / cell.csv_name
         _write_feature_csv(path, columns, rows)
         csv_paths.append(path)
 
@@ -655,11 +653,8 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
 
 
 def _write_feature_csv(path: Path, columns: list[str], rows: list[dict]):
-    _write_csv(path, columns, ([
-        row.get(col, "") if isinstance(row.get(col, ""), str)
-        else format_value(row.get(col))
-        for col in columns
-    ] for row in rows))
+    _write_csv(path, columns, ([format_value(row.get(col)) for col in columns]
+                               for row in rows))
 
 
 def _write_failures(path: Path, failures: list[ExtractionFailure]):
@@ -768,7 +763,7 @@ def _read_timepoint_map(path) -> dict:
         try:
             if not isinstance(value, list) or len(value) != 2:
                 raise TypeError
-            int(value[1])
+            _timepoint(value[1])
         except (TypeError, ValueError):
             raise SchemaMismatch(f"timepoint map {path}: entry {study!r} is "
                                  f"{value!r}, not [subject, timepoint]") from None
@@ -778,7 +773,7 @@ def _read_timepoint_map(path) -> dict:
 def _parse_study(study: str, mapping: dict | None) -> tuple[str, int]:
     if mapping and study in mapping:
         subject, timepoint = mapping[study]
-        return str(subject), int(timepoint)
+        return str(subject), _timepoint(timepoint)
     match = _STUDY_PATTERN.match(study)
     if not match:
         raise SchemaMismatch(

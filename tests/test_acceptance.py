@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radrep.discretize import DiscretizationSpec, discretize_roi
+from radrep.discretize import discretize_roi
 from radrep.features import (firstorder_features, glcm_features,
                              glrlm_features, glszm_features)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
@@ -254,12 +254,11 @@ def test_criterion_5_invariance_suite(tmp_path):
         ref_labels = np.zeros_like(values, dtype=np.uint8)
         ref_labels[5:7, 4:6, 3:5] = 1
         reference = make_mask(ref_labels, structure=Structure.MUSCLE_REFERENCE)
-        spec = DiscretizationSpec(10.0)
-        base = firstorder_features(vol, mask, spec)
+        base = firstorder_features(vol, mask, 10.0)
         for mode in (NormalizationMode.WHOLE_IMAGE,
                      NormalizationMode.REFERENCE_REGION):
             variant = firstorder_features(normalize(vol, mode, reference),
-                                          mask, spec)
+                                          mask, 10.0)
             for name in ("Skewness", "Kurtosis"):
                 assert abs(variant.get("firstorder", name)
                            - base.get("firstorder", name)) <= 1e-9
@@ -269,19 +268,19 @@ def test_criterion_5_invariance_suite(tmp_path):
         labels = (rng.random((6, 6, 4)) < 0.5).astype(np.uint8)
         labels[0, 0, 0] = 1
         labels[5, 5, 3] = 1
-        spec = DiscretizationSpec(7.0)
-        base_disc = discretize_roi(make_volume(values), make_mask(labels), spec)
+        width = 7.0
+        base_disc = discretize_roi(make_volume(values), make_mask(labels),
+                                   width)
         tampered = values.copy()
         tampered[labels == 0] = -1e12
-        after = discretize_roi(make_volume(tampered), make_mask(labels), spec)
+        after = discretize_roi(make_volume(tampered), make_mask(labels), width)
         assert np.array_equal(base_disc.levels, after.levels)
         assert base_disc.num_gray_levels == after.num_gray_levels
 
         # ... and to shifts by integer multiples of the bin width
         for c in (-3, -1, 1, 2, 5):
             shifted = discretize_roi(
-                make_volume(values + c * spec.bin_width), make_mask(labels),
-                spec)
+                make_volume(values + c * width), make_mask(labels), width)
             assert np.array_equal(base_disc.levels, shifted.levels)
 
 

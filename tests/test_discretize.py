@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radrep.discretize import (MAX_GRAY_LEVELS, DiscretizationSpec,
-                               GeometryMismatch, GrayLevelCountWarning,
-                               TooManyGrayLevels, discretize_roi)
+from radrep.discretize import (MAX_GRAY_LEVELS, GeometryMismatch,
+                               GrayLevelCountWarning, TooManyGrayLevels,
+                               discretize_roi)
 
 from conftest import crop_masks, make_mask, make_volume
 from oracles import brute_levels
 
 
 def disc_of(values, labels, width):
-    return discretize_roi(make_volume(values), make_mask(labels),
-                          DiscretizationSpec(width))
+    return discretize_roi(make_volume(values), make_mask(labels), width)
 
 
 def test_floor_rule_hand_case():
@@ -106,8 +105,13 @@ def test_out_of_roi_tampering_changes_nothing(rng):
 def test_geometry_mismatch():
     with pytest.raises(GeometryMismatch):
         discretize_roi(make_volume(np.zeros((2, 2, 2))),
-                       make_mask(np.ones((2, 2, 3))),
-                       DiscretizationSpec(5.0))
+                       make_mask(np.ones((2, 2, 3))), 5.0)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+def test_bin_width_must_be_positive(width):
+    with pytest.raises(ValueError, match="bin_width must be > 0"):
+        disc_of(np.arange(8.0).reshape(2, 2, 2), np.ones((2, 2, 2)), width)
 
 
 def test_empty_mask_unreachable_via_constructor():

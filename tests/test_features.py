@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from radrep.discretize import DiscretizationSpec, discretize_roi
+from radrep.discretize import discretize_roi
 from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
                              _max_pairwise_distance, firstorder_features, glcm_features,
                              glrlm_features, glszm_features, shape_features)
@@ -31,8 +31,7 @@ def fo(values, width=1.0, labels=None, spacing=(1, 1, 1)):
     values = np.asarray(values, dtype=float)
     labels = np.ones_like(values) if labels is None else labels
     return firstorder_features(make_volume(values, spacing=spacing),
-                               make_mask(labels, spacing=spacing),
-                               DiscretizationSpec(width))
+                               make_mask(labels, spacing=spacing), width)
 
 
 def test_firstorder_hand_case():
@@ -101,15 +100,14 @@ def test_skewness_kurtosis_invariant_under_normalization(rng):
     values = rng.normal(size=(6, 5, 4)) * 55 + 900
     vol = make_volume(values)
     mask = make_mask(np.ones_like(values))
-    spec = DiscretizationSpec(5.0)
-    base = firstorder_features(vol, mask, spec)
+    base = firstorder_features(vol, mask, 5.0)
     whole = firstorder_features(
-        normalize(vol, NormalizationMode.WHOLE_IMAGE), mask, spec)
+        normalize(vol, NormalizationMode.WHOLE_IMAGE), mask, 5.0)
     ref_labels = np.zeros_like(values, dtype=np.uint8)
     ref_labels[:2, :2, :2] = 1
     ref = make_mask(ref_labels, structure=Structure.MUSCLE_REFERENCE)
     refnorm = firstorder_features(
-        normalize(vol, NormalizationMode.REFERENCE_REGION, ref), mask, spec)
+        normalize(vol, NormalizationMode.REFERENCE_REGION, ref), mask, 5.0)
     for variant in (whole, refnorm):
         assert variant.get("firstorder", "Skewness") == pytest.approx(
             base.get("firstorder", "Skewness"), abs=1e-9)
@@ -293,10 +291,9 @@ def test_mask_only_steps_on_the_crop_equal_the_full_grid(rng, shape):
             assert not mask.inside.flags.writeable
             assert shape_features(mask).entries == full_grid_shape(labels, spacing)
             for width in (0.3, 25.0):
-                spec = DiscretizationSpec(width)
-                assert (firstorder_features(volume, mask, spec).entries
+                assert (firstorder_features(volume, mask, width).entries
                         == full_grid_firstorder(values, labels, width))
-                disc = discretize_roi(volume, mask, spec)
+                disc = discretize_roi(volume, mask, width)
                 full = brute_levels(values, labels, width)
                 assert np.array_equal(disc.levels, full[box])
                 assert disc.num_gray_levels == full.max()
@@ -433,7 +430,7 @@ def test_exclusions_never_emitted(rng):
     labels = (levels > 0).astype(np.uint8)
     vol = make_volume(rng.standard_normal((5, 5, 2)))
     maps = [
-        firstorder_features(vol, make_mask(labels), DiscretizationSpec(0.5)),
+        firstorder_features(vol, make_mask(labels), 0.5),
         shape_features(make_mask(labels)),
         glcm_features(build_glcm(disc, "3D")),
         glrlm_features(build_glrlm(disc, "3D")),
@@ -449,8 +446,7 @@ def test_full_roster_emitted(rng):
     labels = (levels > 0).astype(np.uint8)
     vol = make_volume(rng.standard_normal((5, 5, 2)))
     emitted = {
-        "firstorder": firstorder_features(vol, make_mask(labels),
-                                          DiscretizationSpec(0.5)),
+        "firstorder": firstorder_features(vol, make_mask(labels), 0.5),
         "shape": shape_features(make_mask(labels)),
         "glcm": glcm_features(build_glcm(disc, "3D")),
         "glrlm": glrlm_features(build_glrlm(disc, "3D")),

@@ -78,6 +78,29 @@ def test_manifest_missing_timepoint(tmp_path):
         load_manifest(manifest_path)
 
 
+# int() would read the refused values as 1, 2 and 1
+@pytest.mark.parametrize("timepoint, loads", [
+    (1.9, False), (2.6, False), (True, False), ("2", True), (2.0, True)])
+def test_manifest_timepoint_must_be_a_whole_number(tmp_path, capsys,
+                                                    timepoint, loads):
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    entry = next(e for e in doc["cohort"]
+                 if e["timepoint"] == int(float(timepoint)))
+    entry["timepoint"] = timepoint
+    manifest_path.write_text(json.dumps(doc))
+    if loads:
+        cohort = load_manifest(manifest_path).cohort
+        assert [type(e.timepoint) for e in cohort] == [int, int]
+        assert sorted(e.timepoint for e in cohort) == [1, 2]
+        return
+    with pytest.raises(ManifestError, match="is not a whole number"):
+        load_manifest(manifest_path)
+    assert main(["extract", "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "is not a whole number" in capsys.readouterr().err
+
+
 def test_manifest_missing_file(tmp_path):
     manifest_path = build_cohort(tmp_path, n_subjects=1)
     doc = json.loads(manifest_path.read_text())
@@ -251,6 +274,17 @@ def test_extraction_parallel_matches_serial(tmp_path, monkeypatch):
     assert len(paths) == 6 and "extraction_errors.csv" in files
     assert {f.error for f in failures} == {"GeometryMismatch",
                                            "MissingReferenceMask"}
+    # a failed row blanks all 6 cells, a failed mode its 2 MuscleRefNorm cells
+    stems = sorted(p.stem for p in paths)
+    row_failures = [f for f in failures if f.filter_name == "*"]
+    assert {f.error for f in row_failures} == {"GeometryMismatch"}
+    for key in {(f.study, f.structure, f.detail) for f in row_failures}:
+        assert sorted(f.configuration for f in row_failures
+                      if (f.study, f.structure, f.detail) == key) == stems
+    mode_failures = [f for f in failures if f.error == "MissingReferenceMask"]
+    assert mode_failures and all(f.detail.startswith("all: ")
+                                 and "_MuscleRefNorm_" in f.configuration
+                                 for f in mode_failures)
     for run in runs.values():
         assert run == runs[1, 2]
 
@@ -424,6 +458,8 @@ def test_too_many_gray_levels_fails_its_cells_only(tmp_path, monkeypatch):
                   ) == [(study, "TooManyGrayLevels", cls)
                         for study in ("sub00_tp1", "sub00_tp2")
                         for cls in ("firstorder", "texture")]
+    assert {r["configuration"] for r in read_rows(
+        tmp_path / "out" / "extraction_errors.csv")} == {fine.stem}
     for row in read_rows(fine):
         assert row["original_shape_Volume"] != ""
         assert row["original_firstorder_Mean"] == ""
@@ -1133,9 +1169,11 @@ def test_worker_errors_and_cleanup_cross_the_process_boundary(
 @pytest.mark.parametrize("content", [
     None, "{not json", '[["sub00_tp1", "sub00", 1]]',
     '{"sub00_tp1": ["sub00"]}', '{"sub00_tp1": "sub00"}',
-    '{"sub00_tp1": ["sub00", "one"]}',
+    '{"sub00_tp1": ["sub00", "one"]}', '{"sub00_tp1": ["sub00", 1.9]}',
+    '{"sub00_tp2": ["sub00", 2.6]}', '{"sub00_tp1": ["sub00", true]}',
 ], ids=["missing", "not-json", "list", "short-entry", "bare-subject",
-        "bad-timepoint"])
+        "bad-timepoint", "fractional-timepoint-1.9",
+        "fractional-timepoint-2.6", "bool-timepoint"])
 def test_analyze_rejects_a_bad_timepoint_map(tmp_path, capsys, content):
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=3))
     [path], _ = extract_run(manifest, tmp_path / "out")

@@ -6,7 +6,7 @@ from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
                                      build_glcm, build_glrlm, build_glszm,
                                      label_zones, run_lines, select_offsets)
 
-from radrep.discretize import DiscretizationSpec, discretize_roi
+from radrep.discretize import discretize_roi
 
 from conftest import crop_masks, make_disc, make_mask, make_volume, random_levels
 from oracles import brute_glcm, brute_glrlm, brute_glszm, brute_levels
@@ -74,13 +74,12 @@ def test_glcm_invariant_to_out_of_roi_intensities(rng):
     labels = (rng.random((5, 5, 2)) < 0.6).astype(np.uint8)
     labels[2, 2, 0] = 1
     labels[2, 3, 0] = 1
-    spec = DiscretizationSpec(5.0)
     base = build_glcm(
-        discretize_roi(make_volume(values), make_mask(labels), spec), "3D")
+        discretize_roi(make_volume(values), make_mask(labels), 5.0), "3D")
     tampered = values.copy()
     tampered[labels == 0] = 1e8
     again = build_glcm(
-        discretize_roi(make_volume(tampered), make_mask(labels), spec), "3D")
+        discretize_roi(make_volume(tampered), make_mask(labels), 5.0), "3D")
     assert np.array_equal(base.probs, again.probs)
 
 
@@ -179,7 +178,7 @@ def test_glszm_absent_middle_level_keeps_zero_row():
     values = np.zeros((4, 3, 2))
     values[2:, :, 1] = 25.0
     disc = discretize_roi(make_volume(values), make_mask(np.ones(values.shape)),
-                          DiscretizationSpec(10.0))
+                          10.0)
     assert disc.num_gray_levels == 3
     assert set(np.unique(disc.levels).tolist()) == {1, 3}
     for dim in ("2D", "3D"):
@@ -240,8 +239,7 @@ def test_cropped_builders_match_full_grid_oracles(rng, dim, shape):
     for _ in range(3):
         values = rng.normal(size=shape) * 30
         for labels in crop_masks(rng, shape):
-            disc = discretize_roi(make_volume(values), make_mask(labels),
-                                  DiscretizationSpec(7.0))
+            disc = discretize_roi(make_volume(values), make_mask(labels), 7.0)
             full = brute_levels(values, labels, 7.0)
             pairs = brute_glcm(full, offsets)
             if pairs.any():
@@ -261,8 +259,7 @@ def test_small_roi_builders_work_on_the_crop(rng):
     labels = np.zeros(values.shape, dtype=np.uint8)
     labels[30:35, 10:14, 7:10] = rng.random((5, 4, 3)) < 0.8
     labels[30, 10, 7] = labels[34, 13, 9] = 1
-    disc = discretize_roi(make_volume(values), make_mask(labels),
-                          DiscretizationSpec(10.0))
+    disc = discretize_roi(make_volume(values), make_mask(labels), 10.0)
     assert disc.levels.shape == (5, 4, 3)
     full = make_disc(brute_levels(values, labels, 10.0))
     for dim in ("2D", "3D"):
@@ -289,7 +286,7 @@ def test_builders_match_oracles_at_extreme_gray_level_counts(rng, dim, field):
     offsets = select_offsets(dim)
     for labels in crop_masks(rng, shape):
         disc = discretize_roi(make_volume(values), make_mask(labels),
-                              DiscretizationSpec(bin_width))
+                              bin_width)
         if field == "many-levels" and labels.sum() > 1:
             assert disc.num_gray_levels >= 150
         elif field == "large-zones":
