@@ -26,6 +26,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="radrep",
                      description="Radiomics extraction and test-retest "
@@ -35,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("extract", help="run the extraction matrix")
     cmd.add_argument("--manifest", required=True, help="run manifest JSON")
     cmd.add_argument("--out", required=True, help="output directory for CSVs")
-    cmd.add_argument("--jobs", type=int, default=1, help="most worker processes "
-                     "to fork (capped by entries and CPUs), each holding one image")
+    cmd.add_argument("--jobs", type=_at_least_one, default=1,
+                     help="most worker processes to fork (capped by entries "
+                          "and CPUs), each holding one image")
 
     cmd = commands.add_parser("analyze", help="compute repeatability reports")
     cmd.add_argument("--in", dest="inputs", required=True,

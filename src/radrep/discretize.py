@@ -39,21 +39,18 @@ class GrayLevelCountWarning(UserWarning):
 class DiscretizedRoi:
     """Integer gray-level grid over the ROI bounding box.
 
-    ``levels`` (shape ``dims``) holds 0 outside the ROI and 1..Ng inside.
+    ``levels`` holds 0 outside the ROI and 1..Ng inside, at the
+    ``num_roi_voxels`` ROI voxels.
     """
 
-    dims: tuple[int, int, int]
     levels: np.ndarray = field(repr=False)
     num_gray_levels: int
+    num_roi_voxels: int
     roi_min: float
     roi_max: float
 
     def __post_init__(self):
         self.levels.setflags(write=False)
-
-    @property
-    def num_roi_voxels(self) -> int:
-        return int(np.count_nonzero(self.levels))
 
 
 def discretize_roi(volume: VolumeGrid, mask: RoiMask,
@@ -95,12 +92,12 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
             f"gray-level count {ng} outside the recommended [{lo}, {hi}] range "
             f"for bin width {bin_width}",
             GrayLevelCountWarning,
-            stacklevel=2,
+            stacklevel=1,  # one location: each text prints once per process
         )
     return DiscretizedRoi(
-        dims=levels.shape,
         levels=levels,
         num_gray_levels=ng,
+        num_roi_voxels=roi_values.size,
         roi_min=roi_min,
         roi_max=roi_max,
     )

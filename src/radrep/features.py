@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .discretize import discretize_roi
-from .texture_matrices import GlcMatrix, GlrlMatrix, GlszMatrix
+from .texture_matrices import GlcMatrix, SizeMatrix
 from .volume_io import RoiMask, VolumeGrid
 
 # Rows of the pairwise-distance matrix formed at once: each temporary
@@ -28,6 +28,26 @@ from .volume_io import RoiMask, VolumeGrid
 _DISTANCE_BLOCK = 256
 
 FEATURE_CLASSES = ("firstorder", "shape", "glcm", "glrlm", "glszm")
+
+# The statistics of _size_family, in its order, as (run name, zone name).
+_SIZE_NAMES = (
+    ("ShortRunEmphasis", "SmallAreaEmphasis"),
+    ("LongRunEmphasis", "LargeAreaEmphasis"),
+    ("GrayLevelNonUniformity", "GrayLevelNonUniformity"),
+    ("RunLengthNonUniformity", "SizeZoneNonUniformity"),
+    ("RunPercentage", "ZonePercentage"),
+    ("GrayLevelVariance", "GrayLevelVariance"),
+    ("RunVariance", "ZoneVariance"),
+    ("RunEntropy", "ZoneEntropy"),
+    ("LowGrayLevelRunEmphasis", "LowGrayLevelZoneEmphasis"),
+    ("HighGrayLevelRunEmphasis", "HighGrayLevelZoneEmphasis"),
+    ("ShortRunLowGrayLevelEmphasis", "SmallAreaLowGrayLevelEmphasis"),
+    ("ShortRunHighGrayLevelEmphasis", "SmallAreaHighGrayLevelEmphasis"),
+    ("LongRunLowGrayLevelEmphasis", "LargeAreaLowGrayLevelEmphasis"),
+    ("LongRunHighGrayLevelEmphasis", "LargeAreaHighGrayLevelEmphasis"),
+)
+# Each family's column of _SIZE_NAMES.
+_SIZE_FAMILY_NAMES = dict(zip(("glrlm", "glszm"), zip(*_SIZE_NAMES)))
 
 FEATURE_ROSTER: dict[str, tuple[str, ...]] = {
     "firstorder": (
@@ -48,23 +68,7 @@ FEATURE_ROSTER: dict[str, tuple[str, ...]] = {
         "DifferenceEntropy", "Id", "Idm", "InverseVariance", "JointAverage",
         "JointEnergy", "JointEntropy", "MaximumProbability", "SumEntropy",
     ),
-    "glrlm": (
-        "GrayLevelNonUniformity", "GrayLevelVariance",
-        "HighGrayLevelRunEmphasis", "LongRunEmphasis",
-        "LongRunHighGrayLevelEmphasis", "LongRunLowGrayLevelEmphasis",
-        "LowGrayLevelRunEmphasis", "RunEntropy", "RunLengthNonUniformity",
-        "RunPercentage", "RunVariance", "ShortRunEmphasis",
-        "ShortRunHighGrayLevelEmphasis", "ShortRunLowGrayLevelEmphasis",
-    ),
-    "glszm": (
-        "GrayLevelNonUniformity", "GrayLevelVariance",
-        "HighGrayLevelZoneEmphasis", "LargeAreaEmphasis",
-        "LargeAreaHighGrayLevelEmphasis", "LargeAreaLowGrayLevelEmphasis",
-        "LowGrayLevelZoneEmphasis", "SizeZoneNonUniformity",
-        "SmallAreaEmphasis", "SmallAreaHighGrayLevelEmphasis",
-        "SmallAreaLowGrayLevelEmphasis", "ZoneEntropy", "ZonePercentage",
-        "ZoneVariance",
-    ),
+    **{cls: tuple(sorted(names)) for cls, names in _SIZE_FAMILY_NAMES.items()},
 }
 
 # Dropped for direct correlation with retained features, or because some
@@ -311,37 +315,20 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
     return FeatureMap(entries)
 
 
-# The statistics of _size_family, in its order, for each matrix family.
-_RUN_NAMES = (
-    "ShortRunEmphasis", "LongRunEmphasis", "GrayLevelNonUniformity",
-    "RunLengthNonUniformity", "RunPercentage", "GrayLevelVariance",
-    "RunVariance", "RunEntropy", "LowGrayLevelRunEmphasis",
-    "HighGrayLevelRunEmphasis", "ShortRunLowGrayLevelEmphasis",
-    "ShortRunHighGrayLevelEmphasis", "LongRunLowGrayLevelEmphasis",
-    "LongRunHighGrayLevelEmphasis",
-)
-_ZONE_NAMES = (
-    "SmallAreaEmphasis", "LargeAreaEmphasis", "GrayLevelNonUniformity",
-    "SizeZoneNonUniformity", "ZonePercentage", "GrayLevelVariance",
-    "ZoneVariance", "ZoneEntropy", "LowGrayLevelZoneEmphasis",
-    "HighGrayLevelZoneEmphasis", "SmallAreaLowGrayLevelEmphasis",
-    "SmallAreaHighGrayLevelEmphasis", "LargeAreaLowGrayLevelEmphasis",
-    "LargeAreaHighGrayLevelEmphasis",
-)
-
-
-def _size_family(feature_class: str, names: tuple[str, ...],
-                 counts: np.ndarray, total: int, ng: int,
-                 percentage_denominator: int) -> FeatureMap:
+def _size_family(feature_class: str, m: SizeMatrix) -> FeatureMap:
     """Statistics over normalized counts p(i, j) = counts / total.
 
-    ``counts[i-1, j-1]`` counts items (runs or zones) of gray level i and
-    size j; ``names`` names the 14 statistics in the order computed here,
-    and the percentage is ``total / percentage_denominator``.
+    ``m.counts[i-1, j-1]`` counts items (runs or zones) of gray level i
+    and size j, and the percentage is the item total over ``m.sites``.
+    The 14 values are named by ``feature_class``'s column of
+    :data:`_SIZE_NAMES`.
     """
+    counts = m.counts
+    total = int(counts.sum())
     r = counts / total
+    ng, width = counts.shape
     i = np.arange(1, ng + 1, dtype=np.float64)
-    j = np.arange(1, counts.shape[1] + 1, dtype=np.float64)
+    j = np.arange(1, width + 1, dtype=np.float64)
     p_level = r.sum(axis=1)
     p_size = r.sum(axis=0)
     mu_level = float(np.dot(i, p_level))
@@ -353,7 +340,7 @@ def _size_family(feature_class: str, names: tuple[str, ...],
         float(np.sum(r * j ** 2)),
         float(np.sum(level_sums ** 2) / total),
         float(np.sum(size_sums ** 2) / total),
-        total / percentage_denominator,
+        total / m.sites,
         float(np.dot((i - mu_level) ** 2, p_level)),
         float(np.dot((j - mu_size) ** 2, p_size)),
         _entropy_bits(r.ravel()),
@@ -364,17 +351,15 @@ def _size_family(feature_class: str, names: tuple[str, ...],
         float(np.sum(r * j ** 2 / i[:, None] ** 2)),
         float(np.sum(r * i[:, None] ** 2 * j ** 2)),
     )
-    return FeatureMap({(feature_class, name): value
-                       for name, value in zip(names, values)})
+    return FeatureMap({(feature_class, name): value for name, value
+                       in zip(_SIZE_FAMILY_NAMES[feature_class], values)})
 
 
-def glrlm_features(m: GlrlMatrix) -> FeatureMap:
+def glrlm_features(m: SizeMatrix) -> FeatureMap:
     """Run-length statistics; RunPercentage is per voxel and direction."""
-    return _size_family("glrlm", _RUN_NAMES, m.counts, m.total_runs, m.ng,
-                        m.num_roi_voxels * m.num_directions)
+    return _size_family("glrlm", m)
 
 
-def glszm_features(m: GlszMatrix) -> FeatureMap:
+def glszm_features(m: SizeMatrix) -> FeatureMap:
     """Size-zone statistics: the run-length family with zones for runs."""
-    return _size_family("glszm", _ZONE_NAMES, m.counts, m.total_zones, m.ng,
-                        m.num_roi_voxels)
+    return _size_family("glszm", m)

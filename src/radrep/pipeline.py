@@ -288,8 +288,9 @@ def load_manifest(path) -> RunManifest:
         raise ManifestError(f"normalization modes repeat: {list(modes)}")
     bin_widths = tuple(float(w) for w in _list_setting(
         settings_doc, "binWidths", [15.0], (int, float), "numbers"))
-    if any(w <= 0 for w in bin_widths):
-        raise ManifestError("bin widths must be > 0")
+    if not all(w > 0 and isfinite(w) for w in bin_widths):
+        raise ManifestError(
+            f"bin widths must be finite and > 0, got {list(bin_widths)}")
     if len(set(bin_widths)) != len(bin_widths):
         raise ManifestError(f"bin widths repeat: {list(bin_widths)}")
     for w in bin_widths:

@@ -9,6 +9,9 @@ offsets, the GLRLM run directions and the GLSZM zone edges. 2D variants
 merge counts across slices and in-plane directions into a single matrix
 before any feature is computed.
 
+GLRLM and GLSZM are one family: both builders return a
+:class:`SizeMatrix`, items (runs or zones) counted by gray level and size.
+
 Each builder makes one vectorised pass per call: GLCM one bincount over
 the pairs of every offset, GLRLM one run-length pass over every
 direction's lines laid end to end (:class:`RunLines`, 9 bytes per voxel
@@ -59,29 +62,16 @@ class GlcMatrix:
 
 
 @dataclass(frozen=True)
-class GlrlMatrix:
-    """Run counts: counts[i-1, j-1] runs of level i with length j."""
+class SizeMatrix:
+    """Item counts of the run and zone families.
 
-    ng: int
-    max_run_length: int
+    ``counts[i-1, j-1]`` counts the items (runs or zones) of gray level i
+    and size j. ``sites`` is what the items are a percentage of: ROI
+    voxels times directions for runs, ROI voxels for zones.
+    """
+
     counts: np.ndarray = field(repr=False)
-    total_runs: int
-    num_directions: int
-    num_roi_voxels: int
-
-    def __post_init__(self):
-        self.counts.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class GlszMatrix:
-    """Zone counts: counts[i-1, s-1] connected zones of level i, size s."""
-
-    ng: int
-    max_zone_size: int
-    counts: np.ndarray = field(repr=False)
-    total_zones: int
-    num_roi_voxels: int
+    sites: int
 
     def __post_init__(self):
         self.counts.setflags(write=False)
@@ -216,7 +206,7 @@ def _size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
 
 
 def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None,
-                lines: RunLines | None = None) -> GlrlMatrix:
+                lines: RunLines | None = None) -> SizeMatrix:
     """Run-length matrix, directions summed into one matrix.
 
     Maximal runs of consecutive equal nonzero levels are counted along
@@ -237,15 +227,8 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None,
             f"{len(dirs)} directions")
     run_levels, lengths = _run_length_encode(
         disc.levels.reshape(-1)[lines.order], lines.line_start)
-    counts = _size_counts(run_levels, lengths, disc.num_gray_levels)
-    return GlrlMatrix(
-        ng=disc.num_gray_levels,
-        max_run_length=counts.shape[1],
-        counts=counts,
-        total_runs=int(counts.sum()),
-        num_directions=len(dirs),
-        num_roi_voxels=disc.num_roi_voxels,
-    )
+    return SizeMatrix(_size_counts(run_levels, lengths, disc.num_gray_levels),
+                      disc.num_roi_voxels * len(dirs))
 
 
 def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
@@ -294,7 +277,7 @@ def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[voxels]]
 
 
-def build_glszm(disc: DiscretizedRoi, dim: str) -> GlszMatrix:
+def build_glszm(disc: DiscretizedRoi, dim: str) -> SizeMatrix:
     """Size-zone matrix: connected zones of equal nonzero level.
 
     Zones are the connected components (:func:`label_zones`) of one graph
@@ -307,12 +290,6 @@ def build_glszm(disc: DiscretizedRoi, dim: str) -> GlszMatrix:
     num_zones, zone = label_zones(disc.levels, select_offsets(dim))
     zone_level = np.zeros(num_zones, dtype=disc.levels.dtype)
     zone_level[zone] = disc.levels[disc.levels > 0]
-    counts = _size_counts(zone_level, np.bincount(zone, minlength=num_zones),
-                          disc.num_gray_levels)
-    return GlszMatrix(
-        ng=disc.num_gray_levels,
-        max_zone_size=counts.shape[1],
-        counts=counts,
-        total_zones=int(counts.sum()),
-        num_roi_voxels=disc.num_roi_voxels,
-    )
+    sizes = np.bincount(zone, minlength=num_zones)
+    return SizeMatrix(_size_counts(zone_level, sizes, disc.num_gray_levels),
+                      disc.num_roi_voxels)

@@ -35,8 +35,9 @@ def make_disc(levels):
     if levels.ndim == 2:
         levels = levels[:, :, None]
     ng = int(levels.max())
-    return DiscretizedRoi(dims=tuple(levels.shape), levels=levels.copy(),
-                          num_gray_levels=ng, roi_min=0.0, roi_max=float(ng))
+    return DiscretizedRoi(levels=levels.copy(), num_gray_levels=ng,
+                          num_roi_voxels=int(np.count_nonzero(levels)),
+                          roi_min=0.0, roi_max=float(ng))
 
 
 def random_levels(rng, shape, ng, roi_fraction=0.8):

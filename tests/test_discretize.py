@@ -66,7 +66,7 @@ def test_out_of_roi_levels_are_zero():
     values = np.array([100.0, 1.0, -50.0, 2.0, 500.0])
     labels = np.array([0, 1, 0, 1, 0])
     disc = disc_of(values, labels, 1.0)
-    assert disc.dims == (3, 1, 1)
+    assert disc.levels.shape == (3, 1, 1)
     assert disc.levels.ravel().tolist() == [1, 0, 2]
     assert disc.roi_min == 1.0 and disc.roi_max == 2.0
     assert disc.num_gray_levels == 2
@@ -82,7 +82,6 @@ def test_levels_equal_full_grid_reference_cropped_to_box(rng, shape):
             index = np.argwhere(labels)
             box = tuple(slice(lo, hi + 1)
                         for lo, hi in zip(index.min(axis=0), index.max(axis=0)))
-            assert disc.dims == full[box].shape
             assert np.array_equal(disc.levels, full[box])
             assert disc.num_gray_levels == full.max()
             assert disc.num_roi_voxels == np.count_nonzero(labels)

@@ -13,7 +13,8 @@ from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
 from radrep.pipeline import RunSettings, _general_info
 from radrep.preprocess import (FilterKind, FilterSpec, NormalizationMode,
                                apply_filter, normalize)
-from radrep.texture_matrices import (build_glcm, build_glrlm, build_glszm)
+from radrep.texture_matrices import (OFFSETS_2D, build_glcm, build_glrlm,
+                                     build_glszm)
 from radrep.volume_io import Structure
 
 from conftest import (crop_masks, make_disc, make_mask, make_volume,
@@ -380,8 +381,8 @@ def test_glrlm_features_match_oracle(rng):
         glrlm = build_glrlm(make_disc(levels), "2D")
         fmap = glrlm_features(glrlm)
         oracle = glrlm_feature_oracle(np.asarray(glrlm.counts),
-                                      glrlm.num_roi_voxels,
-                                      glrlm.num_directions)
+                                      np.count_nonzero(levels),
+                                      len(OFFSETS_2D))
         for name, expected in oracle.items():
             assert fmap.get("glrlm", name) == pytest.approx(
                 expected, abs=1e-12), name
@@ -414,7 +415,7 @@ def test_glszm_features_match_oracle(rng):
         glszm = build_glszm(make_disc(levels), "3D")
         fmap = glszm_features(glszm)
         oracle = glszm_feature_oracle(np.asarray(glszm.counts),
-                                      glszm.num_roi_voxels)
+                                      np.count_nonzero(levels))
         for name, expected in oracle.items():
             assert fmap.get("glszm", name) == pytest.approx(
                 expected, abs=1e-12), name

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -127,6 +128,8 @@ def test_manifest_rejects_unknown_mode(tmp_path):
     {"binWidths": ["a"]},
     {"binWidths": 20},
     {"binWidths": [True]},
+    {"binWidths": [float("nan")]},
+    {"binWidths": [float("inf")]},
     {"normalizationModes": "none"},
     {"registeredMasks": "false"},
     {"biasCorrected": 1},
@@ -683,6 +686,25 @@ def test_emitted_header_validates_and_parses_back(tmp_path, dimensionality):
                 for name in FEATURE_ROSTER[cls]]
     assert [(key.filter, key.feature_class, key.name)
             for key in matrix.features] == written
+
+
+# SHA-256 of the header line of a default-filter feature CSV: the column
+# order is a contract, and every other test reads it off FEATURE_ROSTER
+DEFAULT_HEADER_SHA256 = {
+    "2D": "fc853cff30103de3cd754702161af0730e27b8f2cb3acd2a34d25b3a49f16580",
+    "3D": "6d298305911f1e6675ac4aa743f4712c4b2d931db12176e2db2e4c6d1cc0404b",
+}
+
+
+@pytest.mark.parametrize("dimensionality", ["2D", "3D"])
+def test_default_feature_csv_header_is_pinned(tmp_path, dimensionality):
+    manifest = load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=1,
+        settings={"dimensionality": dimensionality}))
+    [path], _ = extract_run(manifest, tmp_path / "out")
+    header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+    assert hashlib.sha256(header).hexdigest() \
+        == DEFAULT_HEADER_SHA256[dimensionality]
 
 
 def test_schema_validator_rejects_a_repeated_feature_column(tmp_path):
@@ -1429,7 +1451,9 @@ def test_large_surface_extract_prints_each_gray_level_warning_once(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    warned = [line for line in result.stderr.splitlines()
+    # each text once, wherever it is reported from
+    warned = [line.partition("GrayLevelCountWarning")[2]
+              for line in result.stderr.splitlines()
               if "GrayLevelCountWarning" in line]
     assert warned
     assert len(warned) == len(set(warned)), result.stderr
@@ -1448,9 +1472,15 @@ def test_cli_end_to_end(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_usage_error():
+def test_cli_usage_error(tmp_path, capsys):
     assert main(["extract"]) == 1
     assert main([]) == 1
+    manifest_path = build_cohort(tmp_path / "in", n_subjects=1)
+    for jobs in ("0", "-3"):
+        assert main(["extract", "--jobs", jobs, "--manifest",
+                     str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
 
 
 def test_cli_jobs_is_an_extract_option(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_glrlm_hand_case_strip():
     glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
     assert glrlm.counts[1, 2] == 1  # level 2, length 3
     assert glrlm.counts[0, 0] == 1  # level 1, length 1
-    assert glrlm.total_runs == 2
+    assert glrlm.counts.sum() == 2
 
 
 def test_glrlm_constant_strip_single_run():
@@ -100,7 +100,7 @@ def test_glrlm_constant_strip_single_run():
     disc = make_disc(np.full((1, n), 3, dtype=np.int32))
     glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
     assert glrlm.counts[2, n - 1] == 1
-    assert glrlm.total_runs == 1
+    assert glrlm.counts.sum() == 1
 
 
 def test_glrlm_out_of_roi_terminates_runs():
@@ -108,7 +108,7 @@ def test_glrlm_out_of_roi_terminates_runs():
     glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
     assert glrlm.counts[0, 1] == 1  # run of length 2
     assert glrlm.counts[0, 0] == 1  # run of length 1
-    assert glrlm.total_runs == 2
+    assert glrlm.counts.sum() == 2
 
 
 def test_glrlm_matches_bruteforce_2d(rng):
@@ -133,7 +133,7 @@ def test_glrlm_per_direction_voxel_conservation(rng):
     nv = int(np.count_nonzero(levels))
     for direction in OFFSETS_3D:
         single = build_glrlm(disc, "3D", directions=[direction])
-        lengths = np.arange(1, single.max_run_length + 1)
+        lengths = np.arange(1, single.counts.shape[1] + 1)
         assert int((single.counts * lengths).sum()) == nv
 
 
@@ -145,7 +145,7 @@ def test_glszm_constant_roi_single_zone():
     levels = np.zeros((4, 4, 2), dtype=np.int32)
     levels[1:3, 1:3, :] = 1
     glszm = build_glszm(make_disc(levels), "3D")
-    assert glszm.total_zones == 1
+    assert glszm.counts.sum() == 1
     assert glszm.counts[0, 7] == 1  # 8 voxels
 
 
@@ -153,7 +153,7 @@ def test_glszm_checkerboard_2d():
     board = np.indices((4, 4)).sum(axis=0) % 2 + 1
     glszm = build_glszm(make_disc(board.astype(np.int32)), "2D")
     # 8-connectivity joins each color diagonally: 2 zones of size 8
-    assert glszm.total_zones == 2
+    assert glszm.counts.sum() == 2
     assert glszm.counts[0, 7] == 1
     assert glszm.counts[1, 7] == 1
 
@@ -204,7 +204,7 @@ def test_glszm_voxel_conservation(rng):
     for dim in ("2D", "3D"):
         levels = random_levels(rng, (6, 5, 3), ng=4)
         glszm = build_glszm(make_disc(levels), dim)
-        sizes = np.arange(1, glszm.max_zone_size + 1)
+        sizes = np.arange(1, glszm.counts.shape[1] + 1)
         assert int((glszm.counts * sizes).sum()) == np.count_nonzero(levels)
 
 
@@ -309,8 +309,7 @@ def test_glrlm_with_prebuilt_run_lines_equals_without(rng, dim):
         disc = make_disc(random_levels(rng, (6, 5, 3), ng=ng))
         fresh, reused = build_glrlm(disc, dim), build_glrlm(disc, dim, lines=lines)
         assert np.array_equal(fresh.counts, reused.counts)
-        assert (fresh.max_run_length, fresh.total_runs, fresh.num_directions) \
-            == (reused.max_run_length, reused.total_runs, reused.num_directions)
+        assert fresh.sites == reused.sites
 
 
 def test_glrlm_rejects_run_lines_of_another_grid(rng):
