@@ -276,7 +276,7 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
     px = p.sum(axis=1)
     mu = float(np.dot(i, px))  # symmetric matrix: mu_x == mu_y
     sigma2 = float(np.dot((i - mu) ** 2, px))
-    ii, jj = np.meshgrid(i, i, indexing="ij")
+    ii, jj = i[:, None], i[None, :]  # broadcast as the Ng x Ng grid
 
     diff = np.abs(ii - jj)
     # p_{x-y}(k), k = 0..Ng-1 and p_{x+y}(k), k = 2..2Ng

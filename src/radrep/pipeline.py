@@ -46,9 +46,8 @@ from .repeatability import (VOLUME_REFERENCE_FEATURE, DegenerateSamples,
                             binwidth_spread, build_table, config_delta,
                             filter_frequency, kde, rank_distribution,
                             top_k_per_class)
-from .texture_matrices import (OFFSETS_3D, RunLines, build_glcm, build_glrlm,
-                               build_glszm, label_zones, run_lines,
-                               select_offsets)
+from .texture_matrices import (OFFSETS_3D, build_glcm, build_glrlm,
+                               build_glszm, label_zones)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
                         check_geometry, read_mask, read_volume)
 
@@ -434,12 +433,11 @@ def _columns(filter_name: str, fmap) -> dict[str, float | None]:
 
 
 def _filter_task(volume: VolumeGrid, mask: RoiMask, spec: FilterSpec,
-                 cell: ConfigCell, lines: RunLines | None, record) -> dict:
+                 cell: ConfigCell, record) -> dict:
     """Column -> value of one filtered volume and mask in one cell.
 
     A feature class that fails blanks its columns and is passed to
-    ``record(exc, class)``; the other classes still compute. ``lines`` is
-    the mask's run-line layout (None: the GLRLM builder lays it out).
+    ``record(exc, class)``; the other classes still compute.
     """
     values: dict[str, float | None] = {}
     try:
@@ -454,7 +452,7 @@ def _filter_task(volume: VolumeGrid, mask: RoiMask, spec: FilterSpec,
         return values
     for cls, build, compute in (
         ("glcm", build_glcm, glcm_features),
-        ("glrlm", partial(build_glrlm, lines=lines), glrlm_features),
+        ("glrlm", build_glrlm, glrlm_features),
         ("glszm", build_glszm, glszm_features),
     ):
         try:
@@ -495,14 +493,13 @@ def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice]:
 def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     """One cohort entry's ConfigCell -> (rows, failures).
 
-    The image and masks are read and the image hashed once; shape,
-    general info and the GLRLM run-line layout of the mask's bounding box
-    are computed once per mask and each filter once per mode. LoG is
-    computed over the union of the masks' bounding boxes only (plus its
-    kernel's reach). An entry with no usable mask stops after its
-    failures are recorded: nothing is normalized or filtered for it. Each
-    failure is made in the cell it blanks, so one that blanks a whole row
-    or filter is recorded once in every such cell.
+    The image and masks are read and the image hashed once; shape and
+    general info are computed once per mask and each filter once per
+    mode. LoG is computed over the union of the masks' bounding boxes
+    only (plus its kernel's reach). An entry with no usable mask stops
+    after its failures are recorded: nothing is normalized or filtered for
+    it. Each failure is made in the cell it blanks, so one that blanks a
+    whole row or filter is recorded once in every such cell.
     """
     cells = {settings.cell(entry.image_type, mode, bin_width): ([], [])
              for mode in settings.normalization_modes
@@ -535,14 +532,12 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
             continue
         masks.append(mask)
 
-    directions = select_offsets(settings.dimensionality)
-    measured: list[tuple[RoiMask, RunLines | None, dict[ConfigCell, dict]]] = []
+    measured: list[tuple[RoiMask, dict[ConfigCell, dict]]] = []
     for mask in masks:
-        shape, info, lines = {}, None, None
+        shape, info = {}, None
         try:
             shape = _columns("original", shape_features(mask))
             info = _general_info(image, image_hash, mask, settings)
-            lines = run_lines(mask.inside.shape, directions)
         except Exception as exc:
             for cell in cells:
                 fail(cell, mask.structure, "*", exc)
@@ -553,7 +548,7 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
             if info is not None:
                 row.update(info, general_info_GeneralSettings=cell.general_settings)
             cells[cell][0].append(row)
-        measured.append((mask, lines, rows))
+        measured.append((mask, rows))
 
     if not masks:
         return cells
@@ -563,13 +558,13 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
                       for bin_width in settings.bin_widths]
         for spec, volume in _filtered_volumes(image, entry, mode,
                                               settings.filters, box):
-            for (mask, lines, rows), cell in product(measured, mode_cells):
+            for (mask, rows), cell in product(measured, mode_cells):
                 record = partial(fail, cell, mask.structure, spec.name)
                 if isinstance(volume, Exception):
                     record(volume, "all")
                 else:
                     rows[cell].update(_filter_task(volume, mask, spec, cell,
-                                                   lines, record))
+                                                   record))
     return cells
 
 

@@ -14,10 +14,11 @@ GLRLM and GLSZM are one family: both builders return a
 
 Each builder makes one vectorised pass per call: GLCM one bincount over
 the pairs of every offset, GLRLM one run-length pass over every
-direction's lines laid end to end (:class:`RunLines`, 9 bytes per voxel
-and direction: 117 bytes per crop voxel in 3D, 36 in 2D, built once per
-mask by the caller), GLSZM one connected-components labelling of all
-levels (:func:`label_zones`, in numpy).
+direction's lines laid end to end, GLSZM one connected-components
+labelling of all levels (:func:`label_zones`, in numpy). GLRLM and GLSZM
+read neighbours off one layout, made per call: the level grid with a
+zero border, flattened (:func:`_padded`), where each offset is one flat
+shift. GLCM slices offset views of the grid, which need no copy.
 """
 
 from __future__ import annotations
@@ -129,74 +130,21 @@ def build_glcm(disc: DiscretizedRoi, dim: str, offsets=None) -> GlcMatrix:
     return GlcMatrix(ng=ng, probs=counts / total)
 
 
-@dataclass(frozen=True)
-class RunLines:
-    """Voxel order that walks a grid line by line, direction by direction.
+def _padded(levels: np.ndarray, offsets) -> tuple[np.ndarray, list[int]]:
+    """The grid with a one-voxel zero border, flat, and each offset's shift.
 
-    ``order`` holds flat voxel indices into a C-ordered grid of ``dims``:
-    for each direction in turn, every line parallel to it from its entry
-    point to its exit, lines one after another. ``line_start`` marks the
-    first voxel of each line, so the directions are concatenated without
-    runs crossing from one line (or direction) into the next. It depends
-    only on ``dims`` and ``directions``, so one layout serves every level
-    grid of that shape: 9 bytes per voxel and direction (8 for the index,
-    1 for the flag), 117 bytes per crop voxel in 3D and 36 in 2D.
+    An offset from (x, y, z) to (x + dx, y + dy, z + dz) is the step
+    ``shift`` in the flat array (taken as positive: a line read backwards
+    holds the same runs). The border keeps every neighbour of a grid voxel
+    inside the array, and no step from a grid voxel wraps from one row
+    into the next: the border, like any level-0 voxel, never matches a
+    nonzero voxel.
     """
-
-    dims: tuple[int, int, int]
-    directions: tuple
-    order: np.ndarray = field(repr=False)
-    line_start: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.order.setflags(write=False)
-        self.line_start.setflags(write=False)
-
-
-def run_lines(dims, directions) -> RunLines:
-    """The :class:`RunLines` of a grid of ``dims`` along ``directions``.
-
-    A voxel's line id is its coordinate pulled back along the direction
-    to the line's entry point; sorting by (line id, steps from the entry)
-    lays each line out in order.
-    """
-    dims = tuple(int(n) for n in dims)
-    directions = tuple(tuple(d) for d in directions)
-    coords = np.indices(dims).reshape(3, -1)
-    orders, starts = [], []
-    for direction in directions:
-        t = np.full(coords.shape[1], np.iinfo(np.int64).max, dtype=np.int64)
-        for axis, d in enumerate(direction):
-            if d == 1:
-                t = np.minimum(t, coords[axis])
-            elif d == -1:
-                t = np.minimum(t, dims[axis] - 1 - coords[axis])
-        entry = coords - np.multiply.outer(np.asarray(direction, dtype=np.int64), t)
-        line_ids = (entry[0] * dims[1] + entry[1]) * dims[2] + entry[2]
-        order = np.lexsort((t, line_ids))
-        sorted_ids = line_ids[order]
-        start = np.ones(order.size, dtype=bool)
-        start[1:] = sorted_ids[1:] != sorted_ids[:-1]
-        orders.append(order)
-        starts.append(start)
-    return RunLines(dims=dims, directions=directions,
-                    order=np.concatenate(orders, dtype=np.intp),
-                    line_start=np.concatenate(starts, dtype=bool))
-
-
-def _run_length_encode(levels_sorted: np.ndarray, line_start: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(level, length) of each maximal run of equal nonzero levels.
-
-    A run ends where the level changes or a new line starts.
-    """
-    boundary = line_start.copy()
-    boundary[1:] |= levels_sorted[1:] != levels_sorted[:-1]
-    starts = np.flatnonzero(boundary)
-    lengths = np.diff(starts, append=levels_sorted.size)
-    run_levels = levels_sorted[starts]
-    keep = run_levels > 0
-    return run_levels[keep], lengths[keep]
+    padded = np.zeros([n + 2 for n in levels.shape], dtype=levels.dtype)
+    padded[1:-1, 1:-1, 1:-1] = levels
+    _, ny, nz = padded.shape
+    return (padded.reshape(-1),
+            [abs((dx * ny + dy) * nz + dz) for dx, dy, dz in offsets])
 
 
 def _size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
@@ -205,29 +153,42 @@ def _size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
     return _count_pairs(levels - 1, sizes - 1, (ng, width))
 
 
-def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None,
-                lines: RunLines | None = None) -> SizeMatrix:
+def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
     """Run-length matrix, directions summed into one matrix.
 
     Maximal runs of consecutive equal nonzero levels are counted along
     every direction of ``OFFSETS_3D`` (3D) or ``OFFSETS_2D`` (2D, the 4
     in-plane directions, so runs never leave their slice); out-of-ROI
-    voxels terminate runs. The runs of all directions are read in one
-    pass over ``lines`` (built here when not given) and pooled, so the
-    matrix is as wide as the longest run in any direction. ``directions``
-    restricts the direction set (testing hook).
+    voxels terminate runs. ``directions`` restricts the direction set
+    (testing hook).
+
+    The padded flat grid (:func:`_padded`), read as columns of a
+    direction's shift ``s``, lays every line along it end to end, in
+    order: column r holds the voxels r, r + s, r + 2s, ... Every column
+    starts on the border, as no grid voxel's flat index is below the
+    largest shift, and the voxels dropped past the last whole row are
+    border too, so no run joins two lines or is cut short. The columns of
+    every direction go into one array, whose runs are those of all
+    directions pooled: the matrix is as wide as the longest run in any
+    direction.
     """
     dirs = select_offsets(dim, directions)
-    if lines is None:
-        lines = run_lines(disc.levels.shape, dirs)
-    elif lines.dims != disc.levels.shape or lines.directions != dirs:
-        raise ValueError(
-            f"run lines of a {lines.dims} grid along {len(lines.directions)} "
-            f"directions do not fit a {disc.levels.shape} grid along "
-            f"{len(dirs)} directions")
-    run_levels, lengths = _run_length_encode(
-        disc.levels.reshape(-1)[lines.order], lines.line_start)
-    return SizeMatrix(_size_counts(run_levels, lengths, disc.num_gray_levels),
+    flat, shifts = _padded(disc.levels, dirs)
+    widths = [flat.size - flat.size % s for s in shifts]
+    # the smallest type that holds every level, so each pass reads less
+    lines = np.empty(sum(widths), np.min_scalar_type(disc.num_gray_levels))
+    at = 0
+    for s, w in zip(shifts, widths):
+        lines[at:at + w].reshape(s, w // s)[...] = flat[:w].reshape(-1, s).T
+        at += w
+    # lines starts and ends on the border, so a nonzero run starts just
+    # after a change and ends just before one
+    change = lines[1:] != lines[:-1]
+    inside = lines > 0
+    starts = np.flatnonzero(change & inside[1:]) + 1
+    ends = np.flatnonzero(change & inside[:-1]) + 1
+    return SizeMatrix(_size_counts(lines[starts], ends - starts,
+                                   disc.num_gray_levels),
                       disc.num_roi_voxels * len(dirs))
 
 
@@ -243,16 +204,9 @@ def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
     roots. A zone's root is its first voxel, and zones are numbered in
     that order. The returned array gives the zone of each nonzero voxel.
     """
-    # A zero border keeps every neighbour inside the flat array, and no
-    # edge wraps from one row into the next: the border, like any level-0
-    # voxel, never matches a nonzero voxel.
-    padded = np.zeros([n + 2 for n in levels.shape], dtype=levels.dtype)
-    padded[1:-1, 1:-1, 1:-1] = levels
-    _, ny, nz = padded.shape
-    flat = padded.reshape(-1)
+    flat, shifts = _padded(levels, offsets)
     tails, heads = [], []
-    for dx, dy, dz in offsets:
-        shift = abs((dx * ny + dy) * nz + dz)
+    for shift in shifts:
         near, far = flat[:-shift], flat[shift:]
         joined = np.flatnonzero((near == far) & (near > 0))
         tails.append(joined)

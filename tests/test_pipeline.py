@@ -368,33 +368,6 @@ def test_extraction_finds_each_mask_box_once(tmp_path, monkeypatch):
     assert len(full_grid) == 2 * len(manifest.cohort)
 
 
-def test_extraction_lays_out_run_lines_once_per_mask(tmp_path, monkeypatch):
-    import radrep.pipeline
-    import radrep.texture_matrices
-    calls = {"pipeline": 0, "glrlm": 0}
-
-    def counting(key, original):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(radrep.pipeline, "run_lines",
-                        counting("pipeline", radrep.pipeline.run_lines))
-    monkeypatch.setattr(radrep.texture_matrices, "run_lines",
-                        counting("glrlm", radrep.texture_matrices.run_lines))
-    settings = {"normalizationModes": ["none", "wholeImage"],
-                "binWidths": [10, 20], "dimensionality": "3D",
-                "filters": ["original", "square"]}
-    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
-                                          settings=settings,
-                                          structures=("Tumor", "WholeGland")))
-    csv_paths, failures = extract_run(manifest, tmp_path / "out")
-    assert not failures and len(csv_paths) == 4
-    # one layout per (entry, mask); the GLRLM builder never lays out its own
-    assert calls == {"pipeline": 2 * len(manifest.cohort), "glrlm": 0}
-
-
 def test_configuration_matrix_filenames(tmp_path):
     settings = {"normalizationModes": ["none", "wholeImage"],
                 "binWidths": [10, 20], "dimensionality": "3D",
@@ -1476,11 +1449,19 @@ def test_cli_usage_error(tmp_path, capsys):
     assert main(["extract"]) == 1
     assert main([]) == 1
     manifest_path = build_cohort(tmp_path / "in", n_subjects=1)
-    for jobs in ("0", "-3"):
+    capsys.readouterr()
+    for jobs in ("0", "-3", "a"):
         assert main(["extract", "--jobs", jobs, "--manifest",
                      str(manifest_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        # the usage line, then what is wrong
+        assert err.startswith("usage: radrep extract")
+        assert (f"radrep extract: error: argument --jobs: must be a whole "
+                f"number of at least 1, got '{jobs}'") in err
+    assert main(["extract", "--out", str(tmp_path / "out")]) == 1
+    assert ("radrep extract: error: the following arguments are required: "
+            "--manifest") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    capsys.readouterr()
 
 
 def test_cli_jobs_is_an_extract_option(tmp_path, capsys):

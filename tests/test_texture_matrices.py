@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import radrep.texture_matrices
 from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
                                      build_glcm, build_glrlm, build_glszm,
-                                     label_zones, run_lines, select_offsets)
+                                     label_zones, select_offsets)
 
 from radrep.discretize import discretize_roi
 
@@ -135,6 +138,50 @@ def test_glrlm_per_direction_voxel_conservation(rng):
         single = build_glrlm(disc, "3D", directions=[direction])
         lengths = np.arange(1, single.counts.shape[1] + 1)
         assert int((single.counts * lengths).sum()) == nv
+
+
+@st.composite
+def run_grids(draw):
+    """(levels, dim, directions) for the GLRLM property test.
+
+    Grids of 1-7 voxels per axis, cropped to the ROI's bounding box as
+    ``discretize_roi`` crops them, so the ROI touches every face of the
+    grid: random levels with holes, constant fills (every line is one
+    run), single voxels and boxes one voxel thick along an axis. Ng
+    reaches past 255 on some grids. ``directions`` is None or a subset of
+    the dimension's offsets and their opposites.
+    """
+    shape = [draw(st.integers(1, 7)) for _ in range(3)]
+    kind = draw(st.sampled_from(("random", "constant", "single", "thin")))
+    if kind == "single":
+        shape = [1, 1, 1]
+    elif kind == "thin":
+        shape[draw(st.integers(0, 2))] = 1
+    ng = draw(st.sampled_from((1, 2, 3, 4, 300)))
+    if kind == "constant":
+        levels = np.full(shape, draw(st.integers(1, ng)), dtype=np.int32)
+    else:
+        levels = draw(hnp.arrays(np.int32, shape, elements=st.integers(0, ng)))
+        levels.flat[draw(st.integers(0, levels.size - 1))] = ng
+        box = tuple(slice(idx.min(), idx.max() + 1)
+                    for idx in np.nonzero(levels))
+        levels = levels[box]
+    dim = draw(st.sampled_from(("2D", "3D")))
+    offsets = select_offsets(dim)
+    offsets += tuple(tuple(-d for d in o) for o in offsets)
+    directions = draw(st.none() | st.lists(st.sampled_from(offsets),
+                                           min_size=1, unique=True))
+    return levels, dim, directions
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_grids())
+def test_glrlm_matches_bruteforce_on_edge_case_grids(grid):
+    levels, dim, directions = grid
+    glrlm = build_glrlm(make_disc(levels), dim, directions=directions)
+    dirs = select_offsets(dim) if directions is None else directions
+    assert np.array_equal(glrlm.counts, brute_glrlm(levels, dirs))
+    assert glrlm.sites == np.count_nonzero(levels) * len(dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +347,6 @@ def test_builders_match_oracles_at_extreme_gray_level_counts(rng, dim, field):
                               brute_glrlm(full, offsets))
         assert np.array_equal(build_glszm(disc, dim).counts,
                               brute_glszm(full, dim))
-
-
-@pytest.mark.parametrize("dim", ["2D", "3D"])
-def test_glrlm_with_prebuilt_run_lines_equals_without(rng, dim):
-    lines = run_lines((6, 5, 3), select_offsets(dim))
-    for ng in (2, 9):
-        disc = make_disc(random_levels(rng, (6, 5, 3), ng=ng))
-        fresh, reused = build_glrlm(disc, dim), build_glrlm(disc, dim, lines=lines)
-        assert np.array_equal(fresh.counts, reused.counts)
-        assert fresh.sites == reused.sites
-
-
-def test_glrlm_rejects_run_lines_of_another_grid(rng):
-    disc = make_disc(random_levels(rng, (6, 5, 3), ng=3))
-    with pytest.raises(ValueError):
-        build_glrlm(disc, "3D", lines=run_lines((5, 6, 3), OFFSETS_3D))
-    with pytest.raises(ValueError):
-        build_glrlm(disc, "3D", lines=run_lines((6, 5, 3), OFFSETS_2D))
 
 
 @pytest.mark.parametrize("dim", ["2D", "3D"])
