@@ -407,10 +407,10 @@ def _normalized(image: VolumeGrid, entry: CohortEntry, mode: str) -> VolumeGrid:
 def _filtered_volumes(image: VolumeGrid, entry: CohortEntry, mode: str,
                       filters: tuple[FilterSpec, ...],
                       box: tuple[slice, slice, slice]):
-    """Yield (spec, filtered grid or the exception that prevented it).
+    """Yield (spec, filtered crop or the exception that prevented it).
 
     Each spec, a wavelet subband too, is one :func:`apply_filter` call on
-    the normalized image; ``box`` bounds the voxels that LoG computes.
+    the normalized image, which returns the voxels of ``box`` only.
     """
     try:
         volume = _normalized(image, entry, mode)
@@ -495,11 +495,12 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
 
     The image and masks are read and the image hashed once; shape and
     general info are computed once per mask and each filter once per
-    mode. LoG is computed over the union of the masks' bounding boxes
-    only (plus its kernel's reach). An entry with no usable mask stops
-    after its failures are recorded: nothing is normalized or filtered for
-    it. Each failure is made in the cell it blanks, so one that blanks a
-    whole row or filter is recorded once in every such cell.
+    mode. Every filter computes only the union of the masks' bounding
+    boxes, and the filter cells read each mask cropped to that box; shape
+    and general info read the whole mask. An entry with no usable mask
+    stops after its failures are recorded: nothing is normalized or
+    filtered for it. Each failure is made in the cell it blanks, so one
+    that blanks a whole row or filter is recorded once in every such cell.
     """
     cells = {settings.cell(entry.image_type, mode, bin_width): ([], [])
              for mode in settings.normalization_modes
@@ -532,6 +533,9 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
             continue
         masks.append(mask)
 
+    if not masks:
+        return cells
+    box = _union_box(masks)
     measured: list[tuple[RoiMask, dict[ConfigCell, dict]]] = []
     for mask in masks:
         shape, info = {}, None
@@ -548,11 +552,10 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
             if info is not None:
                 row.update(info, general_info_GeneralSettings=cell.general_settings)
             cells[cell][0].append(row)
-        measured.append((mask, rows))
+        measured.append((RoiMask(mask.labels[box].shape, mask.spacing,
+                                 mask.origin, mask.labels[box], mask.structure),
+                         rows))
 
-    if not masks:
-        return cells
-    box = _union_box(masks)
     for mode in settings.normalization_modes:
         mode_cells = [settings.cell(entry.image_type, mode, bin_width)
                       for bin_width in settings.bin_widths]

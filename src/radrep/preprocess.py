@@ -3,7 +3,10 @@
 All transforms are pure ``VolumeGrid -> VolumeGrid`` functions: same
 input, bit-identical output, safe to run concurrently over shared
 immutable grids. The pipeline order is fixed: normalization (if any)
-first, then filtering, then discretization. Each catalog is one enum:
+first, then filtering, then discretization. Normalization maps the whole
+grid; every filter computes only the voxels of the box it is given and
+returns that box, equal bit for bit to the whole-grid output there.
+Each catalog is one enum:
 :class:`NormalizationMode` names each mode and carries its target
 mean/std, and :class:`FilterKind` names each filter.
 """
@@ -23,6 +26,9 @@ WAVELET_SUBBANDS_2D = ("LL", "LH", "HL", "HH")
 WAVELET_SUBBANDS_3D = ("LLL", "LLH", "LHL", "LHH", "HLL", "HLH", "HHL", "HHH")
 
 MIN_SIGMA_VOXELS = 0.25
+
+# Per-axis slices with explicit start and stop: the voxels a filter computes.
+Box = tuple[slice, slice, slice]
 
 
 class PreprocessError(RadrepError):
@@ -136,7 +142,7 @@ class FilterSpec:
 
 
 def _replace_values(volume: VolumeGrid, values: np.ndarray) -> VolumeGrid:
-    return VolumeGrid(dims=volume.dims, spacing=volume.spacing,
+    return VolumeGrid(dims=values.shape, spacing=volume.spacing,
                       origin=volume.origin, values=values)
 
 
@@ -212,8 +218,7 @@ def _correlate_nearest(x: np.ndarray, weights: np.ndarray, axis: int,
     return np.moveaxis(out, 0, axis)
 
 
-def filter_log(volume: VolumeGrid, sigma_mm: float,
-               box: tuple[slice, slice, slice] | None = None) -> VolumeGrid:
+def filter_log(volume: VolumeGrid, sigma_mm: float, box: Box) -> VolumeGrid:
     """Scale-normalized Laplacian-of-Gaussian response (sigma in mm).
 
     Separable per axis: Gaussian smoothing on two axes and the calibrated
@@ -221,10 +226,8 @@ def filter_log(volume: VolumeGrid, sigma_mm: float,
     choices and multiplied by sigma^2. Boundaries replicate the nearest
     voxel. Affine intensity fields map to exactly zero in the interior.
 
-    Only the voxels of ``box`` (per-axis slices with unit step; default
-    the whole grid) are computed, from the input within each axis's
-    kernel reach of the box; they equal the whole-grid response bit for
-    bit. Voxels outside the box are NaN.
+    Only the voxels of ``box`` are computed, from the input within each
+    axis's kernel reach of the box.
     """
     if sigma_mm <= 0:
         raise ValueError("sigma_mm must be > 0")
@@ -234,13 +237,10 @@ def filter_log(volume: VolumeGrid, sigma_mm: float,
                 f"sigma {sigma_mm} mm is {sigma_mm / h:.3f} voxels on axis "
                 f"{axis} (< {MIN_SIGMA_VOXELS})"
             )
-    dims = volume.dims
-    box = tuple(slice(None) for _ in dims) if box is None else box
-    box = tuple(slice(*b.indices(n)[:2]) for b, n in zip(box, dims))
     kernels = [_log_kernels_1d(sigma_mm, h) for h in volume.spacing]
     reach = tuple(slice(max(0, b.start - k[0].size // 2),
                         min(n, b.stop + k[0].size // 2))
-                  for b, k, n in zip(box, kernels, dims))
+                  for b, k, n in zip(box, kernels, volume.dims))
     source = volume.values[reach]
     total = np.zeros([b.stop - b.start for b in box])
     for deriv_axis in range(3):
@@ -252,17 +252,17 @@ def filter_log(volume: VolumeGrid, sigma_mm: float,
                                       box[axis].stop - reach[axis].start)
         total += part
     total *= sigma_mm ** 2
-    out = np.full(dims, np.nan)
-    out[box] = total
-    return _replace_values(volume, out)
+    return _replace_values(volume, total)
 
 
-def filter_wavelet(volume: VolumeGrid, subband: str) -> VolumeGrid:
+def filter_wavelet(volume: VolumeGrid, subband: str, box: Box) -> VolumeGrid:
     """One subband of the single-level undecimated Haar transform.
 
     Letter ``i`` of ``subband`` is the Haar filter along axis ``i``, L =
     (1,1)/sqrt(2) or H = (1,-1)/sqrt(2), with periodic extension, so a
-    two-letter subband filters slice by slice. Output keeps input dims.
+    two-letter subband filters slice by slice. Voxel ``i`` pairs with
+    voxel ``i + 1`` of each filtered axis, and the last voxel with voxel
+    0, so the box is gathered with one more voxel, wrapped, on that side.
     """
     if subband not in WAVELET_SUBBANDS_2D + WAVELET_SUBBANDS_3D:
         raise ValueError(f"unknown wavelet subband {subband!r}")
@@ -270,10 +270,15 @@ def filter_wavelet(volume: VolumeGrid, subband: str) -> VolumeGrid:
         if volume.dims[axis] < 2:
             raise AxisTooShort(f"axis {axis} has {volume.dims[axis]} voxel(s)")
     out = volume.values
+    for axis, b in enumerate(box):
+        out = out.take(range(b.start, b.stop + (axis < len(subband))), axis,
+                       mode="wrap")
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for axis, letter in enumerate(subband):
-        shifted = np.roll(out, -1, axis=axis)
-        out = (out + shifted if letter == "L" else out - shifted) * inv_sqrt2
+        lead = (slice(None),) * axis
+        here = out[lead + (slice(None, -1),)]
+        after = out[lead + (slice(1, None),)]
+        out = (here + after if letter == "L" else here - after) * inv_sqrt2
     return _replace_values(volume, out)
 
 
@@ -286,37 +291,39 @@ _POINTWISE_MAPS = {
 }
 
 
-def filter_pointwise(volume: VolumeGrid, kind: FilterKind) -> VolumeGrid:
+def filter_pointwise(volume: VolumeGrid, kind: FilterKind,
+                     box: Box) -> VolumeGrid:
     """Single-pixel filters: square, square root, logarithm, exponential.
 
     Each applies g(|x|), rescales so the output maximum magnitude equals
-    the input's M = max|x| (out = sign(x) * g(|x|) * M / g(M)), and
-    restores the original sign. Ratios are formed before products so the
-    result stays finite for any finite input; a constant-zero volume is
-    returned unchanged.
+    the whole input's M = max|x| (out = sign(x) * g(|x|) * M / g(M)), and
+    restores the original sign, over the voxels of ``box``. Ratios are
+    formed before products so the result stays finite for any finite
+    input; a constant-zero volume is returned unchanged.
     """
     scale = _POINTWISE_MAPS.get(kind)
     if scale is None:
         raise ValueError(f"{kind} is not a pointwise filter")
-    x = volume.values
-    magnitude = np.abs(x)
-    max_abs = float(np.max(magnitude))
+    max_abs = max(float(volume.values.max()), -float(volume.values.min()))
+    x = volume.values[box]
     if max_abs == 0.0:
-        return volume
-    return _replace_values(volume, np.sign(x) * scale(magnitude, max_abs))
+        return _replace_values(volume, x)
+    return _replace_values(volume, np.sign(x) * scale(np.abs(x), max_abs))
 
 
-def apply_filter(volume: VolumeGrid, spec: FilterSpec,
-                 box: tuple[slice, slice, slice] | None = None) -> VolumeGrid:
-    """The one filter entry point: one spec, one grid.
+def apply_filter(volume: VolumeGrid, spec: FilterSpec, box: Box) -> VolumeGrid:
+    """The one filter entry point: one spec, the voxels of one box.
 
-    ``box`` bounds the voxels LoG computes (see :func:`filter_log`); the
-    other filters cover the whole grid.
+    ``box`` holds per-axis slices with explicit start and stop. The
+    result is the filtered grid over the box only, equal bit for bit to
+    the whole-grid output there: LoG reads the input within its kernel's
+    reach of the box, Haar one voxel past it (wrapped), and the pointwise
+    maps take M over the whole input.
     """
     if spec.kind is FilterKind.ORIGINAL:
-        return volume
+        return _replace_values(volume, volume.values[box])
     if spec.kind is FilterKind.LOG:
         return filter_log(volume, spec.sigma_mm, box)
     if spec.kind is FilterKind.WAVELET:
-        return filter_wavelet(volume, spec.subband)
-    return filter_pointwise(volume, spec.kind)
+        return filter_wavelet(volume, spec.subband, box)
+    return filter_pointwise(volume, spec.kind, box)

@@ -35,10 +35,6 @@ class RepeatabilityError(RadrepError):
     pass
 
 
-class DegenerateData(RepeatabilityError):
-    """All measurements identical; ICC is 0/0."""
-
-
 class InsufficientSubjects(RepeatabilityError):
     """Fewer than 3 subjects with both timepoints."""
 
@@ -64,19 +60,6 @@ class NoSharedFeatures(RepeatabilityError):
 
 
 @dataclass(frozen=True)
-class PairedMeasurements:
-    """Per-subject (timepoint1, timepoint2) values; k is fixed at 2."""
-
-    subjects: tuple[tuple[str, float, float], ...]
-
-    def __post_init__(self):
-        if len(self.subjects) < MIN_SUBJECTS:
-            raise InsufficientSubjects(
-                f"need >= {MIN_SUBJECTS} subjects, got {len(self.subjects)}"
-            )
-
-
-@dataclass(frozen=True)
 class IccResult:
     icc: float
     bms: float
@@ -99,15 +82,6 @@ def _icc_columns(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wms = ((y - subject_means[:, :, None]) ** 2).reshape(m, n * k).sum(
         axis=1) / (n * (k - 1))
     return bms, wms
-
-
-def icc_1_1(data: PairedMeasurements) -> IccResult:
-    """One-way random-effects single-measurement ICC for two timepoints."""
-    y = np.array([[[v1, v2] for _, v1, v2 in data.subjects]], dtype=np.float64)
-    bms, wms = (float(column[0]) for column in _icc_columns(y))
-    if bms + wms == 0.0:
-        raise DegenerateData("all measurements identical; ICC undefined")
-    return IccResult((bms - wms) / (bms + wms), bms, wms, len(data.subjects))
 
 
 @dataclass(frozen=True)

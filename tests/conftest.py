@@ -17,6 +17,11 @@ def make_volume(values, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
                       origin=tuple(origin), values=values.copy())
 
 
+def whole_box(volume):
+    """The box of every voxel: a filter given it returns the whole grid."""
+    return tuple(slice(0, n) for n in volume.dims)
+
+
 def make_mask(labels, spacing=(1.0, 1.0, 1.0), structure=Structure.TUMOR):
     labels = np.asarray(labels, dtype=np.uint8)
     if labels.ndim == 1:

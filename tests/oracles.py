@@ -307,6 +307,21 @@ def anova_icc(pairs) -> tuple[float, float, float]:
     return (bms - wms) / (bms + wms), bms, wms
 
 
+def volume_reference_icc(pairs):
+    """ICC of (subject, timepoint-1 value, timepoint-2 value) pairs, as
+    ``build_table`` computes it: the ``volume_reference`` of a one-column
+    feature matrix, ``original_shape_Volume``."""
+    from radrep.repeatability import (VOLUME_REFERENCE_FEATURE, FeatureKey,
+                                      FeatureMatrix, build_table)
+
+    return build_table(FeatureMatrix(
+        features=(FeatureKey(VOLUME_REFERENCE_FEATURE),),
+        values=np.array([[v] for _, a, b in pairs for v in (a, b)],
+                        dtype=np.float64),
+        subjects=tuple(s for s, _, _ in pairs for _ in (1, 2)),
+        timepoints=(1, 2) * len(pairs))).volume_reference
+
+
 class Row(NamedTuple):
     """One feature-CSV row: a subject/timepoint's {column: value or None}."""
 

@@ -22,7 +22,7 @@ from radrep.features import (firstorder_features, glcm_features,
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, NormalizationMode, filter_log,
                                filter_pointwise, filter_wavelet, normalize)
-from radrep.repeatability import PairedMeasurements, build_table, icc_1_1
+from radrep.repeatability import build_table
 from radrep.pipeline import (extract_run, load_manifest,
                              parse_config_from_name, read_feature_csv,
                              validate_feature_csv)
@@ -31,10 +31,11 @@ from radrep.texture_matrices import (OFFSETS_2D, OFFSETS_3D, build_glcm,
 from radrep.volume_io import Structure
 
 from cohorts import build_cohort
-from conftest import make_disc, make_mask, make_volume, random_levels
+from conftest import (make_disc, make_mask, make_volume, random_levels,
+                      whole_box)
 from oracles import (anova_icc, brute_glcm, brute_glrlm, brute_glszm,
                      glcm_feature_oracle, glrlm_feature_oracle,
-                     glszm_feature_oracle)
+                     glszm_feature_oracle, volume_reference_icc)
 
 
 @contextmanager
@@ -61,11 +62,10 @@ def test_criterion_1_icc_oracle_equivalence():
             offset = rng.normal() * scale
             y = rng.standard_normal((n, 2)) * scale + offset
             pairs = tuple((f"s{i}", y[i, 0], y[i, 1]) for i in range(n))
-            result = icc_1_1(PairedMeasurements(pairs))
+            result = volume_reference_icc(pairs)
             oracle_icc, _, _ = anova_icc(pairs)
             assert abs(result.icc - oracle_icc) <= 1e-12
-        hand = icc_1_1(PairedMeasurements((("a", 1, 3), ("b", 5, 5),
-                                           ("c", 9, 7))))
+        hand = volume_reference_icc((("a", 1, 3), ("b", 5, 5), ("c", 9, 7)))
         assert abs(hand.icc - 50.0 / 58.0) <= 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -82,14 +82,13 @@ def test_criterion_2_icc_linear_invariance():
             n = int(rng.integers(3, 20))
             y = rng.standard_normal((n, 2)) + rng.standard_normal((n, 1))
             pairs = tuple((f"s{i}", y[i, 0], y[i, 1]) for i in range(n))
-            base = icc_1_1(PairedMeasurements(pairs)).icc
+            base = volume_reference_icc(pairs).icc
             for _ in range(20):
                 a = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
                 b = rng.uniform(-100.0, 100.0)
                 mapped = tuple((s, a * v1 + b, a * v2 + b)
                                for s, v1, v2 in pairs)
-                assert abs(icc_1_1(PairedMeasurements(mapped)).icc
-                           - base) <= 1e-9
+                assert abs(volume_reference_icc(mapped).icc - base) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,7 @@ def test_criterion_4_preprocessing_postconditions():
             vol = make_volume(np.fromfunction(
                 lambda i, j, k: coeffs[0] + coeffs[1] * i + coeffs[2] * j
                 + coeffs[3] * k, (n, n, n)))
-            out = filter_log(vol, sigma)
+            out = filter_log(vol, sigma, whole_box(vol))
             margin = math.ceil(4 * sigma)
             interior = out.values[margin:-margin, margin:-margin,
                                   margin:-margin]
@@ -189,7 +188,8 @@ def test_criterion_4_preprocessing_postconditions():
             values = np.zeros((n, n, n))
             center = n // 2
             values[center, center, center] = 1.0
-            out = filter_log(make_volume(values), sigma)
+            vol = make_volume(values)
+            out = filter_log(vol, sigma, whole_box(vol))
             analytic = -3.0 * sigma ** 2 / ((2 * math.pi) ** 1.5 * sigma ** 5)
             got = out.values[center, center, center]
             assert abs(got / analytic - 1.0) <= 0.02, f"sigma {sigma}"
@@ -199,7 +199,7 @@ def test_criterion_4_preprocessing_postconditions():
                      FilterKind.LOGARITHM, FilterKind.EXPONENTIAL):
             for _ in range(25):
                 vol = make_volume(rng.normal(0, 10, (5, 4, 3)))
-                out = filter_pointwise(vol, kind)
+                out = filter_pointwise(vol, kind, whole_box(vol))
                 in_max = np.max(np.abs(vol.values))
                 assert abs(np.max(np.abs(out.values)) - in_max) <= 1e-9 * in_max
                 assert np.all(np.sign(out.values) == np.sign(vol.values))
@@ -209,7 +209,8 @@ def test_criterion_4_preprocessing_postconditions():
                                  (WAVELET_SUBBANDS_3D, 8.0)):
             for _ in range(25):
                 vol = make_volume(rng.standard_normal((6, 5, 4)))
-                bands = [filter_wavelet(vol, band) for band in subbands]
+                bands = [filter_wavelet(vol, band, whole_box(vol))
+                         for band in subbands]
                 total = sum(float(np.sum(b.values ** 2)) for b in bands)
                 expected = factor * float(np.sum(vol.values ** 2))
                 assert abs(total - expected) <= 1e-9 * expected
@@ -291,8 +292,8 @@ def test_criterion_5_invariance_suite(tmp_path):
 def _synthetic_icc(n, sigma_w, seed):
     gen = np.random.default_rng(seed)
     y = gen.standard_normal((n, 1)) + gen.standard_normal((n, 2)) * sigma_w
-    return icc_1_1(PairedMeasurements(tuple(
-        (f"s{i}", y[i, 0], y[i, 1]) for i in range(n)))).icc
+    return volume_reference_icc(tuple(
+        (f"s{i}", y[i, 0], y[i, 1]) for i in range(n))).icc
 
 
 def test_criterion_6_consistency_estimator():

@@ -18,7 +18,7 @@ from radrep.texture_matrices import (OFFSETS_2D, build_glcm, build_glrlm,
 from radrep.volume_io import Structure
 
 from conftest import (crop_masks, make_disc, make_mask, make_volume,
-                      random_levels)
+                      random_levels, whole_box)
 from oracles import (brute_levels, full_grid_firstorder, full_grid_shape,
                      glcm_feature_oracle, glrlm_feature_oracle,
                      glszm_feature_oracle)
@@ -258,7 +258,7 @@ def test_shape_bit_identical_across_filters(rng):
                  FilterSpec(FilterKind.LOG, sigma_mm=1.0),
                  FilterSpec(FilterKind.WAVELET, subband="HLH"),
                  FilterSpec(FilterKind.SQUARE)):
-        apply_filter(vol, spec)  # must not interact with shape in any way
+        apply_filter(vol, spec, whole_box(vol))  # must not interact with shape in any way
         assert shape_features(mask).entries == reference
 
 

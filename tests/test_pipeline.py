@@ -28,10 +28,10 @@ from radrep.pipeline import (GENERAL_INFO_COLUMNS, IMAGE_TYPES, META_COLUMNS,
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, FilterSpec, NormalizationMode)
 from radrep.repeatability import VOLUME_REFERENCE_FEATURE
-from radrep.volume_io import write_nrrd
+from radrep.volume_io import VolumeGrid, write_nrrd
 
 from cohorts import DIMS, build_cohort
-from conftest import make_mask, make_volume
+from conftest import make_mask, make_volume, whole_box
 from oracles import brute_read_feature_csv
 
 
@@ -577,39 +577,46 @@ def test_union_box_spans_every_mask():
     assert boxes == (slice(1, 9), slice(2, 6), slice(0, 4))
 
 
-def test_log_is_computed_over_the_union_of_mask_boxes(tmp_path, monkeypatch):
-    # two far-apart masks per entry: LoG is asked for the union of their
-    # boxes only, and the CSVs equal those of a whole-grid LoG
-    import radrep.preprocess
+def test_filters_are_computed_over_the_union_of_mask_boxes(tmp_path,
+                                                           monkeypatch):
+    # two far-apart masks per entry, one on the last voxel of every axis
+    # (where Haar wraps to voxel 0): every filter is asked for the union of
+    # their boxes only, returns that box, and the CSVs equal those of
+    # whole-grid filters cropped afterwards
     settings = {"normalizationModes": ["none", "referenceRegion"],
                 "binWidths": [10], "dimensionality": "3D",
-                "filters": ["log", "original"]}
+                "filters": [kind.value for kind in FilterKind]}
     root = tmp_path / "in"
     manifest = load_manifest(build_cohort(
         root, n_subjects=3, settings=settings, with_reference=True,
         structures=("Tumor", "WholeGland")))
-    far = np.zeros((10, 10, 6))
-    far[8:10, 7:9, 5] = 1
+    far = np.zeros(DIMS)
+    far[8:10, 7:10, 4:6] = 1
     for entry in manifest.cohort:
         write_nrrd(entry.masks[1].path, far, (1.0, 1.0, 3.0), dtype="short")
-    original = radrep.preprocess.filter_log
-    boxes = []
+    original = radrep.pipeline.apply_filter
+    calls = []
 
-    def recording(volume, sigma_mm, box=None):
-        boxes.append(box)
-        return original(volume, sigma_mm, box)
+    def recording(volume, spec, box):
+        out = original(volume, spec, box)
+        calls.append((box, out.dims))
+        return out
 
-    monkeypatch.setattr(radrep.preprocess, "filter_log", recording)
+    monkeypatch.setattr(radrep.pipeline, "apply_filter", recording)
     cropped, failures = extract_run(manifest, tmp_path / "cropped")
-    assert not failures
-    # 5 sigmas x 2 modes per entry; every Tumor box starts at (1, 1, 1)
-    assert boxes == [(slice(1, 10), slice(1, 9), slice(1, 6))] \
-        * (5 * 2 * len(manifest.cohort))
+    # 18 specs x 2 modes per entry; every Tumor box starts at (1, 1, 1)
+    union = (slice(1, 10), slice(1, 10), slice(1, 6))
+    assert calls == [(union, (9, 9, 5))] * (18 * 2 * len(manifest.cohort))
 
-    monkeypatch.setattr(radrep.preprocess, "filter_log",
-                        lambda volume, sigma_mm, box=None:
-                        original(volume, sigma_mm))
-    whole, _ = extract_run(manifest, tmp_path / "whole")
+    def whole_then_cropped(volume, spec, box):
+        whole = original(volume, spec, whole_box(volume)).values
+        return VolumeGrid(whole[box].shape, volume.spacing, volume.origin,
+                          whole[box])
+
+    monkeypatch.setattr(radrep.pipeline, "apply_filter", whole_then_cropped)
+    whole, whole_failures = extract_run(manifest, tmp_path / "whole")
+    assert failures == whole_failures
+    assert [p.name for p in cropped] == [p.name for p in whole]
     for a, b in zip(cropped, whole):
         assert a.read_bytes() == b.read_bytes()
 

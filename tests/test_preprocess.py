@@ -13,7 +13,7 @@ from radrep.preprocess import (LOG_SIGMAS_MM, FilterKind, FilterSpec,
                                filter_pointwise, filter_wavelet, normalize)
 from radrep.volume_io import Structure
 
-from conftest import make_mask, make_volume
+from conftest import make_mask, make_volume, whole_box
 from oracles import haar_subbands, ndimage_log
 
 
@@ -105,7 +105,7 @@ def test_normalize_affine_invariance(rng):
 
 def test_log_constant_is_zero():
     vol = make_volume(np.full((9, 9, 9), 42.0))
-    out = filter_log(vol, 1.5)
+    out = filter_log(vol, 1.5, whole_box(vol))
     assert np.allclose(out.values, 0.0, atol=1e-12)
 
 
@@ -113,7 +113,8 @@ def test_log_impulse_matches_analytic_value():
     sigma = 2.0
     values = np.zeros((21, 21, 21))
     values[10, 10, 10] = 1.0
-    out = filter_log(make_volume(values), sigma)
+    vol = make_volume(values)
+    out = filter_log(vol, sigma, whole_box(vol))
     analytic = -3.0 * sigma ** 2 / ((2 * math.pi) ** 1.5 * sigma ** 5)
     center = out.values[10, 10, 10]
     assert center == pytest.approx(analytic, rel=0.02)
@@ -128,7 +129,8 @@ def test_log_impulse_dense_kernel_oracle():
     n = 31
     values = np.zeros((n, n, n))
     values[n // 2, n // 2, n // 2] = 1.0
-    out = filter_log(make_volume(values), sigma)
+    vol = make_volume(values)
+    out = filter_log(vol, sigma, whole_box(vol))
     x = np.arange(n) - n // 2
     xx, yy, zz = np.meshgrid(x, x, x, indexing="ij")
     r2 = xx ** 2 + yy ** 2 + zz ** 2
@@ -142,7 +144,7 @@ def test_log_affine_field_is_zero_interior():
     sigma = 2.0
     vol = make_volume(np.fromfunction(
         lambda i, j, k: 3.0 * i - 2.0 * j + 0.5 * k + 7.0, (25, 25, 25)))
-    out = filter_log(vol, sigma)
+    out = filter_log(vol, sigma, whole_box(vol))
     margin = math.ceil(4 * sigma)
     interior = out.values[margin:-margin, margin:-margin, margin:-margin]
     assert np.abs(interior).max() < 1e-9 * sigma ** 2
@@ -153,19 +155,32 @@ def test_log_anisotropic_spacing_ramp():
     # even with anisotropic voxels (axis-0 kernel radius is 16 here)
     vol = make_volume(np.fromfunction(lambda i, j, k: 2.0 * i, (41, 9, 9)),
                       spacing=(0.5, 1.0, 2.0))
-    out = filter_log(vol, 2.0)
+    out = filter_log(vol, 2.0, whole_box(vol))
     assert np.abs(out.values[20, 4, 4]) < 1e-9 * 4.0
+
+
+def _edge_boxes(dims):
+    """The whole grid, a slab on each face and the upper half of each axis
+    (each ending on the axis's last voxel), and single voxels in every
+    corner."""
+    whole = tuple(slice(0, n) for n in dims)
+    boxes = [whole]
+    for axis, n in enumerate(dims):
+        for part in (slice(0, 1), slice(n - 1, n), slice(n // 2, n)):
+            boxes.append(whole[:axis] + (part,) + whole[axis + 1:])
+    for corner in np.ndindex(2, 2, 2):
+        boxes.append(tuple(slice(c * (n - 1), c * (n - 1) + 1)
+                           for c, n in zip(corner, dims)))
+    return boxes
 
 
 def _assert_box_equals_oracle(values, spacing, sigma, box):
     """LoG over ``box`` equals the whole-grid correlate1d there, bit for
-    bit, and is NaN everywhere else."""
+    bit."""
     out = filter_log(make_volume(values, spacing=spacing), sigma, box).values
-    expected = ndimage_log(values, spacing, sigma)
-    assert out[box].tobytes() == expected[box].tobytes()
-    outside = np.ones(values.shape, dtype=bool)
-    outside[box] = False
-    assert np.isnan(out[outside]).all()
+    expected = ndimage_log(values, spacing, sigma)[box]
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -193,26 +208,16 @@ def test_log_over_a_box_equals_whole_grid_correlate1d(case):
 def test_log_boxes_at_faces_corners_and_single_voxels(rng):
     dims, spacing = (9, 7, 5), (0.6, 0.6, 3.0)
     values = rng.normal(200.0, 40.0, dims)
-    whole = tuple(slice(0, n) for n in dims)
-    boxes = [whole]
-    for axis, n in enumerate(dims):  # a slab on each face
-        for face in (slice(0, 1), slice(n - 1, n)):
-            boxes.append(whole[:axis] + (face,) + whole[axis + 1:])
-    for corner in np.ndindex(2, 2, 2):  # single voxels in every corner
-        boxes.append(tuple(slice(c * (n - 1), c * (n - 1) + 1)
-                           for c, n in zip(corner, dims)))
-    boxes.append((slice(4, 5), slice(3, 4), slice(2, 3)))
+    boxes = [*_edge_boxes(dims), (slice(4, 5), slice(3, 4), slice(2, 3))]
     for sigma in LOG_SIGMAS_MM:
         for box in boxes:
             _assert_box_equals_oracle(values, spacing, sigma, box)
-    full = filter_log(make_volume(values, spacing=spacing), 2.0).values
-    assert full.tobytes() == ndimage_log(values, spacing, 2.0).tobytes()
 
 
 def test_log_sigma_too_small():
     vol = make_volume(np.zeros((5, 5, 5)), spacing=(1.0, 1.0, 5.0))
     with pytest.raises(SigmaTooSmallForGrid):
-        filter_log(vol, 1.0)  # 0.2 voxels on the slice axis
+        filter_log(vol, 1.0, whole_box(vol))  # 0.2 voxels on the slice axis
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +225,8 @@ def test_log_sigma_too_small():
 # ---------------------------------------------------------------------------
 
 def _bands(vol, subbands):
-    return {band: filter_wavelet(vol, band) for band in subbands}
+    return {band: filter_wavelet(vol, band, whole_box(vol))
+            for band in subbands}
 
 
 def test_wavelet_constant_image():
@@ -294,15 +300,15 @@ def test_wavelet_subbands_equal_the_haar_tree(dims, seed):
                           ("3D", WAVELET_SUBBANDS_3D)):
         tree = haar_subbands(values, dim)
         for band in subbands:
-            assert filter_wavelet(vol, band).values.tobytes() == \
-                tree[band].tobytes(), (dim, band)
+            band_values = filter_wavelet(vol, band, whole_box(vol)).values
+            assert band_values.tobytes() == tree[band].tobytes(), (dim, band)
 
 
 def test_wavelet_axis_too_short():
     from radrep.preprocess import AxisTooShort
     vol = make_volume(np.zeros((1, 4, 4)))
     with pytest.raises(AxisTooShort):
-        filter_wavelet(vol, "LL")
+        filter_wavelet(vol, "LL", whole_box(vol))
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +321,35 @@ _POINTWISE = (FilterKind.SQUARE, FilterKind.SQUARE_ROOT, FilterKind.LOGARITHM,
 
 def test_pointwise_square_hand_case():
     vol = make_volume([0.0, 5.0, 10.0])
-    out = filter_pointwise(vol, FilterKind.SQUARE)
+    out = filter_pointwise(vol, FilterKind.SQUARE, whole_box(vol))
     assert out.values.ravel() == pytest.approx([0.0, 2.5, 10.0])
 
 
 def test_pointwise_logarithm_hand_case():
     e = math.e
     vol = make_volume([-(e - 1), 0.0, e - 1])
-    out = filter_pointwise(vol, FilterKind.LOGARITHM)
+    out = filter_pointwise(vol, FilterKind.LOGARITHM, whole_box(vol))
     assert out.values.ravel() == pytest.approx([-(e - 1), 0.0, e - 1])
 
 
 def test_pointwise_fixed_point_at_max():
     values = np.array([-4.0, 4.0, 4.0, -4.0])
     for kind in _POINTWISE:
-        out = filter_pointwise(make_volume(values), kind)
+        vol = make_volume(values)
+        out = filter_pointwise(vol, kind, whole_box(vol))
         assert np.allclose(out.values.ravel(), values, atol=1e-12)
 
 
 def test_pointwise_zero_volume_unchanged():
     vol = make_volume(np.zeros((3, 3, 1)))
     for kind in _POINTWISE:
-        assert filter_pointwise(vol, kind) is vol
+        out = filter_pointwise(vol, kind, whole_box(vol))
+        assert out.values.tobytes() == vol.values.tobytes()
 
 
 def test_pointwise_exponential_large_values_safe():
     vol = make_volume([-900.0, 0.0, 900.0])
-    out = filter_pointwise(vol, FilterKind.EXPONENTIAL)
+    out = filter_pointwise(vol, FilterKind.EXPONENTIAL, whole_box(vol))
     assert np.isfinite(out.values).all()
     assert out.values.ravel()[2] == pytest.approx(900.0)
     assert out.values.ravel()[0] == pytest.approx(-900.0)
@@ -361,7 +369,7 @@ _intensity = st.one_of(
        st.sampled_from(_POINTWISE))
 def test_pointwise_preserves_max_and_sign(values, kind):
     vol = make_volume(np.array(values, dtype=np.float64))
-    out = filter_pointwise(vol, kind)
+    out = filter_pointwise(vol, kind, whole_box(vol))
     in_max = np.max(np.abs(vol.values))
     out_max = np.max(np.abs(out.values))
     assert out_max == pytest.approx(in_max, abs=1e-9 * max(1.0, in_max))
@@ -411,21 +419,51 @@ def test_filter_spec_validation():
 
 def test_apply_filter_dispatch(rng):
     vol = make_volume(rng.standard_normal((4, 4, 4)) + 5)
-    assert apply_filter(vol, FilterSpec(FilterKind.ORIGINAL)) is vol
-    band = apply_filter(vol, FilterSpec(FilterKind.WAVELET, subband="LLL"))
-    assert np.allclose(band.values,
-                       filter_wavelet(vol, "LLL").values)
-    log = apply_filter(vol, FilterSpec(FilterKind.LOG, sigma_mm=1.0))
-    assert np.allclose(log.values, filter_log(vol, 1.0).values)
-
-
-def test_apply_filter_passes_the_box_to_log_only(rng):
-    vol = make_volume(rng.standard_normal((6, 5, 4)) + 5)
-    box = (slice(1, 3), slice(0, 5), slice(2, 3))
+    box = whole_box(vol)
+    original = apply_filter(vol, FilterSpec(FilterKind.ORIGINAL), box)
+    assert original.values.tobytes() == vol.values.tobytes()
+    band = apply_filter(vol, FilterSpec(FilterKind.WAVELET, subband="LLL"),
+                        box)
+    assert band.values.tobytes() == \
+        filter_wavelet(vol, "LLL", box).values.tobytes()
     log = apply_filter(vol, FilterSpec(FilterKind.LOG, sigma_mm=1.0), box)
     assert log.values.tobytes() == filter_log(vol, 1.0, box).values.tobytes()
     square = apply_filter(vol, FilterSpec(FilterKind.SQUARE), box)
-    assert not np.isnan(square.values).any()
+    assert square.values.tobytes() == \
+        filter_pointwise(vol, FilterKind.SQUARE, box).values.tobytes()
+
+
+# every spec of the catalog, the 2D and the 3D subbands included
+_EVERY_SPEC = tuple(dict.fromkeys(
+    spec for dim in ("2D", "3D") for kind in FilterKind
+    for spec in FilterSpec.expand(kind.value, dim)))
+
+
+@st.composite
+def _filter_box_cases(draw):
+    dims = tuple(draw(st.integers(2, 6)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from((0.5, 1.0, 3.0))) for _ in range(3))
+    box = []
+    for n in dims:
+        start = draw(st.integers(0, n - 1))
+        box.append(slice(start, draw(st.integers(start + 1, n))))
+    return dims, spacing, tuple(box), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_filter_box_cases())
+def test_apply_filter_over_a_box_equals_the_whole_grid_output(case):
+    # axes of 2 to 6 voxels; the boxes on the high faces end on the last
+    # voxel, where Haar pairs it with voxel 0
+    dims, spacing, box, seed = case
+    vol = make_volume(np.random.default_rng(seed).normal(0.0, 30.0, dims),
+                      spacing=spacing)
+    for spec in _EVERY_SPEC:
+        whole = apply_filter(vol, spec, whole_box(vol)).values
+        for b in (box, *_edge_boxes(dims)):
+            out = apply_filter(vol, spec, b).values
+            assert out.shape == whole[b].shape, (spec, b)
+            assert out.tobytes() == whole[b].tobytes(), (spec, b)
 
 
 def test_filters_are_deterministic(rng):
@@ -433,6 +471,6 @@ def test_filters_are_deterministic(rng):
     for spec in (FilterSpec(FilterKind.LOG, sigma_mm=2.0),
                  FilterSpec(FilterKind.WAVELET, subband="HLH"),
                  FilterSpec(FilterKind.EXPONENTIAL)):
-        a = apply_filter(vol, spec)
-        b = apply_filter(vol, spec)
+        a = apply_filter(vol, spec, whole_box(vol))
+        b = apply_filter(vol, spec, whole_box(vol))
         assert np.array_equal(a.values, b.values)

@@ -7,25 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from radrep.repeatability import (DegenerateData, DegenerateSamples,
+from radrep.repeatability import (DegenerateSamples,
                                   FeatureKey, FeatureMatrix,
                                   FeatureSetMismatch, IccResult,
                                   InsufficientFeatures, InsufficientSubjects,
                                   MissingVolumeReference, NoSharedFeatures,
-                                  PairedMeasurements, RepeatabilityTable,
+                                  RepeatabilityTable,
                                   binwidth_spread, build_table, config_delta,
                                   filter_frequency, gaussian_kde_density,
-                                  icc_1_1, kde, rank_distribution,
+                                  kde, rank_distribution,
                                   silverman_bandwidth, split_feature_key,
                                   top_k_per_class)
 from radrep.pipeline import analyze_run
 
-from oracles import Row, anova_icc, brute_table
+from oracles import Row, anova_icc, brute_table, volume_reference_icc
 
 
 def pairs_of(*items):
-    return PairedMeasurements(tuple(
-        (f"s{i}", float(a), float(b)) for i, (a, b) in enumerate(items)))
+    return tuple((f"s{i}", float(a), float(b)) for i, (a, b) in enumerate(items))
 
 
 def table_from_iccs(iccs: dict[str, float],
@@ -47,37 +46,37 @@ def result_of(table: RepeatabilityTable, feature: str) -> IccResult:
 
 
 # ---------------------------------------------------------------------------
-# icc_1_1
+# ICC(1,1), read off build_table's Volume reference
 # ---------------------------------------------------------------------------
 
 def test_icc_perfect_repeatability():
-    result = icc_1_1(pairs_of((1, 1), (2, 2), (3, 3)))
+    result = volume_reference_icc(pairs_of((1, 1), (2, 2), (3, 3)))
     assert result.icc == 1.0
     assert result.wms == 0.0
 
 
 def test_icc_all_variance_within():
-    result = icc_1_1(pairs_of((1, 2), (2, 1), (1, 2)))
+    result = volume_reference_icc(pairs_of((1, 2), (2, 1), (1, 2)))
     assert result.bms == pytest.approx(0.0, abs=1e-15)
     assert result.wms == pytest.approx(0.5)
     assert result.icc == pytest.approx(-1.0)
 
 
 def test_icc_hand_anova_case():
-    result = icc_1_1(pairs_of((1, 3), (5, 5), (9, 7)))
+    result = volume_reference_icc(pairs_of((1, 3), (5, 5), (9, 7)))
     assert result.bms == pytest.approx(18.0)
     assert result.wms == pytest.approx(4.0 / 3.0)
     assert result.icc == pytest.approx(50.0 / 58.0, abs=1e-12)
 
 
 def test_icc_degenerate_all_identical():
-    with pytest.raises(DegenerateData):
-        icc_1_1(pairs_of((4, 4), (4, 4), (4, 4)))
+    with pytest.raises(MissingVolumeReference, match="all values identical"):
+        volume_reference_icc(pairs_of((4, 4), (4, 4), (4, 4)))
 
 
 def test_icc_requires_three_subjects():
     with pytest.raises(InsufficientSubjects):
-        pairs_of((1, 2), (3, 4))
+        volume_reference_icc(pairs_of((1, 2), (3, 4)))
 
 
 def test_icc_matches_anova_oracle(rng):
@@ -86,7 +85,7 @@ def test_icc_matches_anova_oracle(rng):
         scale = 10.0 ** rng.integers(-3, 4)
         y = rng.standard_normal((n, 2)) * scale + rng.normal() * scale
         pairs = tuple((f"s{i}", y[i, 0], y[i, 1]) for i in range(n))
-        result = icc_1_1(PairedMeasurements(pairs))
+        result = volume_reference_icc(pairs)
         expected_icc, expected_bms, expected_wms = anova_icc(pairs)
         assert result.icc == pytest.approx(expected_icc, abs=1e-12)
         assert result.bms == pytest.approx(expected_bms, rel=1e-10)
@@ -101,10 +100,10 @@ def test_icc_matches_anova_oracle(rng):
 def test_icc_linear_invariance(a, b):
     rng = np.random.default_rng(4242)
     y = rng.standard_normal((8, 2)) + rng.standard_normal((8, 1))
-    base = icc_1_1(PairedMeasurements(tuple(
-        (f"s{i}", y[i, 0], y[i, 1]) for i in range(8))))
-    mapped = icc_1_1(PairedMeasurements(tuple(
-        (f"s{i}", a * y[i, 0] + b, a * y[i, 1] + b) for i in range(8))))
+    base = volume_reference_icc(tuple(
+        (f"s{i}", y[i, 0], y[i, 1]) for i in range(8)))
+    mapped = volume_reference_icc(tuple(
+        (f"s{i}", a * y[i, 0] + b, a * y[i, 1] + b) for i in range(8)))
     # rounding a * y + b alone moves the ICC by up to about
     # eps * (max|y| + |b| / |a|); the bound allows 8 times that
     eps = np.finfo(float).eps
@@ -118,8 +117,8 @@ def test_icc_consistency_estimator():
     n = 200
     gen = np.random.default_rng(20)
     y = gen.standard_normal((n, 1)) + gen.standard_normal((n, 2))
-    result = icc_1_1(PairedMeasurements(tuple(
-        (f"s{i}", y[i, 0], y[i, 1]) for i in range(n))))
+    result = volume_reference_icc(tuple(
+        (f"s{i}", y[i, 0], y[i, 1]) for i in range(n)))
     assert result.icc == pytest.approx(0.5, abs=0.05)
 
 
