@@ -22,8 +22,9 @@ from .volume_io import GeometryMismatch, RoiMask, VolumeGrid, check_geometry
 
 # Texture analysis guidance: keep the gray-level count in [8, 128].
 GRAY_LEVEL_COUNT_RANGE = (8, 128)
-# Texture matrices hold Ng^2 cells: at this cap one GLCM count and each
-# Ng^2 float temporary of its features take 8.4 MB.
+# Bounds Ng. The GLCM holds Ng^2 cells: at this cap one GLCM count and
+# each Ng^2 float temporary of its features take 8.4 MB. Run and zone
+# matrices hold Ng x (distinct sizes) cells.
 MAX_GRAY_LEVELS = 1024
 
 

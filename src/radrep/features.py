@@ -316,40 +316,38 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
 
 
 def _size_family(feature_class: str, m: SizeMatrix) -> FeatureMap:
-    """Statistics over normalized counts p(i, j) = counts / total.
+    """Statistics over p(i, j) = count / total on the cells holding items.
 
-    ``m.counts[i-1, j-1]`` counts items (runs or zones) of gray level i
-    and size j, and the percentage is the item total over ``m.sites``.
-    The 14 values are named by ``feature_class``'s column of
-    :data:`_SIZE_NAMES`.
+    ``m.counts[i-1, c]`` counts items (runs or zones) of gray level i and
+    size j = ``m.sizes[c]``; the percentage is the item total over
+    ``m.sites``. The marginals and the two means' numerators are integer
+    sums, each divided once by the total, and every float sum is a
+    correctly rounded ``math.fsum``, so no value depends on the matrix's
+    layout (one gray level gives a GrayLevelVariance of exactly 0). The
+    14 values are named by ``feature_class``'s column of :data:`_SIZE_NAMES`.
     """
-    counts = m.counts
-    total = int(counts.sum())
-    r = counts / total
-    ng, width = counts.shape
-    i = np.arange(1, ng + 1, dtype=np.float64)
-    j = np.arange(1, width + 1, dtype=np.float64)
-    p_level = r.sum(axis=1)
-    p_size = r.sum(axis=0)
-    mu_level = float(np.dot(i, p_level))
-    mu_size = float(np.dot(j, p_size))
-    level_sums = counts.sum(axis=1).astype(np.float64)
-    size_sums = counts.sum(axis=0).astype(np.float64)
+    rows, cols = np.nonzero(m.counts)
+    n, size = m.counts[rows, cols], m.sizes[cols]
+    total = int(n.sum())
+    p = n / total
+    i, j = rows + 1.0, size.astype(np.float64)
+    mu_level = int(np.dot(n, rows + 1)) / total
+    mu_size = int(np.dot(n, size)) / total
     values = (
-        float(np.sum(r / j ** 2)),
-        float(np.sum(r * j ** 2)),
-        float(np.sum(level_sums ** 2) / total),
-        float(np.sum(size_sums ** 2) / total),
+        math.fsum(p / j ** 2),
+        math.fsum(p * j ** 2),
+        int((m.counts.sum(axis=1) ** 2).sum()) / total,
+        int((m.counts.sum(axis=0) ** 2).sum()) / total,
         total / m.sites,
-        float(np.dot((i - mu_level) ** 2, p_level)),
-        float(np.dot((j - mu_size) ** 2, p_size)),
-        _entropy_bits(r.ravel()),
-        float(np.sum(r / i[:, None] ** 2)),
-        float(np.sum(r * i[:, None] ** 2)),
-        float(np.sum(r / (i[:, None] ** 2 * j ** 2))),
-        float(np.sum(r * i[:, None] ** 2 / j ** 2)),
-        float(np.sum(r * j ** 2 / i[:, None] ** 2)),
-        float(np.sum(r * i[:, None] ** 2 * j ** 2)),
+        math.fsum((i - mu_level) ** 2 * p),
+        math.fsum((j - mu_size) ** 2 * p),
+        -math.fsum(p * np.log2(p)) + 0.0,  # + 0.0 normalizes -0.0
+        math.fsum(p / i ** 2),
+        math.fsum(p * i ** 2),
+        math.fsum(p / (i ** 2 * j ** 2)),
+        math.fsum(p * i ** 2 / j ** 2),
+        math.fsum(p * j ** 2 / i ** 2),
+        math.fsum(p * i ** 2 * j ** 2),
     )
     return FeatureMap({(feature_class, name): value for name, value
                        in zip(_SIZE_FAMILY_NAMES[feature_class], values)})

@@ -10,7 +10,8 @@ merge counts across slices and in-plane directions into a single matrix
 before any feature is computed.
 
 GLRLM and GLSZM are one family: both builders return a
-:class:`SizeMatrix`, items (runs or zones) counted by gray level and size.
+:class:`SizeMatrix`, items (runs or zones) counted by gray level and by
+each size that occurs, so its width is the number of distinct sizes.
 
 Each builder makes one vectorised pass per call: GLCM one bincount over
 the pairs of every offset, GLRLM one run-length pass over every
@@ -66,16 +67,20 @@ class GlcMatrix:
 class SizeMatrix:
     """Item counts of the run and zone families.
 
-    ``counts[i-1, j-1]`` counts the items (runs or zones) of gray level i
-    and size j. ``sites`` is what the items are a percentage of: ROI
-    voxels times directions for runs, ROI voxels for zones.
+    ``sizes`` lists the sizes that occur, ascending, and ``counts[i-1, c]``
+    counts the items (runs or zones) of gray level i and size
+    ``sizes[c]``: no column of ``counts`` is all zero. ``sites`` is what
+    the items are a percentage of: ROI voxels times directions for runs,
+    ROI voxels for zones.
     """
 
     counts: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
     sites: int
 
     def __post_init__(self):
         self.counts.setflags(write=False)
+        self.sizes.setflags(write=False)
 
 
 def select_offsets(dim: str, offsets=None) -> tuple:
@@ -147,10 +152,14 @@ def _padded(levels: np.ndarray, offsets) -> tuple[np.ndarray, list[int]]:
             [abs((dx * ny + dy) * nz + dz) for dx, dy, dz in offsets])
 
 
-def _size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
-    """counts[i-1, s-1]: items of level i and size s; at least one column."""
-    width = int(sizes.max(initial=1))
-    return _count_pairs(levels - 1, sizes - 1, (ng, width))
+def _size_matrix(levels: np.ndarray, sizes: np.ndarray, ng: int,
+                 sites: int) -> SizeMatrix:
+    """Items by level and by each size that occurs, sizes ascending."""
+    occurs = np.bincount(sizes) > 0
+    column = np.cumsum(occurs) - 1
+    return SizeMatrix(_count_pairs(levels - 1, column[sizes],
+                                   (ng, int(column[-1]) + 1)),
+                      np.flatnonzero(occurs), sites)
 
 
 def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
@@ -169,8 +178,7 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
     largest shift, and the voxels dropped past the last whole row are
     border too, so no run joins two lines or is cut short. The columns of
     every direction go into one array, whose runs are those of all
-    directions pooled: the matrix is as wide as the longest run in any
-    direction.
+    directions pooled.
     """
     dirs = select_offsets(dim, directions)
     flat, shifts = _padded(disc.levels, dirs)
@@ -187,9 +195,8 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
     inside = lines > 0
     starts = np.flatnonzero(change & inside[1:]) + 1
     ends = np.flatnonzero(change & inside[:-1]) + 1
-    return SizeMatrix(_size_counts(lines[starts], ends - starts,
-                                   disc.num_gray_levels),
-                      disc.num_roi_voxels * len(dirs))
+    return _size_matrix(lines[starts], ends - starts, disc.num_gray_levels,
+                        disc.num_roi_voxels * len(dirs))
 
 
 def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
@@ -245,5 +252,5 @@ def build_glszm(disc: DiscretizedRoi, dim: str) -> SizeMatrix:
     zone_level = np.zeros(num_zones, dtype=disc.levels.dtype)
     zone_level[zone] = disc.levels[disc.levels > 0]
     sizes = np.bincount(zone, minlength=num_zones)
-    return SizeMatrix(_size_counts(zone_level, sizes, disc.num_gray_levels),
-                      disc.num_roi_voxels)
+    return _size_matrix(zone_level, sizes, disc.num_gray_levels,
+                        disc.num_roi_voxels)

@@ -289,6 +289,15 @@ def brute_glszm(levels: np.ndarray, dim: str) -> np.ndarray:
     return counts
 
 
+def dense_counts(m) -> np.ndarray:
+    """A ``SizeMatrix``'s counts laid out as the brute oracles lay theirs
+    out: size j in column j - 1, the sizes that do not occur as zeros."""
+    dense = np.zeros((m.counts.shape[0], int(m.sizes[-1])),
+                     dtype=m.counts.dtype)
+    dense[:, m.sizes - 1] = m.counts
+    return dense
+
+
 def anova_icc(pairs) -> tuple[float, float, float]:
     """ICC(1,1) via the total sum-of-squares decomposition.
 

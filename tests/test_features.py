@@ -19,9 +19,9 @@ from radrep.volume_io import Structure
 
 from conftest import (crop_masks, make_disc, make_mask, make_volume,
                       random_levels, whole_box)
-from oracles import (brute_levels, full_grid_firstorder, full_grid_shape,
-                     glcm_feature_oracle, glrlm_feature_oracle,
-                     glszm_feature_oracle)
+from oracles import (brute_levels, dense_counts, full_grid_firstorder,
+                     full_grid_shape, glcm_feature_oracle,
+                     glrlm_feature_oracle, glszm_feature_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def test_glrlm_features_match_oracle(rng):
         levels = random_levels(rng, (6, 6, 1), ng=3)
         glrlm = build_glrlm(make_disc(levels), "2D")
         fmap = glrlm_features(glrlm)
-        oracle = glrlm_feature_oracle(np.asarray(glrlm.counts),
+        oracle = glrlm_feature_oracle(dense_counts(glrlm),
                                       np.count_nonzero(levels),
                                       len(OFFSETS_2D))
         for name, expected in oracle.items():
@@ -414,11 +414,40 @@ def test_glszm_features_match_oracle(rng):
         levels = random_levels(rng, (5, 5, 2), ng=3)
         glszm = build_glszm(make_disc(levels), "3D")
         fmap = glszm_features(glszm)
-        oracle = glszm_feature_oracle(np.asarray(glszm.counts),
+        oracle = glszm_feature_oracle(dense_counts(glszm),
                                       np.count_nonzero(levels))
         for name, expected in oracle.items():
             assert fmap.get("glszm", name) == pytest.approx(
                 expected, abs=1e-12), name
+
+
+def test_one_gray_level_gives_exactly_zero_gray_level_variance(rng):
+    # the level mean is then that level exactly, so every term is 0,
+    # whatever the run and zone sizes
+    for _ in range(100):
+        shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
+        levels = (rng.random(shape) < 0.7) * int(rng.integers(1, 6))
+        levels.flat[int(rng.integers(levels.size))] = levels.max() or 1
+        disc = make_disc(levels)
+        for dim in ("2D", "3D"):
+            assert glrlm_features(build_glrlm(disc, dim)).get(
+                "glrlm", "GrayLevelVariance") == 0.0
+            assert glszm_features(build_glszm(disc, dim)).get(
+                "glszm", "GrayLevelVariance") == 0.0
+
+
+def test_one_item_size_gives_exactly_zero_size_variance(rng):
+    # ROI voxels two apart on every axis: every run and zone is one voxel
+    for shape in ((9, 7, 5), (11, 11, 1), (5, 13, 3)):
+        levels = np.zeros(shape, dtype=np.int32)
+        isolated = levels[::2, ::2, ::2]
+        isolated[...] = rng.integers(1, 6, size=isolated.shape)
+        disc = make_disc(levels)
+        for dim in ("2D", "3D"):
+            glrlm, glszm = build_glrlm(disc, dim), build_glszm(disc, dim)
+            assert glrlm.sizes.tolist() == glszm.sizes.tolist() == [1]
+            assert glrlm_features(glrlm).get("glrlm", "RunVariance") == 0.0
+            assert glszm_features(glszm).get("glszm", "ZoneVariance") == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import radrep.texture_matrices
+from radrep.features import glrlm_features, glszm_features
 from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
-                                     build_glcm, build_glrlm, build_glszm,
-                                     label_zones, select_offsets)
+                                     SizeMatrix, build_glcm, build_glrlm,
+                                     build_glszm, label_zones, select_offsets)
 
 from radrep.discretize import discretize_roi
 
 from conftest import crop_masks, make_disc, make_mask, make_volume, random_levels
-from oracles import brute_glcm, brute_glrlm, brute_glszm, brute_levels
+from oracles import (brute_glcm, brute_glrlm, brute_glszm, brute_levels,
+                     dense_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +95,8 @@ def test_glcm_invariant_to_out_of_roi_intensities(rng):
 def test_glrlm_hand_case_strip():
     disc = make_disc(np.array([[2, 2, 2, 1]], dtype=np.int32))
     glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
-    assert glrlm.counts[1, 2] == 1  # level 2, length 3
-    assert glrlm.counts[0, 0] == 1  # level 1, length 1
+    assert dense_counts(glrlm)[1, 2] == 1  # level 2, length 3
+    assert dense_counts(glrlm)[0, 0] == 1  # level 1, length 1
     assert glrlm.counts.sum() == 2
 
 
@@ -102,15 +104,15 @@ def test_glrlm_constant_strip_single_run():
     n = 7
     disc = make_disc(np.full((1, n), 3, dtype=np.int32))
     glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
-    assert glrlm.counts[2, n - 1] == 1
+    assert dense_counts(glrlm)[2, n - 1] == 1
     assert glrlm.counts.sum() == 1
 
 
 def test_glrlm_out_of_roi_terminates_runs():
     disc = make_disc(np.array([[1, 1, 0, 1]], dtype=np.int32))
     glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
-    assert glrlm.counts[0, 1] == 1  # run of length 2
-    assert glrlm.counts[0, 0] == 1  # run of length 1
+    assert dense_counts(glrlm)[0, 1] == 1  # run of length 2
+    assert dense_counts(glrlm)[0, 0] == 1  # run of length 1
     assert glrlm.counts.sum() == 2
 
 
@@ -119,7 +121,7 @@ def test_glrlm_matches_bruteforce_2d(rng):
         levels = random_levels(rng, (6, 6, 1), ng=3)
         glrlm = build_glrlm(make_disc(levels), "2D")
         expected = brute_glrlm(levels, OFFSETS_2D)
-        assert np.array_equal(glrlm.counts, expected)
+        assert np.array_equal(dense_counts(glrlm), expected)
 
 
 def test_glrlm_matches_bruteforce_3d(rng):
@@ -127,7 +129,7 @@ def test_glrlm_matches_bruteforce_3d(rng):
         levels = random_levels(rng, (5, 4, 3), ng=4)
         glrlm = build_glrlm(make_disc(levels), "3D")
         expected = brute_glrlm(levels, OFFSETS_3D)
-        assert np.array_equal(glrlm.counts, expected)
+        assert np.array_equal(dense_counts(glrlm), expected)
 
 
 def test_glrlm_per_direction_voxel_conservation(rng):
@@ -136,8 +138,7 @@ def test_glrlm_per_direction_voxel_conservation(rng):
     nv = int(np.count_nonzero(levels))
     for direction in OFFSETS_3D:
         single = build_glrlm(disc, "3D", directions=[direction])
-        lengths = np.arange(1, single.counts.shape[1] + 1)
-        assert int((single.counts * lengths).sum()) == nv
+        assert int((single.counts * single.sizes).sum()) == nv
 
 
 @st.composite
@@ -180,7 +181,7 @@ def test_glrlm_matches_bruteforce_on_edge_case_grids(grid):
     levels, dim, directions = grid
     glrlm = build_glrlm(make_disc(levels), dim, directions=directions)
     dirs = select_offsets(dim) if directions is None else directions
-    assert np.array_equal(glrlm.counts, brute_glrlm(levels, dirs))
+    assert np.array_equal(dense_counts(glrlm), brute_glrlm(levels, dirs))
     assert glrlm.sites == np.count_nonzero(levels) * len(dirs)
 
 
@@ -193,7 +194,7 @@ def test_glszm_constant_roi_single_zone():
     levels[1:3, 1:3, :] = 1
     glszm = build_glszm(make_disc(levels), "3D")
     assert glszm.counts.sum() == 1
-    assert glszm.counts[0, 7] == 1  # 8 voxels
+    assert dense_counts(glszm)[0, 7] == 1  # 8 voxels
 
 
 def test_glszm_checkerboard_2d():
@@ -201,8 +202,8 @@ def test_glszm_checkerboard_2d():
     glszm = build_glszm(make_disc(board.astype(np.int32)), "2D")
     # 8-connectivity joins each color diagonally: 2 zones of size 8
     assert glszm.counts.sum() == 2
-    assert glszm.counts[0, 7] == 1
-    assert glszm.counts[1, 7] == 1
+    assert dense_counts(glszm)[0, 7] == 1
+    assert dense_counts(glszm)[1, 7] == 1
 
 
 def test_glszm_matches_bruteforce_3d(rng):
@@ -210,7 +211,7 @@ def test_glszm_matches_bruteforce_3d(rng):
         levels = random_levels(rng, (5, 5, 2), ng=3)
         glszm = build_glszm(make_disc(levels), "3D")
         expected = brute_glszm(levels, "3D")
-        assert np.array_equal(glszm.counts, expected)
+        assert np.array_equal(dense_counts(glszm), expected)
 
 
 def test_glszm_matches_bruteforce_2d(rng):
@@ -218,7 +219,7 @@ def test_glszm_matches_bruteforce_2d(rng):
         levels = random_levels(rng, (5, 4, 3), ng=3)
         glszm = build_glszm(make_disc(levels), "2D")
         expected = brute_glszm(levels, "2D")
-        assert np.array_equal(glszm.counts, expected)
+        assert np.array_equal(dense_counts(glszm), expected)
 
 
 def test_glszm_absent_middle_level_keeps_zero_row():
@@ -230,7 +231,8 @@ def test_glszm_absent_middle_level_keeps_zero_row():
     assert set(np.unique(disc.levels).tolist()) == {1, 3}
     for dim in ("2D", "3D"):
         glszm = build_glszm(disc, dim)
-        assert np.array_equal(glszm.counts, brute_glszm(disc.levels, dim))
+        assert np.array_equal(dense_counts(glszm),
+                              brute_glszm(disc.levels, dim))
         assert not glszm.counts[1].any()
 
 
@@ -240,19 +242,85 @@ def test_glszm_2d_keeps_adjacent_slices_apart():
     levels[0, 0, 1] = 1
     disc = make_disc(levels)
     glszm_2d = build_glszm(disc, "2D")
-    assert glszm_2d.counts[1].tolist() == [3]  # three one-voxel zones
-    assert np.array_equal(glszm_2d.counts, brute_glszm(levels, "2D"))
+    assert dense_counts(glszm_2d)[1].tolist() == [3]  # three one-voxel zones
+    assert np.array_equal(dense_counts(glszm_2d), brute_glszm(levels, "2D"))
     glszm_3d = build_glszm(disc, "3D")
-    assert glszm_3d.counts[1].tolist() == [0, 0, 1]
-    assert glszm_3d.counts[0].tolist() == [1, 0, 0]
+    assert dense_counts(glszm_3d)[1].tolist() == [0, 0, 1]
+    assert dense_counts(glszm_3d)[0].tolist() == [1, 0, 0]
 
 
 def test_glszm_voxel_conservation(rng):
     for dim in ("2D", "3D"):
         levels = random_levels(rng, (6, 5, 3), ng=4)
         glszm = build_glszm(make_disc(levels), dim)
-        sizes = np.arange(1, glszm.counts.shape[1] + 1)
-        assert int((glszm.counts * sizes).sum()) == np.count_nonzero(levels)
+        assert (int((glszm.counts * glszm.sizes).sum())
+                == np.count_nonzero(levels))
+
+
+# ---------------------------------------------------------------------------
+# Only the sizes that occur
+# ---------------------------------------------------------------------------
+
+@st.composite
+def size_grids(draw):
+    """(levels, dim, directions, extra sizes) for the layout property test.
+
+    Grids of 1-6 voxels per axis with Ng 1-5 and at least one ROI voxel;
+    ``directions`` is None or a subset of the dimension's offsets and
+    their opposites; the extra sizes are where empty columns go.
+    """
+    shape = [draw(st.integers(1, 6)) for _ in range(3)]
+    ng = draw(st.integers(1, 5))
+    levels = draw(hnp.arrays(np.int32, shape, elements=st.integers(0, ng)))
+    levels.flat[draw(st.integers(0, levels.size - 1))] = ng
+    dim = draw(st.sampled_from(("2D", "3D")))
+    offsets = select_offsets(dim)
+    offsets += tuple(tuple(-d for d in o) for o in offsets)
+    directions = draw(st.none() | st.lists(st.sampled_from(offsets),
+                                           min_size=1, unique=True))
+    extra = draw(st.sets(st.integers(1, 2 * max(shape) * len(offsets))))
+    return levels, dim, directions, extra
+
+
+def _with_empty_columns(m: SizeMatrix, extra) -> SizeMatrix:
+    """``m`` with an all-zero column at every size of ``extra`` it lacks."""
+    sizes = np.union1d(m.sizes, list(extra)).astype(m.sizes.dtype)
+    counts = np.zeros((m.counts.shape[0], sizes.size), dtype=m.counts.dtype)
+    counts[:, np.searchsorted(sizes, m.sizes)] = m.counts
+    return SizeMatrix(counts, sizes, m.sites)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size_grids())
+def test_size_matrices_keep_only_the_sizes_that_occur(grid):
+    levels, dim, directions, extra = grid
+    disc = make_disc(levels)
+    dirs = select_offsets(dim) if directions is None else directions
+    for m, oracle, features in (
+            (build_glrlm(disc, dim, directions=directions),
+             brute_glrlm(levels, dirs), glrlm_features),
+            (build_glszm(disc, dim), brute_glszm(levels, dim),
+             glszm_features)):
+        assert (np.diff(m.sizes) > 0).all()
+        assert m.counts.any(axis=0).all()
+        assert np.array_equal(dense_counts(m), oracle)
+        # empty columns, wherever they sit, leave every bit unchanged
+        bits = {k: v.hex() for k, v in features(m).entries.items()}
+        padded = features(_with_empty_columns(m, extra)).entries
+        assert {k: v.hex() for k, v in padded.items()} == bits
+
+
+def test_size_matrix_width_is_the_number_of_distinct_sizes(rng):
+    levels = np.ones((60, 60, 10), dtype=np.int32)  # one zone of 36,000
+    assert build_glszm(make_disc(levels), "3D").counts.shape == (1, 1)
+    for dim in ("2D", "3D"):
+        levels = random_levels(rng, (9, 8, 4), ng=3)
+        disc = make_disc(levels)
+        for m, oracle in ((build_glrlm(disc, dim),
+                           brute_glrlm(levels, select_offsets(dim))),
+                          (build_glszm(disc, dim), brute_glszm(levels, dim))):
+            assert m.counts.shape == (disc.num_gray_levels,
+                                      np.count_nonzero(oracle.any(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +333,7 @@ def test_single_slice_2d_equals_3d(rng):
 
     glszm_2d = build_glszm(disc, "2D")
     glszm_3d = build_glszm(disc, "3D")
-    assert np.array_equal(glszm_2d.counts, glszm_3d.counts)
+    assert np.array_equal(dense_counts(glszm_2d), dense_counts(glszm_3d))
 
     glcm_2d = build_glcm(disc, "2D")
     glcm_3d_restricted = build_glcm(disc, "3D", offsets=OFFSETS_2D)
@@ -273,7 +341,8 @@ def test_single_slice_2d_equals_3d(rng):
 
     glrlm_2d = build_glrlm(disc, "2D")
     glrlm_3d_restricted = build_glrlm(disc, "3D", directions=OFFSETS_2D)
-    assert np.array_equal(glrlm_2d.counts, glrlm_3d_restricted.counts)
+    assert np.array_equal(dense_counts(glrlm_2d),
+                          dense_counts(glrlm_3d_restricted))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +364,9 @@ def test_cropped_builders_match_full_grid_oracles(rng, dim, shape):
             else:
                 with pytest.raises(NoValidPairs):
                     build_glcm(disc, dim)
-            assert np.array_equal(build_glrlm(disc, dim).counts,
+            assert np.array_equal(dense_counts(build_glrlm(disc, dim)),
                                   brute_glrlm(full, offsets))
-            assert np.array_equal(build_glszm(disc, dim).counts,
+            assert np.array_equal(dense_counts(build_glszm(disc, dim)),
                                   brute_glszm(full, dim))
 
 
@@ -312,10 +381,10 @@ def test_small_roi_builders_work_on_the_crop(rng):
     for dim in ("2D", "3D"):
         assert np.array_equal(build_glcm(disc, dim).probs,
                               build_glcm(full, dim).probs)
-        assert np.array_equal(build_glrlm(disc, dim).counts,
-                              build_glrlm(full, dim).counts)
-        assert np.array_equal(build_glszm(disc, dim).counts,
-                              build_glszm(full, dim).counts)
+        assert np.array_equal(dense_counts(build_glrlm(disc, dim)),
+                              dense_counts(build_glrlm(full, dim)))
+        assert np.array_equal(dense_counts(build_glszm(disc, dim)),
+                              dense_counts(build_glszm(full, dim)))
 
 
 @pytest.mark.parametrize("dim", ["2D", "3D"])
@@ -343,9 +412,9 @@ def test_builders_match_oracles_at_extreme_gray_level_counts(rng, dim, field):
         if pairs.any():
             assert np.array_equal(build_glcm(disc, dim).probs,
                                   pairs / pairs.sum())
-        assert np.array_equal(build_glrlm(disc, dim).counts,
+        assert np.array_equal(dense_counts(build_glrlm(disc, dim)),
                               brute_glrlm(full, offsets))
-        assert np.array_equal(build_glszm(disc, dim).counts,
+        assert np.array_equal(dense_counts(build_glszm(disc, dim)),
                               brute_glszm(full, dim))
 
 
@@ -362,7 +431,7 @@ def test_glszm_labels_all_levels_in_one_call(rng, monkeypatch, dim):
     levels = random_levels(rng, (6, 6, 3), ng=20)
     glszm = build_glszm(make_disc(levels), dim)
     assert len(calls) == 1
-    assert np.array_equal(glszm.counts, brute_glszm(levels, dim))
+    assert np.array_equal(dense_counts(glszm), brute_glszm(levels, dim))
 
 
 def _serpentine(shape):
@@ -412,4 +481,4 @@ def test_serpentine_is_one_zone_in_3d_and_one_per_slice_in_2d():
     assert label_zones(levels, OFFSETS_3D)[0] == 1
     # 2D: the two winding slices and the connector voxel between them
     assert label_zones(levels, OFFSETS_2D)[0] == 3
-    assert build_glszm(make_disc(levels), "3D").counts[0, -1] == 1
+    assert dense_counts(build_glszm(make_disc(levels), "3D"))[0, -1] == 1
