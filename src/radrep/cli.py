@@ -11,7 +11,8 @@ import glob
 import sys
 
 from . import RadrepError
-from .pipeline import analyze_run, extract_run, load_manifest, plotdata_run
+from .pipeline import (ANALYSIS_ERRORS, EXTRACTION_ERRORS, analyze_run,
+                       extract_run, load_manifest, plotdata_run)
 from .repeatability import VOLUME_REFERENCE_FEATURE
 
 EXIT_OK = 0
@@ -35,6 +36,17 @@ def _at_least_one(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a whole number of at least 1, got {text!r}")
     return value
+
+
+def _finish(paths, failures, noun: str, sidecar: str) -> int:
+    """Print the paths, report any failures, and return the exit code."""
+    for path in paths:
+        print(path)
+    if failures:
+        print(f"{len(failures)} {noun} failure(s); see {sidecar}",
+              file=sys.stderr)
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,31 +92,19 @@ def main(argv=None) -> int:
     try:
         if args.command == "extract":
             manifest = load_manifest(args.manifest)
-            csv_paths, failures = extract_run(manifest, args.out, args.jobs)
-            for path in csv_paths:
-                print(path)
-            if failures:
-                print(f"{len(failures)} extraction failure(s); see "
-                      f"extraction_errors.csv", file=sys.stderr)
-                return EXIT_PARTIAL
-            return EXIT_OK
+            return _finish(*extract_run(manifest, args.out, args.jobs),
+                           "extraction", EXTRACTION_ERRORS)
 
         if args.command == "analyze":
             paths = sorted(glob.glob(args.inputs))
             if not paths:
                 print(f"no input CSVs match {args.inputs!r}", file=sys.stderr)
                 return EXIT_DATA_ERROR
-            written, failures = analyze_run(
+            return _finish(*analyze_run(
                 paths, args.out, reference=args.reference,
                 compare=tuple(args.compare) if args.compare else None,
-                timepoint_map_path=args.timepoint_map)
-            for path in written:
-                print(path)
-            if failures:
-                print(f"{len(failures)} analysis failure(s); see "
-                      f"analysis_errors.csv", file=sys.stderr)
-                return EXIT_PARTIAL
-            return EXIT_OK
+                timepoint_map_path=args.timepoint_map),
+                "analysis", ANALYSIS_ERRORS)
 
         if args.command == "plotdata":
             for path in plotdata_run(args.inputs, args.out):

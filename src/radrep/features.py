@@ -271,7 +271,7 @@ def shape_features(mask: RoiMask) -> FeatureMap:
 def glcm_features(m: GlcMatrix) -> FeatureMap:
     """Statistics over the joint co-occurrence probabilities."""
     p = m.probs
-    ng = m.ng
+    ng = p.shape[0]
     i = np.arange(1, ng + 1, dtype=np.float64)
     px = p.sum(axis=1)
     mu = float(np.dot(i, px))  # symmetric matrix: mu_x == mu_y

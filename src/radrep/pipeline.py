@@ -60,26 +60,25 @@ GENERAL_INFO_COLUMNS = (
     "general_info_VersionTags", "general_info_VolumeNum",
     "general_info_VoxelNum",
 )
+# the errors sidecars, each in its command's --out directory
+EXTRACTION_ERRORS = "extraction_errors.csv"
+ANALYSIS_ERRORS = "analysis_errors.csv"
 
 
-class PipelineError(RadrepError):
-    pass
-
-
-class ManifestError(PipelineError):
+class ManifestError(RadrepError):
     """The run manifest is malformed or references missing files."""
 
 
-class SchemaMismatch(PipelineError):
+class SchemaMismatch(RadrepError):
     """A CSV column or value does not match the expected schema."""
 
 
-class MissingReport(PipelineError):
+class MissingReport(RadrepError):
     """No report can be made: plotdata input directory holds no analysis
     reports, or the CSVs named for a comparison share no structure."""
 
 
-class StaleOutputs(PipelineError):
+class StaleOutputs(RadrepError):
     """The output directory holds feature CSVs this run would not write."""
 
 
@@ -335,14 +334,21 @@ def load_manifest(path) -> RunManifest:
             raise ManifestError(f"timepoint must be 1 or 2, got {entry.timepoint}")
         if entry.image_type not in IMAGE_TYPES:
             raise ManifestError(f"unknown image type {entry.image_type!r}")
+        structures = [m.structure.value for m in entry.masks]
+        if len(set(structures)) != len(structures):
+            raise ManifestError(f"{entry.study} structures repeat: {structures}")
         entries.append(entry)
     if not entries:
         raise ManifestError("manifest cohort is empty")
 
     by_key: dict[tuple[str, str], set[int]] = {}
     for entry in entries:
-        by_key.setdefault((entry.subject_id, entry.image_type), set()).add(
-            entry.timepoint)
+        tps = by_key.setdefault((entry.subject_id, entry.image_type), set())
+        if entry.timepoint in tps:
+            raise ManifestError(
+                f"subject {entry.subject_id!r} has two {entry.image_type} "
+                f"entries at timepoint {entry.timepoint}")
+        tps.add(entry.timepoint)
     for (subject, image_type), tps in sorted(by_key.items()):
         if tps != {1, 2}:
             raise ManifestError(
@@ -606,9 +612,8 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     images rather than the cohort. Each :class:`ConfigCell` gets one CSV:
     the entries' rows and failures in it are joined in cohort order, the
     rows sorted by (study, series, structure), so the worker count never
-    changes the output bytes. Failures also go to ``extraction_errors.csv``
-    when any occur; an errors file left by an earlier run is replaced,
-    header-only when this run has none.
+    changes the output bytes. Failures also go to the
+    :data:`EXTRACTION_ERRORS` sidecar (see :func:`_write_errors`).
 
     Raises :class:`StaleOutputs`, before extracting anything and deleting
     nothing, when ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``)
@@ -645,9 +650,11 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
         _write_feature_csv(path, columns, rows)
         csv_paths.append(path)
 
-    errors_path = out_dir / "extraction_errors.csv"
-    if all_failures or errors_path.exists():
-        _write_failures(errors_path, all_failures)
+    _write_errors(out_dir / EXTRACTION_ERRORS,
+                  ["study", "segmentedStructure", "filter", "error", "detail",
+                   "configuration"],
+                  sorted(all_failures, key=lambda f: (
+                      f.study, f.structure, f.filter_name, f.error)))
     return csv_paths, all_failures
 
 
@@ -656,11 +663,15 @@ def _write_feature_csv(path: Path, columns: list[str], rows: list[dict]):
                                for row in rows))
 
 
-def _write_failures(path: Path, failures: list[ExtractionFailure]):
-    _write_csv(path, ["study", "segmentedStructure", "filter", "error",
-                      "detail", "configuration"],
-               (astuple(f) for f in sorted(failures, key=lambda f: (
-                    f.study, f.structure, f.filter_name, f.error))))
+def _write_errors(path: Path, header: list[str], failures: list) -> None:
+    """Write an errors sidecar, one row of each failure's fields in order.
+
+    It is written when there are failures or when ``path`` already
+    exists, header-only then, so a clean rerun never leaves the failures
+    of an earlier run beside its outputs.
+    """
+    if failures or path.exists():
+        _write_csv(path, header, map(astuple, failures))
 
 
 @contextmanager
@@ -865,24 +876,30 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
 
     A (CSV, structure) whose table cannot be built (too few subjects, no
     reference ICC) is a failure: it gets no reports and the run goes on.
-    Failures are written to ``analysis_errors.csv`` when any occur; an
-    errors file left by an earlier run is replaced, header-only when this
-    run has none.
+    Failures go to the :data:`ANALYSIS_ERRORS` sidecar (see
+    :func:`_write_errors`).
 
-    Every input name is parsed before any report is written; two names
-    of one :class:`ConfigCell` (a repeated stem, say) would write the same
-    reports, and a ``compare`` stem that names no input would be found
-    only after every report, so both raise SchemaMismatch.
+    An :data:`EXTRACTION_ERRORS` input is skipped; inputs with nothing
+    else raise SchemaMismatch. Every input name is parsed before any
+    report is written; two names of one :class:`ConfigCell` (a repeated
+    stem, say) would write the same reports, and a ``compare`` stem that
+    names no input would be found only after every report, so both raise
+    SchemaMismatch.
 
     Each bin-width group (the CSVs of one ``ConfigCell.group_code``) is
     analyzed by :func:`_analyze_group`, one process per group, up to the
     CPUs this process may run on. The returned lists, and every output
     byte, are those of one process: per-table files in path order, then
-    ``analysis_errors.csv``, then the bin-width files in (group code,
+    the errors sidecar, then the bin-width files in (group code,
     structure) order.
     """
+    inputs = sorted(path for path in map(Path, csv_paths)
+                    if path.name != EXTRACTION_ERRORS)
+    if not inputs:
+        raise SchemaMismatch(f"no feature CSVs among the inputs "
+                             f"({EXTRACTION_ERRORS} is skipped)")
     paths: dict[ConfigCell, Path] = {}
-    for path in sorted(Path(p) for p in csv_paths):
+    for path in inputs:
         cell = parse_config_from_name(path)
         if cell in paths:
             raise SchemaMismatch(
@@ -915,11 +932,8 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     written = [file for path in paths.values() for file in per_path[path][0]]
     failures = [fail for path in paths.values() for fail in per_path[path][1]]
 
-    errors_path = out_dir / "analysis_errors.csv"
-    if failures or errors_path.exists():
-        _write_csv(errors_path, ["stem", "segmentedStructure", "error",
-                                 "detail"],
-                   ([f.stem, f.structure, f.error, f.detail] for f in failures))
+    _write_errors(out_dir / ANALYSIS_ERRORS,
+                  ["stem", "segmentedStructure", "error", "detail"], failures)
     written += binwidth_files
     if compare:
         failed = {(f.stem, f.structure) for f in failures}

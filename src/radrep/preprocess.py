@@ -31,23 +31,19 @@ MIN_SIGMA_VOXELS = 0.25
 Box = tuple[slice, slice, slice]
 
 
-class PreprocessError(RadrepError):
-    pass
-
-
-class ZeroVariance(PreprocessError):
+class ZeroVariance(RadrepError):
     """Normalization source region has zero standard deviation."""
 
 
-class MissingReferenceMask(PreprocessError):
+class MissingReferenceMask(RadrepError):
     """Reference-region normalization requested without a reference mask."""
 
 
-class SigmaTooSmallForGrid(PreprocessError):
+class SigmaTooSmallForGrid(RadrepError):
     """LoG sigma below 0.25 voxels on some axis."""
 
 
-class AxisTooShort(PreprocessError):
+class AxisTooShort(RadrepError):
     """Wavelet filtering requires >= 2 voxels per filtered axis."""
 
 

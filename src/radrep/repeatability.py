@@ -31,31 +31,27 @@ MIN_SUBJECTS = 3
 KDE_GRID_POINTS = 256
 
 
-class RepeatabilityError(RadrepError):
-    pass
-
-
-class InsufficientSubjects(RepeatabilityError):
+class InsufficientSubjects(RadrepError):
     """Fewer than 3 subjects with both timepoints."""
 
 
-class MissingVolumeReference(RepeatabilityError):
+class MissingVolumeReference(RadrepError):
     """The reference feature column is absent or undefined."""
 
 
-class FeatureSetMismatch(RepeatabilityError):
+class FeatureSetMismatch(RadrepError):
     """Tables being compared do not share an identical feature set."""
 
 
-class DegenerateSamples(RepeatabilityError):
+class DegenerateSamples(RadrepError):
     """KDE input has fewer than 2 samples or zero variance."""
 
 
-class InsufficientFeatures(RepeatabilityError):
+class InsufficientFeatures(RadrepError):
     """A feature class has fewer defined features than requested."""
 
 
-class NoSharedFeatures(RepeatabilityError):
+class NoSharedFeatures(RadrepError):
     """Two tables have no feature key in common."""
 
 

@@ -44,19 +44,14 @@ OFFSETS_3D = tuple(
 assert len(OFFSETS_3D) == 13
 
 
-class TextureMatrixError(RadrepError):
-    pass
-
-
-class NoValidPairs(TextureMatrixError):
+class NoValidPairs(RadrepError):
     """ROI too small or fragmented to contain any neighbor pair."""
 
 
 @dataclass(frozen=True)
 class GlcMatrix:
-    """Symmetric joint probability p(i, j) of gray-level co-occurrence."""
+    """Symmetric Ng x Ng joint probability p(i, j) of co-occurrence."""
 
-    ng: int
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -132,7 +127,7 @@ def build_glcm(disc: DiscretizedRoi, dim: str, offsets=None) -> GlcMatrix:
     total = counts.sum()
     if total == 0:
         raise NoValidPairs("no in-ROI voxel pair at distance 1")
-    return GlcMatrix(ng=ng, probs=counts / total)
+    return GlcMatrix(counts / total)
 
 
 def _padded(levels: np.ndarray, offsets) -> tuple[np.ndarray, list[int]]:

@@ -34,39 +34,35 @@ _DTYPES = {
 }
 
 
-class VolumeIoError(RadrepError):
-    """Base class for NRRD reading errors."""
-
-
-class MissingHeaderField(VolumeIoError):
+class MissingHeaderField(RadrepError):
     """A required header field is absent or malformed."""
 
 
-class UnsupportedEncoding(VolumeIoError):
+class UnsupportedEncoding(RadrepError):
     """The file uses an encoding other than raw."""
 
 
-class UnsupportedHeaderValue(VolumeIoError):
+class UnsupportedHeaderValue(RadrepError):
     """A header field holds a value outside the supported subset."""
 
 
-class PayloadSizeMismatch(VolumeIoError):
+class PayloadSizeMismatch(RadrepError):
     """Declared sizes do not match the payload byte count."""
 
 
-class NonFiniteValue(VolumeIoError):
+class NonFiniteValue(RadrepError):
     """The payload contains NaN or infinity."""
 
 
-class EmptyMask(VolumeIoError):
+class EmptyMask(RadrepError):
     """A mask contains no labeled voxel."""
 
 
-class GeometryMismatch(VolumeIoError):
+class GeometryMismatch(RadrepError):
     """Image and mask grids disagree in dims or spacing."""
 
 
-class NonBinaryLabel(VolumeIoError):
+class NonBinaryLabel(RadrepError):
     """A mask payload contains values outside {0, 1}."""
 
 

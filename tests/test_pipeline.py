@@ -102,6 +102,27 @@ def test_manifest_timepoint_must_be_a_whole_number(tmp_path, capsys,
     assert "is not a whole number" in capsys.readouterr().err
 
 
+def test_manifest_rejects_two_entries_of_one_study(tmp_path):
+    manifest_path = build_cohort(tmp_path, n_subjects=2)
+    doc = json.loads(manifest_path.read_text())
+    doc["cohort"].append(dict(doc["cohort"][2]))
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="subject 'sub01' has two T2AX "
+                                            "entries at timepoint 1"):
+        load_manifest(manifest_path)
+
+
+def test_manifest_rejects_a_structure_listed_twice(tmp_path):
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    masks = doc["cohort"][0]["masks"]
+    masks.append(dict(masks[0]))
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(
+            "sub00_tp1 structures repeat: ['Tumor', 'Tumor']")):
+        load_manifest(manifest_path)
+
+
 def test_manifest_missing_file(tmp_path):
     manifest_path = build_cohort(tmp_path, n_subjects=1)
     doc = json.loads(manifest_path.read_text())
@@ -441,6 +462,35 @@ def test_too_many_gray_levels_fails_its_cells_only(tmp_path, monkeypatch):
         assert row["original_firstorder_Mean"] == ""
         assert row["original_glcm_Contrast"] == ""
     assert all(row["original_glcm_Contrast"] != "" for row in read_rows(coarse))
+
+
+def test_analyze_reads_an_extraction_directory_that_holds_failures(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(radrep.discretize, "MAX_GRAY_LEVELS", 8)
+    settings = {"normalizationModes": ["none"], "binWidths": [1, 40],
+                "dimensionality": "2D", "filters": ["original"]}
+    manifest_path = build_cohort(tmp_path / "in", n_subjects=4,
+                                 settings=settings)
+    out = tmp_path / "features"
+    assert main(["extract", "--manifest", str(manifest_path),
+                 "--out", str(out)]) == 3
+    assert (out / "extraction_errors.csv").exists()
+    assert capsys.readouterr().err.endswith(
+        " extraction failure(s); see extraction_errors.csv\n")
+    assert main(["analyze", "--in", str(out / "*.csv"),
+                 "--out", str(tmp_path / "all")]) == 0
+    listed = capsys.readouterr().out
+    assert main(["analyze", "--in", str(out / "Full*.csv"),
+                 "--out", str(tmp_path / "csvs")]) == 0
+    assert capsys.readouterr().out.replace("csvs", "all") == listed
+
+    # inputs that hold only the sidecar are refused like an empty glob
+    assert main(["analyze", "--in", str(out / "*_errors.csv"),
+                 "--out", str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().err == (
+        "error: no feature CSVs among the inputs "
+        "(extraction_errors.csv is skipped)\n")
+    assert not (tmp_path / "none").exists()
 
 
 def test_single_slice_3d_extract_fails_only_its_3d_wavelet_subbands(tmp_path):
