@@ -72,14 +72,14 @@ def discretize_roi(volume: VolumeGrid, mask: RoiMask,
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
     if not check_geometry(volume, mask):
-        raise GeometryMismatch(
-            f"image {volume.dims}/{volume.spacing} vs mask {mask.dims}/{mask.spacing}"
-        )
+        raise GeometryMismatch(f"image {volume.values.shape}/{volume.spacing} "
+                               f"vs mask {mask.labels.shape}/{mask.spacing}")
     inside = mask.inside
     roi_values = volume.values[mask.bounding_box][inside]
     roi_min = float(roi_values.min())
     roi_max = float(roi_values.max())
-    ng = int(np.floor((roi_max - roi_min) / bin_width)) + 1
+    span = (roi_max - roi_min) / bin_width  # inf past the float range
+    ng = int(np.floor(span)) + 1 if np.isfinite(span) else span
     if ng > MAX_GRAY_LEVELS:
         raise TooManyGrayLevels(
             f"bin width {bin_width:g} gives {ng} gray levels over the ROI range "

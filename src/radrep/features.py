@@ -27,8 +27,6 @@ from .volume_io import RoiMask, VolumeGrid
 # holds this many x n float64s, 2 MB per 1000 points compared.
 _DISTANCE_BLOCK = 256
 
-FEATURE_CLASSES = ("firstorder", "shape", "glcm", "glrlm", "glszm")
-
 # The statistics of _size_family, in its order, as (run name, zone name).
 _SIZE_NAMES = (
     ("ShortRunEmphasis", "SmallAreaEmphasis"),

@@ -46,8 +46,8 @@ from .repeatability import (VOLUME_REFERENCE_FEATURE, DegenerateSamples,
                             binwidth_spread, build_table, config_delta,
                             filter_frequency, kde, rank_distribution,
                             top_k_per_class)
-from .texture_matrices import (OFFSETS_3D, build_glcm, build_glrlm,
-                               build_glszm, label_zones)
+from .texture_matrices import (OFFSETS, OFFSETS_3D, build_glcm,
+                               build_glrlm, build_glszm, label_zones)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
                         check_geometry, read_mask, read_volume)
 
@@ -335,6 +335,8 @@ def load_manifest(path) -> RunManifest:
         if entry.image_type not in IMAGE_TYPES:
             raise ManifestError(f"unknown image type {entry.image_type!r}")
         structures = [m.structure.value for m in entry.masks]
+        if not structures:
+            raise ManifestError(f"{entry.study} lists no mask")
         if len(set(structures)) != len(structures):
             raise ManifestError(f"{entry.study} structures repeat: {structures}")
         entries.append(entry)
@@ -463,7 +465,7 @@ def _filter_task(volume: VolumeGrid, mask: RoiMask, spec: FilterSpec,
     ):
         try:
             values.update(_columns(spec.name, compute(
-                build(disc, cell.dimensionality))))
+                build(disc, OFFSETS[cell.dimensionality]))))
         except Exception as exc:
             record(exc, cls)
     return values
@@ -558,9 +560,8 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
             if info is not None:
                 row.update(info, general_info_GeneralSettings=cell.general_settings)
             cells[cell][0].append(row)
-        measured.append((RoiMask(mask.labels[box].shape, mask.spacing,
-                                 mask.origin, mask.labels[box], mask.structure),
-                         rows))
+        measured.append((RoiMask(mask.spacing, mask.labels[box],
+                                 mask.structure), rows))
 
     for mode in settings.normalization_modes:
         mode_cells = [settings.cell(entry.image_type, mode, bin_width)
@@ -1010,8 +1011,6 @@ def _binwidth_reports(groups, out_dir: Path) -> list[Path]:
         feature_sets = [set(t.rows) for t in by_width.values()]
         shared = set.intersection(*feature_sets)
         excluded = sorted(set.union(*feature_sets) - shared)
-        if not shared:
-            continue
         if excluded:
             notes_path = out_dir / f"binwidth_notes__{code}__{structure}.json"
             _write_json(notes_path, {"excludedFeatures": excluded})

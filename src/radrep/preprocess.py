@@ -95,8 +95,9 @@ class FilterSpec:
     def __post_init__(self):
         if (self.sigma_mm is not None) != (self.kind is FilterKind.LOG):
             raise ValueError("sigma_mm is required for LoG and only LoG")
-        if self.sigma_mm is not None and self.sigma_mm <= 0:
-            raise ValueError("sigma_mm must be > 0")
+        if self.sigma_mm is not None and not 0 < self.sigma_mm < np.inf:
+            raise ValueError("sigma_mm must be finite and > 0, "
+                             f"got {self.sigma_mm!r}")
         if (self.subband is not None) != (self.kind is FilterKind.WAVELET):
             raise ValueError("subband is required for wavelet and only wavelet")
         if self.subband not in (None, *WAVELET_SUBBANDS_2D, *WAVELET_SUBBANDS_3D):
@@ -137,11 +138,6 @@ class FilterSpec:
             raise ValueError(f"unknown filter name {name!r}") from None
 
 
-def _replace_values(volume: VolumeGrid, values: np.ndarray) -> VolumeGrid:
-    return VolumeGrid(dims=values.shape, spacing=volume.spacing,
-                      origin=volume.origin, values=values)
-
-
 def normalize(volume: VolumeGrid, mode: NormalizationMode,
               reference: RoiMask | None = None) -> VolumeGrid:
     """Shift and scale intensities to the mode's target mean/std.
@@ -161,8 +157,8 @@ def normalize(volume: VolumeGrid, mode: NormalizationMode,
                 "reference-region normalization requires a reference mask")
         if not check_geometry(volume, reference):
             raise GeometryMismatch(
-                f"reference mask grid {reference.dims} does not "
-                f"match the volume grid {volume.dims}")
+                f"reference mask grid {reference.labels.shape} does not "
+                f"match the volume grid {volume.values.shape}")
         source = volume.values[reference.bounding_box][reference.inside]
     mu = float(np.mean(source))
     sigma = float(np.std(source))
@@ -170,7 +166,7 @@ def normalize(volume: VolumeGrid, mode: NormalizationMode,
         raise ZeroVariance("normalization source region is constant")
     target_mean, target_std = mode.target
     out = target_mean + (volume.values - mu) * (target_std / sigma)
-    return _replace_values(volume, out)
+    return VolumeGrid(volume.spacing, out)
 
 
 def _log_kernels_1d(sigma_mm: float, spacing_mm: float):
@@ -236,7 +232,7 @@ def filter_log(volume: VolumeGrid, sigma_mm: float, box: Box) -> VolumeGrid:
     kernels = [_log_kernels_1d(sigma_mm, h) for h in volume.spacing]
     reach = tuple(slice(max(0, b.start - k[0].size // 2),
                         min(n, b.stop + k[0].size // 2))
-                  for b, k, n in zip(box, kernels, volume.dims))
+                  for b, k, n in zip(box, kernels, volume.values.shape))
     source = volume.values[reach]
     total = np.zeros([b.stop - b.start for b in box])
     for deriv_axis in range(3):
@@ -248,7 +244,7 @@ def filter_log(volume: VolumeGrid, sigma_mm: float, box: Box) -> VolumeGrid:
                                       box[axis].stop - reach[axis].start)
         total += part
     total *= sigma_mm ** 2
-    return _replace_values(volume, total)
+    return VolumeGrid(volume.spacing, total)
 
 
 def filter_wavelet(volume: VolumeGrid, subband: str, box: Box) -> VolumeGrid:
@@ -263,8 +259,9 @@ def filter_wavelet(volume: VolumeGrid, subband: str, box: Box) -> VolumeGrid:
     if subband not in WAVELET_SUBBANDS_2D + WAVELET_SUBBANDS_3D:
         raise ValueError(f"unknown wavelet subband {subband!r}")
     for axis in range(len(subband)):
-        if volume.dims[axis] < 2:
-            raise AxisTooShort(f"axis {axis} has {volume.dims[axis]} voxel(s)")
+        if volume.values.shape[axis] < 2:
+            raise AxisTooShort(
+                f"axis {axis} has {volume.values.shape[axis]} voxel(s)")
     out = volume.values
     for axis, b in enumerate(box):
         out = out.take(range(b.start, b.stop + (axis < len(subband))), axis,
@@ -275,7 +272,7 @@ def filter_wavelet(volume: VolumeGrid, subband: str, box: Box) -> VolumeGrid:
         here = out[lead + (slice(None, -1),)]
         after = out[lead + (slice(1, None),)]
         out = (here + after if letter == "L" else here - after) * inv_sqrt2
-    return _replace_values(volume, out)
+    return VolumeGrid(volume.spacing, out)
 
 
 # The pointwise maps (|x|, M = max|x|) -> g(|x|) * M / g(M), ratios first.
@@ -303,8 +300,8 @@ def filter_pointwise(volume: VolumeGrid, kind: FilterKind,
     max_abs = max(float(volume.values.max()), -float(volume.values.min()))
     x = volume.values[box]
     if max_abs == 0.0:
-        return _replace_values(volume, x)
-    return _replace_values(volume, np.sign(x) * scale(np.abs(x), max_abs))
+        return VolumeGrid(volume.spacing, x)
+    return VolumeGrid(volume.spacing, np.sign(x) * scale(np.abs(x), max_abs))
 
 
 def apply_filter(volume: VolumeGrid, spec: FilterSpec, box: Box) -> VolumeGrid:
@@ -317,7 +314,7 @@ def apply_filter(volume: VolumeGrid, spec: FilterSpec, box: Box) -> VolumeGrid:
     maps take M over the whole input.
     """
     if spec.kind is FilterKind.ORIGINAL:
-        return _replace_values(volume, volume.values[box])
+        return VolumeGrid(volume.spacing, volume.values[box])
     if spec.kind is FilterKind.LOG:
         return filter_log(volume, spec.sigma_mm, box)
     if spec.kind is FilterKind.WAVELET:

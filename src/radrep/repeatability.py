@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import RadrepError
-from .features import FEATURE_CLASSES
+from .features import FEATURE_ROSTER
 
 VOLUME_REFERENCE_FEATURE = "original_shape_Volume"
 MIN_SUBJECTS = 3
@@ -267,7 +267,7 @@ def rank_distribution(tables: dict[float, RepeatabilityTable],
 
 def split_feature_key(feature_key: str) -> tuple[str, str, str]:
     """Split '[filter]_[class]_[name]' into its three parts."""
-    for cls in FEATURE_CLASSES:
+    for cls in FEATURE_ROSTER:
         token = f"_{cls}_"
         pos = feature_key.find(token)
         if pos > 0:

@@ -2,12 +2,13 @@
 
 All builders count with integers and normalize (where applicable) as the
 final step, so results are independent of traversal or aggregation
-order. Neighbourhoods come from one place: ``OFFSETS_3D``, the 13 unique
-voxel offsets (26-connectivity), and ``OFFSETS_2D``, the 4 in-plane
-offsets (8-connectivity within an axial slice). They are the GLCM pair
-offsets, the GLRLM run directions and the GLSZM zone edges. 2D variants
-merge counts across slices and in-plane directions into a single matrix
-before any feature is computed.
+order. Each builder takes its neighbourhood as offsets, which are the
+GLCM pair offsets, the GLRLM run directions and the GLSZM zone edges.
+``OFFSETS`` holds the two in use, by texture dimensionality:
+``OFFSETS_3D``, the 13 unique voxel offsets (26-connectivity), and
+``OFFSETS_2D``, the 4 in-plane offsets (8-connectivity within an axial
+slice). 2D variants merge counts across slices and in-plane directions
+into a single matrix before any feature is computed.
 
 GLRLM and GLSZM are one family: both builders return a
 :class:`SizeMatrix`, items (runs or zones) counted by gray level and by
@@ -42,6 +43,7 @@ OFFSETS_3D = tuple(
     if (dx, dy, dz) > (0, 0, 0)
 )
 assert len(OFFSETS_3D) == 13
+OFFSETS = {"2D": OFFSETS_2D, "3D": OFFSETS_3D}
 
 
 class NoValidPairs(RadrepError):
@@ -78,17 +80,6 @@ class SizeMatrix:
         self.sizes.setflags(write=False)
 
 
-def select_offsets(dim: str, offsets=None) -> tuple:
-    """``offsets`` as a tuple, or by default the offsets of ``dim``."""
-    if offsets is not None:
-        return tuple(tuple(o) for o in offsets)
-    if dim == "2D":
-        return OFFSETS_2D
-    if dim == "3D":
-        return OFFSETS_3D
-    raise ValueError("dim must be '2D' or '3D'")
-
-
 def _offset_views(levels: np.ndarray, offset):
     """Paired views of the grid displaced by ``offset``."""
     src = [slice(None)] * 3
@@ -109,17 +100,15 @@ def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
                        minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def build_glcm(disc: DiscretizedRoi, dim: str, offsets=None) -> GlcMatrix:
-    """Co-occurrence matrix over distance-1 offsets, symmetrized.
+def build_glcm(disc: DiscretizedRoi, offsets) -> GlcMatrix:
+    """Co-occurrence matrix over the voxel ``offsets``, symmetrized.
 
     Ordered voxel pairs of every offset are counted in one pass, pairs
     with an out-of-ROI voxel (level 0) are dropped, the transpose is
-    added, and counts are normalized to probabilities. ``offsets``
-    restricts the direction set (testing hook).
+    added, and counts are normalized to probabilities.
     """
     ng = disc.num_gray_levels
-    views = [_offset_views(disc.levels, off)
-             for off in select_offsets(dim, offsets)]
+    views = [_offset_views(disc.levels, off) for off in offsets]
     counts = _count_pairs(np.concatenate([a.ravel() for a, _ in views]),
                           np.concatenate([b.ravel() for _, b in views]),
                           (ng + 1, ng + 1))[1:, 1:]
@@ -157,14 +146,12 @@ def _size_matrix(levels: np.ndarray, sizes: np.ndarray, ng: int,
                       np.flatnonzero(occurs), sites)
 
 
-def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
+def build_glrlm(disc: DiscretizedRoi, offsets) -> SizeMatrix:
     """Run-length matrix, directions summed into one matrix.
 
     Maximal runs of consecutive equal nonzero levels are counted along
-    every direction of ``OFFSETS_3D`` (3D) or ``OFFSETS_2D`` (2D, the 4
-    in-plane directions, so runs never leave their slice); out-of-ROI
-    voxels terminate runs. ``directions`` restricts the direction set
-    (testing hook).
+    every direction of ``offsets`` (with ``OFFSETS_2D``, runs never leave
+    their slice); out-of-ROI voxels terminate runs.
 
     The padded flat grid (:func:`_padded`), read as columns of a
     direction's shift ``s``, lays every line along it end to end, in
@@ -175,8 +162,7 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
     every direction go into one array, whose runs are those of all
     directions pooled.
     """
-    dirs = select_offsets(dim, directions)
-    flat, shifts = _padded(disc.levels, dirs)
+    flat, shifts = _padded(disc.levels, offsets)
     widths = [flat.size - flat.size % s for s in shifts]
     # the smallest type that holds every level, so each pass reads less
     lines = np.empty(sum(widths), np.min_scalar_type(disc.num_gray_levels))
@@ -191,7 +177,7 @@ def build_glrlm(disc: DiscretizedRoi, dim: str, directions=None) -> SizeMatrix:
     starts = np.flatnonzero(change & inside[1:]) + 1
     ends = np.flatnonzero(change & inside[:-1]) + 1
     return _size_matrix(lines[starts], ends - starts, disc.num_gray_levels,
-                        disc.num_roi_voxels * len(dirs))
+                        disc.num_roi_voxels * len(offsets))
 
 
 def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
@@ -233,17 +219,17 @@ def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[voxels]]
 
 
-def build_glszm(disc: DiscretizedRoi, dim: str) -> SizeMatrix:
+def build_glszm(disc: DiscretizedRoi, offsets) -> SizeMatrix:
     """Size-zone matrix: connected zones of equal nonzero level.
 
     Zones are the connected components (:func:`label_zones`) of one graph
     over the in-ROI voxels whose edges join neighbours of equal level
-    along the offsets of ``OFFSETS_3D`` (26-connectivity in 3D) or
-    ``OFFSETS_2D`` (8-connectivity within each axial slice in 2D: no
-    offset leaves its slice). One labelling covers every level; absent
-    levels keep all-zero rows.
+    along ``offsets``: with ``OFFSETS_3D`` 26-connectivity, with
+    ``OFFSETS_2D`` 8-connectivity within each axial slice (no offset
+    leaves its slice). One labelling covers every level; absent levels
+    keep all-zero rows.
     """
-    num_zones, zone = label_zones(disc.levels, select_offsets(dim))
+    num_zones, zone = label_zones(disc.levels, offsets)
     zone_level = np.zeros(num_zones, dtype=disc.levels.dtype)
     zone_level[zone] = disc.levels[disc.levels > 0]
     sizes = np.bincount(zone, minlength=num_zones)

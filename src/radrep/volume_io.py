@@ -2,10 +2,12 @@
 
 Supported files are 3D, raw-encoded, with axis-aligned (diagonal)
 orientation. Honored header fields: ``dimension``, ``type``, ``sizes``,
-``encoding``, ``spacings`` or ``space directions``, ``endian`` (little
-assumed if absent) and, when present, ``space origin`` to populate the
-informational origin. Everything else is ignored. The payload starts
-immediately after the blank line that terminates the header.
+``encoding``, ``spacings`` or ``space directions`` and ``endian`` (little
+assumed if absent). A ``space origin`` line, when present, must parse
+as a vector such as ``(x,y,z)``; it is checked, not kept, as no step
+reads the origin (all geometry is spacing-relative). Everything else
+is ignored. The payload starts immediately after the blank line that
+terminates the header.
 
 Loaded grids are immutable and safe to share across parallel extraction
 tasks. Voxel value order follows the NRRD convention: the first axis
@@ -59,7 +61,7 @@ class EmptyMask(RadrepError):
 
 
 class GeometryMismatch(RadrepError):
-    """Image and mask grids disagree in dims or spacing."""
+    """Image and mask grids disagree in shape or spacing."""
 
 
 class NonBinaryLabel(RadrepError):
@@ -77,25 +79,21 @@ class Structure(Enum):
 
 @dataclass(frozen=True)
 class VolumeGrid:
-    """3D scalar field with physical spacing.
+    """3D scalar field with physical spacing: its values and its spacing.
 
-    ``values`` has shape ``dims`` and is read-only. Spacing is in mm per
-    voxel; origin is carried for provenance but unused by any feature
-    computation (all geometry is spacing-relative).
+    ``values`` is a read-only 3D array with no empty axis; its shape is
+    the grid's shape. Spacing is in mm per voxel.
     """
 
-    dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(d <= 0 for d in self.dims):
-            raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
+        if self.values.ndim != 3 or 0 in self.values.shape:
+            raise ValueError("values must be a 3D array with no empty axis, "
+                             f"got shape {self.values.shape}")
         if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if tuple(self.values.shape) != tuple(self.dims):
-            raise ValueError("values shape does not match dims")
         self.values.setflags(write=False)
 
     def payload_hash(self) -> str:
@@ -107,7 +105,8 @@ class VolumeGrid:
 
 @dataclass(frozen=True)
 class RoiMask:
-    """Binary label grid aligned to a :class:`VolumeGrid`.
+    """Binary label grid aligned to a :class:`VolumeGrid`: its labels,
+    their spacing and the structure they delineate.
 
     The ROI is found once, at construction: ``bounding_box`` holds the
     per-axis slices of the smallest box that holds every labeled voxel,
@@ -115,17 +114,13 @@ class RoiMask:
     > 0``. Every step that needs the ROI reads these two, not ``labels``.
     """
 
-    dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
     labels: np.ndarray = field(repr=False)
     structure: Structure
     bounding_box: tuple[slice, slice, slice] = field(init=False)
     inside: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if tuple(self.labels.shape) != tuple(self.dims):
-            raise ValueError("labels shape does not match dims")
         index = np.nonzero(self.labels)
         if index[0].size == 0:
             raise EmptyMask("mask has no labeled voxel")
@@ -214,7 +209,7 @@ def _spacing_from_fields(fields: dict[str, str], path) -> tuple[float, float, fl
     return spacing
 
 
-def _load_grid(path) -> tuple[tuple, tuple, tuple, np.ndarray]:
+def _load_grid(path) -> tuple[tuple, np.ndarray]:
     path = Path(path)
     raw = path.read_bytes()
     fields, payload = _parse_header(raw, path)
@@ -242,11 +237,8 @@ def _load_grid(path) -> tuple[tuple, tuple, tuple, np.ndarray]:
         raise UnsupportedHeaderValue(f"{path}: unknown endian '{endian}'")
     dtype = _DTYPES[type_name].newbyteorder("<" if endian == "little" else ">")
 
-    origin = (0.0, 0.0, 0.0)
     if "space origin" in fields:
-        vecs = _parse_vectors(fields["space origin"])
-        if len(vecs) == 1 and len(vecs[0]) == 3:
-            origin = tuple(vecs[0])
+        _parse_vectors(fields["space origin"])  # refuses a malformed vector
 
     count = dims[0] * dims[1] * dims[2]
     if len(payload) != count * dtype.itemsize:
@@ -257,19 +249,17 @@ def _load_grid(path) -> tuple[tuple, tuple, tuple, np.ndarray]:
     flat = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     if not np.isfinite(flat).all():
         raise NonFiniteValue(f"{path}: payload contains NaN or infinity")
-    values = flat.reshape(dims, order="F")
-    return dims, spacing, origin, values
+    return spacing, flat.reshape(dims, order="F")
 
 
 def read_volume(path) -> VolumeGrid:
     """Load a volumetric image from the supported NRRD subset."""
-    dims, spacing, origin, values = _load_grid(path)
-    return VolumeGrid(dims=dims, spacing=spacing, origin=origin, values=values)
+    return VolumeGrid(*_load_grid(path))
 
 
 def read_mask(path, structure: Structure) -> RoiMask:
     """Load a binary mask; payload values must be exactly 0 or 1."""
-    dims, spacing, origin, values = _load_grid(path)
+    spacing, values = _load_grid(path)
     binary = (values == 0) | (values == 1)
     if not binary.all():
         bad = values[~binary].flat[0]
@@ -277,9 +267,7 @@ def read_mask(path, structure: Structure) -> RoiMask:
     labels = values.astype(np.uint8)
     if not labels.any():
         raise EmptyMask(f"{path}: mask has no labeled voxel")
-    return RoiMask(
-        dims=dims, spacing=spacing, origin=origin, labels=labels, structure=structure
-    )
+    return RoiMask(spacing, labels, structure)
 
 
 def _spacing_close(a, b) -> bool:
@@ -288,8 +276,8 @@ def _spacing_close(a, b) -> bool:
 
 
 def check_geometry(image: VolumeGrid, mask: RoiMask) -> bool:
-    """True iff dims match and spacing agrees within relative 1e-6 per axis."""
-    if tuple(image.dims) != tuple(mask.dims):
+    """True iff shapes match and spacing agrees within relative 1e-6 per axis."""
+    if image.values.shape != mask.labels.shape:
         return False
     return all(_spacing_close(a, b) for a, b in zip(image.spacing, mask.spacing))
 

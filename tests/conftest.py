@@ -7,19 +7,18 @@ from radrep.discretize import DiscretizedRoi
 from radrep.volume_io import RoiMask, Structure, VolumeGrid
 
 
-def make_volume(values, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
+def make_volume(values, spacing=(1.0, 1.0, 1.0)):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values.reshape(-1, 1, 1)
     if values.ndim == 2:
         values = values[:, :, None]
-    return VolumeGrid(dims=tuple(values.shape), spacing=tuple(spacing),
-                      origin=tuple(origin), values=values.copy())
+    return VolumeGrid(spacing=tuple(spacing), values=values.copy())
 
 
 def whole_box(volume):
     """The box of every voxel: a filter given it returns the whole grid."""
-    return tuple(slice(0, n) for n in volume.dims)
+    return tuple(slice(0, n) for n in volume.values.shape)
 
 
 def make_mask(labels, spacing=(1.0, 1.0, 1.0), structure=Structure.TUMOR):
@@ -28,10 +27,8 @@ def make_mask(labels, spacing=(1.0, 1.0, 1.0), structure=Structure.TUMOR):
         labels = labels.reshape(-1, 1, 1)
     if labels.ndim == 2:
         labels = labels[:, :, None]
-    return RoiMask(dims=tuple(labels.shape), spacing=(float(spacing[0]),
-                   float(spacing[1]), float(spacing[2])),
-                   origin=(0.0, 0.0, 0.0), labels=labels.copy(),
-                   structure=structure)
+    return RoiMask(spacing=tuple(float(s) for s in spacing),
+                   labels=labels.copy(), structure=structure)
 
 
 def make_disc(levels):

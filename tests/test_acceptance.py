@@ -26,8 +26,8 @@ from radrep.repeatability import build_table
 from radrep.pipeline import (extract_run, load_manifest,
                              parse_config_from_name, read_feature_csv,
                              validate_feature_csv)
-from radrep.texture_matrices import (OFFSETS_2D, OFFSETS_3D, build_glcm,
-                                     build_glrlm, build_glszm)
+from radrep.texture_matrices import (OFFSETS, build_glcm, build_glrlm,
+                                     build_glszm)
 from radrep.volume_io import Structure
 
 from cohorts import build_cohort
@@ -106,11 +106,11 @@ def test_criterion_3_texture_oracles():
             levels = random_levels(rng, shape, ng)
             disc = make_disc(levels)
             dim = "2D" if index % 2 == 0 else "3D"
-            offsets = OFFSETS_2D if dim == "2D" else OFFSETS_3D
+            offsets = OFFSETS[dim]
 
             glcm_counts = brute_glcm(levels, offsets)
             if glcm_counts.sum() > 0:
-                glcm = build_glcm(disc, dim)
+                glcm = build_glcm(disc, offsets)
                 assert np.allclose(glcm.probs,
                                    glcm_counts / glcm_counts.sum(),
                                    atol=1e-15)
@@ -122,7 +122,7 @@ def test_criterion_3_texture_oracles():
                     else:
                         assert abs(got - expected) <= 1e-12, name
 
-            glrlm = build_glrlm(disc, dim)
+            glrlm = build_glrlm(disc, offsets)
             assert np.array_equal(dense_counts(glrlm),
                                   brute_glrlm(levels, offsets))
             fmap = glrlm_features(glrlm)
@@ -132,7 +132,7 @@ def test_criterion_3_texture_oracles():
             for name, expected in oracle.items():
                 assert abs(fmap.get("glrlm", name) - expected) <= 1e-12, name
 
-            glszm = build_glszm(disc, dim)
+            glszm = build_glszm(disc, offsets)
             assert np.array_equal(dense_counts(glszm),
                                   brute_glszm(levels, dim))
             fmap = glszm_features(glszm)

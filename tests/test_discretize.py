@@ -58,6 +58,9 @@ def test_gray_level_count_above_the_cap_raises():
     assert disc.num_gray_levels == MAX_GRAY_LEVELS
     with pytest.raises(TooManyGrayLevels, match=f"{MAX_GRAY_LEVELS + 1} gray"):
         disc_of(values, np.ones(50), 0.999)
+    # a span of 1e10 at width 1e-300 overflows the float range
+    with pytest.raises(TooManyGrayLevels, match="gives inf gray levels"):
+        disc_of(np.array([0.0, 1e10]), np.ones(2), 1e-300)
 
 
 def test_out_of_roi_levels_are_zero():

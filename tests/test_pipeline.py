@@ -123,6 +123,17 @@ def test_manifest_rejects_a_structure_listed_twice(tmp_path):
         load_manifest(manifest_path)
 
 
+def test_manifest_rejects_an_entry_with_no_mask(tmp_path):
+    # such an entry would be read and hashed, then write no row and no
+    # failure, and its subject would lose a timepoint in every ICC
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    doc["cohort"][1]["masks"] = []
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="^sub00_tp2 lists no mask$"):
+        load_manifest(manifest_path)
+
+
 def test_manifest_missing_file(tmp_path):
     manifest_path = build_cohort(tmp_path, n_subjects=1)
     doc = json.loads(manifest_path.read_text())
@@ -154,6 +165,8 @@ def test_manifest_rejects_unknown_mode(tmp_path):
     {"normalizationModes": "none"},
     {"registeredMasks": "false"},
     {"biasCorrected": 1},
+    {"filters": ["log-sigma-nan-mm-3D"]},
+    {"filters": ["log-sigma-inf-mm-3D"]},
 ])
 def test_manifest_rejects_repeated_cells_and_wrong_typed_settings(
         tmp_path, settings):
@@ -649,7 +662,7 @@ def test_filters_are_computed_over_the_union_of_mask_boxes(tmp_path,
 
     def recording(volume, spec, box):
         out = original(volume, spec, box)
-        calls.append((box, out.dims))
+        calls.append((box, out.values.shape))
         return out
 
     monkeypatch.setattr(radrep.pipeline, "apply_filter", recording)
@@ -660,8 +673,7 @@ def test_filters_are_computed_over_the_union_of_mask_boxes(tmp_path,
 
     def whole_then_cropped(volume, spec, box):
         whole = original(volume, spec, whole_box(volume)).values
-        return VolumeGrid(whole[box].shape, volume.spacing, volume.origin,
-                          whole[box])
+        return VolumeGrid(volume.spacing, whole[box])
 
     monkeypatch.setattr(radrep.pipeline, "apply_filter", whole_then_cropped)
     whole, whole_failures = extract_run(manifest, tmp_path / "whole")
@@ -682,6 +694,8 @@ def test_schema_validator_rejects_bad_layouts(tmp_path):
                    f"general_info_X,,original_glcm_Contrast,{meta}",
                    f"general_info_X,original_glcm_Contrast,general_info_Y,{meta}",
                    f"general_info_X,notafilter_glcm_Contrast,{meta}",
+                   f"general_info_X,log-sigma-nan-mm-3D_glcm_Contrast,{meta}",
+                   f"general_info_X,log-sigma-inf-mm-3D_glcm_Contrast,{meta}",
                    f"general_info_X,{meta},original_glcm_Contrast",
                    f"general_info_X,study,original_glcm_Contrast,{meta}"]:
         bad.write_text(header + "\n" if header else "")
@@ -1449,8 +1463,7 @@ assert radrep.cli.main(["analyze", "--in", {str(out / "*.csv")!r},
                         "--out", {str(reports)!r}]) == 0
 print("during", *loaded())
 labels = np.ones((30, 30, 4), dtype=np.uint8)
-shape_features(RoiMask((30, 30, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
-                       labels, Structure.TUMOR))
+shape_features(RoiMask((1.0, 1.0, 1.0), labels, Structure.TUMOR))
 print("after", *loaded())
 """
     result = subprocess.run(

@@ -277,7 +277,7 @@ def test_wavelet_output_dims_match_input(rng):
     for subbands, count in ((WAVELET_SUBBANDS_2D, 4), (WAVELET_SUBBANDS_3D, 8)):
         bands = _bands(vol, subbands)
         assert len(bands) == count
-        assert all(b.dims == vol.dims for b in bands.values())
+        assert all(b.values.shape == vol.values.shape for b in bands.values())
 
 
 def test_wavelet_2d_is_per_slice(rng):
@@ -415,6 +415,9 @@ def test_filter_spec_validation():
         FilterSpec(FilterKind.WAVELET, subband="LLLL")
     with pytest.raises(ValueError):
         FilterSpec(FilterKind.WAVELET, subband="L")
+    for name in ("log-sigma-nan-mm-3D", "log-sigma-inf-mm-3D"):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FilterSpec.from_name(name)
 
 
 def test_apply_filter_dispatch(rng):

@@ -6,9 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 import radrep.texture_matrices
 from radrep.features import glrlm_features, glszm_features
-from radrep.texture_matrices import (NoValidPairs, OFFSETS_2D, OFFSETS_3D,
-                                     SizeMatrix, build_glcm, build_glrlm,
-                                     build_glszm, label_zones, select_offsets)
+from radrep.texture_matrices import (OFFSETS, OFFSETS_2D, OFFSETS_3D,
+                                     NoValidPairs, SizeMatrix, build_glcm,
+                                     build_glrlm, build_glszm, label_zones)
 
 from radrep.discretize import discretize_roi
 
@@ -23,7 +23,7 @@ from oracles import (brute_glcm, brute_glrlm, brute_glszm, brute_levels,
 
 def test_glcm_hand_case_horizontal():
     disc = make_disc([[1, 1, 2], [2, 2, 3]])
-    glcm = build_glcm(disc, "2D", offsets=[(0, 1, 0)])
+    glcm = build_glcm(disc, [(0, 1, 0)])
     expected = np.array([
         [0.25, 0.125, 0.0],
         [0.125, 0.25, 0.125],
@@ -34,7 +34,7 @@ def test_glcm_hand_case_horizontal():
 
 def test_glcm_constant_roi():
     disc = make_disc(np.ones((3, 3, 2), dtype=np.int32))
-    glcm = build_glcm(disc, "3D")
+    glcm = build_glcm(disc, OFFSETS_3D)
     assert glcm.probs.shape == (1, 1)
     assert glcm.probs[0, 0] == 1.0
 
@@ -43,14 +43,14 @@ def test_glcm_single_voxel_has_no_pairs():
     levels = np.zeros((3, 3, 1), dtype=np.int32)
     levels[1, 1, 0] = 1
     with pytest.raises(NoValidPairs):
-        build_glcm(make_disc(levels), "2D")
+        build_glcm(make_disc(levels), OFFSETS_2D)
 
 
 def test_glcm_matches_bruteforce_3d(rng):
     for _ in range(15):
         levels = random_levels(rng, (5, 5, 3), ng=4)
         disc = make_disc(levels)
-        glcm = build_glcm(disc, "3D")
+        glcm = build_glcm(disc, OFFSETS_3D)
         counts = brute_glcm(levels, OFFSETS_3D)
         assert np.allclose(glcm.probs, counts / counts.sum())
 
@@ -59,14 +59,14 @@ def test_glcm_matches_bruteforce_2d(rng):
     for _ in range(15):
         levels = random_levels(rng, (6, 6, 2), ng=3)
         disc = make_disc(levels)
-        glcm = build_glcm(disc, "2D")
+        glcm = build_glcm(disc, OFFSETS_2D)
         counts = brute_glcm(levels, OFFSETS_2D)
         assert np.allclose(glcm.probs, counts / counts.sum())
 
 
 def test_glcm_symmetry_and_mass(rng):
     levels = random_levels(rng, (7, 6, 3), ng=5)
-    glcm = build_glcm(make_disc(levels), "3D")
+    glcm = build_glcm(make_disc(levels), OFFSETS_3D)
     assert np.array_equal(glcm.probs, glcm.probs.T)
     assert glcm.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert (glcm.probs >= 0).all()
@@ -80,11 +80,13 @@ def test_glcm_invariant_to_out_of_roi_intensities(rng):
     labels[2, 2, 0] = 1
     labels[2, 3, 0] = 1
     base = build_glcm(
-        discretize_roi(make_volume(values), make_mask(labels), 5.0), "3D")
+        discretize_roi(make_volume(values), make_mask(labels), 5.0),
+        OFFSETS_3D)
     tampered = values.copy()
     tampered[labels == 0] = 1e8
     again = build_glcm(
-        discretize_roi(make_volume(tampered), make_mask(labels), 5.0), "3D")
+        discretize_roi(make_volume(tampered), make_mask(labels), 5.0),
+        OFFSETS_3D)
     assert np.array_equal(base.probs, again.probs)
 
 
@@ -94,7 +96,7 @@ def test_glcm_invariant_to_out_of_roi_intensities(rng):
 
 def test_glrlm_hand_case_strip():
     disc = make_disc(np.array([[2, 2, 2, 1]], dtype=np.int32))
-    glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
+    glrlm = build_glrlm(disc, [(0, 1, 0)])
     assert dense_counts(glrlm)[1, 2] == 1  # level 2, length 3
     assert dense_counts(glrlm)[0, 0] == 1  # level 1, length 1
     assert glrlm.counts.sum() == 2
@@ -103,14 +105,14 @@ def test_glrlm_hand_case_strip():
 def test_glrlm_constant_strip_single_run():
     n = 7
     disc = make_disc(np.full((1, n), 3, dtype=np.int32))
-    glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
+    glrlm = build_glrlm(disc, [(0, 1, 0)])
     assert dense_counts(glrlm)[2, n - 1] == 1
     assert glrlm.counts.sum() == 1
 
 
 def test_glrlm_out_of_roi_terminates_runs():
     disc = make_disc(np.array([[1, 1, 0, 1]], dtype=np.int32))
-    glrlm = build_glrlm(disc, "2D", directions=[(0, 1, 0)])
+    glrlm = build_glrlm(disc, [(0, 1, 0)])
     assert dense_counts(glrlm)[0, 1] == 1  # run of length 2
     assert dense_counts(glrlm)[0, 0] == 1  # run of length 1
     assert glrlm.counts.sum() == 2
@@ -119,7 +121,7 @@ def test_glrlm_out_of_roi_terminates_runs():
 def test_glrlm_matches_bruteforce_2d(rng):
     for _ in range(15):
         levels = random_levels(rng, (6, 6, 1), ng=3)
-        glrlm = build_glrlm(make_disc(levels), "2D")
+        glrlm = build_glrlm(make_disc(levels), OFFSETS_2D)
         expected = brute_glrlm(levels, OFFSETS_2D)
         assert np.array_equal(dense_counts(glrlm), expected)
 
@@ -127,7 +129,7 @@ def test_glrlm_matches_bruteforce_2d(rng):
 def test_glrlm_matches_bruteforce_3d(rng):
     for _ in range(10):
         levels = random_levels(rng, (5, 4, 3), ng=4)
-        glrlm = build_glrlm(make_disc(levels), "3D")
+        glrlm = build_glrlm(make_disc(levels), OFFSETS_3D)
         expected = brute_glrlm(levels, OFFSETS_3D)
         assert np.array_equal(dense_counts(glrlm), expected)
 
@@ -137,7 +139,7 @@ def test_glrlm_per_direction_voxel_conservation(rng):
     disc = make_disc(levels)
     nv = int(np.count_nonzero(levels))
     for direction in OFFSETS_3D:
-        single = build_glrlm(disc, "3D", directions=[direction])
+        single = build_glrlm(disc, [direction])
         assert int((single.counts * single.sizes).sum()) == nv
 
 
@@ -168,7 +170,7 @@ def run_grids(draw):
                     for idx in np.nonzero(levels))
         levels = levels[box]
     dim = draw(st.sampled_from(("2D", "3D")))
-    offsets = select_offsets(dim)
+    offsets = OFFSETS[dim]
     offsets += tuple(tuple(-d for d in o) for o in offsets)
     directions = draw(st.none() | st.lists(st.sampled_from(offsets),
                                            min_size=1, unique=True))
@@ -179,8 +181,8 @@ def run_grids(draw):
 @given(run_grids())
 def test_glrlm_matches_bruteforce_on_edge_case_grids(grid):
     levels, dim, directions = grid
-    glrlm = build_glrlm(make_disc(levels), dim, directions=directions)
-    dirs = select_offsets(dim) if directions is None else directions
+    dirs = OFFSETS[dim] if directions is None else directions
+    glrlm = build_glrlm(make_disc(levels), dirs)
     assert np.array_equal(dense_counts(glrlm), brute_glrlm(levels, dirs))
     assert glrlm.sites == np.count_nonzero(levels) * len(dirs)
 
@@ -192,14 +194,14 @@ def test_glrlm_matches_bruteforce_on_edge_case_grids(grid):
 def test_glszm_constant_roi_single_zone():
     levels = np.zeros((4, 4, 2), dtype=np.int32)
     levels[1:3, 1:3, :] = 1
-    glszm = build_glszm(make_disc(levels), "3D")
+    glszm = build_glszm(make_disc(levels), OFFSETS_3D)
     assert glszm.counts.sum() == 1
     assert dense_counts(glszm)[0, 7] == 1  # 8 voxels
 
 
 def test_glszm_checkerboard_2d():
     board = np.indices((4, 4)).sum(axis=0) % 2 + 1
-    glszm = build_glszm(make_disc(board.astype(np.int32)), "2D")
+    glszm = build_glszm(make_disc(board.astype(np.int32)), OFFSETS_2D)
     # 8-connectivity joins each color diagonally: 2 zones of size 8
     assert glszm.counts.sum() == 2
     assert dense_counts(glszm)[0, 7] == 1
@@ -209,7 +211,7 @@ def test_glszm_checkerboard_2d():
 def test_glszm_matches_bruteforce_3d(rng):
     for _ in range(12):
         levels = random_levels(rng, (5, 5, 2), ng=3)
-        glszm = build_glszm(make_disc(levels), "3D")
+        glszm = build_glszm(make_disc(levels), OFFSETS_3D)
         expected = brute_glszm(levels, "3D")
         assert np.array_equal(dense_counts(glszm), expected)
 
@@ -217,7 +219,7 @@ def test_glszm_matches_bruteforce_3d(rng):
 def test_glszm_matches_bruteforce_2d(rng):
     for _ in range(12):
         levels = random_levels(rng, (5, 4, 3), ng=3)
-        glszm = build_glszm(make_disc(levels), "2D")
+        glszm = build_glszm(make_disc(levels), OFFSETS_2D)
         expected = brute_glszm(levels, "2D")
         assert np.array_equal(dense_counts(glszm), expected)
 
@@ -230,7 +232,7 @@ def test_glszm_absent_middle_level_keeps_zero_row():
     assert disc.num_gray_levels == 3
     assert set(np.unique(disc.levels).tolist()) == {1, 3}
     for dim in ("2D", "3D"):
-        glszm = build_glszm(disc, dim)
+        glszm = build_glszm(disc, OFFSETS[dim])
         assert np.array_equal(dense_counts(glszm),
                               brute_glszm(disc.levels, dim))
         assert not glszm.counts[1].any()
@@ -241,10 +243,10 @@ def test_glszm_2d_keeps_adjacent_slices_apart():
     levels[1, 1, :] = 2
     levels[0, 0, 1] = 1
     disc = make_disc(levels)
-    glszm_2d = build_glszm(disc, "2D")
+    glszm_2d = build_glszm(disc, OFFSETS_2D)
     assert dense_counts(glszm_2d)[1].tolist() == [3]  # three one-voxel zones
     assert np.array_equal(dense_counts(glszm_2d), brute_glszm(levels, "2D"))
-    glszm_3d = build_glszm(disc, "3D")
+    glszm_3d = build_glszm(disc, OFFSETS_3D)
     assert dense_counts(glszm_3d)[1].tolist() == [0, 0, 1]
     assert dense_counts(glszm_3d)[0].tolist() == [1, 0, 0]
 
@@ -252,7 +254,7 @@ def test_glszm_2d_keeps_adjacent_slices_apart():
 def test_glszm_voxel_conservation(rng):
     for dim in ("2D", "3D"):
         levels = random_levels(rng, (6, 5, 3), ng=4)
-        glszm = build_glszm(make_disc(levels), dim)
+        glszm = build_glszm(make_disc(levels), OFFSETS[dim])
         assert (int((glszm.counts * glszm.sizes).sum())
                 == np.count_nonzero(levels))
 
@@ -274,7 +276,7 @@ def size_grids(draw):
     levels = draw(hnp.arrays(np.int32, shape, elements=st.integers(0, ng)))
     levels.flat[draw(st.integers(0, levels.size - 1))] = ng
     dim = draw(st.sampled_from(("2D", "3D")))
-    offsets = select_offsets(dim)
+    offsets = OFFSETS[dim]
     offsets += tuple(tuple(-d for d in o) for o in offsets)
     directions = draw(st.none() | st.lists(st.sampled_from(offsets),
                                            min_size=1, unique=True))
@@ -295,11 +297,11 @@ def _with_empty_columns(m: SizeMatrix, extra) -> SizeMatrix:
 def test_size_matrices_keep_only_the_sizes_that_occur(grid):
     levels, dim, directions, extra = grid
     disc = make_disc(levels)
-    dirs = select_offsets(dim) if directions is None else directions
+    dirs = OFFSETS[dim] if directions is None else directions
     for m, oracle, features in (
-            (build_glrlm(disc, dim, directions=directions),
+            (build_glrlm(disc, dirs),
              brute_glrlm(levels, dirs), glrlm_features),
-            (build_glszm(disc, dim), brute_glszm(levels, dim),
+            (build_glszm(disc, OFFSETS[dim]), brute_glszm(levels, dim),
              glszm_features)):
         assert (np.diff(m.sizes) > 0).all()
         assert m.counts.any(axis=0).all()
@@ -312,13 +314,13 @@ def test_size_matrices_keep_only_the_sizes_that_occur(grid):
 
 def test_size_matrix_width_is_the_number_of_distinct_sizes(rng):
     levels = np.ones((60, 60, 10), dtype=np.int32)  # one zone of 36,000
-    assert build_glszm(make_disc(levels), "3D").counts.shape == (1, 1)
+    assert build_glszm(make_disc(levels), OFFSETS_3D).counts.shape == (1, 1)
     for dim in ("2D", "3D"):
         levels = random_levels(rng, (9, 8, 4), ng=3)
         disc = make_disc(levels)
-        for m, oracle in ((build_glrlm(disc, dim),
-                           brute_glrlm(levels, select_offsets(dim))),
-                          (build_glszm(disc, dim), brute_glszm(levels, dim))):
+        for m, oracle in ((build_glrlm(disc, OFFSETS[dim]),
+                           brute_glrlm(levels, OFFSETS[dim])),
+                          (build_glszm(disc, OFFSETS[dim]), brute_glszm(levels, dim))):
             assert m.counts.shape == (disc.num_gray_levels,
                                       np.count_nonzero(oracle.any(axis=0)))
 
@@ -331,16 +333,18 @@ def test_single_slice_2d_equals_3d(rng):
     levels = random_levels(rng, (6, 6, 1), ng=4)
     disc = make_disc(levels)
 
-    glszm_2d = build_glszm(disc, "2D")
-    glszm_3d = build_glszm(disc, "3D")
+    glszm_2d = build_glszm(disc, OFFSETS_2D)
+    glszm_3d = build_glszm(disc, OFFSETS_3D)
     assert np.array_equal(dense_counts(glszm_2d), dense_counts(glszm_3d))
 
-    glcm_2d = build_glcm(disc, "2D")
-    glcm_3d_restricted = build_glcm(disc, "3D", offsets=OFFSETS_2D)
+    # the 3D offsets restricted to the slice plane
+    in_plane = [o for o in OFFSETS_3D if o[2] == 0]
+    glcm_2d = build_glcm(disc, OFFSETS_2D)
+    glcm_3d_restricted = build_glcm(disc, in_plane)
     assert np.allclose(glcm_2d.probs, glcm_3d_restricted.probs)
 
-    glrlm_2d = build_glrlm(disc, "2D")
-    glrlm_3d_restricted = build_glrlm(disc, "3D", directions=OFFSETS_2D)
+    glrlm_2d = build_glrlm(disc, OFFSETS_2D)
+    glrlm_3d_restricted = build_glrlm(disc, in_plane)
     assert np.array_equal(dense_counts(glrlm_2d),
                           dense_counts(glrlm_3d_restricted))
 
@@ -351,7 +355,7 @@ def test_single_slice_2d_equals_3d(rng):
 
 @pytest.mark.parametrize("dim, shape", [("2D", (7, 6, 3)), ("3D", (6, 5, 4))])
 def test_cropped_builders_match_full_grid_oracles(rng, dim, shape):
-    offsets = OFFSETS_2D if dim == "2D" else OFFSETS_3D
+    offsets = OFFSETS[dim]
     for _ in range(3):
         values = rng.normal(size=shape) * 30
         for labels in crop_masks(rng, shape):
@@ -359,14 +363,14 @@ def test_cropped_builders_match_full_grid_oracles(rng, dim, shape):
             full = brute_levels(values, labels, 7.0)
             pairs = brute_glcm(full, offsets)
             if pairs.any():
-                assert np.array_equal(build_glcm(disc, dim).probs,
+                assert np.array_equal(build_glcm(disc, OFFSETS[dim]).probs,
                                       pairs / pairs.sum())
             else:
                 with pytest.raises(NoValidPairs):
-                    build_glcm(disc, dim)
-            assert np.array_equal(dense_counts(build_glrlm(disc, dim)),
+                    build_glcm(disc, OFFSETS[dim])
+            assert np.array_equal(dense_counts(build_glrlm(disc, OFFSETS[dim])),
                                   brute_glrlm(full, offsets))
-            assert np.array_equal(dense_counts(build_glszm(disc, dim)),
+            assert np.array_equal(dense_counts(build_glszm(disc, OFFSETS[dim])),
                                   brute_glszm(full, dim))
 
 
@@ -379,12 +383,12 @@ def test_small_roi_builders_work_on_the_crop(rng):
     assert disc.levels.shape == (5, 4, 3)
     full = make_disc(brute_levels(values, labels, 10.0))
     for dim in ("2D", "3D"):
-        assert np.array_equal(build_glcm(disc, dim).probs,
-                              build_glcm(full, dim).probs)
-        assert np.array_equal(dense_counts(build_glrlm(disc, dim)),
-                              dense_counts(build_glrlm(full, dim)))
-        assert np.array_equal(dense_counts(build_glszm(disc, dim)),
-                              dense_counts(build_glszm(full, dim)))
+        assert np.array_equal(build_glcm(disc, OFFSETS[dim]).probs,
+                              build_glcm(full, OFFSETS[dim]).probs)
+        assert np.array_equal(dense_counts(build_glrlm(disc, OFFSETS[dim])),
+                              dense_counts(build_glrlm(full, OFFSETS[dim])))
+        assert np.array_equal(dense_counts(build_glszm(disc, OFFSETS[dim])),
+                              dense_counts(build_glszm(full, OFFSETS[dim])))
 
 
 @pytest.mark.parametrize("dim", ["2D", "3D"])
@@ -399,7 +403,7 @@ def test_builders_match_oracles_at_extreme_gray_level_counts(rng, dim, field):
         # a smooth ramp binned coarsely: Ng <= 4, zones span the crop
         values = np.indices(shape).sum(axis=0) * 10.0 + rng.random(shape)
         bin_width = 50.0
-    offsets = select_offsets(dim)
+    offsets = OFFSETS[dim]
     for labels in crop_masks(rng, shape):
         disc = discretize_roi(make_volume(values), make_mask(labels),
                               bin_width)
@@ -410,11 +414,11 @@ def test_builders_match_oracles_at_extreme_gray_level_counts(rng, dim, field):
         full = brute_levels(values, labels, bin_width)
         pairs = brute_glcm(full, offsets)
         if pairs.any():
-            assert np.array_equal(build_glcm(disc, dim).probs,
+            assert np.array_equal(build_glcm(disc, OFFSETS[dim]).probs,
                                   pairs / pairs.sum())
-        assert np.array_equal(dense_counts(build_glrlm(disc, dim)),
+        assert np.array_equal(dense_counts(build_glrlm(disc, OFFSETS[dim])),
                               brute_glrlm(full, offsets))
-        assert np.array_equal(dense_counts(build_glszm(disc, dim)),
+        assert np.array_equal(dense_counts(build_glszm(disc, OFFSETS[dim])),
                               brute_glszm(full, dim))
 
 
@@ -429,7 +433,7 @@ def test_glszm_labels_all_levels_in_one_call(rng, monkeypatch, dim):
 
     monkeypatch.setattr(radrep.texture_matrices, "label_zones", counting)
     levels = random_levels(rng, (6, 6, 3), ng=20)
-    glszm = build_glszm(make_disc(levels), dim)
+    glszm = build_glszm(make_disc(levels), OFFSETS[dim])
     assert len(calls) == 1
     assert np.array_equal(dense_counts(glszm), brute_glszm(levels, dim))
 
@@ -449,7 +453,7 @@ def _serpentine(shape):
 
 def _zone_sizes(levels, dim):
     """Size of each zone ``label_zones`` finds, as a level x size matrix."""
-    count, zone = label_zones(levels, select_offsets(dim))
+    count, zone = label_zones(levels, OFFSETS[dim])
     voxel_levels = levels[levels > 0]
     counts = np.zeros((int(levels.max()), int(np.bincount(zone).max())),
                       dtype=np.int64)
@@ -481,4 +485,4 @@ def test_serpentine_is_one_zone_in_3d_and_one_per_slice_in_2d():
     assert label_zones(levels, OFFSETS_3D)[0] == 1
     # 2D: the two winding slices and the connector voxel between them
     assert label_zones(levels, OFFSETS_2D)[0] == 3
-    assert dense_counts(build_glszm(make_disc(levels), "3D"))[0, -1] == 1
+    assert dense_counts(build_glszm(make_disc(levels), OFFSETS_3D))[0, -1] == 1

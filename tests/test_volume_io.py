@@ -29,7 +29,7 @@ def test_read_volume_hand_fixture(tmp_path):
                      "spacings: 1 1 3", "encoding: raw"],
               float_payload([1, 2, 3, 4]))
     grid = read_volume(path)
-    assert grid.dims == (2, 2, 1)
+    assert grid.values.shape == (2, 2, 1)
     assert grid.spacing == (1.0, 1.0, 3.0)
     # first axis varies fastest in the payload
     assert grid.values[0, 0, 0] == 1
@@ -150,7 +150,15 @@ def test_write_read_roundtrip_bit_exact(tmp_path, rng):
     grid = read_volume(path)
     assert np.array_equal(grid.values, values)
     assert grid.spacing == (0.6, 0.6, 3.0)
-    assert grid.origin == (1.0, 2.0, 3.0)
+
+
+def test_malformed_space_origin_is_refused(tmp_path):
+    path = tmp_path / "v.nrrd"
+    write_raw(path, ["type: float", "dimension: 3", "sizes: 2 2 1",
+                     "spacings: 1 1 3", "encoding: raw", "space origin: (1,2"],
+              float_payload([1, 2, 3, 4]))
+    with pytest.raises(MissingHeaderField, match="malformed vector"):
+        read_volume(path)
 
 
 def test_two_reads_identical(tmp_path, rng):
@@ -190,13 +198,11 @@ def test_check_geometry_symmetric():
 
 
 def test_volume_grid_rejects_bad_shapes():
+    for values in (np.zeros((2, 2)), np.zeros((2, 2, 2, 1)), np.zeros((2, 0, 2))):
+        with pytest.raises(ValueError, match="3D array with no empty axis"):
+            VolumeGrid(spacing=(1, 1, 1), values=values)
     with pytest.raises(ValueError):
-        VolumeGrid(dims=(2, 2, 2), spacing=(1, 1, 1), origin=(0, 0, 0),
-                   values=np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        VolumeGrid(dims=(2, 2, 2), spacing=(1, 0, 1), origin=(0, 0, 0),
-                   values=np.zeros((2, 2, 2)))
+        VolumeGrid(spacing=(1, 0, 1), values=np.zeros((2, 2, 2)))
     with pytest.raises(EmptyMask):
-        RoiMask(dims=(2, 2, 2), spacing=(1, 1, 1), origin=(0, 0, 0),
-                labels=np.zeros((2, 2, 2), dtype=np.uint8),
+        RoiMask(spacing=(1, 1, 1), labels=np.zeros((2, 2, 2), dtype=np.uint8),
                 structure=Structure.TUMOR)
