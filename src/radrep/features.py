@@ -123,7 +123,9 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     Median uses the lower middle element on even counts; percentiles use
     the nearest-rank rule rank = ceil(q * N). Variance and standard
     deviation are population (divide-by-N) statistics; Kurtosis is
-    non-excess (Gaussian -> 3). Entropy and Uniformity are computed on
+    non-excess (Gaussian -> 3). Skewness and Kurtosis are None when their
+    denominator, ``m2 ** 1.5`` or ``m2 ** 2``, is 0.0: a constant ROI, or a
+    variance so small that the power underflows. Entropy and Uniformity are computed on
     the fixed-bin-width gray levels of :func:`discretize_roi`.
     """
     x = volume.values[mask.bounding_box][mask.inside].astype(np.float64)
@@ -148,12 +150,11 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     entries[("firstorder", "Energy")] = float(np.sum(x ** 2))
     entries[("firstorder", "RootMeanSquared")] = math.sqrt(float(np.mean(x ** 2)))
     entries[("firstorder", "MeanAbsoluteDeviation")] = float(np.mean(np.abs(dev)))
-    if m2 > 0:
-        entries[("firstorder", "Skewness")] = float(np.mean(dev ** 3)) / m2 ** 1.5
-        entries[("firstorder", "Kurtosis")] = float(np.mean(dev ** 4)) / m2 ** 2
-    else:
-        entries[("firstorder", "Skewness")] = None
-        entries[("firstorder", "Kurtosis")] = None
+    for name, power, denominator in (("Skewness", 3, m2 ** 1.5),
+                                     ("Kurtosis", 4, m2 ** 2)):
+        entries[("firstorder", name)] = (
+            float(np.mean(dev ** power)) / denominator if denominator > 0
+            else None)
 
     disc = discretize_roi(volume, mask, bin_width)
     hist = np.bincount(disc.levels[disc.levels > 0], minlength=disc.num_gray_levels + 1)[1:]

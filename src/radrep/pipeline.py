@@ -46,7 +46,7 @@ from .repeatability import (VOLUME_REFERENCE_FEATURE, DegenerateSamples,
                             binwidth_spread, build_table, config_delta,
                             filter_frequency, kde, rank_distribution,
                             top_k_per_class)
-from .texture_matrices import (OFFSETS, OFFSETS_3D, build_glcm,
+from .texture_matrices import (OFFSETS, NeighbourGraph, build_glcm,
                                build_glrlm, build_glszm, label_zones)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
                         check_geometry, read_mask, read_volume)
@@ -440,10 +440,11 @@ def _columns(filter_name: str, fmap) -> dict[str, float | None]:
             for (cls, name), value in fmap.entries.items()}
 
 
-def _filter_task(volume: VolumeGrid, mask: RoiMask, spec: FilterSpec,
-                 cell: ConfigCell, record) -> dict:
+def _filter_task(volume: VolumeGrid, mask: RoiMask, graph: NeighbourGraph,
+                 spec: FilterSpec, cell: ConfigCell, record) -> dict:
     """Column -> value of one filtered volume and mask in one cell.
 
+    ``graph`` is the mask's neighbour graph at the cell's dimensionality.
     A feature class that fails blanks its columns and is passed to
     ``record(exc, class)``; the other classes still compute.
     """
@@ -464,18 +465,18 @@ def _filter_task(volume: VolumeGrid, mask: RoiMask, spec: FilterSpec,
         ("glszm", build_glszm, glszm_features),
     ):
         try:
-            values.update(_columns(spec.name, compute(
-                build(disc, OFFSETS[cell.dimensionality]))))
+            values.update(_columns(spec.name, compute(build(disc, graph))))
         except Exception as exc:
             record(exc, cls)
     return values
 
 
 def _general_info(image: VolumeGrid, image_hash: str, mask: RoiMask,
-                  settings: RunSettings) -> dict:
-    """General info shared by all configuration cells (all but GeneralSettings)."""
+                  graph: NeighbourGraph, settings: RunSettings) -> dict:
+    """General info shared by all configuration cells (all but
+    GeneralSettings); ``graph`` is the mask's 3D neighbour graph."""
     box = mask.bounding_box
-    volume_num, _ = label_zones(mask.inside, OFFSETS_3D)
+    volume_num, _ = label_zones(np.ones_like(graph.voxels), graph)
     return {
         "general_info_BoundingBox": " ".join(
             str(v) for v in (*(s.start for s in box), *(s.stop - 1 for s in box))),
@@ -501,8 +502,9 @@ def _union_box(masks: list[RoiMask]) -> tuple[slice, slice, slice]:
 def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     """One cohort entry's ConfigCell -> (rows, failures).
 
-    The image and masks are read and the image hashed once; shape and
-    general info are computed once per mask and each filter once per
+    The image and masks are read and the image hashed once; shape,
+    general info and the neighbour graph (the 3D one, and the 2D one too
+    for a 2D run) are computed once per mask and each filter once per
     mode. Every filter computes only the union of the masks' bounding
     boxes, and the filter cells read each mask cropped to that box; shape
     and general info read the whole mask. An entry with no usable mask
@@ -544,12 +546,15 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     if not masks:
         return cells
     box = _union_box(masks)
-    measured: list[tuple[RoiMask, dict[ConfigCell, dict]]] = []
+    measured: list[tuple[RoiMask, NeighbourGraph, dict[ConfigCell, dict]]] = []
     for mask in masks:
+        graphs = {dim: NeighbourGraph(mask.inside, OFFSETS[dim])
+                  for dim in {"3D", settings.dimensionality}}
         shape, info = {}, None
         try:
             shape = _columns("original", shape_features(mask))
-            info = _general_info(image, image_hash, mask, settings)
+            info = _general_info(image, image_hash, mask, graphs["3D"],
+                                 settings)
         except Exception as exc:
             for cell in cells:
                 fail(cell, mask.structure, "*", exc)
@@ -561,20 +566,21 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
                 row.update(info, general_info_GeneralSettings=cell.general_settings)
             cells[cell][0].append(row)
         measured.append((RoiMask(mask.spacing, mask.labels[box],
-                                 mask.structure), rows))
+                                 mask.structure),
+                         graphs[settings.dimensionality], rows))
 
     for mode in settings.normalization_modes:
         mode_cells = [settings.cell(entry.image_type, mode, bin_width)
                       for bin_width in settings.bin_widths]
         for spec, volume in _filtered_volumes(image, entry, mode,
                                               settings.filters, box):
-            for (mask, rows), cell in product(measured, mode_cells):
+            for (mask, graph, rows), cell in product(measured, mode_cells):
                 record = partial(fail, cell, mask.structure, spec.name)
                 if isinstance(volume, Exception):
                     record(volume, "all")
                 else:
-                    rows[cell].update(_filter_task(volume, mask, spec, cell,
-                                                   record))
+                    rows[cell].update(_filter_task(volume, mask, graph, spec,
+                                                   cell, record))
     return cells
 
 

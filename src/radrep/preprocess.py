@@ -98,6 +98,10 @@ class FilterSpec:
         if self.sigma_mm is not None and not 0 < self.sigma_mm < np.inf:
             raise ValueError("sigma_mm must be finite and > 0, "
                              f"got {self.sigma_mm!r}")
+        if (self.sigma_mm is not None
+                and float("%.1f" % self.sigma_mm) != self.sigma_mm):
+            raise ValueError(f"sigma_mm {self.sigma_mm!r} does not read back "
+                             f"from its name {self.name}")
         if (self.subband is not None) != (self.kind is FilterKind.WAVELET):
             raise ValueError("subband is required for wavelet and only wavelet")
         if self.subband not in (None, *WAVELET_SUBBANDS_2D, *WAVELET_SUBBANDS_3D):

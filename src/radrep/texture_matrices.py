@@ -2,25 +2,22 @@
 
 All builders count with integers and normalize (where applicable) as the
 final step, so results are independent of traversal or aggregation
-order. Each builder takes its neighbourhood as offsets, which are the
-GLCM pair offsets, the GLRLM run directions and the GLSZM zone edges.
-``OFFSETS`` holds the two in use, by texture dimensionality:
-``OFFSETS_3D``, the 13 unique voxel offsets (26-connectivity), and
-``OFFSETS_2D``, the 4 in-plane offsets (8-connectivity within an axial
-slice). 2D variants merge counts across slices and in-plane directions
-into a single matrix before any feature is computed.
+order. A mask's neighbourhood does not depend on intensity: it is built
+once per (mask, offsets) as a :class:`NeighbourGraph`, whose pairs, lines
+and edges every cell's builders read. ``OFFSETS`` holds the offsets in
+use, by dimensionality: ``OFFSETS_3D``, the 13 unique voxel offsets
+(26-connectivity), and ``OFFSETS_2D``, the 4 in-plane offsets
+(8-connectivity within an axial slice). 2D variants merge counts across
+slices and directions into one matrix before any feature is computed.
 
 GLRLM and GLSZM are one family: both builders return a
 :class:`SizeMatrix`, items (runs or zones) counted by gray level and by
 each size that occurs, so its width is the number of distinct sizes.
 
-Each builder makes one vectorised pass per call: GLCM one bincount over
-the pairs of every offset, GLRLM one run-length pass over every
-direction's lines laid end to end, GLSZM one connected-components
-labelling of all levels (:func:`label_zones`, in numpy). GLRLM and GLSZM
-read neighbours off one layout, made per call: the level grid with a
-zero border, flattened (:func:`_padded`), where each offset is one flat
-shift. GLCM slices offset views of the grid, which need no copy.
+Each builder gathers its cell's levels at the graph's nodes and makes one
+vectorised pass: GLCM one bincount over the node pairs, GLRLM one
+run-length pass over the lines, GLSZM one connected-components labelling
+of all levels over the pairs of equal level (:func:`label_zones`).
 """
 
 from __future__ import annotations
@@ -80,18 +77,50 @@ class SizeMatrix:
         self.sizes.setflags(write=False)
 
 
-def _offset_views(levels: np.ndarray, offset):
-    """Paired views of the grid displaced by ``offset``."""
-    src = [slice(None)] * 3
-    dst = [slice(None)] * 3
-    for axis, d in enumerate(offset):
-        if d > 0:
-            src[axis] = slice(0, -d)
-            dst[axis] = slice(d, None)
-        elif d < 0:
-            src[axis] = slice(-d, None)
-            dst[axis] = slice(0, d)
-    return levels[tuple(src)], levels[tuple(dst)]
+class NeighbourGraph:
+    """The ROI voxels of a mask's ``inside`` crop (the box of its level
+    grids) and their neighbours along ``offsets``.
+
+    The nodes are ``voxels``, the ROI voxels' flat crop indices in C
+    order. ``tails[k]`` and ``heads[k]`` are the nodes of the k-th
+    neighbour pair, over every offset; ``lines`` lays every direction's
+    lines of ROI nodes end to end, ``breaks`` is True where a line starts;
+    ``directions`` counts the offsets.
+
+    Both come from the crop with a one-voxel border, flattened, where an
+    offset is one flat step ``s`` (taken as positive: a line read
+    backwards holds the same runs) that never wraps from a crop voxel
+    into the next row. Read as columns of ``s``, the array lays every line
+    along the offset end to end: column r holds the voxels r, r + s, ...
+    Every column starts on the border, as no crop voxel's flat index is
+    below the largest step, and the voxels dropped past the last whole
+    row are border too, so each run of ROI voxels in a column is a line.
+    """
+
+    def __init__(self, inside: np.ndarray, offsets):
+        padded = np.pad(inside, 1)
+        _, ny, nz = padded.shape
+        flat = padded.reshape(-1)
+        node = np.full(flat.size, -1)
+        node[flat] = np.arange(np.count_nonzero(flat))
+        tails, heads, lines, breaks = [], [], [], []
+        for dx, dy, dz in offsets:
+            s = abs((dx * ny + dy) * nz + dz)
+            joined = np.flatnonzero(flat[:-s] & flat[s:])
+            tails.append(node[joined])
+            heads.append(node[joined + s])
+            w = flat.size - flat.size % s
+            columns = node[:w].reshape(-1, s).T.reshape(-1)
+            on = columns >= 0  # on[0] is False: index 0 is border
+            lines.append(columns[on])
+            breaks.append(~on[:-1][on[1:]])
+        self.voxels = np.flatnonzero(inside)
+        self.tails, self.heads = np.concatenate(tails), np.concatenate(heads)
+        self.lines, self.breaks = np.concatenate(lines), np.concatenate(breaks)
+        self.directions = len(offsets)
+        for array in (self.voxels, self.tails, self.heads, self.lines,
+                      self.breaks):
+            array.setflags(write=False)
 
 
 def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
@@ -100,40 +129,20 @@ def _count_pairs(rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
                        minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def build_glcm(disc: DiscretizedRoi, offsets) -> GlcMatrix:
-    """Co-occurrence matrix over the voxel ``offsets``, symmetrized.
+def build_glcm(disc: DiscretizedRoi, graph: NeighbourGraph) -> GlcMatrix:
+    """Co-occurrence matrix over the graph's node pairs, symmetrized.
 
-    Ordered voxel pairs of every offset are counted in one pass, pairs
-    with an out-of-ROI voxel (level 0) are dropped, the transpose is
-    added, and counts are normalized to probabilities.
+    The level pairs of every offset are counted in one pass, the
+    transpose is added, and counts are normalized to probabilities.
     """
     ng = disc.num_gray_levels
-    views = [_offset_views(disc.levels, off) for off in offsets]
-    counts = _count_pairs(np.concatenate([a.ravel() for a, _ in views]),
-                          np.concatenate([b.ravel() for _, b in views]),
-                          (ng + 1, ng + 1))[1:, 1:]
+    level = disc.levels.reshape(-1)[graph.voxels] - 1
+    counts = _count_pairs(level[graph.tails], level[graph.heads], (ng, ng))
     counts = counts + counts.T
     total = counts.sum()
     if total == 0:
         raise NoValidPairs("no in-ROI voxel pair at distance 1")
     return GlcMatrix(counts / total)
-
-
-def _padded(levels: np.ndarray, offsets) -> tuple[np.ndarray, list[int]]:
-    """The grid with a one-voxel zero border, flat, and each offset's shift.
-
-    An offset from (x, y, z) to (x + dx, y + dy, z + dz) is the step
-    ``shift`` in the flat array (taken as positive: a line read backwards
-    holds the same runs). The border keeps every neighbour of a grid voxel
-    inside the array, and no step from a grid voxel wraps from one row
-    into the next: the border, like any level-0 voxel, never matches a
-    nonzero voxel.
-    """
-    padded = np.zeros([n + 2 for n in levels.shape], dtype=levels.dtype)
-    padded[1:-1, 1:-1, 1:-1] = levels
-    _, ny, nz = padded.shape
-    return (padded.reshape(-1),
-            [abs((dx * ny + dy) * nz + dz) for dx, dy, dz in offsets])
 
 
 def _size_matrix(levels: np.ndarray, sizes: np.ndarray, ng: int,
@@ -146,61 +155,40 @@ def _size_matrix(levels: np.ndarray, sizes: np.ndarray, ng: int,
                       np.flatnonzero(occurs), sites)
 
 
-def build_glrlm(disc: DiscretizedRoi, offsets) -> SizeMatrix:
+def build_glrlm(disc: DiscretizedRoi, graph: NeighbourGraph) -> SizeMatrix:
     """Run-length matrix, directions summed into one matrix.
 
-    Maximal runs of consecutive equal nonzero levels are counted along
-    every direction of ``offsets`` (with ``OFFSETS_2D``, runs never leave
-    their slice); out-of-ROI voxels terminate runs.
-
-    The padded flat grid (:func:`_padded`), read as columns of a
-    direction's shift ``s``, lays every line along it end to end, in
-    order: column r holds the voxels r, r + s, r + 2s, ... Every column
-    starts on the border, as no grid voxel's flat index is below the
-    largest shift, and the voxels dropped past the last whole row are
-    border too, so no run joins two lines or is cut short. The columns of
-    every direction go into one array, whose runs are those of all
-    directions pooled.
+    Maximal runs of consecutive equal levels are counted along every
+    direction of the graph (with ``OFFSETS_2D``, runs never leave their
+    slice); a run ends where its line does, at an out-of-ROI voxel or the
+    box edge. The graph's ``lines`` hold every direction's lines end to
+    end, so one pass counts the runs of all directions pooled.
     """
-    flat, shifts = _padded(disc.levels, offsets)
-    widths = [flat.size - flat.size % s for s in shifts]
-    # the smallest type that holds every level, so each pass reads less
-    lines = np.empty(sum(widths), np.min_scalar_type(disc.num_gray_levels))
-    at = 0
-    for s, w in zip(shifts, widths):
-        lines[at:at + w].reshape(s, w // s)[...] = flat[:w].reshape(-1, s).T
-        at += w
-    # lines starts and ends on the border, so a nonzero run starts just
-    # after a change and ends just before one
-    change = lines[1:] != lines[:-1]
-    inside = lines > 0
-    starts = np.flatnonzero(change & inside[1:]) + 1
-    ends = np.flatnonzero(change & inside[:-1]) + 1
-    return _size_matrix(lines[starts], ends - starts, disc.num_gray_levels,
-                        disc.num_roi_voxels * len(offsets))
+    level = disc.levels.reshape(-1)[graph.voxels]
+    run = level[graph.lines]
+    cut = graph.breaks.copy()
+    cut[1:] |= run[1:] != run[:-1]
+    starts = np.flatnonzero(cut)
+    return _size_matrix(run[starts], np.diff(starts, append=run.size),
+                        disc.num_gray_levels,
+                        disc.num_roi_voxels * graph.directions)
 
 
-def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
-    """Connected zones of equal nonzero level: (zone count, zone per voxel).
+def label_zones(levels: np.ndarray, graph: NeighbourGraph
+                ) -> tuple[int, np.ndarray]:
+    """Connected zones of equal level: (zone count, zone per node).
 
-    The graph's nodes are the nonzero voxels of ``levels`` in C order;
-    its edges join neighbours of equal level along ``offsets`` (each
-    offset also joins its opposite). Every node starts as its own root.
-    Each round hooks the larger root of every edge whose ends have
-    different roots onto the smaller one, then jumps pointers until each
-    node points at its root; the rounds end when no edge crosses two
-    roots. A zone's root is its first voxel, and zones are numbered in
-    that order. The returned array gives the zone of each nonzero voxel.
+    ``levels`` gives each node of ``graph`` its level, and the zones'
+    edges are the graph's pairs whose ends have equal levels. Every node
+    starts as its own root. Each round hooks the larger root of every
+    edge whose ends have different roots onto the smaller one, then jumps
+    pointers until each node points at its root; the rounds end when no
+    edge crosses two roots. A zone's root is its first node (first voxel
+    in C order), and zones are numbered in that order.
     """
-    flat, shifts = _padded(levels, offsets)
-    tails, heads = [], []
-    for shift in shifts:
-        near, far = flat[:-shift], flat[shift:]
-        joined = np.flatnonzero((near == far) & (near > 0))
-        tails.append(joined)
-        heads.append(joined + shift)
-    tail, head = np.concatenate(tails), np.concatenate(heads)
-    root = np.arange(flat.size)
+    equal = levels[graph.tails] == levels[graph.heads]
+    tail, head = graph.tails[equal], graph.heads[equal]
+    root = np.arange(levels.size)
     # Edges are kept as the pair of their ends' roots: after the jumps a
     # node and its old root point at the same new root.
     while tail.size:
@@ -213,25 +201,23 @@ def label_zones(levels: np.ndarray, offsets) -> tuple[int, np.ndarray]:
         tail, head = root[tail], root[head]
         crossing = tail != head
         tail, head = tail[crossing], head[crossing]
-    voxels = np.flatnonzero(flat)
-    is_root = np.zeros(flat.size, dtype=bool)
-    is_root[voxels] = root[voxels] == voxels
-    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root[voxels]]
+    is_root = root == np.arange(root.size)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
 
-def build_glszm(disc: DiscretizedRoi, offsets) -> SizeMatrix:
-    """Size-zone matrix: connected zones of equal nonzero level.
+def build_glszm(disc: DiscretizedRoi, graph: NeighbourGraph) -> SizeMatrix:
+    """Size-zone matrix: connected zones of equal level.
 
-    Zones are the connected components (:func:`label_zones`) of one graph
-    over the in-ROI voxels whose edges join neighbours of equal level
-    along ``offsets``: with ``OFFSETS_3D`` 26-connectivity, with
-    ``OFFSETS_2D`` 8-connectivity within each axial slice (no offset
+    Zones are the connected components (:func:`label_zones`) of the
+    graph's pairs of equal level: with ``OFFSETS_3D`` 26-connectivity,
+    with ``OFFSETS_2D`` 8-connectivity within each axial slice (no offset
     leaves its slice). One labelling covers every level; absent levels
     keep all-zero rows.
     """
-    num_zones, zone = label_zones(disc.levels, offsets)
-    zone_level = np.zeros(num_zones, dtype=disc.levels.dtype)
-    zone_level[zone] = disc.levels[disc.levels > 0]
+    level = disc.levels.reshape(-1)[graph.voxels]
+    num_zones, zone = label_zones(level, graph)
+    zone_level = np.zeros(num_zones, dtype=level.dtype)
+    zone_level[zone] = level
     sizes = np.bincount(zone, minlength=num_zones)
     return _size_matrix(zone_level, sizes, disc.num_gray_levels,
                         disc.num_roi_voxels)

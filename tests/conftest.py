@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radrep.discretize import DiscretizedRoi
+from radrep.texture_matrices import NeighbourGraph
 from radrep.volume_io import RoiMask, Structure, VolumeGrid
 
 
@@ -42,6 +43,12 @@ def make_disc(levels):
                           roi_min=0.0, roi_max=float(ng))
 
 
+def graph_of(disc, offsets):
+    """The neighbour graph of ``disc``'s ROI (its nonzero levels), as the
+    pipeline builds it from the mask's ``inside`` crop."""
+    return NeighbourGraph(disc.levels > 0, offsets)
+
+
 def random_levels(rng, shape, ng, roi_fraction=0.8):
     """Random level grid with a random ROI; guarantees >= 2 ROI voxels."""
     levels = rng.integers(1, ng + 1, size=shape).astype(np.int32)
@@ -57,7 +64,8 @@ def crop_masks(rng, shape):
     """Masks for crop-equivalence checks, as boolean grids of ``shape``.
 
     A sparse random mask, one touching every grid face, a block with
-    holes, a single voxel and the whole grid.
+    holes, separate parts (voxels two apart on every axis, so no two
+    touch), a single voxel and the whole grid.
     """
     sparse = rng.random(shape) < 0.3
     sparse.flat[rng.integers(sparse.size)] = True
@@ -73,7 +81,10 @@ def crop_masks(rng, shape):
     holed[tuple(s.start or 0 for s in block)] = True
     single = np.zeros(shape, dtype=bool)
     single[tuple(int(rng.integers(n)) for n in shape)] = True
-    return [sparse, faces, holed, single, np.ones(shape, dtype=bool)]
+    parts = np.zeros(shape, dtype=bool)
+    parts[::2, ::2, ::2] = rng.random(parts[::2, ::2, ::2].shape) < 0.7
+    parts[0, 0, 0] = parts[tuple((n - 1) // 2 * 2 for n in shape)] = True
+    return [sparse, faces, holed, parts, single, np.ones(shape, dtype=bool)]
 
 
 @pytest.fixture

@@ -247,16 +247,23 @@ def _neighbors_2d():
             if (dx, dy) != (0, 0)]
 
 
-def brute_glszm(levels: np.ndarray, dim: str) -> np.ndarray:
-    """Zone counts by breadth-first flood fill."""
+def brute_glszm(levels: np.ndarray, dim) -> np.ndarray:
+    """Zone counts by breadth-first flood fill.
+
+    ``dim`` is "3D" (26-connectivity), "2D" (8-connectivity within each
+    slice) or a list of offsets, each joining neighbours both ways.
+    """
     ng = int(levels.max())
     nx, ny, nz = levels.shape
     if dim == "3D":
         neighborhood = _neighbors_3d()
         slice_bound = False
-    else:
+    elif dim == "2D":
         neighborhood = _neighbors_2d()
         slice_bound = True
+    else:
+        neighborhood = [*dim, *(tuple(-d for d in o) for o in dim)]
+        slice_bound = False
     visited = np.zeros_like(levels, dtype=bool)
     zones: list[tuple[int, int]] = []
     for x in range(nx):

@@ -31,8 +31,8 @@ from radrep.texture_matrices import (OFFSETS, build_glcm, build_glrlm,
 from radrep.volume_io import Structure
 
 from cohorts import build_cohort
-from conftest import (make_disc, make_mask, make_volume, random_levels,
-                      whole_box)
+from conftest import (graph_of, make_disc, make_mask, make_volume,
+                      random_levels, whole_box)
 from oracles import (anova_icc, brute_glcm, brute_glrlm, brute_glszm,
                      dense_counts, glcm_feature_oracle, glrlm_feature_oracle,
                      glszm_feature_oracle, volume_reference_icc)
@@ -107,10 +107,11 @@ def test_criterion_3_texture_oracles():
             disc = make_disc(levels)
             dim = "2D" if index % 2 == 0 else "3D"
             offsets = OFFSETS[dim]
+            graph = graph_of(disc, offsets)
 
             glcm_counts = brute_glcm(levels, offsets)
             if glcm_counts.sum() > 0:
-                glcm = build_glcm(disc, offsets)
+                glcm = build_glcm(disc, graph)
                 assert np.allclose(glcm.probs,
                                    glcm_counts / glcm_counts.sum(),
                                    atol=1e-15)
@@ -122,7 +123,7 @@ def test_criterion_3_texture_oracles():
                     else:
                         assert abs(got - expected) <= 1e-12, name
 
-            glrlm = build_glrlm(disc, offsets)
+            glrlm = build_glrlm(disc, graph)
             assert np.array_equal(dense_counts(glrlm),
                                   brute_glrlm(levels, offsets))
             fmap = glrlm_features(glrlm)
@@ -132,7 +133,7 @@ def test_criterion_3_texture_oracles():
             for name, expected in oracle.items():
                 assert abs(fmap.get("glrlm", name) - expected) <= 1e-12, name
 
-            glszm = build_glszm(disc, offsets)
+            glszm = build_glszm(disc, graph)
             assert np.array_equal(dense_counts(glszm),
                                   brute_glszm(levels, dim))
             fmap = glszm_features(glszm)

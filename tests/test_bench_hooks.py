@@ -78,7 +78,8 @@ def test_every_extraction_layer_records_a_span(tmp_path, tracing):
         tmp_path / "in", n_subjects=1, settings=settings,
         with_reference=True))
     with tracing.Tracer() as tracer:
-        _, failures = radrep.pipeline.extract_run(manifest, tmp_path / "out")
+        csv_paths, failures = radrep.pipeline.extract_run(manifest,
+                                                          tmp_path / "out")
     assert not failures
     recorded = {span.name for span in tracer.spans}
     for name in ("volume_io.read", "volume_io.hash", "preprocess.normalize",
@@ -87,6 +88,21 @@ def test_every_extraction_layer_records_a_span(tmp_path, tracing):
                  "texture_matrices.glszm", "features.firstorder",
                  "features.shape", "features.texture"):
         assert name in recorded, name
+    # every cell makes 2 discretize_roi calls and 3 builder calls, and the
+    # texture counters read the builders' first argument, the cell's level
+    # grid: a builder whose first argument stops being it fails here
+    rows = 0
+    for path in csv_paths:
+        with open(path, newline="") as handle:
+            rows += len(list(csv.DictReader(handle)))
+    cells = rows * len(manifest.settings.filters)
+    metrics = tracing.layer_metrics(tracer.to_records(), jobs=1, cells=cells)
+    assert metrics["discretize.calls_per_cell"] == 2.0
+    assert metrics["texture_matrices.calls"] == 3 * cells > 0
+    assert (metrics["texture_matrices.grid_voxels"]
+            == 1.5 * metrics["discretize.grid_voxels"] > 0)
+    assert (metrics["texture_matrices.roi_fraction"]
+            == metrics["discretize.roi_fraction"])
 
 
 def test_every_bench_workload_runs_and_passes_its_check(tmp_path, monkeypatch):

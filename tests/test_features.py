@@ -14,11 +14,12 @@ from radrep.pipeline import RunSettings, _general_info
 from radrep.preprocess import (FilterKind, FilterSpec, NormalizationMode,
                                apply_filter, normalize)
 from radrep.texture_matrices import (OFFSETS, OFFSETS_2D, OFFSETS_3D,
-                                     build_glcm, build_glrlm, build_glszm)
+                                     NeighbourGraph, build_glcm, build_glrlm,
+                                     build_glszm)
 from radrep.volume_io import Structure
 
-from conftest import (crop_masks, make_disc, make_mask, make_volume,
-                      random_levels, whole_box)
+from conftest import (crop_masks, graph_of, make_disc, make_mask,
+                      make_volume, random_levels, whole_box)
 from oracles import (brute_levels, dense_counts, full_grid_firstorder,
                      full_grid_shape, glcm_feature_oracle,
                      glrlm_feature_oracle, glszm_feature_oracle)
@@ -58,6 +59,23 @@ def test_firstorder_constant_roi():
     assert fmap.get("firstorder", "Variance") == 0.0
     assert fmap.get("firstorder", "Skewness") is None
     assert fmap.get("firstorder", "Kurtosis") is None
+
+
+def test_firstorder_moments_whose_denominator_underflows_are_none():
+    # m2 ~ 1e-200 > 0, but m2 ** 2 underflows to 0.0 (and m2 ** 1.5 does
+    # not): Kurtosis is None as for a constant ROI, the rest still compute
+    values = np.arange(27) * 1e-100
+    fmap = fo(values, width=1e-99)
+    m2 = fmap.get("firstorder", "Variance")
+    assert m2 > 0 and m2 ** 2 == 0.0 < m2 ** 1.5
+    assert fmap.get("firstorder", "Kurtosis") is None
+    assert fmap.get("firstorder", "Skewness") == pytest.approx(0.0, abs=1e-12)
+    assert fmap.get("firstorder", "Mean") == pytest.approx(13e-100)
+    # at ~1e-150, m2 ** 1.5 underflows too
+    fmap = fo(values * 1e-50, width=1e-149)
+    assert fmap.get("firstorder", "Skewness") is None
+    assert fmap.get("firstorder", "Kurtosis") is None
+    assert fmap.get("firstorder", "Variance") > 0
 
 
 def test_firstorder_nearest_rank_percentiles():
@@ -298,7 +316,9 @@ def test_mask_only_steps_on_the_crop_equal_the_full_grid(rng, shape):
                 full = brute_levels(values, labels, width)
                 assert np.array_equal(disc.levels, full[box])
                 assert disc.num_gray_levels == full.max()
-            info = _general_info(volume, "", mask, settings)
+            info = _general_info(volume, "", mask,
+                                 NeighbourGraph(mask.inside, OFFSETS_3D),
+                                 settings)
             assert info["general_info_BoundingBox"] == " ".join(
                 str(v) for v in (*(i.min() for i in index),
                                  *(i.max() for i in index)))
@@ -313,7 +333,7 @@ def test_mask_only_steps_on_the_crop_equal_the_full_grid(rng, shape):
 
 def test_glcm_features_hand_matrix():
     disc = make_disc([[1, 1, 2], [2, 2, 3]])
-    glcm = build_glcm(disc, [(0, 1, 0)])
+    glcm = build_glcm(disc, graph_of(disc, [(0, 1, 0)]))
     fmap = glcm_features(glcm)
     assert fmap.get("glcm", "Contrast") == pytest.approx(0.5)
     assert fmap.get("glcm", "JointEnergy") == pytest.approx(0.1875)
@@ -321,7 +341,7 @@ def test_glcm_features_hand_matrix():
 
 def test_glcm_features_degenerate_single_level():
     disc = make_disc(np.ones((2, 2, 1), dtype=np.int32))
-    fmap = glcm_features(build_glcm(disc, OFFSETS_2D))
+    fmap = glcm_features(build_glcm(disc, graph_of(disc, OFFSETS_2D)))
     assert fmap.get("glcm", "Contrast") == 0.0
     assert fmap.get("glcm", "JointEnergy") == 1.0
     assert fmap.get("glcm", "JointEntropy") == 0.0
@@ -333,7 +353,8 @@ def test_glcm_features_degenerate_single_level():
 def test_glcm_entropy_energy_bounds(rng):
     for _ in range(10):
         levels = random_levels(rng, (5, 5, 2), ng=4)
-        glcm = build_glcm(make_disc(levels), OFFSETS_3D)
+        disc = make_disc(levels)
+        glcm = build_glcm(disc, graph_of(disc, OFFSETS_3D))
         fmap = glcm_features(glcm)
         ng = glcm.probs.shape[0]
         assert fmap.get("glcm", "JointEntropy") <= math.log2(ng * ng) + 1e-12
@@ -343,7 +364,8 @@ def test_glcm_entropy_energy_bounds(rng):
 def test_glcm_features_match_oracle(rng):
     for _ in range(20):
         levels = random_levels(rng, (5, 4, 3), ng=4)
-        glcm = build_glcm(make_disc(levels), OFFSETS_3D)
+        disc = make_disc(levels)
+        glcm = build_glcm(disc, graph_of(disc, OFFSETS_3D))
         fmap = glcm_features(glcm)
         oracle = glcm_feature_oracle(glcm.probs)
         for name, expected in oracle.items():
@@ -360,7 +382,8 @@ def test_glcm_features_match_oracle(rng):
 
 def test_glrlm_all_runs_length_one():
     levels = np.array([[1, 2, 1, 2]], dtype=np.int32)
-    glrlm = build_glrlm(make_disc(levels), [(0, 1, 0)])
+    disc = make_disc(levels)
+    glrlm = build_glrlm(disc, graph_of(disc, [(0, 1, 0)]))
     fmap = glrlm_features(glrlm)
     assert fmap.get("glrlm", "ShortRunEmphasis") == 1.0
     assert fmap.get("glrlm", "LongRunEmphasis") == 1.0
@@ -368,7 +391,8 @@ def test_glrlm_all_runs_length_one():
 
 def test_glrlm_single_run_hand_case():
     levels = np.array([[2, 2, 2, 2]], dtype=np.int32)
-    glrlm = build_glrlm(make_disc(levels), [(0, 1, 0)])
+    disc = make_disc(levels)
+    glrlm = build_glrlm(disc, graph_of(disc, [(0, 1, 0)]))
     fmap = glrlm_features(glrlm)
     assert fmap.get("glrlm", "ShortRunEmphasis") == pytest.approx(1 / 16)
     assert fmap.get("glrlm", "LongRunEmphasis") == pytest.approx(16)
@@ -378,7 +402,8 @@ def test_glrlm_single_run_hand_case():
 def test_glrlm_features_match_oracle(rng):
     for _ in range(20):
         levels = random_levels(rng, (6, 6, 1), ng=3)
-        glrlm = build_glrlm(make_disc(levels), OFFSETS_2D)
+        disc = make_disc(levels)
+        glrlm = build_glrlm(disc, graph_of(disc, OFFSETS_2D))
         fmap = glrlm_features(glrlm)
         oracle = glrlm_feature_oracle(dense_counts(glrlm),
                                       np.count_nonzero(levels),
@@ -394,7 +419,8 @@ def test_glrlm_features_match_oracle(rng):
 
 def test_glszm_single_zone():
     levels = np.ones((2, 2, 2), dtype=np.int32)
-    glszm = build_glszm(make_disc(levels), OFFSETS_3D)
+    disc = make_disc(levels)
+    glszm = build_glszm(disc, graph_of(disc, OFFSETS_3D))
     fmap = glszm_features(glszm)
     n = 8
     assert fmap.get("glszm", "SmallAreaEmphasis") == pytest.approx(1 / n ** 2)
@@ -403,7 +429,8 @@ def test_glszm_single_zone():
 
 def test_glszm_checkerboard_hand_case():
     board = (np.indices((4, 4)).sum(axis=0) % 2 + 1).astype(np.int32)
-    glszm = build_glszm(make_disc(board), OFFSETS_2D)
+    disc = make_disc(board)
+    glszm = build_glszm(disc, graph_of(disc, OFFSETS_2D))
     fmap = glszm_features(glszm)
     assert fmap.get("glszm", "SmallAreaEmphasis") == pytest.approx(1 / 64)
     assert fmap.get("glszm", "ZonePercentage") == pytest.approx(2 / 16)
@@ -412,7 +439,8 @@ def test_glszm_checkerboard_hand_case():
 def test_glszm_features_match_oracle(rng):
     for _ in range(20):
         levels = random_levels(rng, (5, 5, 2), ng=3)
-        glszm = build_glszm(make_disc(levels), OFFSETS_3D)
+        disc = make_disc(levels)
+        glszm = build_glszm(disc, graph_of(disc, OFFSETS_3D))
         fmap = glszm_features(glszm)
         oracle = glszm_feature_oracle(dense_counts(glszm),
                                       np.count_nonzero(levels))
@@ -430,9 +458,10 @@ def test_one_gray_level_gives_exactly_zero_gray_level_variance(rng):
         levels.flat[int(rng.integers(levels.size))] = levels.max() or 1
         disc = make_disc(levels)
         for dim in ("2D", "3D"):
-            assert glrlm_features(build_glrlm(disc, OFFSETS[dim])).get(
+            graph = graph_of(disc, OFFSETS[dim])
+            assert glrlm_features(build_glrlm(disc, graph)).get(
                 "glrlm", "GrayLevelVariance") == 0.0
-            assert glszm_features(build_glszm(disc, OFFSETS[dim])).get(
+            assert glszm_features(build_glszm(disc, graph)).get(
                 "glszm", "GrayLevelVariance") == 0.0
 
 
@@ -444,8 +473,8 @@ def test_one_item_size_gives_exactly_zero_size_variance(rng):
         isolated[...] = rng.integers(1, 6, size=isolated.shape)
         disc = make_disc(levels)
         for dim in ("2D", "3D"):
-            glrlm = build_glrlm(disc, OFFSETS[dim])
-            glszm = build_glszm(disc, OFFSETS[dim])
+            graph = graph_of(disc, OFFSETS[dim])
+            glrlm, glszm = build_glrlm(disc, graph), build_glszm(disc, graph)
             assert glrlm.sizes.tolist() == glszm.sizes.tolist() == [1]
             assert glrlm_features(glrlm).get("glrlm", "RunVariance") == 0.0
             assert glszm_features(glszm).get("glszm", "ZoneVariance") == 0.0
@@ -460,12 +489,13 @@ def test_exclusions_never_emitted(rng):
     disc = make_disc(levels)
     labels = (levels > 0).astype(np.uint8)
     vol = make_volume(rng.standard_normal((5, 5, 2)))
+    graph = graph_of(disc, OFFSETS_3D)
     maps = [
         firstorder_features(vol, make_mask(labels), 0.5),
         shape_features(make_mask(labels)),
-        glcm_features(build_glcm(disc, OFFSETS_3D)),
-        glrlm_features(build_glrlm(disc, OFFSETS_3D)),
-        glszm_features(build_glszm(disc, OFFSETS_3D)),
+        glcm_features(build_glcm(disc, graph)),
+        glrlm_features(build_glrlm(disc, graph)),
+        glszm_features(build_glszm(disc, graph)),
     ]
     for fmap in maps:
         assert not fmap.names() & EXCLUDED_FEATURES
@@ -476,12 +506,13 @@ def test_full_roster_emitted(rng):
     disc = make_disc(levels)
     labels = (levels > 0).astype(np.uint8)
     vol = make_volume(rng.standard_normal((5, 5, 2)))
+    graph = graph_of(disc, OFFSETS_3D)
     emitted = {
         "firstorder": firstorder_features(vol, make_mask(labels), 0.5),
         "shape": shape_features(make_mask(labels)),
-        "glcm": glcm_features(build_glcm(disc, OFFSETS_3D)),
-        "glrlm": glrlm_features(build_glrlm(disc, OFFSETS_3D)),
-        "glszm": glszm_features(build_glszm(disc, OFFSETS_3D)),
+        "glcm": glcm_features(build_glcm(disc, graph)),
+        "glrlm": glrlm_features(build_glrlm(disc, graph)),
+        "glszm": glszm_features(build_glszm(disc, graph)),
     }
     for cls, fmap in emitted.items():
         assert fmap.names() == {(cls, name) for name in FEATURE_ROSTER[cls]}

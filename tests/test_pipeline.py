@@ -28,6 +28,7 @@ from radrep.pipeline import (GENERAL_INFO_COLUMNS, IMAGE_TYPES, META_COLUMNS,
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, FilterSpec, NormalizationMode)
 from radrep.repeatability import VOLUME_REFERENCE_FEATURE
+from radrep.texture_matrices import OFFSETS, OFFSETS_3D, NeighbourGraph
 from radrep.volume_io import VolumeGrid, write_nrrd
 
 from cohorts import DIMS, build_cohort
@@ -167,6 +168,7 @@ def test_manifest_rejects_unknown_mode(tmp_path):
     {"biasCorrected": 1},
     {"filters": ["log-sigma-nan-mm-3D"]},
     {"filters": ["log-sigma-inf-mm-3D"]},
+    {"filters": ["log-sigma-0-2-mm-3D", "log-sigma-0-25-mm-3D"]},
 ])
 def test_manifest_rejects_repeated_cells_and_wrong_typed_settings(
         tmp_path, settings):
@@ -377,6 +379,52 @@ def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
     entries = len(manifest.cohort)
     assert calls == {"read_volume": entries, "shape_features": 2 * entries,
                      "payload_hash": entries}
+
+
+@pytest.mark.parametrize("dim", ["2D", "3D"])
+def test_extraction_builds_one_neighbour_graph_per_mask_and_dimensionality(
+        tmp_path, monkeypatch, dim):
+    # the 3D graph serves general info, and a 2D run builds its 2D graph
+    # beside it; every builder reads one of these, and none builds its own
+    import radrep.pipeline
+    import radrep.texture_matrices
+    built = []
+
+    class Counting(NeighbourGraph):
+        def __init__(self, inside, offsets):
+            super().__init__(inside, offsets)
+            built.append((self, tuple(offsets)))
+
+    def reading(name):
+        original = getattr(radrep.pipeline, name)
+
+        def wrapper(disc, graph):
+            assert graph.directions == len(OFFSETS[dim])
+            assert any(graph is g for g, _ in built), name
+            read.append(graph)
+            return original(disc, graph)
+        return wrapper
+
+    read = []
+    for module in (radrep.pipeline, radrep.texture_matrices):
+        monkeypatch.setattr(module, "NeighbourGraph", Counting)
+    for name in ("build_glcm", "build_glrlm", "build_glszm"):
+        monkeypatch.setattr(radrep.pipeline, name, reading(name))
+    settings = {"normalizationModes": ["none", "wholeImage"],
+                "binWidths": [10, 20], "dimensionality": dim,
+                "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                          settings=settings,
+                                          structures=("Tumor", "WholeGland")))
+    _, failures = extract_run(manifest, tmp_path / "out")
+    assert not failures
+    masks = 2 * len(manifest.cohort)
+    dims = ["3D"] if dim == "3D" else ["3D", "2D"]
+    assert sorted(offsets for _, offsets in built) == sorted(
+        OFFSETS[d] for d in dims for _ in range(masks))
+    cells = masks * 2 * 2 * 2  # masks x modes x filters x bin widths
+    assert len(read) == 3 * cells
+    assert len({id(graph) for graph in read}) == masks
 
 
 def test_extraction_finds_each_mask_box_once(tmp_path, monkeypatch):
@@ -626,8 +674,9 @@ def test_volume_num_counts_26_connected_parts_like_ndimage_label(rng):
         shape = tuple(int(n) for n in rng.integers(1, 9, size=3))
         labels = rng.random(shape) < rng.uniform(0.05, 0.6)
         labels.flat[rng.integers(labels.size)] = True
-        info = _general_info(make_volume(np.zeros(shape)), "",
-                             make_mask(labels), settings)
+        mask = make_mask(labels)
+        info = _general_info(make_volume(np.zeros(shape)), "", mask,
+                             NeighbourGraph(mask.inside, OFFSETS_3D), settings)
         assert info["general_info_VolumeNum"] == ndimage.label(
             labels, structure=np.ones((3, 3, 3), dtype=bool))[1]
 
@@ -696,6 +745,7 @@ def test_schema_validator_rejects_bad_layouts(tmp_path):
                    f"general_info_X,notafilter_glcm_Contrast,{meta}",
                    f"general_info_X,log-sigma-nan-mm-3D_glcm_Contrast,{meta}",
                    f"general_info_X,log-sigma-inf-mm-3D_glcm_Contrast,{meta}",
+                   f"general_info_X,log-sigma-0-25-mm-3D_glcm_Contrast,{meta}",
                    f"general_info_X,{meta},original_glcm_Contrast",
                    f"general_info_X,study,original_glcm_Contrast,{meta}"]:
         bad.write_text(header + "\n" if header else "")

@@ -418,6 +418,13 @@ def test_filter_spec_validation():
     for name in ("log-sigma-nan-mm-3D", "log-sigma-inf-mm-3D"):
         with pytest.raises(ValueError, match="finite and > 0"):
             FilterSpec.from_name(name)
+    # the name keeps one decimal, so a finer sigma would be named as another
+    for name in ("log-sigma-0-25-mm-3D", "log-sigma-1-05-mm-3D"):
+        with pytest.raises(ValueError, match="does not read back"):
+            FilterSpec.from_name(name)
+    with pytest.raises(ValueError, match="does not read back"):
+        FilterSpec(FilterKind.LOG, sigma_mm=0.25)
+    assert FilterSpec.from_name("log-sigma-1-mm-3D").sigma_mm == 1.0
 
 
 def test_apply_filter_dispatch(rng):
