@@ -68,6 +68,8 @@ FEATURE_ROSTER: dict[str, tuple[str, ...]] = {
     ),
     **{cls: tuple(sorted(names)) for cls, names in _SIZE_FAMILY_NAMES.items()},
 }
+_ROSTER_KEYS = frozenset((cls, name) for cls, names in FEATURE_ROSTER.items()
+                         for name in names)
 
 # Dropped for direct correlation with retained features, or because some
 # tumor ROIs are defined on a single slice. None is in FEATURE_ROSTER, so
@@ -92,7 +94,7 @@ class FeatureMap:
 
     def __post_init__(self):
         for key, value in self.entries.items():
-            if key[1] not in FEATURE_ROSTER.get(key[0], ()):
+            if key not in _ROSTER_KEYS:
                 raise ValueError(f"unknown feature {key}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"non-finite value for {key}: {value}")
@@ -110,6 +112,11 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0  # normalizes -0.0
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of ``terms``, read as Python floats."""
+    return math.fsum(terms.tolist())
+
+
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     # round kills float fuzz in q*N before the ceiling
     rank = max(1, math.ceil(round(q * sorted_values.size, 12)))
@@ -123,19 +130,23 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     Median uses the lower middle element on even counts; percentiles use
     the nearest-rank rule rank = ceil(q * N). Variance and standard
     deviation are population (divide-by-N) statistics; Kurtosis is
-    non-excess (Gaussian -> 3). Skewness and Kurtosis are None when their
-    denominator, ``m2 ** 1.5`` or ``m2 ** 2``, is 0.0: a constant ROI, or a
-    variance so small that the power underflows. Entropy and Uniformity are computed on
-    the fixed-bin-width gray levels of :func:`discretize_roi`.
+    non-excess (Gaussian -> 3). The third and fourth moments average the
+    products ``d * d * d`` and ``(d * d) * (d * d)`` of each deviation d.
+    Skewness and Kurtosis are None when their denominator, ``m2 ** 1.5``
+    or ``m2 ** 2``, is 0.0: a constant ROI, or a variance so small that
+    the power underflows. Entropy and Uniformity are computed on the
+    fixed-bin-width gray levels of :func:`discretize_roi`.
     """
     x = volume.values[mask.bounding_box][mask.inside].astype(np.float64)
     n = x.size
     srt = np.sort(x)
     mean = float(x.mean())
     dev = x - mean
+    dev2 = dev * dev
+    x2 = x * x
     # a constant ROI is min == max exactly; mean() rounding would
     # otherwise leave a ~1e-31 residual variance
-    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev ** 2))
+    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev2))
     entries: dict[tuple[str, str], float | None] = {}
 
     entries[("firstorder", "Mean")] = mean
@@ -147,14 +158,13 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     entries[("firstorder", "Range")] = float(srt[-1] - srt[0])
     entries[("firstorder", "Variance")] = m2
     entries[("firstorder", "StandardDeviation")] = math.sqrt(m2)
-    entries[("firstorder", "Energy")] = float(np.sum(x ** 2))
-    entries[("firstorder", "RootMeanSquared")] = math.sqrt(float(np.mean(x ** 2)))
+    entries[("firstorder", "Energy")] = float(np.sum(x2))
+    entries[("firstorder", "RootMeanSquared")] = math.sqrt(float(np.mean(x2)))
     entries[("firstorder", "MeanAbsoluteDeviation")] = float(np.mean(np.abs(dev)))
-    for name, power, denominator in (("Skewness", 3, m2 ** 1.5),
-                                     ("Kurtosis", 4, m2 ** 2)):
+    for name, moment, denominator in (("Skewness", dev2 * dev, m2 ** 1.5),
+                                      ("Kurtosis", dev2 * dev2, m2 ** 2)):
         entries[("firstorder", name)] = (
-            float(np.mean(dev ** power)) / denominator if denominator > 0
-            else None)
+            float(np.mean(moment)) / denominator if denominator > 0 else None)
 
     disc = discretize_roi(volume, mask, bin_width)
     hist = np.bincount(disc.levels[disc.levels > 0], minlength=disc.num_gray_levels + 1)[1:]
@@ -268,7 +278,11 @@ def shape_features(mask: RoiMask) -> FeatureMap:
 
 
 def glcm_features(m: GlcMatrix) -> FeatureMap:
-    """Statistics over the joint co-occurrence probabilities."""
+    """Statistics over the joint co-occurrence probabilities.
+
+    The cluster statistics weight p by powers of c = i + j - 2 mu, formed
+    as products of ``c * c``.
+    """
     p = m.probs
     ng = p.shape[0]
     i = np.arange(1, ng + 1, dtype=np.float64)
@@ -292,11 +306,13 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
         correlation = None
 
     off_diag = diff > 0
+    c = ii + jj - 2 * mu
+    c2 = c * c
     entries: dict[tuple[str, str], float | None] = {
         ("glcm", "Autocorrelation"): autocorr,
-        ("glcm", "ClusterProminence"): float(np.sum((ii + jj - 2 * mu) ** 4 * p)),
-        ("glcm", "ClusterShade"): float(np.sum((ii + jj - 2 * mu) ** 3 * p)),
-        ("glcm", "ClusterTendency"): float(np.sum((ii + jj - 2 * mu) ** 2 * p)),
+        ("glcm", "ClusterProminence"): float(np.sum(c2 * c2 * p)),
+        ("glcm", "ClusterShade"): float(np.sum(c2 * c * p)),
+        ("glcm", "ClusterTendency"): float(np.sum(c2 * p)),
         ("glcm", "Contrast"): float(np.sum((ii - jj) ** 2 * p)),
         ("glcm", "Correlation"): correlation,
         ("glcm", "DifferenceAverage"): float(np.dot(k_diff, p_diff)),
@@ -330,23 +346,24 @@ def _size_family(feature_class: str, m: SizeMatrix) -> FeatureMap:
     total = int(n.sum())
     p = n / total
     i, j = rows + 1.0, size.astype(np.float64)
+    i2, j2 = i * i, j * j
     mu_level = int(np.dot(n, rows + 1)) / total
     mu_size = int(np.dot(n, size)) / total
     values = (
-        math.fsum(p / j ** 2),
-        math.fsum(p * j ** 2),
+        _fsum(p / j2),
+        _fsum(p * j2),
         int((m.counts.sum(axis=1) ** 2).sum()) / total,
         int((m.counts.sum(axis=0) ** 2).sum()) / total,
         total / m.sites,
-        math.fsum((i - mu_level) ** 2 * p),
-        math.fsum((j - mu_size) ** 2 * p),
-        -math.fsum(p * np.log2(p)) + 0.0,  # + 0.0 normalizes -0.0
-        math.fsum(p / i ** 2),
-        math.fsum(p * i ** 2),
-        math.fsum(p / (i ** 2 * j ** 2)),
-        math.fsum(p * i ** 2 / j ** 2),
-        math.fsum(p * j ** 2 / i ** 2),
-        math.fsum(p * i ** 2 * j ** 2),
+        _fsum((i - mu_level) ** 2 * p),
+        _fsum((j - mu_size) ** 2 * p),
+        -_fsum(p * np.log2(p)) + 0.0,  # + 0.0 normalizes -0.0
+        _fsum(p / i2),
+        _fsum(p * i2),
+        _fsum(p / (i2 * j2)),
+        _fsum(p * i2 / j2),
+        _fsum(p * j2 / i2),
+        _fsum(p * i2 * j2),
     )
     return FeatureMap({(feature_class, name): value for name, value
                        in zip(_SIZE_FAMILY_NAMES[feature_class], values)})

@@ -714,13 +714,16 @@ def _write_json(path: Path, payload) -> None:
 # Schema validation
 # ---------------------------------------------------------------------------
 
-def _parse_header(header: list[str], path) -> dict[FeatureKey, int]:
+def _parse_header(header: list[str], path,
+                  known: tuple[FeatureKey, ...] = ()) -> dict[FeatureKey, int]:
     """The feature columns of a feature-CSV header: key -> index.
 
     Meta, ``general_info_*``, ``diagnostics_*`` and unnamed columns are
     skipped; every other column must split into a :class:`FeatureKey`,
-    once, and may not repeat (SchemaMismatch).
+    once, and may not repeat (SchemaMismatch). A column named by one of
+    the FeatureKeys ``known`` is that key, not split again.
     """
+    split = {key: key for key in known}
     features: dict[FeatureKey, int] = {}
     for index, column in enumerate(header):
         # "" tolerates a leading unnamed index column in foreign files
@@ -730,7 +733,7 @@ def _parse_header(header: list[str], path) -> dict[FeatureKey, int]:
         if column in features:
             raise SchemaMismatch(f"{path}, line 1: column {column!r} repeats")
         try:
-            features[FeatureKey(column)] = index
+            features[split.get(column) or FeatureKey(column)] = index
         except ValueError:
             raise SchemaMismatch(
                 f"{path}: unknown column pattern {column!r}") from None
@@ -801,10 +804,13 @@ def _parse_study(study: str, mapping: dict | None) -> tuple[str, int]:
 
 
 def read_feature_csv(path, timepoint_map: dict | None = None,
+                     known: tuple[FeatureKey, ...] = (),
                      ) -> dict[str, FeatureMatrix]:
     """Parse an extraction CSV into one :class:`FeatureMatrix` per structure.
 
-    Each line becomes a float64 row as it is read, NaN for an empty cell.
+    ``known`` holds the FeatureKeys of a CSV read before; the columns they
+    name are not split again. Each line becomes a float64 row as it is
+    read, NaN for an empty cell.
     A cell that is not a finite number, a line whose field count differs
     from the header's and a repeated feature column raise SchemaMismatch.
     """
@@ -812,7 +818,7 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        columns = _parse_header(header, path)
+        columns = _parse_header(header, path, known)
         meta = {column: index for index, column in enumerate(header)}
         if "study" not in meta:
             raise SchemaMismatch(f"{path}: no 'study' meta column")
@@ -952,17 +958,21 @@ def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
                    reference: str, timepoint_map: dict | None, compare: tuple):
     """Tables and reports of one bin-width group's CSVs, in path order.
 
-    Returns the ``compare`` stems' tables keyed (stem, structure); per
-    path, the files written for its tables and its failures; and the
-    group's bin-width files from :func:`_binwidth_reports`.
+    The group's CSVs share their feature columns, so each reuses the keys
+    of the one read before it. Returns the ``compare`` stems' tables
+    keyed (stem, structure); per path, the files written for its tables
+    and its failures; and the group's bin-width files from
+    :func:`_binwidth_reports`.
     """
     tables: dict[tuple[str, str], RepeatabilityTable] = {}
     by_width: dict[tuple[str, str], dict[float, RepeatabilityTable]] = {}
     per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
+    keys: tuple[FeatureKey, ...] = ()
     for cell, path in members:
         written, failures = per_path[path] = [], []
         for structure, matrix in sorted(
-                read_feature_csv(path, timepoint_map).items()):
+                read_feature_csv(path, timepoint_map, keys).items()):
+            keys = matrix.features
             try:
                 table = build_table(matrix, reference_feature=reference)
             except (InsufficientSubjects, MissingVolumeReference) as exc:

@@ -13,6 +13,7 @@ mean/std, and :class:`FilterKind` names each filter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,11 @@ WAVELET_SUBBANDS_2D = ("LL", "LH", "HL", "HH")
 WAVELET_SUBBANDS_3D = ("LLL", "LLH", "LHL", "LHH", "HLL", "HLH", "HHL", "HHH")
 
 MIN_SIGMA_VOXELS = 0.25
+# A LoG pass gathers each line of the box plus the kernel's reach on both
+# sides; it may hold at most this many times the grid's voxels. The
+# catalog's largest reach on a one-voxel axis (sigma 5 mm at 0.5 mm) is
+# 1 + 2 * 40 = 81 times.
+MAX_LOG_LINE_FACTOR = 128
 
 # Per-axis slices with explicit start and stop: the voxels a filter computes.
 Box = tuple[slice, slice, slice]
@@ -41,6 +47,10 @@ class MissingReferenceMask(RadrepError):
 
 class SigmaTooSmallForGrid(RadrepError):
     """LoG sigma below 0.25 voxels on some axis."""
+
+
+class SigmaTooLargeForGrid(RadrepError):
+    """One LoG pass would gather over MAX_LOG_LINE_FACTOR times the grid."""
 
 
 class AxisTooShort(RadrepError):
@@ -173,6 +183,11 @@ def normalize(volume: VolumeGrid, mode: NormalizationMode,
     return VolumeGrid(volume.spacing, out)
 
 
+def _log_radius(sigma_mm: float, spacing_mm: float) -> int:
+    """Kernel radius in voxels: 4 sigma, at least one voxel."""
+    return max(1, int(np.ceil(4.0 * sigma_mm / spacing_mm)))
+
+
 def _log_kernels_1d(sigma_mm: float, spacing_mm: float):
     """Smoothing and second-derivative kernels for one axis.
 
@@ -183,7 +198,7 @@ def _log_kernels_1d(sigma_mm: float, spacing_mm: float):
     which keeps the impulse response within a fraction of a percent of
     the analytic LoG even at sigma == 1 voxel.
     """
-    radius = max(1, int(np.ceil(4.0 * sigma_mm / spacing_mm)))
+    radius = _log_radius(sigma_mm, spacing_mm)
     x = np.arange(-radius, radius + 1, dtype=np.float64) * spacing_mm
     gauss = np.exp(-(x ** 2) / (2.0 * sigma_mm ** 2))
     gauss /= gauss.sum()
@@ -201,11 +216,12 @@ def _correlate_nearest(x: np.ndarray, weights: np.ndarray, axis: int,
     computed. The boundary replicates the nearest voxel of ``x``. Sums
     run in the order of ``scipy.ndimage.correlate1d`` for symmetric
     kernels (centre term first, then the pairs from the outermost in),
-    so the results match it bit for bit.
+    so the results match it bit for bit. The lines are gathered with the
+    axis first, so every term is a contiguous slice.
     """
     r = weights.size // 2
     reach = np.clip(np.arange(start - r, stop + r), 0, x.shape[axis] - 1)
-    line = np.moveaxis(np.take(x, reach, axis=axis), axis, 0)
+    line = np.moveaxis(x, axis, 0).take(reach, axis=0)
     width = stop - start
     out = line[r:r + width] * weights[r]
     for k in range(r, 0, -1):
@@ -223,20 +239,30 @@ def filter_log(volume: VolumeGrid, sigma_mm: float, box: Box) -> VolumeGrid:
     voxel. Affine intensity fields map to exactly zero in the interior.
 
     Only the voxels of ``box`` are computed, from the input within each
-    axis's kernel reach of the box.
+    axis's kernel reach of the box. A sigma whose reach would make one
+    pass gather more than ``MAX_LOG_LINE_FACTOR`` times the grid's voxels
+    raises SigmaTooLargeForGrid before anything is allocated.
     """
-    if sigma_mm <= 0:
-        raise ValueError("sigma_mm must be > 0")
+    if not 0 < sigma_mm < np.inf:
+        raise ValueError(f"sigma_mm must be finite and > 0, got {sigma_mm!r}")
     for axis, h in enumerate(volume.spacing):
         if sigma_mm / h < MIN_SIGMA_VOXELS:
             raise SigmaTooSmallForGrid(
                 f"sigma {sigma_mm} mm is {sigma_mm / h:.3f} voxels on axis "
                 f"{axis} (< {MIN_SIGMA_VOXELS})"
             )
+    radii = [_log_radius(sigma_mm, h) for h in volume.spacing]
+    reach = tuple(slice(max(0, b.start - r), min(n, b.stop + r))
+                  for b, r, n in zip(box, radii, volume.values.shape))
+    lengths = [s.stop - s.start for s in reach]
+    for axis, (b, r) in enumerate(zip(box, radii)):
+        line = (b.stop - b.start + 2 * r) * math.prod(lengths) // lengths[axis]
+        if line > MAX_LOG_LINE_FACTOR * volume.values.size:
+            raise SigmaTooLargeForGrid(
+                f"sigma {sigma_mm} mm reaches {r} voxels on axis {axis}: one "
+                f"pass would gather {line} values, more than "
+                f"{MAX_LOG_LINE_FACTOR} times the grid's {volume.values.size}")
     kernels = [_log_kernels_1d(sigma_mm, h) for h in volume.spacing]
-    reach = tuple(slice(max(0, b.start - k[0].size // 2),
-                        min(n, b.stop + k[0].size // 2))
-                  for b, k, n in zip(box, kernels, volume.values.shape))
     source = volume.values[reach]
     total = np.zeros([b.stop - b.start for b in box])
     for deriv_axis in range(3):

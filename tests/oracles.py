@@ -93,7 +93,8 @@ def full_grid_firstorder(values: np.ndarray, labels: np.ndarray,
                          width: float) -> dict:
     """First-order features of ``values[labels > 0]`` on the whole grid.
 
-    The same formulas as ``firstorder_features``; Entropy and Uniformity
+    The same formulas as ``firstorder_features``, the third and fourth
+    moments as products of the squared deviations; Entropy and Uniformity
     count the gray levels of :func:`brute_levels`.
     """
     x = values[labels > 0].astype(np.float64)
@@ -101,7 +102,8 @@ def full_grid_firstorder(values: np.ndarray, labels: np.ndarray,
     srt = np.sort(x)
     mean = float(x.mean())
     dev = x - mean
-    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev ** 2))
+    dev2 = dev * dev
+    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev2))
 
     def nearest_rank(q):
         return float(srt[max(1, math.ceil(round(q * n, 12))) - 1])
@@ -123,9 +125,9 @@ def full_grid_firstorder(values: np.ndarray, labels: np.ndarray,
         ("firstorder", "RootMeanSquared"): math.sqrt(float(np.mean(x ** 2))),
         ("firstorder", "MeanAbsoluteDeviation"): float(np.mean(np.abs(dev))),
         ("firstorder", "Skewness"):
-            float(np.mean(dev ** 3)) / m2 ** 1.5 if m2 > 0 else None,
+            float(np.mean(dev2 * dev)) / m2 ** 1.5 if m2 > 0 else None,
         ("firstorder", "Kurtosis"):
-            float(np.mean(dev ** 4)) / m2 ** 2 if m2 > 0 else None,
+            float(np.mean(dev2 * dev2)) / m2 ** 2 if m2 > 0 else None,
         ("firstorder", "Entropy"): float(-(nz * np.log2(nz)).sum()) + 0.0,
         ("firstorder", "Uniformity"): float(np.sum(p ** 2)),
     }

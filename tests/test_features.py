@@ -376,6 +376,36 @@ def test_glcm_features_match_oracle(rng):
                 assert got == pytest.approx(expected, abs=1e-12), name
 
 
+def test_third_and_fourth_powers_are_products():
+    # a long low tail: the large deviations from the mean are negative,
+    # where x ** 3 and x ** 4 (libm pow) round unlike the products; on
+    # this draw pow moves all four values
+    values = 100.0 - np.random.default_rng(64).exponential(30.0, (6, 6, 4))
+    volume, mask = make_volume(values), make_mask(np.ones(values.shape))
+    first = firstorder_features(volume, mask, 10.0)
+    mean = first.get("firstorder", "Mean")
+    m2 = first.get("firstorder", "Variance")
+    dev = [v - mean for v in values.ravel().tolist()]
+    assert first.get("firstorder", "Skewness") == float(
+        np.mean([d * d * d for d in dev])) / m2 ** 1.5
+    assert first.get("firstorder", "Kurtosis") == float(
+        np.mean([(d * d) * (d * d) for d in dev])) / m2 ** 2
+
+    disc = discretize_roi(volume, mask, 10.0)
+    glcm = build_glcm(disc, graph_of(disc, OFFSETS_3D))
+    texture = glcm_features(glcm)
+    mu = texture.get("glcm", "JointAverage")
+    probs = glcm.probs.tolist()
+    c = [[i + j - 2 * mu for j in range(1, len(probs) + 1)]
+         for i in range(1, len(probs) + 1)]
+    assert sum(x < 0 for row in c for x in row) > len(probs) ** 2 / 2
+    assert texture.get("glcm", "ClusterShade") == float(np.sum(
+        [[x * x * x * p for x, p in zip(*rows)] for rows in zip(c, probs)]))
+    assert texture.get("glcm", "ClusterProminence") == float(np.sum(
+        [[(x * x) * (x * x) * p for x, p in zip(*rows)]
+         for rows in zip(c, probs)]))
+
+
 # ---------------------------------------------------------------------------
 # GLRLM features
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from radrep.pipeline import (GENERAL_INFO_COLUMNS, IMAGE_TYPES, META_COLUMNS,
                              read_feature_csv, validate_feature_csv)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, FilterSpec, NormalizationMode)
-from radrep.repeatability import VOLUME_REFERENCE_FEATURE
+from radrep.repeatability import VOLUME_REFERENCE_FEATURE, FeatureKey
 from radrep.texture_matrices import OFFSETS, OFFSETS_3D, NeighbourGraph
 from radrep.volume_io import VolumeGrid, write_nrrd
 
@@ -583,6 +583,25 @@ def test_single_slice_3d_extract_fails_only_its_3d_wavelet_subbands(tmp_path):
                        for b in WAVELET_SUBBANDS_2D)
             assert all(row[f"wavelet-{b}_firstorder_Mean"] == ""
                        for b in WAVELET_SUBBANDS_3D)
+
+
+def test_a_sigma_too_large_for_the_grid_fails_only_its_filter(tmp_path):
+    # sigma 100000 mm would gather gigabytes per LoG pass on the 10 x 10 x 6
+    # grid: each row records SigmaTooLargeForGrid for it, the rest compute
+    huge = "log-sigma-100000-0-mm-3D"
+    settings = {"normalizationModes": ["none"], "binWidths": [10],
+                "dimensionality": "3D",
+                "filters": ["original", huge, "log-sigma-5-0-mm-3D"]}
+    manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                          settings=settings))
+    [csv_path], failures = extract_run(manifest, tmp_path / "out")
+    assert len(failures) == len(manifest.cohort)
+    assert {(r["filter"], r["error"]) for r in read_rows(
+        tmp_path / "out" / "extraction_errors.csv")} == {
+        (huge, "SigmaTooLargeForGrid")}
+    for row in read_rows(csv_path):
+        assert row[f"{huge}_firstorder_Mean"] == ""
+        assert row["log-sigma-5-0-mm-3D_glcm_Contrast"] != ""
 
 
 def test_rerun_replaces_errors_and_refuses_stale_feature_csvs(tmp_path, capsys):
@@ -1253,6 +1272,24 @@ def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
         VOLUME_REFERENCE_FEATURE, None, compare)
     assert {stem for stem, _ in tables} == set(compare)
     assert set(per_path) == set(paths)
+
+
+def test_a_bin_width_group_splits_its_shared_columns_once(tmp_path,
+                                                          monkeypatch):
+    # the group's two CSVs have one header: the second reuses the keys of
+    # the first, so every feature column is split into a FeatureKey once
+    paths = _two_group_csvs(tmp_path)
+    cells = [parse_config_from_name(p) for p in paths]
+    group = [(cell, p) for cell, p in zip(cells, paths)
+             if cell.group_code == cells[0].group_code]
+    [matrix, *_] = read_feature_csv(group[0][1]).values()
+    split = []
+    monkeypatch.setattr(radrep.pipeline, "FeatureKey",
+                        lambda column: split.append(column) or FeatureKey(column))
+    (tmp_path / "reports").mkdir()
+    _analyze_group(group, tmp_path / "reports", VOLUME_REFERENCE_FEATURE,
+                   None, ())
+    assert len(group) == 2 and sorted(split) == sorted(matrix.features)
 
 
 def test_worker_errors_and_cleanup_cross_the_process_boundary(

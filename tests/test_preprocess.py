@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from radrep.preprocess import (LOG_SIGMAS_MM, FilterKind, FilterSpec,
                                MissingReferenceMask, NormalizationMode,
-                               SigmaTooSmallForGrid,
+                               SigmaTooLargeForGrid, SigmaTooSmallForGrid,
                                WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                ZeroVariance, apply_filter, filter_log,
                                filter_pointwise, filter_wavelet, normalize)
@@ -218,6 +219,32 @@ def test_log_sigma_too_small():
     vol = make_volume(np.zeros((5, 5, 5)), spacing=(1.0, 1.0, 5.0))
     with pytest.raises(SigmaTooSmallForGrid):
         filter_log(vol, 1.0, whole_box(vol))  # 0.2 voxels on the slice axis
+
+
+def test_log_sigma_too_large_raises_before_allocating():
+    # sigma 100000 mm reaches 666,667 voxels on a 0.6 mm axis: one pass
+    # would gather ~3.4 GB for this 40 x 40 x 8 grid
+    vol = make_volume(np.zeros((40, 40, 8)), spacing=(0.6, 0.6, 3.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SigmaTooLargeForGrid, match="axis 0"):
+            filter_log(vol, 100000.0, whole_box(vol))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_log_sigma_bound_keeps_the_catalog_on_a_one_voxel_axis(rng):
+    # 0.5 mm across one voxel: sigma 5 mm gathers 1 + 2 * 40 = 81 lines of
+    # 4 x 4 per pass, sigma 8 mm 1 + 2 * 64 = 129, over 128 grids
+    vol = make_volume(rng.normal(100.0, 30.0, (1, 4, 4)),
+                      spacing=(0.5, 1.0, 1.0))
+    for sigma in LOG_SIGMAS_MM:
+        _assert_box_equals_oracle(vol.values, vol.spacing, sigma,
+                                  whole_box(vol))
+    with pytest.raises(SigmaTooLargeForGrid, match="axis 0"):
+        filter_log(vol, 8.0, whole_box(vol))
 
 
 # ---------------------------------------------------------------------------
