@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .discretize import discretize_roi
+from .discretize import TooManyGrayLevels, discretize_roi
 from .texture_matrices import GlcMatrix, SizeMatrix
 from .volume_io import RoiMask, VolumeGrid
 
@@ -134,8 +134,8 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     products ``d * d * d`` and ``(d * d) * (d * d)`` of each deviation d.
     Skewness and Kurtosis are None when their denominator, ``m2 ** 1.5``
     or ``m2 ** 2``, is 0.0: a constant ROI, or a variance so small that
-    the power underflows. Entropy and Uniformity are computed on the
-    fixed-bin-width gray levels of :func:`discretize_roi`.
+    the power underflows. Entropy and Uniformity read the fixed-bin-width
+    gray levels of :func:`discretize_roi`, None past ``MAX_GRAY_LEVELS``.
     """
     x = volume.values[mask.bounding_box][mask.inside].astype(np.float64)
     n = x.size
@@ -166,11 +166,14 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
         entries[("firstorder", name)] = (
             float(np.mean(moment)) / denominator if denominator > 0 else None)
 
-    disc = discretize_roi(volume, mask, bin_width)
-    hist = np.bincount(disc.levels[disc.levels > 0], minlength=disc.num_gray_levels + 1)[1:]
-    p = hist / n
-    entries[("firstorder", "Entropy")] = _entropy_bits(p)
-    entries[("firstorder", "Uniformity")] = float(np.sum(p ** 2))
+    try:
+        disc = discretize_roi(volume, mask, bin_width)
+    except TooManyGrayLevels:  # the cell's texture failure records it
+        entries[("firstorder", "Entropy")] = entries[("firstorder", "Uniformity")] = None
+    else:
+        p = np.bincount(disc.levels[disc.levels > 0], minlength=disc.num_gray_levels + 1)[1:] / n
+        entries[("firstorder", "Entropy")] = _entropy_bits(p)
+        entries[("firstorder", "Uniformity")] = float(np.sum(p ** 2))
     return FeatureMap(entries)
 
 

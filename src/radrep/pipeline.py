@@ -1,12 +1,12 @@
 """Batch extraction over a run manifest and the analysis report driver.
 
 ``extract_run`` executes the configuration matrix (normalization modes x
-bin widths, at one texture dimensionality) over the cohort, one entry at
-a time, and writes one feature CSV per :class:`ConfigCell`, named by it.
-Outputs are deterministic: fixed column order, rows sorted by (study,
-series, structure), and 17-significant-digit float formatting, so
-identical inputs produce byte-identical files. Per-row failures go to an errors
-sidecar and never abort the run.
+bin widths, at one texture dimensionality) over the cohort sorted by
+(study, series), one entry at a time, writing each entry's rows into one
+feature CSV per :class:`ConfigCell`, named by it, as the entry finishes.
+Outputs are deterministic (fixed column order, rows in (study, series,
+structure) order, 17-significant-digit floats) and per-row failures go
+to an errors sidecar, never aborting the run.
 
 ``analyze_run`` reads each CSV's cell back from its name and its rows
 into repeatability tables, and emits the report suite: per-feature ICC
@@ -21,7 +21,7 @@ import csv
 import json
 import os
 import re
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import product, takewhile
@@ -584,25 +584,26 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     return cells
 
 
-def _map_in_workers(work, items, most: int | None = None) -> list:
-    """``list(map(work, items))`` on min(len(items), usable CPUs, ``most``)
-    worker processes. They are forked, not spawned, as a spawned worker
-    imports numpy and radrep again (~0.2 s); the pool forks them all
-    before it starts its own thread. One worker, or a platform with no
-    affinity call (macOS; Windows, which has no fork), runs in this
-    process. A worker that raises cancels the items not yet taken."""
+def _map_in_workers(work, items, most: int | None = None):
+    """``map(work, items)``, lazily, on min(len(items), usable CPUs, ``most``)
+    worker processes, forked, not spawned, as a spawned worker imports numpy
+    and radrep again (~0.2 s); the pool forks them all before it starts its
+    own thread. One worker, or a platform with no affinity call (macOS;
+    Windows, which has no fork), runs in this process. A worker that raises
+    cancels the items not yet taken; a result waits for the earlier ones."""
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     workers = min(len(items), cpus, cpus if most is None else most)
     if workers <= 1:
-        return list(map(work, items))
+        yield from map(work, items)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            return list(pool.map(work, items))
+            yield from pool.map(work, items)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -615,11 +616,11 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     Works one cohort entry at a time: its image and masks are read once,
     then each normalization mode, filter, mask and bin width is visited in
     turn. At most ``jobs`` forked processes (fewer with fewer entries or
-    CPUs) extract entries at once, so memory is bounded by that many
-    images rather than the cohort. Each :class:`ConfigCell` gets one CSV:
-    the entries' rows and failures in it are joined in cohort order, the
-    rows sorted by (study, series, structure), so the worker count never
-    changes the output bytes. Failures also go to the
+    CPUs) extract entries at once. The entries are sorted by (study,
+    series) first, and each one's rows go, sorted by structure, into its
+    cell's CSV as it finishes: neither the manifest order nor the worker
+    count changes the output bytes, and memory is bounded by the entries
+    in flight, not the cohort. Failures are returned sorted as in the
     :data:`EXTRACTION_ERRORS` sidecar (see :func:`_write_errors`).
 
     Raises :class:`StaleOutputs`, before extracting anything and deleting
@@ -639,35 +640,31 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
             f"{out_dir} holds feature CSVs this run does not write: "
             f"{', '.join(stale)}; move them away or write to another directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_in_workers(partial(_extract_entry, settings=settings),
-                              manifest.cohort, most=jobs)
-
+    # a study is unique within an image type, so this is each CSV's order
+    cohort = sorted(manifest.cohort, key=lambda e: (e.study, e.image_path.stem))
     columns = (list(GENERAL_INFO_COLUMNS) + feature_columns(settings.filters)
                + list(META_COLUMNS))
-    csv_paths: list[Path] = []
-    all_failures: list[ExtractionFailure] = []
-    for cell in cells:
-        joined = [result[cell] for result in results if cell in result]
-        rows = sorted((row for rows, _ in joined for row in rows),
-                      key=lambda row: (row["study"], row["series"],
-                                       row["segmentedStructure"]))
-        all_failures += (failure for _, failures in joined
-                         for failure in failures)
-        path = out_dir / cell.csv_name
-        _write_feature_csv(path, columns, rows)
-        csv_paths.append(path)
-
+    failures: dict[ConfigCell, list] = {cell: [] for cell in cells}
+    with ExitStack() as stack:
+        # forked workers inherit these buffers; os._exit ends them unflushed
+        writers = {cell: csv.writer(stack.enter_context(_replacing(
+            out_dir / cell.csv_name)), lineterminator="\n") for cell in cells}
+        for writer in writers.values():
+            writer.writerow(columns)
+        for result in _map_in_workers(partial(_extract_entry, settings=settings),
+                                      cohort, most=jobs):
+            for cell, (rows, cell_failures) in result.items():
+                rows.sort(key=lambda row: row["segmentedStructure"])
+                writers[cell].writerows([format_value(row.get(col))
+                                         for col in columns] for row in rows)
+                failures[cell] += cell_failures
+    all_failures = sorted((f for cell in cells for f in failures[cell]),
+                          key=lambda f: (f.study, f.structure, f.filter_name,
+                                         f.error))
     _write_errors(out_dir / EXTRACTION_ERRORS,
                   ["study", "segmentedStructure", "filter", "error", "detail",
-                   "configuration"],
-                  sorted(all_failures, key=lambda f: (
-                      f.study, f.structure, f.filter_name, f.error)))
-    return csv_paths, all_failures
-
-
-def _write_feature_csv(path: Path, columns: list[str], rows: list[dict]):
-    _write_csv(path, columns, ([format_value(row.get(col)) for col in columns]
-                               for row in rows))
+                   "configuration"], all_failures)
+    return [out_dir / cell.csv_name for cell in cells], all_failures
 
 
 def _write_errors(path: Path, header: list[str], failures: list) -> None:

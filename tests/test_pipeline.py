@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -290,7 +291,8 @@ def test_extraction_parallel_matches_serial(tmp_path, monkeypatch):
     settings = {"normalizationModes": ["none", "wholeImage", "referenceRegion"],
                 "binWidths": [10, 20], "dimensionality": "2D"}
     manifest_path = build_cohort(tmp_path / "in", n_subjects=2,
-                                 settings=settings, with_reference=True)
+                                 settings=settings, with_reference=True,
+                                 structures=("Tumor", "WholeGland"))
     labels = np.zeros((4, 4, 2))
     labels[1, 1, 1] = 1
     write_nrrd(tmp_path / "in" / "sub01_tp1_Tumor.nrrd", labels, (1, 1, 3),
@@ -298,18 +300,27 @@ def test_extraction_parallel_matches_serial(tmp_path, monkeypatch):
     doc = json.loads(manifest_path.read_text())
     del doc["cohort"][1]["referenceMaskPath"]
     manifest_path.write_text(json.dumps(doc))
-    manifest = load_manifest(manifest_path)
+    # the same cohort listed backwards, each entry's masks too
+    doc["cohort"].reverse()
+    for item in doc["cohort"]:
+        item["masks"].reverse()
+    manifest_path.with_name("reversed.json").write_text(json.dumps(doc))
+    manifests = {order: load_manifest(manifest_path.with_name(name))
+                 for order, name in (("sorted", manifest_path.name),
+                                     ("reversed", "reversed.json"))}
 
     runs = {}
-    for jobs, cpus in ((1, 2), (4, 2), (4, 1), (4, None)):
-        out = tmp_path / f"jobs{jobs}_cpus{cpus}"
+    for (jobs, cpus), order in product(((1, 2), (4, 2), (4, 1), (4, None)),
+                                       manifests):
+        out = tmp_path / f"jobs{jobs}_cpus{cpus}_{order}"
         with on_cpus(monkeypatch, cpus) as pools:
-            paths, failures = extract_run(manifest, out, jobs=jobs)
+            paths, failures = extract_run(manifests[order], out, jobs=jobs)
         # one fork pool, of no more workers than CPUs; else in process
         assert pools == ([(2, "fork")] if (jobs, cpus) == (4, 2) else [])
-        runs[jobs, cpus] = ([p.relative_to(out) for p in paths], failures,
-                            {p.name: p.read_bytes() for p in out.iterdir()})
-    paths, failures, files = runs[1, 2]
+        runs[jobs, cpus, order] = (
+            [p.relative_to(out) for p in paths], failures,
+            {p.name: p.read_bytes() for p in out.iterdir()})
+    paths, failures, files = runs[1, 2, "sorted"]
     assert len(paths) == 6 and "extraction_errors.csv" in files
     assert {f.error for f in failures} == {"GeometryMismatch",
                                            "MissingReferenceMask"}
@@ -325,7 +336,7 @@ def test_extraction_parallel_matches_serial(tmp_path, monkeypatch):
                                  and "_MuscleRefNorm_" in f.configuration
                                  for f in mode_failures)
     for run in runs.values():
-        assert run == runs[1, 2]
+        assert run == runs[1, 2, "sorted"]
 
 
 def _extract_entry_failing_on_sub01(entry, settings):
@@ -344,11 +355,35 @@ def test_extraction_worker_error_propagates_and_leaves_no_child(
     monkeypatch.setattr(radrep.pipeline, "_extract_entry",
                         _extract_entry_failing_on_sub01)
     for cpus, pool in ((2, [(2, "fork")]), (1, [])):
+        out = tmp_path / f"out{cpus}"
         with on_cpus(monkeypatch, cpus) as pools:
             with pytest.raises(RuntimeError,
                                match="no worker may swallow this: sub01_tp1"):
-                extract_run(manifest, tmp_path / f"out{cpus}", jobs=2)
+                extract_run(manifest, out, jobs=2)
         assert pools == pool
+        # the CSVs were open when the worker raised: no file, whole or
+        # temporary, is left
+        assert sorted(out.iterdir()) == []
+
+
+def test_extraction_memory_does_not_grow_with_the_cohort(tmp_path):
+    # each entry's rows are written as it finishes, so four times the
+    # subjects may raise the traced peak of an in-process run by 25% at most
+    settings = {"normalizationModes": ["none"], "binWidths": [10],
+                "dimensionality": "3D", "filters": ["original", "wavelet"]}
+    peaks = {}
+    for n_subjects in (3, 12):
+        manifest = load_manifest(build_cohort(
+            tmp_path / f"in{n_subjects}", n_subjects=n_subjects,
+            settings=settings,
+            structures=("Tumor", "WholeGland", "PeripheralZone")))
+        tracemalloc.start()
+        try:
+            extract_run(manifest, tmp_path / f"out{n_subjects}", jobs=1)
+            peaks[n_subjects] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[12] <= 1.25 * peaks[3], peaks
 
 
 def test_extraction_reads_and_measures_each_entry_once(tmp_path, monkeypatch):
@@ -511,18 +546,23 @@ def test_too_many_gray_levels_fails_its_cells_only(tmp_path, monkeypatch):
     manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=1,
                                           settings=settings))
     fine, coarse = extract_run(manifest, tmp_path / "out")[0]
+    # one texture row per failing cell records the cause; first-order
+    # blanks only its binned features
     assert sorted((r["study"], r["error"], r["detail"].split(":")[0])
                   for r in read_rows(tmp_path / "out" / "extraction_errors.csv")
-                  ) == [(study, "TooManyGrayLevels", cls)
-                        for study in ("sub00_tp1", "sub00_tp2")
-                        for cls in ("firstorder", "texture")]
+                  ) == [(study, "TooManyGrayLevels", "texture")
+                        for study in ("sub00_tp1", "sub00_tp2")]
     assert {r["configuration"] for r in read_rows(
         tmp_path / "out" / "extraction_errors.csv")} == {fine.stem}
     for row in read_rows(fine):
         assert row["original_shape_Volume"] != ""
-        assert row["original_firstorder_Mean"] == ""
+        for name in FEATURE_ROSTER["firstorder"]:
+            binned = name in ("Entropy", "Uniformity")
+            assert (row[f"original_firstorder_{name}"] == "") == binned, name
         assert row["original_glcm_Contrast"] == ""
-    assert all(row["original_glcm_Contrast"] != "" for row in read_rows(coarse))
+    for row in read_rows(coarse):
+        assert row["original_glcm_Contrast"] != ""
+        assert row["original_firstorder_Entropy"] != ""
 
 
 def test_analyze_reads_an_extraction_directory_that_holds_failures(
