@@ -13,7 +13,6 @@ import sys
 from . import RadrepError
 from .pipeline import (ANALYSIS_ERRORS, EXTRACTION_ERRORS, analyze_run,
                        extract_run, load_manifest, plotdata_run)
-from .repeatability import VOLUME_REFERENCE_FEATURE
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("analyze", help="compute repeatability reports")
     cmd.add_argument("--in", dest="inputs", required=True,
                      help="glob of extraction CSVs")
-    cmd.add_argument("--reference", default=VOLUME_REFERENCE_FEATURE,
-                     help="reference feature column")
     cmd.add_argument("--out", required=True, help="report directory")
     cmd.add_argument("--compare", nargs=2, metavar=("STEM_A", "STEM_B"),
                      default=None,
@@ -101,7 +98,7 @@ def main(argv=None) -> int:
                 print(f"no input CSVs match {args.inputs!r}", file=sys.stderr)
                 return EXIT_DATA_ERROR
             return _finish(*analyze_run(
-                paths, args.out, reference=args.reference,
+                paths, args.out,
                 compare=tuple(args.compare) if args.compare else None,
                 timepoint_map_path=args.timepoint_map),
                 "analysis", ANALYSIS_ERRORS)

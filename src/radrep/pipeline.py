@@ -39,13 +39,12 @@ from .features import (FEATURE_ROSTER, firstorder_features,
 from .preprocess import (FilterKind, FilterSpec, MissingReferenceMask,
                          NormalizationMode, apply_filter, normalize)
 from .preprocess import filter_wavelet  # noqa: F401  bench/tracing.py traces it here
-from .repeatability import (VOLUME_REFERENCE_FEATURE, DegenerateSamples,
-                            FeatureKey, FeatureMatrix,
-                            InsufficientFeatures, InsufficientSubjects,
-                            MissingVolumeReference, RepeatabilityTable,
-                            binwidth_spread, build_table, config_delta,
-                            filter_frequency, kde, rank_distribution,
-                            top_k_per_class)
+from .repeatability import (TOP_K, DegenerateSamples, FeatureKey,
+                            FeatureMatrix, InsufficientFeatures,
+                            InsufficientSubjects, MissingVolumeReference,
+                            RepeatabilityTable, binwidth_spread, build_table,
+                            config_delta, filter_frequency, kde,
+                            rank_distribution, top_k_per_class)
 from .texture_matrices import (OFFSETS, NeighbourGraph, build_glcm,
                                build_glrlm, build_glszm, label_zones)
 from .volume_io import (GeometryMismatch, RoiMask, Structure, VolumeGrid,
@@ -79,7 +78,7 @@ class MissingReport(RadrepError):
 
 
 class StaleOutputs(RadrepError):
-    """The output directory holds feature CSVs this run would not write."""
+    """The output directory holds outputs this run would not write."""
 
 
 def format_value(value) -> str:
@@ -623,22 +622,18 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     in flight, not the cohort. Failures are returned sorted as in the
     :data:`EXTRACTION_ERRORS` sidecar (see :func:`_write_errors`).
 
-    Raises :class:`StaleOutputs`, before extracting anything and deleting
-    nothing, when ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``)
-    this manifest does not write, so a later ``analyze`` cannot mix runs.
+    Raises :class:`StaleOutputs`, before extracting anything, when
+    ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``) this manifest
+    does not write, so a later ``analyze`` cannot mix runs.
     """
     out_dir = Path(out_dir)
     settings = manifest.settings
     cells = [settings.cell(*config) for config in product(
         sorted({e.image_type for e in manifest.cohort}),
         settings.normalization_modes, settings.bin_widths)]
-    names = {cell.csv_name for cell in cells}
-    stale = sorted(path.name for path in out_dir.glob(
-        f"{ConfigCell.PREFIX}_*.csv") if path.name not in names)
-    if stale:
-        raise StaleOutputs(
-            f"{out_dir} holds feature CSVs this run does not write: "
-            f"{', '.join(stale)}; move them away or write to another directory")
+    _refuse_stale(out_dir, [f"{ConfigCell.PREFIX}_*.csv"],
+                  {cell.csv_name for cell in cells}.__contains__,
+                  "feature CSVs")
     out_dir.mkdir(parents=True, exist_ok=True)
     # a study is unique within an image type, so this is each CSV's order
     cohort = sorted(manifest.cohort, key=lambda e: (e.study, e.image_path.stem))
@@ -665,6 +660,19 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
                   ["study", "segmentedStructure", "filter", "error", "detail",
                    "configuration"], all_failures)
     return [out_dir / cell.csv_name for cell in cells], all_failures
+
+
+def _refuse_stale(out_dir: Path, patterns, writes, noun: str) -> None:
+    """Raise :class:`StaleOutputs`, deleting nothing, when ``out_dir``
+    holds a file matching one of the glob ``patterns`` whose name this run
+    would not write (``writes(name)`` is false): a reader of the
+    directory would take it for an output of this run."""
+    stale = sorted(path.name for pattern in patterns
+                   for path in out_dir.glob(pattern) if not writes(path.name))
+    if stale:
+        raise StaleOutputs(
+            f"{out_dir} holds {noun} this run does not write: "
+            f"{', '.join(stale)}; move them away or write to another directory")
 
 
 def _write_errors(path: Path, header: list[str], failures: list) -> None:
@@ -865,6 +873,12 @@ def _write_icc_table(path: Path, table: RepeatabilityTable, bin_width: float):
                       "icc", "bms", "wms", "n", "aboveVolumeReference"], rows)
 
 
+# the kinds of report named f"{kind}__{CSV stem}__{structure}" and
+# f"{kind}__{group code}__{structure}"
+_TABLE_REPORTS = ("icc", f"top{TOP_K}", "filterfreq")
+_GROUP_REPORTS = ("spread", "kde_spread", "rankdist", "binwidth_notes")
+
+
 @dataclass
 class AnalysisFailure:
     stem: str
@@ -873,8 +887,7 @@ class AnalysisFailure:
     detail: str
 
 
-def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
-                compare: tuple[str, str] | None = None,
+def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
                 timepoint_map_path=None,
                 ) -> tuple[list[Path], list[AnalysisFailure]]:
     """Build repeatability tables from extraction CSVs and write reports.
@@ -894,14 +907,17 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     report is written; two names of one :class:`ConfigCell` (a repeated
     stem, say) would write the same reports, and a ``compare`` stem that
     names no input would be found only after every report, so both raise
-    SchemaMismatch.
+    SchemaMismatch. :class:`StaleOutputs` is raised, before anything is
+    written, when ``out_dir`` holds a report whose CSV stem, bin-width
+    group (one with at least two widths among the inputs) or ``compare``
+    pair this run does not name, so a rerun cannot mix two runs.
 
     Each bin-width group (the CSVs of one ``ConfigCell.group_code``) is
     analyzed by :func:`_analyze_group`, one process per group, up to the
     CPUs this process may run on. The returned lists, and every output
     byte, are those of one process: per-table files in path order, then
-    the errors sidecar, then the bin-width files in (group code,
-    structure) order.
+    the bin-width files in (group code, structure) order, then the delta
+    reports.
     """
     inputs = sorted(path for path in map(Path, csv_paths)
                     if path.name != EXTRACTION_ERRORS)
@@ -920,15 +936,23 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
     for stem in compare or ():
         if stem not in stems:
             raise SchemaMismatch(f"compare stem {stem!r} names no input CSV")
+    groups: dict[str, list[tuple[ConfigCell, Path]]] = {}
+    for cell, path in paths.items():
+        groups.setdefault(cell.group_code, []).append((cell, path))
+    named = [f"{kind}__{stem}__" for kind in _TABLE_REPORTS for stem in stems]
+    named += [f"{kind}__{code}__" for kind in _GROUP_REPORTS
+              for code, members in groups.items() if len(members) > 1]
+    if compare:
+        named.append("delta__{}__vs__{}__".format(*compare))
     out_dir = Path(out_dir)
+    _refuse_stale(out_dir, [f"{kind}__*" for kind in
+                            (*_TABLE_REPORTS, *_GROUP_REPORTS, "delta")],
+                  lambda name: name.startswith(tuple(named)), "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     timepoint_map = (_read_timepoint_map(timepoint_map_path)
                      if timepoint_map_path else None)
 
-    groups: dict[str, list[tuple[ConfigCell, Path]]] = {}
-    for cell, path in paths.items():
-        groups.setdefault(cell.group_code, []).append((cell, path))
-    work = partial(_analyze_group, out_dir=out_dir, reference=reference,
+    work = partial(_analyze_group, out_dir=out_dir,
                    timepoint_map=timepoint_map, compare=compare or ())
     results = _map_in_workers(work, [groups[code] for code in sorted(groups)])
 
@@ -952,7 +976,7 @@ def analyze_run(csv_paths, out_dir, reference: str = VOLUME_REFERENCE_FEATURE,
 
 
 def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
-                   reference: str, timepoint_map: dict | None, compare: tuple):
+                   timepoint_map: dict | None, compare: tuple):
     """Tables and reports of one bin-width group's CSVs, in path order.
 
     The group's CSVs share their feature columns, so each reuses the keys
@@ -971,7 +995,7 @@ def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
                 read_feature_csv(path, timepoint_map, keys).items()):
             keys = matrix.features
             try:
-                table = build_table(matrix, reference_feature=reference)
+                table = build_table(matrix)
             except (InsufficientSubjects, MissingVolumeReference) as exc:
                 failures.append(AnalysisFailure(
                     stem=path.stem, structure=structure,
@@ -987,12 +1011,12 @@ def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
             written.append(icc_path)
 
             try:
-                top = top_k_per_class(table, k=3)
+                top = top_k_per_class(table)
                 payload = {cls: [[feature, icc] for feature, icc in pairs]
                            for cls, pairs in top.items()}
             except InsufficientFeatures as exc:
                 payload = {"error": str(exc)}
-            top_path = out_dir / f"top3__{path.stem}__{structure}.json"
+            top_path = out_dir / f"top{TOP_K}__{path.stem}__{structure}.json"
             _write_json(top_path, payload)
             written.append(top_path)
 
@@ -1102,60 +1126,75 @@ def _delta_reports(tables, failed: set[tuple[str, str]],
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
+def _plot_icc(path: Path, out: Path) -> None:
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        cls, name, flt, width, icc = map(next(reader).index, (
+            "featureClass", "featureName", "filter", "binWidth", "icc"))
+        rows = [[f"{r[cls]}_{r[name]}", r[flt], r[width], r[icc]]
+                for r in filter(None, reader)]  # skips blank lines
+    _write_csv(out, ["feature", "filter", "binWidth", "icc"], rows)
+
+
+def _plot_copy(path: Path, out: Path) -> None:
+    with _replacing(out, "wb") as handle:
+        handle.write(path.read_bytes())
+
+
+def _plot_top(path: Path, out: Path) -> None:
+    payload = json.loads(path.read_text())
+    rows = []
+    if "error" not in payload:
+        for cls in sorted(payload):
+            for feature, icc in payload[cls]:
+                rows.append([cls, feature, format_value(icc)])
+    _write_csv(out, ["featureClass", "feature", "icc"], rows)
+
+
+def _plot_filterfreq(path: Path, out: Path) -> None:
+    payload = json.loads(path.read_text())
+    rows = [[name, str(count)]
+            for name, count in sorted(payload["counts"].items())]
+    rows.append(["TOTAL_ABOVE_REFERENCE", str(payload["totalAboveReference"])])
+    _write_csv(out, ["filterName", "count"], rows)
+
+
+def _plot_delta(path: Path, out: Path) -> None:
+    payload = json.loads(path.read_text())
+    rows = [[k, format_value(v["iccA"]), format_value(v["iccB"]),
+             format_value(v["delta"])]
+            for k, v in sorted(payload["shared"].items())]
+    _write_csv(out, ["feature", "iccA", "iccB", "delta"], rows)
+
+
+# (report glob, converter) in output order; the spread, KDE and rank
+# reports are plot-ready already
+_PLOTS = (("icc__*.csv", _plot_icc), ("kde_spread__*.csv", _plot_copy),
+          ("rankdist__*.csv", _plot_copy), ("spread__*.csv", _plot_copy),
+          (f"top{TOP_K}__*.json", _plot_top),
+          ("filterfreq__*.json", _plot_filterfreq),
+          ("delta__*.json", _plot_delta))
+
+
 def plotdata_run(in_dir, out_dir) -> list[Path]:
-    """Convert analysis reports into plot-ready long/two-column CSVs."""
+    """Convert analysis reports into plot-ready long/two-column CSVs, one
+    ``plot_<report stem>.csv`` each.
+
+    Raises :class:`StaleOutputs`, before writing anything, when
+    ``out_dir`` holds a ``plot_*.csv`` whose report is not in ``in_dir``.
+    """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
+    reports = [(path, plot) for pattern, plot in _PLOTS
+               for path in sorted(in_dir.glob(pattern))]
+    _refuse_stale(out_dir, ["plot_*.csv"],
+                  {f"plot_{path.stem}.csv" for path, _ in reports}.__contains__,
+                  "plot files")
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    for path in sorted(in_dir.glob("icc__*.csv")):
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            cls, name, flt, width, icc = map(next(reader).index, (
-                "featureClass", "featureName", "filter", "binWidth", "icc"))
-            rows = [[f"{r[cls]}_{r[name]}", r[flt], r[width], r[icc]]
-                    for r in filter(None, reader)]  # skips blank lines
-        out = out_dir / f"plot_{path.stem}.csv"
-        _write_csv(out, ["feature", "filter", "binWidth", "icc"], rows)
-        written.append(out)
-
-    for pattern in ("kde_spread__*.csv", "rankdist__*.csv", "spread__*.csv"):
-        for path in sorted(in_dir.glob(pattern)):
-            out = out_dir / f"plot_{path.stem}.csv"
-            with _replacing(out, "wb") as handle:
-                handle.write(path.read_bytes())
-            written.append(out)
-
-    for path in sorted(in_dir.glob("top3__*.json")):
-        payload = json.loads(path.read_text())
-        rows = []
-        if "error" not in payload:
-            for cls in sorted(payload):
-                for feature, icc in payload[cls]:
-                    rows.append([cls, feature, format_value(icc)])
-        out = out_dir / f"plot_{path.stem}.csv"
-        _write_csv(out, ["featureClass", "feature", "icc"], rows)
-        written.append(out)
-
-    for path in sorted(in_dir.glob("filterfreq__*.json")):
-        payload = json.loads(path.read_text())
-        rows = [[name, str(count)]
-                for name, count in sorted(payload["counts"].items())]
-        rows.append(["TOTAL_ABOVE_REFERENCE",
-                     str(payload["totalAboveReference"])])
-        out = out_dir / f"plot_{path.stem}.csv"
-        _write_csv(out, ["filterName", "count"], rows)
-        written.append(out)
-
-    for path in sorted(in_dir.glob("delta__*.json")):
-        payload = json.loads(path.read_text())
-        rows = [[k, format_value(v["iccA"]), format_value(v["iccB"]),
-                 format_value(v["delta"])]
-                for k, v in sorted(payload["shared"].items())]
-        out = out_dir / f"plot_{path.stem}.csv"
-        _write_csv(out, ["feature", "iccA", "iccB", "delta"], rows)
-        written.append(out)
-
-    if not written:
+    if not reports:
         raise MissingReport(f"no analysis reports found under {in_dir}")
+    written: list[Path] = []
+    for path, plot in reports:
+        out = out_dir / f"plot_{path.stem}.csv"
+        plot(path, out)
+        written.append(out)
     return written

@@ -28,6 +28,7 @@ from .features import FEATURE_ROSTER
 
 VOLUME_REFERENCE_FEATURE = "original_shape_Volume"
 MIN_SUBJECTS = 3
+TOP_K = 3  # features reported per class
 KDE_GRID_POINTS = 256
 
 
@@ -119,9 +120,7 @@ class RepeatabilityTable:
                        wms=self.wms[at], n=self.n[at])
 
 
-def build_table(matrix: FeatureMatrix,
-                reference_feature: str = VOLUME_REFERENCE_FEATURE,
-                ) -> RepeatabilityTable:
+def build_table(matrix: FeatureMatrix) -> RepeatabilityTable:
     """Compute one ICC per feature column and attach the Volume reference.
 
     Features and subjects are sorted; only rows at timepoints 1 and 2
@@ -158,14 +157,13 @@ def build_table(matrix: FeatureMatrix,
                if n[i] < MIN_SUBJECTS else "all values identical"
                for i in np.flatnonzero(~kept)}
     rows = tuple(itertools.compress(features, kept.tolist()))
-    if reference_feature not in rows:
+    if VOLUME_REFERENCE_FEATURE not in rows:
         raise MissingVolumeReference(
-            f"reference feature {reference_feature!r}: "
-            + dropped.get(reference_feature, "not among extracted columns")
-        )
+            f"reference feature {VOLUME_REFERENCE_FEATURE!r}: " + dropped.get(
+                VOLUME_REFERENCE_FEATURE, "not among extracted columns"))
     bms, wms, n = bms[kept], wms[kept], n[kept]
     icc = (bms - wms) / (bms + wms)
-    i = rows.index(reference_feature)
+    i = rows.index(VOLUME_REFERENCE_FEATURE)
     reference = IccResult(*(column[i].item() for column in (icc, bms, wms, n)))
     return RepeatabilityTable(rows=rows, icc=icc, bms=bms, wms=wms, n=n,
                               volume_reference=reference, dropped=dropped)
@@ -220,8 +218,13 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 def gaussian_kde_density(samples: np.ndarray, x: np.ndarray,
                          bandwidth: float) -> np.ndarray:
     """Evaluate the Gaussian KDE of ``samples`` at points ``x``."""
-    z = (np.atleast_1d(x)[:, None] - samples[None, :]) / bandwidth
-    return np.exp(-0.5 * z ** 2).sum(axis=1) / (
+    # one buffer, the operations of exp(-0.5 * ((x - s) / h) ** 2) in order
+    z = np.atleast_1d(x)[:, None] - samples[None, :]
+    z /= bandwidth
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    return z.sum(axis=1) / (
         samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     )
 
@@ -290,9 +293,10 @@ class FeatureKey(str):
         return key
 
 
-def top_k_per_class(table: RepeatabilityTable, k: int = 3,
+def top_k_per_class(table: RepeatabilityTable,
                     ) -> dict[str, list[tuple[str, float]]]:
-    """The k most repeatable features per class, over all filter variants.
+    """The :data:`TOP_K` most repeatable features per class, over all
+    filter variants.
 
     A feature (class + name) is scored by its maximum ICC across filters;
     ties break lexicographically on the feature name.
@@ -305,11 +309,11 @@ def top_k_per_class(table: RepeatabilityTable, k: int = 3,
     out: dict[str, list[tuple[str, float]]] = {}
     for cls in sorted(best):
         scored = sorted(best[cls].items(), key=lambda kv: (-kv[1], kv[0]))
-        if len(scored) < k:
+        if len(scored) < TOP_K:
             raise InsufficientFeatures(
-                f"class {cls!r} has {len(scored)} features with defined ICC, need {k}"
-            )
-        out[cls] = [(f"{cls}_{name}", icc) for name, icc in scored[:k]]
+                f"class {cls!r} has {len(scored)} features with defined ICC, "
+                f"need {TOP_K}")
+        out[cls] = [(f"{cls}_{name}", icc) for name, icc in scored[:TOP_K]]
     return out
 
 

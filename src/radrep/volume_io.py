@@ -282,7 +282,7 @@ def check_geometry(image: VolumeGrid, mask: RoiMask) -> bool:
     return all(_spacing_close(a, b) for a, b in zip(image.spacing, mask.spacing))
 
 
-def write_nrrd(path, values: np.ndarray, spacing, origin=(0.0, 0.0, 0.0),
+def write_nrrd(path, values: np.ndarray, spacing,
                dtype: str = "double") -> None:
     """Write a 3D array as a raw little-endian NRRD file.
 
@@ -303,7 +303,7 @@ def write_nrrd(path, values: np.ndarray, spacing, origin=(0.0, 0.0, 0.0),
         "spacings: {!r} {!r} {!r}".format(*(float(s) for s in spacing)),
         "encoding: raw",
         "endian: little",
-        "space origin: ({},{},{})".format(*(float(o) for o in origin)),
+        "space origin: (0.0,0.0,0.0)",
         "",
         "",
     ]

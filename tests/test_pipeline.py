@@ -20,15 +20,16 @@ from radrep.cli import main
 from radrep.features import FEATURE_ROSTER
 from radrep.pipeline import (GENERAL_INFO_COLUMNS, IMAGE_TYPES, META_COLUMNS,
                              ConfigCell, ManifestError, RunSettings,
-                             SchemaMismatch, _analyze_group, _extract_entry,
-                             _general_info, _union_box, _write_csv,
-                             analyze_run, config_csv_name, default_filters,
-                             extract_run, feature_columns, load_manifest,
-                             parse_config_from_name, plotdata_run,
-                             read_feature_csv, validate_feature_csv)
+                             SchemaMismatch, StaleOutputs, _analyze_group,
+                             _extract_entry, _general_info, _union_box,
+                             _write_csv, analyze_run, config_csv_name,
+                             default_filters, extract_run, feature_columns,
+                             load_manifest, parse_config_from_name,
+                             plotdata_run, read_feature_csv,
+                             validate_feature_csv)
 from radrep.preprocess import (WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                FilterKind, FilterSpec, NormalizationMode)
-from radrep.repeatability import VOLUME_REFERENCE_FEATURE, FeatureKey
+from radrep.repeatability import FeatureKey
 from radrep.texture_matrices import OFFSETS, OFFSETS_3D, NeighbourGraph
 from radrep.volume_io import VolumeGrid, write_nrrd
 
@@ -178,6 +179,25 @@ def test_manifest_rejects_repeated_cells_and_wrong_typed_settings(
     doc["settings"].update(settings)
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
+        load_manifest(manifest_path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["settings"].update(dimensionality="4D"),
+     "dimensionality must be 2D or 3D, got '4D'"),
+    (lambda doc: doc["cohort"][0].update(timepoint=3),
+     "timepoint must be 1 or 2, got 3"),
+    (lambda doc: doc["cohort"][0].update(imageType="PET"),
+     "unknown image type 'PET'"),
+    (lambda doc: doc.update(cohort=[]), "manifest cohort is empty"),
+], ids=["dimensionality-4D", "timepoint-3", "image-type-PET", "empty-cohort"])
+def test_manifest_rejects_values_outside_the_study_design(tmp_path, edit,
+                                                          message):
+    manifest_path = build_cohort(tmp_path, n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    edit(doc)
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         load_manifest(manifest_path)
 
 
@@ -680,6 +700,56 @@ def test_rerun_replaces_errors_and_refuses_stale_feature_csvs(tmp_path, capsys):
     assert "FullStudySettings_MuscleRefNorm_2D_T2AX_bin15.csv" in \
         capsys.readouterr().err
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("hook, failed, blank", [
+    # the image: the entry writes no row, one "*" failure per mask
+    ("read_volume", [("Tumor", "*", "boom"), ("WholeGland", "*", "boom")],
+     None),
+    # shape and general info of its first mask: that row keeps its filters
+    ("shape_features", [("Tumor", "*", "boom")],
+     ("original_shape_", "general_info_")),
+    # one texture class of one filter: its other classes and filters stay
+    ("build_glrlm", [("Tumor", "original", "glrlm: boom")],
+     ("original_glrlm_",)),
+], ids=["image", "shape-and-general-info", "one-texture-class"])
+def test_a_failing_step_blanks_only_the_cells_it_computes(
+        tmp_path, monkeypatch, hook, failed, blank):
+    settings = {"normalizationModes": ["none"], "binWidths": [15],
+                "dimensionality": "2D", "filters": ["original", "square"]}
+    manifest = load_manifest(build_cohort(
+        tmp_path / "in", n_subjects=3, settings=settings,
+        structures=("Tumor", "WholeGland")))
+    [clean], _ = extract_run(manifest, tmp_path / "clean")
+    original = getattr(radrep.pipeline, hook)
+    calls = []
+
+    def first_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:  # entries run in study order: sub00_tp1 first
+            raise ValueError("boom")
+        return original(*args)
+
+    monkeypatch.setattr(radrep.pipeline, hook, first_call_fails)
+    with on_cpus(monkeypatch, 1):  # in this process, where the hook is
+        [path], failures = extract_run(manifest, tmp_path / "out")
+    assert [(f.study, f.structure, f.filter_name, f.error, f.detail,
+             f.configuration) for f in failures] == [
+        ("sub00_tp1", structure, filter_name, "ValueError", detail, path.stem)
+        for structure, filter_name, detail in failed]
+    assert len(read_rows(tmp_path / "out" / "extraction_errors.csv")) == len(
+        failed)
+    expected = []
+    for row in read_rows(clean):
+        if row["study"] == "sub00_tp1":
+            if blank is None:
+                continue
+            if row["segmentedStructure"] == "Tumor":
+                assert all(v for k, v in row.items() if k.startswith(blank))
+                row = {k: "" if k.startswith(blank) else v
+                       for k, v in row.items()}
+        expected.append(row)
+    assert read_rows(path) == expected
 
 
 def test_registered_and_bias_codes(tmp_path):
@@ -1237,6 +1307,63 @@ def _two_group_csvs(root, n_subjects=4):
     return sorted(paths)
 
 
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file()}
+
+
+# (CSV indices, compare indices) of a rerun after a run over all four
+# CSVs with compare (0, 2); paths 0-1 and 2-3 are the two bin-width groups
+@pytest.mark.parametrize("inputs, compare", [
+    ([0, 1], None), ([0, 2], (0, 2)), ([0, 1, 2, 3], (1, 3)),
+    ([0, 1, 2, 3], None),
+], ids=["one-group", "one-width-per-group", "another-pair", "no-pair"])
+def test_analyze_refuses_reports_of_another_run(tmp_path, inputs, compare):
+    paths = _two_group_csvs(tmp_path)
+    reports = tmp_path / "reports"
+    first_pair = (paths[0].stem, paths[2].stem)
+    first, _ = analyze_run(paths, reports, compare=first_pair)
+    rerun = [paths[i] for i in inputs]
+    pair = compare and (paths[compare[0]].stem, paths[compare[1]].stem)
+    # a report the rerun would not write: its stem, its bin-width group
+    # (one width left) or its compare pair is not among the rerun's
+    fresh, _ = analyze_run(rerun, tmp_path / "fresh", compare=pair)
+    stale = sorted({p.name for p in first} - {p.name for p in fresh})
+    assert stale
+    before = _files(reports)
+    with pytest.raises(StaleOutputs) as info:
+        analyze_run(rerun, reports, compare=pair)
+    assert str(info.value) == (
+        f"{reports} holds reports this run does not write: "
+        f"{', '.join(stale)}; move them away or write to another directory")
+    assert _files(reports) == before
+    # the first run's inputs still rerun into it
+    assert analyze_run(paths, reports, compare=first_pair) == (first, [])
+    assert _files(reports) == before
+
+
+def test_plotdata_refuses_plots_of_reports_not_in_its_input(tmp_path,
+                                                            capsys):
+    paths = _two_group_csvs(tmp_path)
+    analyze_run(paths, tmp_path / "all", compare=(paths[0].stem, paths[2].stem))
+    analyze_run(paths[:2], tmp_path / "some")
+    plots = tmp_path / "plots"
+    first = plotdata_run(tmp_path / "all", plots)
+    fresh = plotdata_run(tmp_path / "some", tmp_path / "fresh")
+    stale = sorted({p.name for p in first} - {p.name for p in fresh})
+    assert any(name.startswith("plot_delta__") for name in stale)
+    before = _files(plots)
+    capsys.readouterr()
+    assert main(["plotdata", "--in", str(tmp_path / "some"),
+                 "--out", str(plots)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {plots} holds plot files this run does not write: "
+        f"{', '.join(stale)}; move them away or write to another directory\n")
+    assert _files(plots) == before
+    assert plotdata_run(tmp_path / "all", plots) == first
+    assert _files(plots) == before
+
+
 def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
     paths = _two_group_csvs(tmp_path)
     # path order puts wholeImage first, group-code order puts none first
@@ -1308,8 +1435,8 @@ def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
     direct = tmp_path / "direct"
     direct.mkdir()
     tables, per_path, _ = _analyze_group(
-        [(parse_config_from_name(p), p) for p in paths], direct,
-        VOLUME_REFERENCE_FEATURE, None, compare)
+        [(parse_config_from_name(p), p) for p in paths], direct, None,
+        compare)
     assert {stem for stem, _ in tables} == set(compare)
     assert set(per_path) == set(paths)
 
@@ -1327,8 +1454,7 @@ def test_a_bin_width_group_splits_its_shared_columns_once(tmp_path,
     monkeypatch.setattr(radrep.pipeline, "FeatureKey",
                         lambda column: split.append(column) or FeatureKey(column))
     (tmp_path / "reports").mkdir()
-    _analyze_group(group, tmp_path / "reports", VOLUME_REFERENCE_FEATURE,
-                   None, ())
+    _analyze_group(group, tmp_path / "reports", None, ())
     assert len(group) == 2 and sorted(split) == sorted(matrix.features)
 
 
@@ -1524,6 +1650,16 @@ def test_read_feature_csv_parses_cells_like_float(tmp_path):
     assert np.isnan(contrast[2])
 
 
+@pytest.mark.parametrize("name", ["FullStudySettings_2D_T2AX.csv",
+                                  "FullStudySettings_2D_bin15.csv"],
+                         ids=["no-bin-width", "no-image-type"])
+def test_analyze_refuses_a_csv_name_without_its_cell(tmp_path, name):
+    with pytest.raises(SchemaMismatch, match=re.escape(
+            f"{Path(name).stem}: filename lacks a binNN or image-type code")):
+        analyze_run([tmp_path / name], tmp_path / "reports")
+    assert not (tmp_path / "reports").exists()
+
+
 def test_plotdata_missing_reports(tmp_path):
     from radrep.pipeline import MissingReport
     (tmp_path / "empty").mkdir()
@@ -1635,7 +1771,6 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert main(["extract", "--manifest", str(manifest_path),
                  "--out", str(out)]) == 0
     assert main(["analyze", "--in", str(out / "*.csv"),
-                 "--reference", "original_shape_Volume",
                  "--out", str(tmp_path / "reports")]) == 0
     assert main(["plotdata", "--in", str(tmp_path / "reports"),
                  "--out", str(tmp_path / "plots")]) == 0
@@ -1645,6 +1780,10 @@ def test_cli_end_to_end(tmp_path, capsys):
 def test_cli_usage_error(tmp_path, capsys):
     assert main(["extract"]) == 1
     assert main([]) == 1
+    # the Volume ICC is the one reference
+    assert main(["analyze", "--in", str(tmp_path / "*.csv"), "--reference",
+                 "original_shape_Volume", "--out", str(tmp_path / "r")]) == 1
+    assert "unrecognized arguments: --reference" in capsys.readouterr().err
     manifest_path = build_cohort(tmp_path / "in", n_subjects=1)
     capsys.readouterr()
     for jobs in ("0", "-3", "a"):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -452,6 +453,25 @@ def test_filter_spec_validation():
     with pytest.raises(ValueError, match="does not read back"):
         FilterSpec(FilterKind.LOG, sigma_mm=0.25)
     assert FilterSpec.from_name("log-sigma-1-mm-3D").sigma_mm == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda volume, box: FilterSpec(FilterKind.ORIGINAL, subband="HH"),
+     "subband is required for wavelet and only wavelet"),
+    (lambda volume, box: filter_log(volume, 0.0, box),
+     "sigma_mm must be finite and > 0, got 0.0"),
+    (lambda volume, box: filter_log(volume, -1.0, box),
+     "sigma_mm must be finite and > 0, got -1.0"),
+    (lambda volume, box: filter_wavelet(volume, "HHHH", box),
+     "unknown wavelet subband 'HHHH'"),
+    (lambda volume, box: filter_pointwise(volume, FilterKind.LOG, box),
+     "is not a pointwise filter"),
+], ids=["subband-without-wavelet", "log-sigma-0", "log-sigma-negative",
+        "wavelet-unknown-subband", "pointwise-log"])
+def test_filters_refuse_arguments_outside_the_catalog(call, message):
+    volume = make_volume(np.arange(1.0, 65.0).reshape(4, 4, 4))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(volume, whole_box(volume))
 
 
 def test_apply_filter_dispatch(rng):

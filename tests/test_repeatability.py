@@ -332,6 +332,20 @@ def test_binwidth_spread_mismatch():
         binwidth_spread(tables)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: binwidth_spread({10.0: table_from_iccs({"a_glcm_Idm": 0.7})}),
+     FeatureSetMismatch, "need tables for >= 2 bin widths"),
+    (lambda: rank_distribution({10.0: table_from_iccs({"a_glcm_Idm": 0.7})}),
+     FeatureSetMismatch, "need tables for >= 2 bin widths"),
+    (lambda: silverman_bandwidth(np.array([2.0, 2.0, 2.0])),
+     DegenerateSamples, "samples have zero spread"),
+], ids=["spread-one-width", "rankdist-one-width", "silverman-zero-spread"])
+def test_width_and_density_reports_refuse_degenerate_input(call, error,
+                                                           message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_binwidth_spread_matches_recomputation(rng):
     # build tables from actual paired data; spread must equal a direct
     # recomputation of the ICCs
@@ -509,7 +523,7 @@ def test_top_k_hand_case():
         "original_glcm_Idm": 0.7,
         "original_glcm_JointEnergy": 0.6,
     })
-    top = top_k_per_class(table, k=3)
+    top = top_k_per_class(table)
     assert [name for name, _ in top["glcm"]] == [
         "glcm_Autocorrelation", "glcm_Contrast", "glcm_Idm"]
 
@@ -522,7 +536,7 @@ def test_top_k_max_over_filters():
         "original_glcm_JointEnergy": 0.5,
         "original_glcm_Correlation": 0.1,
     })
-    top = top_k_per_class(table, k=3)
+    top = top_k_per_class(table)
     scores = dict(top["glcm"])
     assert scores["glcm_Contrast"] == 0.95  # max over filter variants
 
@@ -534,14 +548,14 @@ def test_top_k_lexicographic_tie():
         "original_glcm_Correlation": 0.7,
         "original_glcm_Idm": 0.7,
     })
-    top = top_k_per_class(table, k=3)
+    top = top_k_per_class(table)
     assert top["glcm"][-1][0] == "glcm_Correlation"  # 'Co...' < 'Id...'
 
 
 def test_top_k_insufficient():
     table = table_from_iccs({"original_glcm_Contrast": 0.7})
     with pytest.raises(InsufficientFeatures):
-        top_k_per_class(table, k=3)
+        top_k_per_class(table)
 
 
 def test_filter_frequency_none_above():

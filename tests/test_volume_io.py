@@ -146,10 +146,63 @@ def test_read_mask_non_binary(tmp_path):
 def test_write_read_roundtrip_bit_exact(tmp_path, rng):
     values = rng.standard_normal((5, 4, 3))
     path = tmp_path / "rt.nrrd"
-    write_nrrd(path, values, spacing=(0.6, 0.6, 3.0), origin=(1, 2, 3))
+    write_nrrd(path, values, spacing=(0.6, 0.6, 3.0))
     grid = read_volume(path)
     assert np.array_equal(grid.values, values)
     assert grid.spacing == (0.6, 0.6, 3.0)
+
+
+# a header inside the supported subset; each case edits one part of it
+SUBSET_HEADER = ("NRRD0004\ntype: float\ndimension: 3\nsizes: 2 2 1\n"
+                 "spacings: 1 1 3\nencoding: raw\n\n")
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    ("\n\n", "\n", MissingHeaderField, "no blank line terminating the header"),
+    ("NRRD0004", "NRRX0004", MissingHeaderField, "missing NRRD magic line"),
+    ("dimension: 3", "dimension: 2", UnsupportedHeaderValue,
+     "only dimension 3 is supported"),
+    ("type: float", "type: uchar", UnsupportedHeaderValue,
+     "type 'uchar' not in"),
+    ("type: float\n", "", MissingHeaderField,
+     "header lacks required field 'type'"),
+    ("sizes: 2 2 1", "sizes: 2 2", MissingHeaderField,
+     "'sizes' must list 3 values"),
+    ("sizes: 2 2 1", "sizes: 2 0 1", UnsupportedHeaderValue,
+     "sizes must be positive"),
+    ("spacings: 1 1 3", "spacings: 1 1", MissingHeaderField,
+     "'spacings' must list 3 values"),
+    ("spacings: 1 1 3", "spacings: 1 0 3", UnsupportedHeaderValue,
+     "spacing components must be > 0"),
+    ("spacings: 1 1 3", "space directions: (1,0,0) (0,1,0)",
+     MissingHeaderField, "'space directions' must list 3 3-vectors"),
+    ("encoding: raw", "encoding: raw\nendian: middle", UnsupportedHeaderValue,
+     "unknown endian 'middle'"),
+], ids=["no-blank-line", "no-magic", "dimension-2", "type-uchar", "no-type",
+        "two-sizes", "zero-size", "two-spacings", "zero-spacing",
+        "two-space-directions", "endian-middle"])
+def test_read_volume_refuses_a_header_outside_the_subset(tmp_path, old, new,
+                                                         error, message):
+    path = tmp_path / "v.nrrd"
+    payload = float_payload([1, 2, 3, 4])
+    path.write_bytes(SUBSET_HEADER.encode("ascii") + payload)
+    assert read_volume(path).values.shape == (2, 2, 1)
+    path.write_bytes(SUBSET_HEADER.replace(old, new, 1).encode("ascii")
+                     + payload)
+    with pytest.raises(error, match=re.escape(message)):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("shape, dtype, message", [
+    ((2, 2), "double", "values must be a 3D array"),
+    ((2, 2, 2), "uchar", "dtype must be one of"),
+], ids=["2D-array", "unknown-dtype"])
+def test_write_nrrd_refuses_what_it_cannot_write(tmp_path, shape, dtype,
+                                                 message):
+    path = tmp_path / "v.nrrd"
+    with pytest.raises(ValueError, match=message):
+        write_nrrd(path, np.ones(shape), (1, 1, 1), dtype=dtype)
+    assert not path.exists()
 
 
 def test_malformed_space_origin_is_refused(tmp_path):
