@@ -910,7 +910,8 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
     SchemaMismatch. :class:`StaleOutputs` is raised, before anything is
     written, when ``out_dir`` holds a report whose CSV stem, bin-width
     group (one with at least two widths among the inputs) or ``compare``
-    pair this run does not name, so a rerun cannot mix two runs.
+    pair this run does not name, so a rerun cannot mix two runs. After
+    writing, it deletes every other report there (one it no longer yields).
 
     Each bin-width group (the CSVs of one ``ConfigCell.group_code``) is
     analyzed by :func:`_analyze_group`, one process per group, up to the
@@ -945,8 +946,9 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
     if compare:
         named.append("delta__{}__vs__{}__".format(*compare))
     out_dir = Path(out_dir)
-    _refuse_stale(out_dir, [f"{kind}__*" for kind in
-                            (*_TABLE_REPORTS, *_GROUP_REPORTS, "delta")],
+    reports = [f"{kind}__*" for kind in
+               (*_TABLE_REPORTS, *_GROUP_REPORTS, "delta")]
+    _refuse_stale(out_dir, reports,
                   lambda name: name.startswith(tuple(named)), "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     timepoint_map = (_read_timepoint_map(timepoint_map_path)
@@ -972,6 +974,9 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
     if compare:
         failed = {(f.stem, f.structure) for f in failures}
         written += _delta_reports(tables, failed, compare, out_dir)
+    # past the refusal, a report not written is one this run no longer yields
+    for path in {p for r in reports for p in out_dir.glob(r)} - set(written):
+        path.unlink()
     return written, failures
 
 

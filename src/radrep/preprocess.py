@@ -159,7 +159,8 @@ def normalize(volume: VolumeGrid, mode: NormalizationMode,
     Statistics use the population (divide-by-N) standard deviation over
     the whole image or over the ``reference`` mask's voxels; the affine
     map is applied to every voxel either way. ``NONE`` returns the volume
-    itself.
+    itself. Whole-image sums run in memory order: a grid in another layout
+    than NRRD's axis 0 fastest (C order, say) can move the last bits.
     """
     if mode.target is None:
         return volume
@@ -292,10 +293,9 @@ def filter_wavelet(volume: VolumeGrid, subband: str, box: Box) -> VolumeGrid:
         if volume.values.shape[axis] < 2:
             raise AxisTooShort(
                 f"axis {axis} has {volume.values.shape[axis]} voxel(s)")
-    out = volume.values
-    for axis, b in enumerate(box):
-        out = out.take(range(b.start, b.stop + (axis < len(subband))), axis,
-                       mode="wrap")
+    i, j, k = (np.arange(b.start, b.stop + (axis < len(subband))) % n
+               for axis, (b, n) in enumerate(zip(box, volume.values.shape)))
+    out = volume.values[i[:, None, None], j[:, None], k]
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for axis, letter in enumerate(subband):
         lead = (slice(None),) * axis

@@ -1342,6 +1342,45 @@ def test_analyze_refuses_reports_of_another_run(tmp_path, inputs, compare):
     assert _files(reports) == before
 
 
+@pytest.mark.parametrize("change, removed", [
+    ("a-table-fails",
+     {"icc", "top3", "filterfreq", "spread", "kde_spread", "rankdist"}),
+    ("a-column-returns", {"binwidth_notes"}),
+], ids=["a-table-fails", "a-column-returns"])
+def test_analyze_rerun_removes_its_reports_that_no_longer_hold(
+        tmp_path, change, removed):
+    paths = _two_group_csvs(tmp_path)
+    original = paths[0].read_bytes()
+    with open(paths[0], newline="") as handle:
+        header, *rows = csv.reader(handle)
+    if change == "a-table-fails":
+        # WholeGland keeps one subject: InsufficientSubjects
+        study = header.index("study")
+        structure = header.index("segmentedStructure")
+        rows = [row for row in rows if row[structure] != "WholeGland"
+                or row[study].startswith("sub00")]
+    else:
+        # blank at bin width 10 only: the group's notes list it
+        idm = header.index("original_glcm_Idm")
+        for row in rows:
+            row[idm] = ""
+    _write_csv(paths[0], header, rows)
+    states = [original, paths[0].read_bytes()]
+    if change == "a-column-returns":
+        states.reverse()
+    reports = tmp_path / "reports"
+    runs = []
+    for state in states:
+        paths[0].write_bytes(state)
+        runs.append(analyze_run(paths, reports))
+    gone = {p.name for p in runs[0][0]} - {p.name for p in runs[1][0]}
+    assert {name.split("__")[0] for name in gone} == removed
+    # the rerun leaves what a run into a fresh directory writes
+    assert analyze_run(paths, tmp_path / "fresh") == (
+        [reports.parent / "fresh" / p.name for p in runs[1][0]], runs[1][1])
+    assert _files(reports) == _files(tmp_path / "fresh")
+
+
 def test_plotdata_refuses_plots_of_reports_not_in_its_input(tmp_path,
                                                             capsys):
     paths = _two_group_csvs(tmp_path)

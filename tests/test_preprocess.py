@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from radrep.preprocess import (LOG_SIGMAS_MM, FilterKind, FilterSpec,
                                WAVELET_SUBBANDS_2D, WAVELET_SUBBANDS_3D,
                                ZeroVariance, apply_filter, filter_log,
                                filter_pointwise, filter_wavelet, normalize)
-from radrep.volume_io import Structure
+from radrep.volume_io import Structure, VolumeGrid
 
 from conftest import make_mask, make_volume, whole_box
 from oracles import haar_subbands, ndimage_log
@@ -255,6 +256,22 @@ def test_log_sigma_bound_keeps_the_catalog_on_a_one_voxel_axis(rng):
 def _bands(vol, subbands):
     return {band: filter_wavelet(vol, band, whole_box(vol))
             for band in subbands}
+
+
+def test_wavelet_gathers_its_box_alone():
+    # the box and its wrap are 11 x 11 x 5 voxels; a take along axis 0
+    # first would copy an 11 x 200 x 40 slab, ~700 KB
+    vol = VolumeGrid((0.6, 0.6, 3.0),
+                     np.asfortranarray(np.zeros((200, 200, 40))))
+    box = (slice(95, 105), slice(95, 105), slice(18, 22))
+    tracemalloc.start()
+    try:
+        out = filter_wavelet(vol, "LHL", box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == (10, 10, 4)
+    assert peak < 64 * 1024
 
 
 def test_wavelet_constant_image():
@@ -515,10 +532,12 @@ def test_apply_filter_over_a_box_equals_the_whole_grid_output(case):
     dims, spacing, box, seed = case
     vol = make_volume(np.random.default_rng(seed).normal(0.0, 30.0, dims),
                       spacing=spacing)
+    # read_volume's layout, NRRD's axis 0 fastest, gives the same bytes
+    fortran = VolumeGrid(spacing, np.asfortranarray(vol.values))
     for spec in _EVERY_SPEC:
         whole = apply_filter(vol, spec, whole_box(vol)).values
-        for b in (box, *_edge_boxes(dims)):
-            out = apply_filter(vol, spec, b).values
+        for b, grid in product((box, *_edge_boxes(dims)), (vol, fortran)):
+            out = apply_filter(grid, spec, b).values
             assert out.shape == whole[b].shape, (spec, b)
             assert out.tobytes() == whole[b].tobytes(), (spec, b)
 
