@@ -620,27 +620,25 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     cell's CSV as it finishes: neither the manifest order nor the worker
     count changes the output bytes, and memory is bounded by the entries
     in flight, not the cohort. Failures are returned sorted as in the
-    :data:`EXTRACTION_ERRORS` sidecar (see :func:`_write_errors`).
+    :data:`EXTRACTION_ERRORS` sidecar, written only when there are any.
 
-    Raises :class:`StaleOutputs`, before extracting anything, when
-    ``out_dir`` holds a feature CSV (``ConfigCell.PREFIX``) this manifest
-    does not write, so a later ``analyze`` cannot mix runs.
+    ``out_dir`` is owned as :func:`_owning` says: a feature CSV
+    (``ConfigCell.PREFIX``) this manifest does not write is refused, so a
+    later ``analyze`` cannot mix runs, and an earlier sidecar goes.
     """
     out_dir = Path(out_dir)
     settings = manifest.settings
     cells = [settings.cell(*config) for config in product(
         sorted({e.image_type for e in manifest.cohort}),
         settings.normalization_modes, settings.bin_widths)]
-    _refuse_stale(out_dir, [f"{ConfigCell.PREFIX}_*.csv"],
-                  {cell.csv_name for cell in cells}.__contains__,
-                  "feature CSVs")
-    out_dir.mkdir(parents=True, exist_ok=True)
     # a study is unique within an image type, so this is each CSV's order
     cohort = sorted(manifest.cohort, key=lambda e: (e.study, e.image_path.stem))
     columns = (list(GENERAL_INFO_COLUMNS) + feature_columns(settings.filters)
                + list(META_COLUMNS))
     failures: dict[ConfigCell, list] = {cell: [] for cell in cells}
-    with ExitStack() as stack:
+    owns = {EXTRACTION_ERRORS, *(c.csv_name for c in cells)}.__contains__
+    with (_owning(out_dir, [f"{ConfigCell.PREFIX}_*.csv", EXTRACTION_ERRORS],
+                  owns, "feature CSVs") as written, ExitStack() as stack):
         # forked workers inherit these buffers; os._exit ends them unflushed
         writers = {cell: csv.writer(stack.enter_context(_replacing(
             out_dir / cell.csv_name)), lineterminator="\n") for cell in cells}
@@ -653,37 +651,40 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
                 writers[cell].writerows([format_value(row.get(col))
                                          for col in columns] for row in rows)
                 failures[cell] += cell_failures
-    all_failures = sorted((f for cell in cells for f in failures[cell]),
-                          key=lambda f: (f.study, f.structure, f.filter_name,
-                                         f.error))
-    _write_errors(out_dir / EXTRACTION_ERRORS,
-                  ["study", "segmentedStructure", "filter", "error", "detail",
-                   "configuration"], all_failures)
-    return [out_dir / cell.csv_name for cell in cells], all_failures
+        all_failures = sorted((f for cell in cells for f in failures[cell]),
+                              key=lambda f: (f.study, f.structure,
+                                             f.filter_name, f.error))
+        written += [out_dir / cell.csv_name for cell in cells]
+        if all_failures:
+            _write_csv(out_dir / EXTRACTION_ERRORS,
+                       ["study", "segmentedStructure", "filter", "error",
+                        "detail", "configuration"], map(astuple, all_failures))
+            written.append(out_dir / EXTRACTION_ERRORS)
+    return written[:len(cells)], all_failures  # the CSVs, not the sidecar
 
 
-def _refuse_stale(out_dir: Path, patterns, writes, noun: str) -> None:
-    """Raise :class:`StaleOutputs`, deleting nothing, when ``out_dir``
-    holds a file matching one of the glob ``patterns`` whose name this run
-    would not write (``writes(name)`` is false): a reader of the
-    directory would take it for an output of this run."""
-    stale = sorted(path.name for pattern in patterns
-                   for path in out_dir.glob(pattern) if not writes(path.name))
+@contextmanager
+def _owning(out_dir: Path, patterns, owns, noun: str):
+    """Own the files in ``out_dir`` that match the glob ``patterns``.
+
+    One not this run's (``owns(name)`` is false) raises StaleOutputs
+    before anything is written or deleted. Yields the list the run adds
+    each file it writes to; once the block succeeds, the matches it did
+    not write go, so a rerun leaves what a fresh run would."""
+    found = {path for pattern in patterns for path in out_dir.glob(pattern)}
+    stale = sorted(path.name for path in found if not owns(path.name))
     if stale:
         raise StaleOutputs(
             f"{out_dir} holds {noun} this run does not write: "
             f"{', '.join(stale)}; move them away or write to another directory")
-
-
-def _write_errors(path: Path, header: list[str], failures: list) -> None:
-    """Write an errors sidecar, one row of each failure's fields in order.
-
-    It is written when there are failures or when ``path`` already
-    exists, header-only then, so a clean rerun never leaves the failures
-    of an earlier run beside its outputs.
-    """
-    if failures or path.exists():
-        _write_csv(path, header, map(astuple, failures))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise RadrepError(f"{out_dir} is not a directory") from None
+    written: list[Path] = []
+    yield written
+    for path in found - set(written):
+        path.unlink()
 
 
 @contextmanager
@@ -899,19 +900,17 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
 
     A (CSV, structure) whose table cannot be built (too few subjects, no
     reference ICC) is a failure: it gets no reports and the run goes on.
-    Failures go to the :data:`ANALYSIS_ERRORS` sidecar (see
-    :func:`_write_errors`).
+    Failures go to the :data:`ANALYSIS_ERRORS` sidecar, written only when
+    there are any.
 
     An :data:`EXTRACTION_ERRORS` input is skipped; inputs with nothing
     else raise SchemaMismatch. Every input name is parsed before any
     report is written; two names of one :class:`ConfigCell` (a repeated
     stem, say) would write the same reports, and a ``compare`` stem that
     names no input would be found only after every report, so both raise
-    SchemaMismatch. :class:`StaleOutputs` is raised, before anything is
-    written, when ``out_dir`` holds a report whose CSV stem, bin-width
-    group (one with at least two widths among the inputs) or ``compare``
-    pair this run does not name, so a rerun cannot mix two runs. After
-    writing, it deletes every other report there (one it no longer yields).
+    SchemaMismatch. ``out_dir`` is owned as :func:`_owning` says: a
+    report is this run's when its CSV stem, bin-width group (one with at
+    least two widths among the inputs) or ``compare`` pair is named here.
 
     Each bin-width group (the CSVs of one ``ConfigCell.group_code``) is
     analyzed by :func:`_analyze_group`, one process per group, up to the
@@ -948,35 +947,33 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
     out_dir = Path(out_dir)
     reports = [f"{kind}__*" for kind in
                (*_TABLE_REPORTS, *_GROUP_REPORTS, "delta")]
-    _refuse_stale(out_dir, reports,
-                  lambda name: name.startswith(tuple(named)), "reports")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timepoint_map = (_read_timepoint_map(timepoint_map_path)
-                     if timepoint_map_path else None)
-
-    work = partial(_analyze_group, out_dir=out_dir,
-                   timepoint_map=timepoint_map, compare=compare or ())
-    results = _map_in_workers(work, [groups[code] for code in sorted(groups)])
-
-    tables: dict[tuple[str, str], RepeatabilityTable] = {}
-    per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
-    binwidth_files: list[Path] = []
-    for group_tables, group_paths, group_files in results:
-        tables.update(group_tables)
-        per_path.update(group_paths)
-        binwidth_files += group_files
-    written = [file for path in paths.values() for file in per_path[path][0]]
-    failures = [fail for path in paths.values() for fail in per_path[path][1]]
-
-    _write_errors(out_dir / ANALYSIS_ERRORS,
-                  ["stem", "segmentedStructure", "error", "detail"], failures)
-    written += binwidth_files
-    if compare:
-        failed = {(f.stem, f.structure) for f in failures}
-        written += _delta_reports(tables, failed, compare, out_dir)
-    # past the refusal, a report not written is one this run no longer yields
-    for path in {p for r in reports for p in out_dir.glob(r)} - set(written):
-        path.unlink()
+    with _owning(out_dir, [*reports, ANALYSIS_ERRORS],
+                 lambda name: name.startswith((*named, ANALYSIS_ERRORS)),
+                 "reports") as owned:
+        timepoint_map = (_read_timepoint_map(timepoint_map_path)
+                         if timepoint_map_path else None)
+        work = partial(_analyze_group, out_dir=out_dir,
+                       timepoint_map=timepoint_map, compare=compare or ())
+        tables: dict[tuple[str, str], RepeatabilityTable] = {}
+        per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
+        binwidth_files: list[Path] = []
+        for group_tables, group_paths, group_files in _map_in_workers(
+                work, [groups[code] for code in sorted(groups)]):
+            tables.update(group_tables)
+            per_path.update(group_paths)
+            binwidth_files += group_files
+        written = [f for path in paths.values() for f in per_path[path][0]]
+        failures = [f for path in paths.values() for f in per_path[path][1]]
+        if failures:
+            _write_csv(out_dir / ANALYSIS_ERRORS,
+                       ["stem", "segmentedStructure", "error", "detail"],
+                       map(astuple, failures))
+            owned.append(out_dir / ANALYSIS_ERRORS)
+        written += binwidth_files
+        if compare:
+            failed = {(f.stem, f.structure) for f in failures}
+            written += _delta_reports(tables, failed, compare, out_dir)
+        owned += written
     return written, failures
 
 
@@ -1134,7 +1131,7 @@ def _delta_reports(tables, failed: set[tuple[str, str]],
 def _plot_icc(path: Path, out: Path) -> None:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        cls, name, flt, width, icc = map(next(reader).index, (
+        cls, name, flt, width, icc = map(next(reader, []).index, (
             "featureClass", "featureName", "filter", "binWidth", "icc"))
         rows = [[f"{r[cls]}_{r[name]}", r[flt], r[width], r[icc]]
                 for r in filter(None, reader)]  # skips blank lines
@@ -1185,21 +1182,26 @@ def plotdata_run(in_dir, out_dir) -> list[Path]:
     """Convert analysis reports into plot-ready long/two-column CSVs, one
     ``plot_<report stem>.csv`` each.
 
-    Raises :class:`StaleOutputs`, before writing anything, when
-    ``out_dir`` holds a ``plot_*.csv`` whose report is not in ``in_dir``.
+    A ``plot_*.csv`` in ``out_dir`` is this run's when a report in
+    ``in_dir`` has its kind and key (its name up to the last
+    ``__<structure>``): one left from a report no longer there is
+    deleted. Any other raises :class:`StaleOutputs`, before writing
+    anything. A report that cannot be read raises SchemaMismatch.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     reports = [(path, plot) for pattern, plot in _PLOTS
                for path in sorted(in_dir.glob(pattern))]
-    _refuse_stale(out_dir, ["plot_*.csv"],
-                  {f"plot_{path.stem}.csv" for path, _ in reports}.__contains__,
-                  "plot files")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not reports:
-        raise MissingReport(f"no analysis reports found under {in_dir}")
-    written: list[Path] = []
-    for path, plot in reports:
-        out = out_dir / f"plot_{path.stem}.csv"
-        plot(path, out)
-        written.append(out)
+    keys = {f"plot_{path.stem.rsplit('__', 1)[0]}" for path, _ in reports}
+    with _owning(out_dir, ["plot_*.csv"],
+                 lambda name: name.rsplit("__", 1)[0] in keys,
+                 "plot files") as written:
+        if not reports:
+            raise MissingReport(f"no analysis reports found under {in_dir}")
+        for path, plot in reports:
+            out = out_dir / f"plot_{path.stem}.csv"
+            try:
+                plot(path, out)
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise SchemaMismatch(f"{path}: {exc}") from None
+            written.append(out)
     return written

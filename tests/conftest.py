@@ -98,3 +98,11 @@ def no_worker_outlives_its_test():
     started it, not a later one."""
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_file_outlives_its_test(tmp_path):
+    """Outputs are written to a ``.<name>.<pid>.tmp`` file and renamed into
+    place; one left under ``tmp_path`` is a leak on an error path."""
+    yield
+    assert sorted(tmp_path.rglob(".*.tmp")) == []

@@ -688,10 +688,10 @@ def test_rerun_replaces_errors_and_refuses_stale_feature_csvs(tmp_path, capsys):
     assert extract(manifest("a", ["referenceRegion"], False)) == 3
     sidecar = out / "extraction_errors.csv"
     assert len(read_rows(sidecar)) == 2
-    # the same cells, now with reference masks: the old errors are replaced
+    # the same cells, now with reference masks: the old errors go, as a
+    # fresh directory has none
     assert extract(manifest("b", ["referenceRegion"], True)) == 0
-    assert sidecar.read_text() == \
-        "study,segmentedStructure,filter,error,detail,configuration\n"
+    assert not sidecar.exists()
 
     # a run that would leave the MuscleRefNorm CSV behind is refused
     before = snapshot()
@@ -1055,10 +1055,10 @@ def test_analyze_records_a_failing_structure_and_goes_on(tmp_path, capsys):
         assert (reports / name).read_bytes() == (tmp_path / "full" / name
                                                  ).read_bytes()
 
-    # a rerun without failures leaves a header-only errors file
+    # a rerun without failures leaves no errors file, as a fresh run does
     _write_csv(path, lines[0], lines[1:])
     assert main(["analyze", "--in", str(path), "--out", str(reports)]) == 0
-    assert read_rows(reports / "analysis_errors.csv") == []
+    assert not (reports / "analysis_errors.csv").exists()
     capsys.readouterr()
 
 
@@ -1312,6 +1312,18 @@ def _files(root):
             if p.is_file()}
 
 
+def _fail_wholegland(path):
+    """Keep one subject's WholeGland rows in a feature CSV, so that its
+    WholeGland table fails with InsufficientSubjects."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    study = header.index("study")
+    structure = header.index("segmentedStructure")
+    _write_csv(path, header, [row for row in rows
+                              if row[structure] != "WholeGland"
+                              or row[study].startswith("sub00")])
+
+
 # (CSV indices, compare indices) of a rerun after a run over all four
 # CSVs with compare (0, 2); paths 0-1 and 2-3 are the two bin-width groups
 @pytest.mark.parametrize("inputs, compare", [
@@ -1351,20 +1363,16 @@ def test_analyze_rerun_removes_its_reports_that_no_longer_hold(
         tmp_path, change, removed):
     paths = _two_group_csvs(tmp_path)
     original = paths[0].read_bytes()
-    with open(paths[0], newline="") as handle:
-        header, *rows = csv.reader(handle)
     if change == "a-table-fails":
-        # WholeGland keeps one subject: InsufficientSubjects
-        study = header.index("study")
-        structure = header.index("segmentedStructure")
-        rows = [row for row in rows if row[structure] != "WholeGland"
-                or row[study].startswith("sub00")]
+        _fail_wholegland(paths[0])
     else:
+        with open(paths[0], newline="") as handle:
+            header, *rows = csv.reader(handle)
         # blank at bin width 10 only: the group's notes list it
         idm = header.index("original_glcm_Idm")
         for row in rows:
             row[idm] = ""
-    _write_csv(paths[0], header, rows)
+        _write_csv(paths[0], header, rows)
     states = [original, paths[0].read_bytes()]
     if change == "a-column-returns":
         states.reverse()
@@ -1401,6 +1409,90 @@ def test_plotdata_refuses_plots_of_reports_not_in_its_input(tmp_path,
     assert _files(plots) == before
     assert plotdata_run(tmp_path / "all", plots) == first
     assert _files(plots) == before
+
+
+@pytest.mark.parametrize("command", ["extract", "analyze", "plotdata"])
+def test_a_rerun_leaves_what_a_fresh_run_leaves(tmp_path, command):
+    # an earlier run into --out, then the same command: its --out holds
+    # the files and bytes of that command run into a fresh directory
+    out, fresh = tmp_path / "rerun", tmp_path / "fresh"
+
+    def run(args, into=out):
+        return main([command, *args, "--out", str(into)])
+
+    if command == "extract":
+        def manifest(root, with_reference):
+            settings = {"normalizationModes": ["referenceRegion"],
+                        "binWidths": [15], "dimensionality": "2D",
+                        "filters": ["original"]}
+            return ["--manifest", str(build_cohort(
+                tmp_path / root, n_subjects=1, settings=settings,
+                with_reference=with_reference))]
+
+        # without reference masks, every row fails
+        assert run(manifest("a", False)) == 3
+        args = manifest("b", True)
+    else:
+        paths = _two_group_csvs(tmp_path)
+        clean = paths[0].read_bytes()
+        if command == "analyze":
+            args = ["--in", str(paths[0].parent / "*.csv"),
+                    "--compare", paths[0].stem, paths[2].stem]
+            _fail_wholegland(paths[0])
+            assert run(args) == 3
+            paths[0].write_bytes(clean)
+        else:
+            # the plots of reports that an analyze rerun then deletes
+            reports = tmp_path / "reports"
+            args = ["--in", str(reports)]
+            assert analyze_run(paths, reports)[1] == []
+            assert run(args) == 0
+            _fail_wholegland(paths[0])
+            assert analyze_run(paths, reports)[1]
+    earlier = _files(out)
+    assert run(args) == 0
+    assert run(args, fresh) == 0
+    assert set(earlier) - set(_files(out))
+    assert _files(out) == _files(fresh)
+
+
+@pytest.mark.parametrize("command", ["extract", "analyze", "plotdata"])
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_an_out_that_is_no_directory_is_a_data_error(tmp_path, capsys,
+                                                     command, where):
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    out = file if where == "a-file" else file / "out"
+    if command == "extract":
+        args = ["--manifest", str(build_cohort(tmp_path / "in", n_subjects=1))]
+    elif command == "analyze":
+        [path], _ = extract_run(load_manifest(build_cohort(
+            tmp_path / "in", n_subjects=1)), tmp_path / "features")
+        args = ["--in", str(path)]
+    else:
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "spread__code__Tumor.csv").write_text(
+            "featureKey,maxDeltaIcc\n")
+        args = ["--in", str(tmp_path / "reports")]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out} is not a directory\n"
+    assert file.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("top3__S__Tumor.json", '{"glcm": [["Idm", 0.9]'),
+    ("icc__S__Tumor.csv", "featureName,filter,binWidth,icc\nIdm,original,15,"
+                          "0.9\n"),
+], ids=["malformed-json", "icc-without-featureClass"])
+def test_plotdata_refuses_an_unreadable_report(tmp_path, capsys, name, text):
+    reports, plots = tmp_path / "reports", tmp_path / "plots"
+    reports.mkdir()
+    (reports / name).write_text(text)
+    capsys.readouterr()
+    assert main(["plotdata", "--in", str(reports), "--out", str(plots)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {reports / name}: ")
+    assert list(plots.iterdir()) == []
 
 
 def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
