@@ -21,6 +21,8 @@ import csv
 import json
 import os
 import re
+import shutil
+import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -247,13 +249,17 @@ def _timepoint(value) -> int:
 
 
 def _list_setting(settings_doc: dict, key: str, default: list, item_type,
-                  noun: str) -> tuple:
-    """``settings[key]`` (or ``default``) as a tuple, if a list of ``item_type``."""
+                  noun: str, empty: bool = False) -> tuple:
+    """``settings[key]`` (or ``default``) as a tuple, if a list of
+    ``item_type``, and not empty unless ``empty``."""
     value = default if settings_doc.get(key) is None else settings_doc[key]
     if not isinstance(value, list) or not all(
             isinstance(v, item_type) and not isinstance(v, bool) for v in value):
         raise ManifestError(f"settings {key!r} must be a list of {noun}, "
                             f"got {value!r}")
+    if not (value or empty):
+        raise ManifestError(f"settings {key!r} is empty; a run needs at "
+                            "least one")
     return tuple(value)
 
 
@@ -295,9 +301,10 @@ def load_manifest(path) -> RunManifest:
         if parse_config_from_name(name).bin_width != w:
             raise ManifestError(f"bin width {w!r} does not read back from "
                                 f"its CSV name {name}")
+    # no filter is a shape-only run
     filters = _expand_filter_names(_list_setting(
         settings_doc, "filters", [kind.value for kind in FilterKind], str,
-        "filter names"), dimensionality)
+        "filter names", empty=True), dimensionality)
     flags = {key: settings_doc.get(key, False)
              for key in ("registeredMasks", "biasCorrected")}
     if not all(isinstance(flag, bool) for flag in flags.values()):
@@ -624,7 +631,9 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
 
     ``out_dir`` is owned as :func:`_owning` says: a feature CSV
     (``ConfigCell.PREFIX``) this manifest does not write is refused, so a
-    later ``analyze`` cannot mix runs, and an earlier sidecar goes.
+    later ``analyze`` cannot mix runs, and an earlier sidecar goes. The
+    CSVs replace their earlier namesakes only once every entry is written:
+    a run that raises changes nothing in ``out_dir``.
     """
     out_dir = Path(out_dir)
     settings = manifest.settings
@@ -638,10 +647,11 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
     failures: dict[ConfigCell, list] = {cell: [] for cell in cells}
     owns = {EXTRACTION_ERRORS, *(c.csv_name for c in cells)}.__contains__
     with (_owning(out_dir, [f"{ConfigCell.PREFIX}_*.csv", EXTRACTION_ERRORS],
-                  owns, "feature CSVs") as written, ExitStack() as stack):
+                  owns, "feature CSVs") as staging, ExitStack() as stack):
         # forked workers inherit these buffers; os._exit ends them unflushed
-        writers = {cell: csv.writer(stack.enter_context(_replacing(
-            out_dir / cell.csv_name)), lineterminator="\n") for cell in cells}
+        writers = {cell: csv.writer(stack.enter_context(open(
+            staging / cell.csv_name, "w", newline="")), lineterminator="\n")
+            for cell in cells}
         for writer in writers.values():
             writer.writerow(columns)
         for result in _map_in_workers(partial(_extract_entry, settings=settings),
@@ -654,13 +664,11 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
         all_failures = sorted((f for cell in cells for f in failures[cell]),
                               key=lambda f: (f.study, f.structure,
                                              f.filter_name, f.error))
-        written += [out_dir / cell.csv_name for cell in cells]
         if all_failures:
-            _write_csv(out_dir / EXTRACTION_ERRORS,
+            _write_csv(staging / EXTRACTION_ERRORS,
                        ["study", "segmentedStructure", "filter", "error",
                         "detail", "configuration"], map(astuple, all_failures))
-            written.append(out_dir / EXTRACTION_ERRORS)
-    return written[:len(cells)], all_failures  # the CSVs, not the sidecar
+    return [out_dir / cell.csv_name for cell in cells], all_failures
 
 
 @contextmanager
@@ -668,9 +676,12 @@ def _owning(out_dir: Path, patterns, owns, noun: str):
     """Own the files in ``out_dir`` that match the glob ``patterns``.
 
     One not this run's (``owns(name)`` is false) raises StaleOutputs
-    before anything is written or deleted. Yields the list the run adds
-    each file it writes to; once the block succeeds, the matches it did
-    not write go, so a rerun leaves what a fresh run would."""
+    before anything is written or deleted. Yields a hidden staging
+    directory in ``out_dir``, matching no pattern, to write every output
+    into; only once the block succeeds does each staged file replace its
+    namesake by an atomic rename, and each match not staged go. So
+    ``out_dir`` holds the earlier run's outputs or this run's, as a fresh
+    run would leave them, and never a truncated file."""
     found = {path for pattern in patterns for path in out_dir.glob(pattern)}
     stale = sorted(path.name for path in found if not owns(path.name))
     if stale:
@@ -681,39 +692,29 @@ def _owning(out_dir: Path, patterns, owns, noun: str):
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise RadrepError(f"{out_dir} is not a directory") from None
-    written: list[Path] = []
-    yield written
-    for path in found - set(written):
-        path.unlink()
-
-
-@contextmanager
-def _replacing(path: Path, mode: str = "w"):
-    """Open a temporary file beside ``path`` that replaces it on success.
-
-    The temporary file is deleted if the write raises, so an interrupted
-    run never leaves a truncated output for a later read to trust.
-    """
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        with open(temporary, mode, newline=None if "b" in mode else "") as handle:
-            yield handle
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+        yield staging
+        staged = {path.name for path in staging.iterdir()}
+        for name in staged:
+            os.replace(staging / name, out_dir / name)
+        for path in found:
+            if path.name not in staged:
+                path.unlink()
+    finally:
+        shutil.rmtree(staging)
 
 
 def _write_csv(path: Path, header: list[str], rows):
-    with _replacing(path) as handle:
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
-    with _replacing(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +818,9 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
     ``known`` holds the FeatureKeys of a CSV read before; the columns they
     name are not split again. Each line becomes a float64 row as it is
     read, NaN for an empty cell.
-    A cell that is not a finite number, a line whose field count differs
-    from the header's and a repeated feature column raise SchemaMismatch.
+    A CSV with no rows, a cell that is not a finite number, a line whose
+    field count differs from the header's and a repeated feature column
+    raise SchemaMismatch.
     """
     rows: dict[str, list[tuple[str, int, np.ndarray]]] = {}
     with open(path, newline="") as handle:
@@ -852,6 +854,8 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
             structure = (row[meta["segmentedStructure"]]
                          if "segmentedStructure" in meta else "")
             rows.setdefault(structure, []).append((subject, timepoint, values))
+    if not rows:
+        raise SchemaMismatch(f"{path}: no rows")
     matrices = {}
     for structure, group in rows.items():
         subjects, timepoints, values = zip(*group)
@@ -911,6 +915,8 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
     SchemaMismatch. ``out_dir`` is owned as :func:`_owning` says: a
     report is this run's when its CSV stem, bin-width group (one with at
     least two widths among the inputs) or ``compare`` pair is named here.
+    The reports replace the earlier ones only once every group is
+    analyzed: a run that raises changes nothing in ``out_dir``.
 
     Each bin-width group (the CSVs of one ``ConfigCell.group_code``) is
     analyzed by :func:`_analyze_group`, one process per group, up to the
@@ -949,10 +955,10 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
                (*_TABLE_REPORTS, *_GROUP_REPORTS, "delta")]
     with _owning(out_dir, [*reports, ANALYSIS_ERRORS],
                  lambda name: name.startswith((*named, ANALYSIS_ERRORS)),
-                 "reports") as owned:
+                 "reports") as staging:
         timepoint_map = (_read_timepoint_map(timepoint_map_path)
                          if timepoint_map_path else None)
-        work = partial(_analyze_group, out_dir=out_dir,
+        work = partial(_analyze_group, out_dir=staging,
                        timepoint_map=timepoint_map, compare=compare or ())
         tables: dict[tuple[str, str], RepeatabilityTable] = {}
         per_path: dict[Path, tuple[list[Path], list[AnalysisFailure]]] = {}
@@ -965,16 +971,14 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
         written = [f for path in paths.values() for f in per_path[path][0]]
         failures = [f for path in paths.values() for f in per_path[path][1]]
         if failures:
-            _write_csv(out_dir / ANALYSIS_ERRORS,
+            _write_csv(staging / ANALYSIS_ERRORS,
                        ["stem", "segmentedStructure", "error", "detail"],
                        map(astuple, failures))
-            owned.append(out_dir / ANALYSIS_ERRORS)
         written += binwidth_files
         if compare:
             failed = {(f.stem, f.structure) for f in failures}
-            written += _delta_reports(tables, failed, compare, out_dir)
-        owned += written
-    return written, failures
+            written += _delta_reports(tables, failed, compare, staging)
+    return [out_dir / path.name for path in written], failures
 
 
 def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
@@ -1138,11 +1142,6 @@ def _plot_icc(path: Path, out: Path) -> None:
     _write_csv(out, ["feature", "filter", "binWidth", "icc"], rows)
 
 
-def _plot_copy(path: Path, out: Path) -> None:
-    with _replacing(out, "wb") as handle:
-        handle.write(path.read_bytes())
-
-
 def _plot_top(path: Path, out: Path) -> None:
     payload = json.loads(path.read_text())
     rows = []
@@ -1171,8 +1170,9 @@ def _plot_delta(path: Path, out: Path) -> None:
 
 # (report glob, converter) in output order; the spread, KDE and rank
 # reports are plot-ready already
-_PLOTS = (("icc__*.csv", _plot_icc), ("kde_spread__*.csv", _plot_copy),
-          ("rankdist__*.csv", _plot_copy), ("spread__*.csv", _plot_copy),
+_PLOTS = (("icc__*.csv", _plot_icc), ("kde_spread__*.csv", shutil.copyfile),
+          ("rankdist__*.csv", shutil.copyfile),
+          ("spread__*.csv", shutil.copyfile),
           (f"top{TOP_K}__*.json", _plot_top),
           ("filterfreq__*.json", _plot_filterfreq),
           ("delta__*.json", _plot_delta))
@@ -1186,7 +1186,8 @@ def plotdata_run(in_dir, out_dir) -> list[Path]:
     ``in_dir`` has its kind and key (its name up to the last
     ``__<structure>``): one left from a report no longer there is
     deleted. Any other raises :class:`StaleOutputs`, before writing
-    anything. A report that cannot be read raises SchemaMismatch.
+    anything. A report that cannot be read raises SchemaMismatch, and
+    then no plot in ``out_dir`` has changed.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     reports = [(path, plot) for pattern, plot in _PLOTS
@@ -1194,14 +1195,12 @@ def plotdata_run(in_dir, out_dir) -> list[Path]:
     keys = {f"plot_{path.stem.rsplit('__', 1)[0]}" for path, _ in reports}
     with _owning(out_dir, ["plot_*.csv"],
                  lambda name: name.rsplit("__", 1)[0] in keys,
-                 "plot files") as written:
+                 "plot files") as staging:
         if not reports:
             raise MissingReport(f"no analysis reports found under {in_dir}")
         for path, plot in reports:
-            out = out_dir / f"plot_{path.stem}.csv"
             try:
-                plot(path, out)
+                plot(path, staging / f"plot_{path.stem}.csv")
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise SchemaMismatch(f"{path}: {exc}") from None
-            written.append(out)
-    return written
+    return [out_dir / f"plot_{path.stem}.csv" for path, _ in reports]

@@ -102,7 +102,8 @@ def no_worker_outlives_its_test():
 
 @pytest.fixture(autouse=True)
 def no_temporary_file_outlives_its_test(tmp_path):
-    """Outputs are written to a ``.<name>.<pid>.tmp`` file and renamed into
-    place; one left under ``tmp_path`` is a leak on an error path."""
+    """Each command writes into a hidden staging directory in its --out
+    and moves the files into place on success; any hidden entry left
+    under ``tmp_path`` is a leak on an error path."""
     yield
-    assert sorted(tmp_path.rglob(".*.tmp")) == []
+    assert sorted(tmp_path.rglob(".*")) == []

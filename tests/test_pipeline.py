@@ -201,6 +201,30 @@ def test_manifest_rejects_values_outside_the_study_design(tmp_path, edit,
         load_manifest(manifest_path)
 
 
+@pytest.mark.parametrize("key", ["normalizationModes", "binWidths"])
+def test_manifest_refuses_an_empty_mode_or_width_list(tmp_path, capsys, key):
+    # either list empty makes no configuration cell, so no CSV at all
+    manifest_path = build_cohort(tmp_path / "in", n_subjects=1)
+    doc = json.loads(manifest_path.read_text())
+    doc["settings"][key] = []
+    manifest_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["extract", "--manifest", str(manifest_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: settings {key!r} is empty; a run needs at least one\n")
+    assert not (tmp_path / "out").exists()
+    # no filter is a shape-only run
+    doc["settings"].update({key: ["none"] if key == "normalizationModes"
+                            else [10]}, filters=[])
+    manifest_path.write_text(json.dumps(doc))
+    [path], failures = extract_run(load_manifest(manifest_path),
+                                   tmp_path / "out")
+    assert not failures
+    assert {column.split("_")[1] for column in read_rows(path)[0]
+            if column.startswith("original_")} == {"shape"}
+
+
 @pytest.mark.parametrize("doc", [[], {"cohort": 5}, {"settings": []}])
 def test_manifest_must_be_an_object_with_a_cohort_list(tmp_path, doc):
     manifest_path = tmp_path / "manifest.json"
@@ -382,7 +406,7 @@ def test_extraction_worker_error_propagates_and_leaves_no_child(
                 extract_run(manifest, out, jobs=2)
         assert pools == pool
         # the CSVs were open when the worker raised: no file, whole or
-        # temporary, is left
+        # staged, is left
         assert sorted(out.iterdir()) == []
 
 
@@ -1687,6 +1711,17 @@ def test_analyze_rejects_non_finite_cells(tmp_path, cell):
         analyze_run([bad], tmp_path / "reports")
 
 
+def test_analyze_refuses_a_feature_csv_with_no_rows(tmp_path, capsys):
+    paths = _two_group_csvs(tmp_path)
+    header = paths[1].read_text().splitlines()[0]
+    paths[1].write_text(header + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(paths[1]),
+                 "--out", str(tmp_path / "reports")]) == 2
+    assert capsys.readouterr() == ("", f"error: {paths[1]}: no rows\n")
+    assert list((tmp_path / "reports").iterdir()) == []
+
+
 def _hand_written_csv(path, cells, contrast_header="original_glcm_Contrast"):
     """Six rows over three subjects; ``cells`` fill the Contrast column."""
     rows = ["general_info_VoxelNum,original_shape_Volume,"
@@ -1798,21 +1833,74 @@ def test_plotdata_missing_reports(tmp_path):
         plotdata_run(tmp_path / "empty", tmp_path / "plots")
 
 
-def test_interrupted_write_leaves_no_file_behind(tmp_path):
-    def rows():
-        for i in range(20000):  # well past one write buffer
-            yield [i, "x" * 10]
-        raise RuntimeError("writer failed")
+def _set_cell(path, column, text):
+    """Set ``column`` of a feature CSV's first row to ``text``."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    rows[0][header.index(column)] = text
+    _write_csv(path, header, rows)
 
-    target = tmp_path / "report.csv"
-    with pytest.raises(RuntimeError):
-        _write_csv(target, ["i", "x"], rows())
-    assert list(tmp_path.iterdir()) == []
-    _write_csv(target, ["i", "x"], [[1, "a"]])
-    with pytest.raises(RuntimeError):
-        _write_csv(target, ["i", "x"], rows())
-    assert list(tmp_path.iterdir()) == [target]
-    assert target.read_text() == "i,x\n1,a\n"
+
+@pytest.mark.parametrize("command", ["extract", "analyze", "plotdata"])
+def test_a_failed_rerun_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
+                                             command):
+    # a run that stops on an error, into a fresh --out and into one an
+    # earlier run filled, after some of its outputs were made: --out keeps
+    # its names and bytes, and holds no hidden entry
+    fresh, out = tmp_path / "fresh", tmp_path / "rerun"
+    if command == "extract":
+        settings = {"normalizationModes": ["none", "wholeImage"],
+                    "binWidths": [10, 20], "dimensionality": "2D",
+                    "filters": ["original"]}
+        manifest = load_manifest(build_cohort(tmp_path / "in", n_subjects=2,
+                                              settings=settings))
+        extract_run(manifest, out)
+        extracted = []
+
+        def on_second_entry(entry, settings):
+            extracted.append(entry)
+            if len(extracted) == 2:
+                raise RuntimeError(f"extraction failed: {entry.study}")
+            return _extract_entry(entry, settings)
+
+        monkeypatch.setattr(radrep.pipeline, "_extract_entry",
+                            on_second_entry)
+
+        def rerun(into):
+            extracted.clear()
+            with pytest.raises(RuntimeError, match="extraction failed"):
+                extract_run(manifest, into)
+    else:
+        paths = _two_group_csvs(tmp_path)
+        reports = tmp_path / "reports"
+        if command == "analyze":
+            analyze_run(paths, out)
+            # the noNormalization group's reports change, and the
+            # wholeImage group fails on its second width's CSV
+            _set_cell(paths[2], "original_firstorder_Mean", "1e6")
+            _set_cell(paths[1], "original_glcm_Idm", "x")
+            args = ["analyze", "--in", str(paths[0].parent / "*.csv")]
+        else:
+            analyze_run(paths, reports)
+            plotdata_run(reports, out)
+            # every ICC plot is made before the top-3 plots
+            _set_cell(paths[0], "original_firstorder_Mean", "1e6")
+            analyze_run(paths, reports)
+            (reports / f"top3__{paths[1].stem}__Tumor.json").write_text(
+                '{"glcm": [["Idm", 0.9]')
+            args = ["plotdata", "--in", str(reports)]
+
+        def rerun(into):
+            capsys.readouterr()
+            assert main([*args, "--out", str(into)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+    before = _files(out)
+    assert before
+    rerun(fresh)
+    assert list(fresh.iterdir()) == []
+    rerun(out)
+    assert _files(out) == before
+    assert sorted(out.rglob(".*")) == []
 
 
 # ---------------------------------------------------------------------------
