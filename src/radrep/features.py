@@ -140,13 +140,14 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     x = volume.values[mask.bounding_box][mask.inside].astype(np.float64)
     n = x.size
     srt = np.sort(x)
-    mean = float(x.mean())
+    mean = float(x.sum()) / n
     dev = x - mean
     dev2 = dev * dev
     x2 = x * x
-    # a constant ROI is min == max exactly; mean() rounding would
+    # a constant ROI is min == max exactly; the mean's rounding would
     # otherwise leave a ~1e-31 residual variance
-    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev2))
+    m2 = 0.0 if srt[0] == srt[-1] else float(dev2.sum()) / n
+    energy = float(x2.sum())
     entries: dict[tuple[str, str], float | None] = {}
 
     entries[("firstorder", "Mean")] = mean
@@ -158,13 +159,13 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     entries[("firstorder", "Range")] = float(srt[-1] - srt[0])
     entries[("firstorder", "Variance")] = m2
     entries[("firstorder", "StandardDeviation")] = math.sqrt(m2)
-    entries[("firstorder", "Energy")] = float(np.sum(x2))
-    entries[("firstorder", "RootMeanSquared")] = math.sqrt(float(np.mean(x2)))
-    entries[("firstorder", "MeanAbsoluteDeviation")] = float(np.mean(np.abs(dev)))
+    entries[("firstorder", "Energy")] = energy
+    entries[("firstorder", "RootMeanSquared")] = math.sqrt(energy / n)
+    entries[("firstorder", "MeanAbsoluteDeviation")] = float(np.abs(dev).sum()) / n
     for name, moment, denominator in (("Skewness", dev2 * dev, m2 ** 1.5),
                                       ("Kurtosis", dev2 * dev2, m2 ** 2)):
         entries[("firstorder", name)] = (
-            float(np.mean(moment)) / denominator if denominator > 0 else None)
+            float(moment.sum()) / n / denominator if denominator > 0 else None)
 
     try:
         disc = discretize_roi(volume, mask, bin_width)
@@ -173,7 +174,7 @@ def firstorder_features(volume: VolumeGrid, mask: RoiMask,
     else:
         p = np.bincount(disc.levels[disc.levels > 0], minlength=disc.num_gray_levels + 1)[1:] / n
         entries[("firstorder", "Entropy")] = _entropy_bits(p)
-        entries[("firstorder", "Uniformity")] = float(np.sum(p ** 2))
+        entries[("firstorder", "Uniformity")] = float((p ** 2).sum())
     return FeatureMap(entries)
 
 
@@ -182,11 +183,11 @@ def _surface_face_counts(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     face_counts = np.zeros(3, dtype=np.int64)
     surface = np.zeros_like(inside)
     for axis in range(3):
-        padded = np.pad(inside, [(1, 1) if a == axis else (0, 0) for a in range(3)])
-        lo = np.take(padded, range(0, inside.shape[axis]), axis=axis)
-        hi = np.take(padded, range(2, inside.shape[axis] + 2), axis=axis)
-        exposed_lo = inside & ~lo.astype(bool)
-        exposed_hi = inside & ~hi.astype(bool)
+        lead = (slice(None),) * axis
+        after, before = lead + (slice(1, None),), lead + (slice(None, -1),)
+        exposed_lo, exposed_hi = inside.copy(), inside.copy()
+        exposed_lo[after] &= ~inside[before]
+        exposed_hi[before] &= ~inside[after]
         face_counts[axis] = exposed_lo.sum() + exposed_hi.sum()
         surface |= exposed_lo | exposed_hi
     return face_counts, surface
@@ -295,6 +296,7 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
     ii, jj = i[:, None], i[None, :]  # broadcast as the Ng x Ng grid
 
     diff = np.abs(ii - jj)
+    diff2 = diff * diff
     # p_{x-y}(k), k = 0..Ng-1 and p_{x+y}(k), k = 2..2Ng
     p_diff = np.bincount(diff.astype(np.int64).ravel(), weights=p.ravel(),
                          minlength=ng)
@@ -302,30 +304,27 @@ def glcm_features(m: GlcMatrix) -> FeatureMap:
     p_sum = np.bincount((ii + jj).astype(np.int64).ravel(), weights=p.ravel(),
                         minlength=2 * ng + 1)[2:]
 
-    autocorr = float(np.sum(ii * jj * p))
-    if sigma2 > 0:
-        correlation = (autocorr - mu * mu) / sigma2
-    else:
-        correlation = None
+    autocorr = float((ii * jj * p).sum())
+    correlation = (autocorr - mu * mu) / sigma2 if sigma2 > 0 else None
 
     off_diag = diff > 0
     c = ii + jj - 2 * mu
     c2 = c * c
     entries: dict[tuple[str, str], float | None] = {
         ("glcm", "Autocorrelation"): autocorr,
-        ("glcm", "ClusterProminence"): float(np.sum(c2 * c2 * p)),
-        ("glcm", "ClusterShade"): float(np.sum(c2 * c * p)),
-        ("glcm", "ClusterTendency"): float(np.sum(c2 * p)),
-        ("glcm", "Contrast"): float(np.sum((ii - jj) ** 2 * p)),
+        ("glcm", "ClusterProminence"): float((c2 * c2 * p).sum()),
+        ("glcm", "ClusterShade"): float((c2 * c * p).sum()),
+        ("glcm", "ClusterTendency"): float((c2 * p).sum()),
+        ("glcm", "Contrast"): float((diff2 * p).sum()),
         ("glcm", "Correlation"): correlation,
         ("glcm", "DifferenceAverage"): float(np.dot(k_diff, p_diff)),
         ("glcm", "DifferenceEntropy"): _entropy_bits(p_diff),
-        ("glcm", "Id"): float(np.sum(p / (1.0 + diff))),
-        ("glcm", "Idm"): float(np.sum(p / (1.0 + diff ** 2))),
+        ("glcm", "Id"): float((p / (1.0 + diff)).sum()),
+        ("glcm", "Idm"): float((p / (1.0 + diff2)).sum()),
         ("glcm", "InverseVariance"):
-            float(np.sum(p[off_diag] / diff[off_diag] ** 2)),
+            float((p[off_diag] / diff2[off_diag]).sum()),
         ("glcm", "JointAverage"): mu,
-        ("glcm", "JointEnergy"): float(np.sum(p ** 2)),
+        ("glcm", "JointEnergy"): float((p ** 2).sum()),
         ("glcm", "JointEntropy"): _entropy_bits(p),
         ("glcm", "MaximumProbability"): float(p.max()),
         ("glcm", "SumEntropy"): _entropy_bits(p_sum),

@@ -64,6 +64,8 @@ GENERAL_INFO_COLUMNS = (
 # the errors sidecars, each in its command's --out directory
 EXTRACTION_ERRORS = "extraction_errors.csv"
 ANALYSIS_ERRORS = "analysis_errors.csv"
+# the name prefix of the hidden directory a run stages its --out files in
+_STAGING = ".staging-"
 
 
 class ManifestError(RadrepError):
@@ -681,7 +683,8 @@ def _owning(out_dir: Path, patterns, owns, noun: str):
     into; only once the block succeeds does each staged file replace its
     namesake by an atomic rename, and each match not staged go. So
     ``out_dir`` holds the earlier run's outputs or this run's, as a fresh
-    run would leave them, and never a truncated file."""
+    run would leave them, and never a truncated file. The staging
+    directories that killed runs left are swept as :func:`_swept` says."""
     found = {path for pattern in patterns for path in out_dir.glob(pattern)}
     stale = sorted(path.name for path in found if not owns(path.name))
     if stale:
@@ -692,17 +695,50 @@ def _owning(out_dir: Path, patterns, owns, noun: str):
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise RadrepError(f"{out_dir} is not a directory") from None
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    with _swept(out_dir):
+        staging = Path(tempfile.mkdtemp(prefix=_STAGING, dir=out_dir))
+        try:
+            yield staging
+            staged = {path.name for path in staging.iterdir()}
+            for name in staged:
+                os.replace(staging / name, out_dir / name)
+            for path in found:
+                if path.name not in staged:
+                    path.unlink()
+        finally:
+            shutil.rmtree(staging)
+
+
+@contextmanager
+def _swept(out_dir: Path):
+    """Hold a shared ``flock`` on ``out_dir`` while the block runs.
+
+    A run that can first take the lock exclusively knows that no live run
+    holds it, so every ``_STAGING`` directory there is a killed run's and
+    goes. Where another run holds the lock, or ``flock`` is missing
+    (Windows) or refused, nothing is swept."""
     try:
-        yield staging
-        staged = {path.name for path in staging.iterdir()}
-        for name in staged:
-            os.replace(staging / name, out_dir / name)
-        for path in found:
-            if path.name not in staged:
-                path.unlink()
+        import fcntl
+        lock = os.open(out_dir, os.O_RDONLY)
+    except (ImportError, OSError):
+        lock = None
+    if lock is None:
+        yield
+        return
+    try:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:  # a live run's: share it, sweep nothing
+            fcntl.flock(lock, fcntl.LOCK_SH)
+        except OSError:
+            pass
+        else:
+            for path in out_dir.glob(_STAGING + "*"):
+                shutil.rmtree(path, ignore_errors=True)
+            fcntl.flock(lock, fcntl.LOCK_SH)
+        yield
     finally:
-        shutil.rmtree(staging)
+        os.close(lock)
 
 
 def _write_csv(path: Path, header: list[str], rows):

@@ -217,18 +217,20 @@ def _correlate_nearest(x: np.ndarray, weights: np.ndarray, axis: int,
     computed. The boundary replicates the nearest voxel of ``x``. Sums
     run in the order of ``scipy.ndimage.correlate1d`` for symmetric
     kernels (centre term first, then the pairs from the outermost in),
-    so the results match it bit for bit. The lines are gathered with the
-    axis first, so every term is a contiguous slice.
+    so the results match it bit for bit. Each line is gathered with the
+    axis first, clipped to it, so every tap adds two contiguous slices.
     """
     r = weights.size // 2
-    reach = np.clip(np.arange(start - r, stop + r), 0, x.shape[axis] - 1)
-    line = np.moveaxis(x, axis, 0).take(reach, axis=0)
+    line = x.transpose(axis, *(a for a in range(x.ndim) if a != axis)).take(
+        np.arange(start - r, stop + r), axis=0, mode="clip")
     width = stop - start
     out = line[r:r + width] * weights[r]
+    term = np.empty_like(out)
     for k in range(r, 0, -1):
-        out += (line[r - k:r - k + width] + line[r + k:r + k + width]) \
-            * weights[r - k]
-    return np.moveaxis(out, 0, axis)
+        np.add(line[r - k:r - k + width], line[r + k:r + k + width], out=term)
+        term *= weights[r - k]
+        out += term
+    return out.transpose(*range(1, axis + 1), 0, *range(axis + 1, x.ndim))
 
 
 def filter_log(volume: VolumeGrid, sigma_mm: float, box: Box) -> VolumeGrid:
@@ -263,13 +265,13 @@ def filter_log(volume: VolumeGrid, sigma_mm: float, box: Box) -> VolumeGrid:
                 f"sigma {sigma_mm} mm reaches {r} voxels on axis {axis}: one "
                 f"pass would gather {line} values, more than "
                 f"{MAX_LOG_LINE_FACTOR} times the grid's {volume.values.size}")
-    kernels = [_log_kernels_1d(sigma_mm, h) for h in volume.spacing]
+    kernels = {h: _log_kernels_1d(sigma_mm, h) for h in set(volume.spacing)}
     source = volume.values[reach]
     total = np.zeros([b.stop - b.start for b in box])
     for deriv_axis in range(3):
         part = source
         for axis in (deriv_axis, *(a for a in range(3) if a != deriv_axis)):
-            kernel = kernels[axis][axis == deriv_axis]
+            kernel = kernels[volume.spacing[axis]][axis == deriv_axis]
             part = _correlate_nearest(part, kernel, axis,
                                       box[axis].start - reach[axis].start,
                                       box[axis].stop - reach[axis].start)

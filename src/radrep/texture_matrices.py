@@ -166,10 +166,11 @@ def build_glrlm(disc: DiscretizedRoi, graph: NeighbourGraph) -> SizeMatrix:
     """
     level = disc.levels.reshape(-1)[graph.voxels]
     run = level[graph.lines]
-    cut = graph.breaks.copy()
-    cut[1:] |= run[1:] != run[:-1]
-    starts = np.flatnonzero(cut)
-    return _size_matrix(run[starts], np.diff(starts, append=run.size),
+    cut = np.append(graph.breaks, True)  # each run's start, then the end
+    cut[1:-1] |= run[1:] != run[:-1]
+    edges = np.flatnonzero(cut)
+    starts = edges[:-1]
+    return _size_matrix(run[starts], edges[1:] - starts,
                         disc.num_gray_levels,
                         disc.num_roi_voxels * graph.directions)
 
@@ -193,11 +194,9 @@ def label_zones(levels: np.ndarray, graph: NeighbourGraph
     # node and its old root point at the same new root.
     while tail.size:
         np.minimum.at(root, np.maximum(tail, head), np.minimum(tail, head))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        jumped = root[root]
+        while not (jumped == root).all():
+            root, jumped = jumped, jumped[jumped]
         tail, head = root[tail], root[head]
         crossing = tail != head
         tail, head = tail[crossing], head[crossing]

@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radrep.discretize import discretize_roi
 from radrep.features import (EXCLUDED_FEATURES, FEATURE_ROSTER, FeatureMap,
-                             _max_pairwise_distance, firstorder_features, glcm_features,
+                             _max_pairwise_distance, _surface_face_counts,
+                             firstorder_features, glcm_features,
                              glrlm_features, glszm_features, shape_features)
 from radrep.pipeline import RunSettings, _general_info
 from radrep.preprocess import (FilterKind, FilterSpec, NormalizationMode,
                                apply_filter, normalize)
 from radrep.texture_matrices import (OFFSETS, OFFSETS_2D, OFFSETS_3D,
-                                     NeighbourGraph, build_glcm, build_glrlm,
-                                     build_glszm)
+                                     GlcMatrix, NeighbourGraph, build_glcm,
+                                     build_glrlm, build_glszm)
 from radrep.volume_io import Structure
 
 from conftest import (crop_masks, graph_of, make_disc, make_mask,
@@ -558,3 +559,115 @@ def test_feature_map_rejects_excluded_and_nan():
         FeatureMap({("glcm", "Contrast"): float("nan")})
     with pytest.raises(ValueError):
         FeatureMap({("glcm", "NotAFeature"): 1.0})
+
+
+# ---------------------------------------------------------------------------
+# Array sums and slices equal the numpy-call forms they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _hex(values):
+    return {name: None if v is None else float(v).hex()
+            for name, v in values.items()}
+
+
+def _moments_by_numpy_calls(x):
+    """The first-order moments as np.mean and np.sum formed them."""
+    srt = np.sort(x)
+    mean = float(x.mean())
+    dev = x - mean
+    dev2 = dev * dev
+    x2 = x * x
+    m2 = 0.0 if srt[0] == srt[-1] else float(np.mean(dev2))
+    return {
+        "Mean": mean, "Variance": m2, "StandardDeviation": math.sqrt(m2),
+        "Energy": float(np.sum(x2)),
+        "RootMeanSquared": math.sqrt(float(np.mean(x2))),
+        "MeanAbsoluteDeviation": float(np.mean(np.abs(dev))),
+        "Skewness": (float(np.mean(dev2 * dev)) / m2 ** 1.5
+                     if m2 ** 1.5 > 0 else None),
+        "Kurtosis": (float(np.mean(dev2 * dev2)) / m2 ** 2
+                     if m2 ** 2 > 0 else None),
+    }
+
+
+def _faces_by_pad_and_take(inside):
+    """Exposed-face counts and surface voxels from np.pad and np.take."""
+    face_counts = np.zeros(3, dtype=np.int64)
+    surface = np.zeros_like(inside)
+    for axis in range(3):
+        padded = np.pad(inside, [(1, 1) if a == axis else (0, 0) for a in range(3)])
+        lo = np.take(padded, range(0, inside.shape[axis]), axis=axis)
+        hi = np.take(padded, range(2, inside.shape[axis] + 2), axis=axis)
+        exposed_lo = inside & ~lo.astype(bool)
+        exposed_hi = inside & ~hi.astype(bool)
+        face_counts[axis] = exposed_lo.sum() + exposed_hi.sum()
+        surface |= exposed_lo | exposed_hi
+    return face_counts, surface
+
+
+@st.composite
+def intensity_rois(draw):
+    """A 2D (one slice) or 3D mask of up to 256 voxels, at least one inside,
+    and its intensities: finite values of any sign and size up to 1e6, or
+    one value throughout."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8),
+                           st.sampled_from([1, 2, 4])))
+    inside = draw(hnp.arrays(bool, shape))
+    inside.flat[draw(st.integers(0, inside.size - 1))] = True
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    if draw(st.booleans()):
+        return np.full(shape, draw(finite)), inside
+    return draw(hnp.arrays(np.float64, shape, elements=finite)), inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(intensity_rois())
+@example((np.full((1, 1, 1), 7.3), np.ones((1, 1, 1), bool)))
+@example((np.full((4, 3, 2), -41.9), np.ones((4, 3, 2), bool)))
+def test_firstorder_moments_equal_their_np_mean_forms(case):
+    values, inside = case
+    mask = make_mask(inside)
+    fmap = firstorder_features(make_volume(values), mask, 25.0)
+    expected = _moments_by_numpy_calls(
+        values[mask.bounding_box][mask.inside].astype(np.float64))
+    assert _hex({name: fmap.get("firstorder", name) for name in expected}) \
+        == _hex(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_masks())
+def test_surface_face_counts_equal_their_pad_and_take_form(case):
+    inside, _ = case
+    faces, surface = _surface_face_counts(inside)
+    expected_faces, expected_surface = _faces_by_pad_and_take(inside)
+    assert faces.dtype == expected_faces.dtype
+    assert faces.tolist() == expected_faces.tolist()
+    assert surface.dtype == bool
+    assert np.array_equal(surface, expected_surface)
+
+
+@st.composite
+def co_occurrence_probs(draw):
+    """A symmetric probability matrix of 1 to 12 gray levels."""
+    ng = draw(st.integers(1, 12))
+    counts = draw(hnp.arrays(np.int64, (ng, ng), elements=st.integers(0, 1000)))
+    counts = counts + counts.T
+    counts[0, 0] += counts.sum() == 0
+    return counts / counts.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(co_occurrence_probs())
+def test_glcm_squared_differences_equal_their_power_forms(p):
+    fmap = glcm_features(GlcMatrix(p))
+    i = np.arange(1, p.shape[0] + 1, dtype=np.float64)
+    ii, jj = i[:, None], i[None, :]
+    diff = np.abs(ii - jj)
+    off_diag = diff > 0
+    expected = {
+        "Contrast": float(np.sum((ii - jj) ** 2 * p)),
+        "Idm": float(np.sum(p / (1.0 + diff ** 2))),
+        "InverseVariance": float(np.sum(p[off_diag] / diff[off_diag] ** 2)),
+    }
+    assert _hex({name: fmap.get("glcm", name) for name in expected}) \
+        == _hex(expected)

@@ -1903,20 +1903,69 @@ def test_a_failed_rerun_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
     assert sorted(out.rglob(".*")) == []
 
 
+def _command_args(tmp_path, command):
+    """``command``'s arguments but ``--out``, over two bin-width groups."""
+    paths = _two_group_csvs(tmp_path)
+    if command == "extract":
+        return ["extract", "--manifest", str(tmp_path / "in" / "manifest.json")]
+    if command == "analyze":
+        return ["analyze", "--in", str(paths[0].parent / "*.csv")]
+    analyze_run(paths, tmp_path / "reports")
+    return ["plotdata", "--in", str(tmp_path / "reports")]
+
+
+def _killed_run_staging(out, name):
+    """A staging directory as a run killed before its commit leaves it."""
+    (out / name).mkdir()
+    (out / name / "partial.csv").write_text("study,segmen")
+    return out / name
+
+
+@pytest.mark.parametrize("command", ["extract", "analyze", "plotdata"])
+def test_a_rerun_sweeps_a_killed_runs_staging_directory(tmp_path, capsys,
+                                                        command):
+    args, out = _command_args(tmp_path, command), tmp_path / "rerun"
+    assert main([*args, "--out", str(out)]) == 0
+    before = _files(out)
+    dead = _killed_run_staging(out, ".staging-x")
+    assert main([*args, "--out", str(out)]) == 0
+    assert not dead.exists()
+    assert _files(out) == before
+
+
+def test_a_live_runs_staging_directory_is_left_in_place(tmp_path, capsys):
+    # a run holds a shared flock on its --out until its commit: a run that
+    # starts meanwhile shares the lock and sweeps nothing
+    fcntl = pytest.importorskip("fcntl")
+    args, out = _command_args(tmp_path, "extract"), tmp_path / "rerun"
+    assert main([*args, "--out", str(out)]) == 0
+    live = _killed_run_staging(out, ".staging-live")
+    lock = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_SH)
+        assert main([*args, "--out", str(out)]) == 0
+        assert sorted(out.glob(".*")) == [live]
+    finally:
+        os.close(lock)
+    assert main([*args, "--out", str(out)]) == 0
+    assert not live.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter, as this test session itself imports scipy; the
-    # worker pools are imported only by the runs that start one
+def test_cli_import_loads_numpy_but_no_scipy_or_worker_pool():
+    # a fresh interpreter, as this test session itself imports scipy: the
+    # runtime needs numpy alone (pyproject.toml), and the worker pools are
+    # imported only by the runs that start one (_map_in_workers)
     src = Path(radrep.__file__).resolve().parents[1]
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, radrep.cli; print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, check=True, timeout=120).stdout.split()
-    assert "radrep.cli" in loaded
+    assert {"radrep.cli", "numpy"} <= set(loaded)
     assert not [m for m in loaded if m.split(".")[0] in (
         "scipy", "concurrent", "multiprocessing")]
 
