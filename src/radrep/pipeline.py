@@ -23,7 +23,7 @@ import os
 import re
 import shutil
 import tempfile
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import product, takewhile
@@ -677,25 +677,45 @@ def extract_run(manifest: RunManifest, out_dir, jobs: int = 1,
 def _owning(out_dir: Path, patterns, owns, noun: str):
     """Own the files in ``out_dir`` that match the glob ``patterns``.
 
-    One not this run's (``owns(name)`` is false) raises StaleOutputs
-    before anything is written or deleted. Yields a hidden staging
-    directory in ``out_dir``, matching no pattern, to write every output
-    into; only once the block succeeds does each staged file replace its
-    namesake by an atomic rename, and each match not staged go. So
-    ``out_dir`` holds the earlier run's outputs or this run's, as a fresh
-    run would leave them, and never a truncated file. The staging
-    directories that killed runs left are swept as :func:`_swept` says."""
-    found = {path for pattern in patterns for path in out_dir.glob(pattern)}
-    stale = sorted(path.name for path in found if not owns(path.name))
-    if stale:
-        raise StaleOutputs(
-            f"{out_dir} holds {noun} this run does not write: "
-            f"{', '.join(stale)}; move them away or write to another directory")
+    Creates ``out_dir`` and holds an exclusive ``flock`` on it until the
+    run ends: a live run's lock raises RadrepError before anything there
+    is read or changed, so each ``_STAGING`` directory found is a killed
+    run's and goes. Without ``flock`` (Windows, or refused) the run goes
+    on unlocked and sweeps nothing. A match not this run's (``owns(name)``
+    is false) raises StaleOutputs. Yields a hidden staging directory in
+    ``out_dir``, matching no pattern, to write every output into; only
+    once the block succeeds does each staged file replace its namesake by
+    an atomic rename, and each match not staged go. So ``out_dir`` holds
+    the earlier run's outputs or this run's, never a truncated file; a
+    run that raises also removes the directories it created, if empty."""
+    created = list(takewhile(lambda path: not path.exists(),
+                             [out_dir, *out_dir.parents]))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise RadrepError(f"{out_dir} is not a directory") from None
-    with _swept(out_dir):
+    lock = None
+    try:
+        try:
+            import fcntl
+            lock = os.open(out_dir, os.O_RDONLY)
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            created.clear()  # the live run made or uses them
+            raise RadrepError(
+                f"{out_dir} is in use by another radrep run") from None
+        except (ImportError, OSError):
+            pass
+        else:
+            for path in out_dir.glob(_STAGING + "*"):
+                shutil.rmtree(path, ignore_errors=True)
+        found = {path for pattern in patterns for path in out_dir.glob(pattern)}
+        stale = sorted(path.name for path in found if not owns(path.name))
+        if stale:
+            raise StaleOutputs(
+                f"{out_dir} holds {noun} this run does not write: "
+                f"{', '.join(stale)}; move them away or write to another "
+                "directory")
         staging = Path(tempfile.mkdtemp(prefix=_STAGING, dir=out_dir))
         try:
             yield staging
@@ -707,38 +727,14 @@ def _owning(out_dir: Path, patterns, owns, noun: str):
                     path.unlink()
         finally:
             shutil.rmtree(staging)
-
-
-@contextmanager
-def _swept(out_dir: Path):
-    """Hold a shared ``flock`` on ``out_dir`` while the block runs.
-
-    A run that can first take the lock exclusively knows that no live run
-    holds it, so every ``_STAGING`` directory there is a killed run's and
-    goes. Where another run holds the lock, or ``flock`` is missing
-    (Windows) or refused, nothing is swept."""
-    try:
-        import fcntl
-        lock = os.open(out_dir, os.O_RDONLY)
-    except (ImportError, OSError):
-        lock = None
-    if lock is None:
-        yield
-        return
-    try:
-        try:
-            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:  # a live run's: share it, sweep nothing
-            fcntl.flock(lock, fcntl.LOCK_SH)
-        except OSError:
-            pass
-        else:
-            for path in out_dir.glob(_STAGING + "*"):
-                shutil.rmtree(path, ignore_errors=True)
-            fcntl.flock(lock, fcntl.LOCK_SH)
-        yield
+    except BaseException:
+        with suppress(OSError):  # a directory something else wrote into
+            for path in created:
+                os.rmdir(path)
+        raise
     finally:
-        os.close(lock)
+        if lock is not None:
+            os.close(lock)
 
 
 def _write_csv(path: Path, header: list[str], rows):

@@ -1,10 +1,12 @@
 import concurrent.futures
 import csv
+import errno
 import hashlib
 import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -406,8 +408,8 @@ def test_extraction_worker_error_propagates_and_leaves_no_child(
                 extract_run(manifest, out, jobs=2)
         assert pools == pool
         # the CSVs were open when the worker raised: no file, whole or
-        # staged, is left
-        assert sorted(out.iterdir()) == []
+        # staged, is left, nor the --out the run created
+        assert not out.exists()
 
 
 def test_extraction_memory_does_not_grow_with_the_cohort(tmp_path):
@@ -1293,9 +1295,10 @@ def test_compare_without_a_shared_structure_is_a_data_error(tmp_path, capsys):
             lines = [line for line in csv.reader(handle) if line[-1] != dropped]
         _write_csv(path, lines[0], lines[1:])
     assert main(["analyze", "--in", str(tmp_path / "out" / "Full*.csv"),
-                 "--out", str(tmp_path / "reports"),
+                 "--out", str(tmp_path / "fresh" / "reports"),
                  "--compare", paths[0].stem, paths[1].stem]) == 2
     assert "no structure is present in both" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_compare_stem_naming_no_input_is_refused_before_any_report(
@@ -1516,7 +1519,7 @@ def test_plotdata_refuses_an_unreadable_report(tmp_path, capsys, name, text):
     capsys.readouterr()
     assert main(["plotdata", "--in", str(reports), "--out", str(plots)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {reports / name}: ")
-    assert list(plots.iterdir()) == []
+    assert not plots.exists()
 
 
 def test_worker_count_never_changes_the_analysis(tmp_path, monkeypatch):
@@ -1719,7 +1722,7 @@ def test_analyze_refuses_a_feature_csv_with_no_rows(tmp_path, capsys):
     assert main(["analyze", "--in", str(paths[1]),
                  "--out", str(tmp_path / "reports")]) == 2
     assert capsys.readouterr() == ("", f"error: {paths[1]}: no rows\n")
-    assert list((tmp_path / "reports").iterdir()) == []
+    assert not (tmp_path / "reports").exists()
 
 
 def _hand_written_csv(path, cells, contrast_header="original_glcm_Contrast"):
@@ -1831,6 +1834,7 @@ def test_plotdata_missing_reports(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(MissingReport):
         plotdata_run(tmp_path / "empty", tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
 
 
 def _set_cell(path, column, text):
@@ -1845,8 +1849,9 @@ def _set_cell(path, column, text):
 def test_a_failed_rerun_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
                                              command):
     # a run that stops on an error, into a fresh --out and into one an
-    # earlier run filled, after some of its outputs were made: --out keeps
-    # its names and bytes, and holds no hidden entry
+    # earlier run filled, after some of its outputs were made: the fresh
+    # --out is removed, the filled one keeps its names and bytes, and
+    # neither holds a hidden entry
     fresh, out = tmp_path / "fresh", tmp_path / "rerun"
     if command == "extract":
         settings = {"normalizationModes": ["none", "wholeImage"],
@@ -1897,7 +1902,7 @@ def test_a_failed_rerun_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
     before = _files(out)
     assert before
     rerun(fresh)
-    assert list(fresh.iterdir()) == []
+    assert not fresh.exists()
     rerun(out)
     assert _files(out) == before
     assert sorted(out.rglob(".*")) == []
@@ -1933,22 +1938,75 @@ def test_a_rerun_sweeps_a_killed_runs_staging_directory(tmp_path, capsys,
     assert _files(out) == before
 
 
-def test_a_live_runs_staging_directory_is_left_in_place(tmp_path, capsys):
-    # a run holds a shared flock on its --out until its commit: a run that
-    # starts meanwhile shares the lock and sweeps nothing
+def _held(out):
+    """A lock on ``out`` as another process's run holds it: through an open
+    file description of its own, which a run's ``flock`` cannot share."""
     fcntl = pytest.importorskip("fcntl")
+    lock = os.open(out, os.O_RDONLY)
+    fcntl.flock(lock, fcntl.LOCK_SH)
+    return lock
+
+
+def test_a_live_runs_staging_directory_is_left_in_place(tmp_path, capsys):
+    # a run holds an exclusive flock on its --out until it ends: a run that
+    # starts meanwhile is refused and sweeps nothing; once the lock is
+    # free, the next run sweeps
     args, out = _command_args(tmp_path, "extract"), tmp_path / "rerun"
     assert main([*args, "--out", str(out)]) == 0
     live = _killed_run_staging(out, ".staging-live")
-    lock = os.open(out, os.O_RDONLY)
+    lock = _held(out)
     try:
-        fcntl.flock(lock, fcntl.LOCK_SH)
-        assert main([*args, "--out", str(out)]) == 0
+        assert main([*args, "--out", str(out)]) == 2
         assert sorted(out.glob(".*")) == [live]
     finally:
         os.close(lock)
     assert main([*args, "--out", str(out)]) == 0
     assert not live.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "analyze", "plotdata"])
+def test_a_run_into_an_out_in_use_is_refused(tmp_path, capsys, command):
+    # two live runs into one --out could both commit, and the next run
+    # would refuse their mix: the second is a data error before it reads,
+    # writes or deletes anything there
+    args, out = _command_args(tmp_path, command), tmp_path / "rerun"
+    assert main([*args, "--out", str(out)]) == 0
+    live = _killed_run_staging(out, ".staging-live")
+    before = _files(out)
+    lock = _held(out)
+    try:
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {out} is in use by another radrep run\n")
+        assert _files(out) == before
+    finally:
+        os.close(lock)
+        shutil.rmtree(live)
+
+
+@pytest.mark.parametrize("unlocked", ["no-fcntl", "flock-refused"])
+def test_a_run_without_flock_goes_on_unlocked_and_sweeps_nothing(
+        tmp_path, monkeypatch, capsys, unlocked):
+    # no flock (Windows), or one the filesystem refuses: the run cannot
+    # tell a killed run's staging directory from a live one's
+    args, out = _command_args(tmp_path, "extract"), tmp_path / "rerun"
+    out.mkdir()
+    staging = _killed_run_staging(out, ".staging-x")
+    if unlocked == "no-fcntl":
+        monkeypatch.setitem(sys.modules, "fcntl", None)
+    else:
+        def refused(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(pytest.importorskip("fcntl"), "flock", refused)
+    try:
+        assert main([*args, "--out", str(out)]) == 0
+        assert sorted(out.glob(".*")) == [staging]
+    finally:
+        shutil.rmtree(staging)
+    # _command_args extracted the same manifest into a fresh "out"
+    assert _files(out) == _files(tmp_path / "out")
 
 
 # ---------------------------------------------------------------------------
