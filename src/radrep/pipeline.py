@@ -23,6 +23,7 @@ import os
 import re
 import shutil
 import tempfile
+import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -592,18 +593,42 @@ def _extract_entry(entry: CohortEntry, settings: RunSettings) -> dict:
     return cells
 
 
+def _recorded(work, item):
+    """``work(item)``, and the (text, category, file, line) of each warning
+    it would have shown, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = work(item)
+    return result, [(str(w.message), w.category, w.filename, w.lineno)
+                    for w in caught]
+
+
 def _map_in_workers(work, items, most: int | None = None):
     """``map(work, items)``, lazily, on min(len(items), usable CPUs, ``most``)
     worker processes, forked, not spawned, as a spawned worker imports numpy
     and radrep again (~0.2 s); the pool forks them all before it starts its
     own thread. One worker, or a platform with no affinity call (macOS;
     Windows, which has no fork), runs in this process. A worker that raises
-    cancels the items not yet taken; a result waits for the earlier ones."""
+    cancels the items not yet taken; a result waits for the earlier ones.
+    Each item's warnings are recorded where it runs and shown here with its
+    result, each (text, category, file, line) once per call, so that the
+    worker count changes no warning."""
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     workers = min(len(items), cpus, cpus if most is None else most)
+    # entering catch_warnings clears every registry, so dedupe here
+    shown = set()
+
+    def show(recorded):
+        result, caught = recorded
+        for warning in caught:
+            if warning not in shown:
+                shown.add(warning)
+                warnings.warn_explicit(*warning)
+        return result
+
+    work = partial(_recorded, work)
     if workers <= 1:
-        yield from map(work, items)
+        yield from map(show, map(work, items))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -611,7 +636,7 @@ def _map_in_workers(work, items, most: int | None = None):
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork")) as pool:
         try:
-            yield from pool.map(work, items)
+            yield from map(show, pool.map(work, items))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -744,9 +769,19 @@ def _write_csv(path: Path, header: list[str], rows):
         writer.writerows(rows)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    newline="")
+def _report(written: list[Path], out_dir: Path, kind: str, key: str,
+            structure: str, content) -> None:
+    """Write a :data:`_REPORTS` kind's ``content``, (header, rows) for a CSV
+    and the payload for JSON, to ``{kind}__{key}__{structure}.{format}`` in
+    ``out_dir``, and append its path to ``written``."""
+    ext = _REPORTS[kind][0]
+    path = out_dir / f"{kind}__{key}__{structure}.{ext}"
+    if ext == "csv":
+        _write_csv(path, *content)
+    else:
+        path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n",
+                        newline="")
+    written.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +931,7 @@ def read_feature_csv(path, timepoint_map: dict | None = None,
     return matrices
 
 
-def _write_icc_table(path: Path, table: RepeatabilityTable, bin_width: float):
+def _icc_table(table: RepeatabilityTable, bin_width: float):
     width = format_value(bin_width)
     above = table.icc > table.volume_reference.icc
     # (class, name, filter) is unique, so whole rows sort by those three
@@ -906,14 +941,8 @@ def _write_icc_table(path: Path, table: RepeatabilityTable, bin_width: float):
     ] for key, icc, bms, wms, n, up in zip(
         table.rows, table.icc.tolist(), table.bms.tolist(),
         table.wms.tolist(), table.n.tolist(), above.tolist()))
-    _write_csv(path, ["featureClass", "featureName", "filter", "binWidth",
-                      "icc", "bms", "wms", "n", "aboveVolumeReference"], rows)
-
-
-# the kinds of report named f"{kind}__{CSV stem}__{structure}" and
-# f"{kind}__{group code}__{structure}"
-_TABLE_REPORTS = ("icc", f"top{TOP_K}", "filterfreq")
-_GROUP_REPORTS = ("spread", "kde_spread", "rankdist", "binwidth_notes")
+    return (["featureClass", "featureName", "filter", "binWidth", "icc",
+             "bms", "wms", "n", "aboveVolumeReference"], rows)
 
 
 @dataclass
@@ -977,15 +1006,15 @@ def analyze_run(csv_paths, out_dir, compare: tuple[str, str] | None = None,
     groups: dict[str, list[tuple[ConfigCell, Path]]] = {}
     for cell, path in paths.items():
         groups.setdefault(cell.group_code, []).append((cell, path))
-    named = [f"{kind}__{stem}__" for kind in _TABLE_REPORTS for stem in stems]
-    named += [f"{kind}__{code}__" for kind in _GROUP_REPORTS
-              for code, members in groups.items() if len(members) > 1]
-    if compare:
-        named.append("delta__{}__vs__{}__".format(*compare))
+    keys = {"stem": stems,
+            "group": [code for code, members in groups.items()
+                      if len(members) > 1],
+            "compare": ["__vs__".join(compare)] if compare else []}
+    named = [f"{kind}__{key}__" for kind, (_, key_of, _) in _REPORTS.items()
+             for key in keys[key_of]]
     out_dir = Path(out_dir)
-    reports = [f"{kind}__*" for kind in
-               (*_TABLE_REPORTS, *_GROUP_REPORTS, "delta")]
-    with _owning(out_dir, [*reports, ANALYSIS_ERRORS],
+    with _owning(out_dir, [*(f"{kind}__*" for kind in _REPORTS),
+                           ANALYSIS_ERRORS],
                  lambda name: name.startswith((*named, ANALYSIS_ERRORS)),
                  "reports") as staging:
         timepoint_map = (_read_timepoint_map(timepoint_map_path)
@@ -1044,9 +1073,8 @@ def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
             by_width.setdefault((cell.group_code, structure), {})[
                 cell.bin_width] = table
 
-            icc_path = out_dir / f"icc__{path.stem}__{structure}.csv"
-            _write_icc_table(icc_path, table, cell.bin_width)
-            written.append(icc_path)
+            _report(written, out_dir, "icc", path.stem, structure,
+                    _icc_table(table, cell.bin_width))
 
             try:
                 top = top_k_per_class(table)
@@ -1054,18 +1082,15 @@ def _analyze_group(members: list[tuple[ConfigCell, Path]], out_dir: Path,
                            for cls, pairs in top.items()}
             except InsufficientFeatures as exc:
                 payload = {"error": str(exc)}
-            top_path = out_dir / f"top{TOP_K}__{path.stem}__{structure}.json"
-            _write_json(top_path, payload)
-            written.append(top_path)
+            _report(written, out_dir, f"top{TOP_K}", path.stem, structure,
+                    payload)
 
             freq = filter_frequency(table)
-            freq_path = out_dir / f"filterfreq__{path.stem}__{structure}.json"
-            _write_json(freq_path, {
+            _report(written, out_dir, "filterfreq", path.stem, structure, {
                 "counts": freq.counts,
                 "totalAboveReference": freq.total_above_reference,
                 "volumeReferenceIcc": table.volume_reference.icc,
             })
-            written.append(freq_path)
     return tables, per_path, _binwidth_reports(by_width, out_dir)
 
 
@@ -1087,28 +1112,25 @@ def _binwidth_reports(groups, out_dir: Path) -> list[Path]:
         shared = set.intersection(*feature_sets)
         excluded = sorted(set.union(*feature_sets) - shared)
         if excluded:
-            notes_path = out_dir / f"binwidth_notes__{code}__{structure}.json"
-            _write_json(notes_path, {"excludedFeatures": excluded})
-            written.append(notes_path)
+            _report(written, out_dir, "binwidth_notes", code, structure,
+                    {"excludedFeatures": excluded})
         keys = tuple(sorted(shared))
         width_tables = {w: t.take(keys) for w, t in by_width.items()}
 
         spread = binwidth_spread(width_tables)
-        spread_path = out_dir / f"spread__{code}__{structure}.csv"
-        _write_csv(spread_path, ["featureKey", "maxDeltaIcc"],
-                   [[k, format_value(v)] for k, v in sorted(spread.items())])
-        written.append(spread_path)
+        _report(written, out_dir, "spread", code, structure, (
+            ["featureKey", "maxDeltaIcc"],
+            [[k, format_value(v)] for k, v in sorted(spread.items())]))
 
         try:
             curve = kde(np.array(list(spread.values())))
         except DegenerateSamples:
             curve = None
         if curve is not None:
-            kde_path = out_dir / f"kde_spread__{code}__{structure}.csv"
-            _write_csv(kde_path, ["maxDeltaIcc", "density"],
-                       [[format_value(x), format_value(d)]
-                        for x, d in zip(curve.abscissa, curve.density)])
-            written.append(kde_path)
+            _report(written, out_dir, "kde_spread", code, structure, (
+                ["maxDeltaIcc", "density"],
+                [[format_value(x), format_value(d)]
+                 for x, d in zip(curve.abscissa, curve.density)]))
 
         histograms = rank_distribution(width_tables)
         rank_rows = []
@@ -1116,9 +1138,8 @@ def _binwidth_reports(groups, out_dir: Path) -> list[Path]:
             for rank in sorted(histograms[width]):
                 rank_rows.append([format_value(width), format_value(rank),
                                   str(histograms[width][rank])])
-        rank_path = out_dir / f"rankdist__{code}__{structure}.csv"
-        _write_csv(rank_path, ["binWidth", "rank", "count"], rank_rows)
-        written.append(rank_path)
+        _report(written, out_dir, "rankdist", code, structure,
+                (["binWidth", "rank", "count"], rank_rows))
     return written
 
 
@@ -1144,7 +1165,7 @@ def _delta_reports(tables, failed: set[tuple[str, str]],
         delta = config_delta(tables[(stem_a, structure)],
                              tables[(stem_b, structure)])
         improved = sum(1 for _, _, d in delta.shared.values() if d > 0)
-        payload = {
+        _report(written, out_dir, "delta", "__vs__".join(compare), structure, {
             "configA": stem_a,
             "configB": stem_b,
             "shared": {k: {"iccA": a, "iccB": b, "delta": d}
@@ -1153,10 +1174,7 @@ def _delta_reports(tables, failed: set[tuple[str, str]],
             "onlyB": list(delta.only_b),
             "improvedCount": improved,
             "sharedCount": len(delta.shared),
-        }
-        path = out_dir / f"delta__{stem_a}__vs__{stem_b}__{structure}.json"
-        _write_json(path, payload)
-        written.append(path)
+        })
     return written
 
 
@@ -1200,14 +1218,19 @@ def _plot_delta(path: Path, out: Path) -> None:
     _write_csv(out, ["feature", "iccA", "iccB", "delta"], rows)
 
 
-# (report glob, converter) in output order; the spread, KDE and rank
-# reports are plot-ready already
-_PLOTS = (("icc__*.csv", _plot_icc), ("kde_spread__*.csv", shutil.copyfile),
-          ("rankdist__*.csv", shutil.copyfile),
-          ("spread__*.csv", shutil.copyfile),
-          (f"top{TOP_K}__*.json", _plot_top),
-          ("filterfreq__*.json", _plot_filterfreq),
-          ("delta__*.json", _plot_delta))
+# kind -> (format, the key in its name, plotdata converter), in plotdata's
+# output order; the key is a CSV stem, a bin-width group code or the compare
+# pair "A__vs__B", and nothing plots the bin-width notes
+_REPORTS = {
+    "icc": ("csv", "stem", _plot_icc),
+    "kde_spread": ("csv", "group", shutil.copyfile),
+    "rankdist": ("csv", "group", shutil.copyfile),
+    "spread": ("csv", "group", shutil.copyfile),
+    f"top{TOP_K}": ("json", "stem", _plot_top),
+    "filterfreq": ("json", "stem", _plot_filterfreq),
+    "delta": ("json", "compare", _plot_delta),
+    "binwidth_notes": ("json", "group", None),
+}
 
 
 def plotdata_run(in_dir, out_dir) -> list[Path]:
@@ -1222,8 +1245,8 @@ def plotdata_run(in_dir, out_dir) -> list[Path]:
     then no plot in ``out_dir`` has changed.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
-    reports = [(path, plot) for pattern, plot in _PLOTS
-               for path in sorted(in_dir.glob(pattern))]
+    reports = [(path, plot) for kind, (ext, _, plot) in _REPORTS.items()
+               if plot for path in sorted(in_dir.glob(f"{kind}__*.{ext}"))]
     keys = {f"plot_{path.stem.rsplit('__', 1)[0]}" for path, _ in reports}
     with _owning(out_dir, ["plot_*.csv"],
                  lambda name: name.rsplit("__", 1)[0] in keys,

@@ -2077,18 +2077,23 @@ def test_large_surface_extract_prints_each_gray_level_warning_once(tmp_path):
                    (1.0, 1.0, 3.0))
         write_nrrd(entry.masks[0].path, slab, (1.0, 1.0, 3.0), dtype="short")
     src = Path(radrep.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-m", "radrep.cli", "extract", "--manifest",
-         str(manifest), "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
-    # each text once, wherever it is reported from
-    warned = [line.partition("GrayLevelCountWarning")[2]
-              for line in result.stderr.splitlines()
-              if "GrayLevelCountWarning" in line]
-    assert warned
-    assert len(warned) == len(set(warned)), result.stderr
+    warned = {}
+    for jobs in (1, 2):
+        result = subprocess.run(
+            [sys.executable, "-m", "radrep.cli", "extract", "--manifest",
+             str(manifest), "--out", str(tmp_path / f"out{jobs}"),
+             "--jobs", str(jobs)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        # each text once, wherever it is reported from
+        warned[jobs] = [line.partition("GrayLevelCountWarning")[2]
+                        for line in result.stderr.splitlines()
+                        if "GrayLevelCountWarning" in line]
+        assert warned[jobs]
+        assert len(warned[jobs]) == len(set(warned[jobs])), result.stderr
+    # the workers' warnings show in the parent, in entry order
+    assert warned[2] == warned[1]
 
 
 def test_cli_end_to_end(tmp_path, capsys):
